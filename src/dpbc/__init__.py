@@ -46,7 +46,6 @@ from .equiv import (
     brute_oracle,
     equivalent,
     rooted_check,
-    rooted_equal,
 )
 from .proof import (
     Derivation,
@@ -80,7 +79,7 @@ __all__ = [
     "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
     "format_aut", "step", "tau_exposes",
     "Partition", "PairRelation", "RootedCheck", "bisimilarity",
-    "brute_oracle", "equivalent", "rooted_check", "rooted_equal",
+    "brute_oracle", "equivalent", "rooted_check",
     "Derivation", "CheckFailure", "check", "derive_D0", "derive_T1",
     "derive_summand_absorption", "format_derivation", "instantiate_axiom",
     "parse_derivation",

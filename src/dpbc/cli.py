@@ -28,7 +28,15 @@ def _read_expr(path: str):
         return parse(fh.read())
 
 
-def _fail(message: str):
+# Every command ends with exit 2 and one line on these: a wide sum or a
+# deep nesting can exhaust the interpreter's recursion limit.
+_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError)
+
+
+def _fail(exc: Exception):
+    message = str(exc)
+    if isinstance(exc, RecursionError):
+        message = f"input nested too deeply or too wide ({message})"
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
 
@@ -64,8 +72,8 @@ def check_cmd(rel, budget, file1, file2):
         click.echo(f"not {rel}-equivalent: the roots are in different classes",
                    err=True)
         sys.exit(1)
-    except (ParseError, OSError, BudgetExceeded) as exc:
-        _fail(str(exc))
+    except _ERRORS as exc:
+        _fail(exc)
 
 
 @main.command("prove")
@@ -80,20 +88,20 @@ def prove_cmd(budget, cert, file1, file2):
         e = _read_expr(file1)
         f = _read_expr(file2)
         result = prove_congruent(e, f, budget)
-    except (ParseError, OSError, BudgetExceeded) as exc:
-        _fail(str(exc))
-    if isinstance(result, RootedCheck):
-        click.echo(
-            f"INEQ {result.clause} ({result.root_left},{result.root_right})",
-            err=True)
-        click.echo(result.detail, err=True)
-        sys.exit(1)
-    text = format_derivation(result)
-    if cert:
-        with open(cert, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+        if isinstance(result, RootedCheck):
+            click.echo(
+                f"INEQ {result.clause} ({result.root_left},{result.root_right})",
+                err=True)
+            click.echo(result.detail, err=True)
+            sys.exit(1)
+        text = format_derivation(result)
+        if cert:
+            with open(cert, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            click.echo(text, nl=False)
+    except _ERRORS as exc:
+        _fail(exc)
     sys.exit(0)
 
 
@@ -105,12 +113,12 @@ def verify_cmd(file):
         with open(file, encoding="utf-8") as fh:
             derivation = parse_derivation(fh.read())
         failure = check(derivation)
-    except (ParseError, CertificateError, OSError, BudgetExceeded) as exc:
-        _fail(str(exc))
-    if failure is None:
-        lhs, rhs = derivation.conclusion
-        click.echo(f"verified: {pretty(lhs)} = {pretty(rhs)}")
-        sys.exit(0)
+        if failure is None:
+            lhs, rhs = derivation.conclusion
+            click.echo(f"verified: {pretty(lhs)} = {pretty(rhs)}")
+            sys.exit(0)
+    except _ERRORS as exc:
+        _fail(exc)
     click.echo(f"invalid certificate: {failure}", err=True)
     sys.exit(1)
 
@@ -124,12 +132,12 @@ def std_cmd(cert, file):
     try:
         e = _read_expr(file)
         view, derivation = standardize(e)
-    except (ParseError, OSError) as exc:
-        _fail(str(exc))
-    click.echo(pretty(view_expr(view)))
-    path = cert if cert else f"{file}.cert"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_derivation(derivation))
+        click.echo(pretty(view_expr(view)))
+        path = cert if cert else f"{file}.cert"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_derivation(derivation))
+    except _ERRORS as exc:
+        _fail(exc)
     sys.exit(0)
 
 
@@ -155,12 +163,10 @@ def lts_cmd(fmt, budget, file):
     try:
         e = _read_expr(file)
         lts = build_lts(e, budget)
-    except (ParseError, OSError, BudgetExceeded) as exc:
-        _fail(str(exc))
-    if fmt == "aut":
-        click.echo(format_aut(lts), nl=False)
-    else:
-        click.echo(_format_text(lts), nl=False)
+        text = format_aut(lts) if fmt == "aut" else _format_text(lts)
+    except _ERRORS as exc:
+        _fail(exc)
+    click.echo(text, nl=False)
     sys.exit(0)
 
 
@@ -176,9 +182,9 @@ def minimize_cmd(budget, file):
     try:
         e = _read_expr(file)
         lts = build_lts(e, budget)
-    except (ParseError, OSError, BudgetExceeded) as exc:
-        _fail(str(exc))
-    part = bisimilarity(lts, "dpbb")
+        part = bisimilarity(lts, "dpbb")
+    except _ERRORS as exc:
+        _fail(exc)
     moves = set()
     for src, act, dst in lts.transitions:
         cs, cd = part.class_of[src], part.class_of[dst]

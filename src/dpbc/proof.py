@@ -777,9 +777,22 @@ class _Blocked(Exception):
     """Internal: the current search path revisited a goal."""
 
 
-def _summand_move(b: Builder, e: Expr, a: Action, target: Expr,
-                  _seen=None) -> int:
-    """e = e + a.target, replaying a minimal derivation of the move.
+def _has_leaf(e: Expr, leaf: Expr) -> bool:
+    """Is `leaf` (a.target or a variable) a move or an exposure of e?"""
+    if isinstance(leaf, Var):
+        return leaf.name in exposes(e)
+    return (leaf.act, leaf.body) in sos_step(e)
+
+
+def _not_present(e: Expr, leaf: Expr) -> MoveNotPresent:
+    if isinstance(leaf, Var):
+        return MoveNotPresent(f"{pretty(e)} does not expose {leaf.name}")
+    return MoveNotPresent(f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
+
+
+def _absorb_summand(b: Builder, e: Expr, leaf: Expr, _seen=None) -> int:
+    """e = e + leaf, for a move a.target or an exposed variable of e,
+    replaying a minimal derivation of that move or exposure.
 
     Goals already on the search path are dead ends: a minimal transition
     derivation never passes through its own conclusion.
@@ -789,105 +802,48 @@ def _summand_move(b: Builder, e: Expr, a: Action, target: Expr,
     if e in _seen:
         raise _Blocked
     seen = _seen | {e}
-    added = Prefix(a, target)
-    if isinstance(e, Prefix) and e.act == a and e.body == target:
+    if e == leaf:
         return b.symm(b.axiom("S3", {"E": e}))
     if isinstance(e, Sum):
-        branches = []
-        if (a, target) in sos_step(e.left):
-            branches.append("left")
-        if (a, target) in sos_step(e.right):
-            branches.append("right")
+        branches = [side for side in ("left", "right")
+                    if _has_leaf(getattr(e, side), leaf)]
         for side in branches:
             try:
                 if side == "left":
-                    ih = _summand_move(b, e.left, a, target, seen)
-                    i1 = b.cong("suml", ih, e.right)  # l+r = (l+a.t)+r
-                    i2 = b.symm(b.axiom("S2", {"E": e.left, "F": added, "G": e.right}))
-                    i3 = b.cong("sumr", b.axiom("S1", {"E": added, "F": e.right}), e.left)
-                    i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": added})
+                    ih = _absorb_summand(b, e.left, leaf, seen)
+                    i1 = b.cong("suml", ih, e.right)  # l+r = (l+leaf)+r
+                    i2 = b.symm(b.axiom("S2", {"E": e.left, "F": leaf, "G": e.right}))
+                    i3 = b.cong("sumr", b.axiom("S1", {"E": leaf, "F": e.right}), e.left)
+                    i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
                     return b.chain(i1, i2, i3, i4)
-                ih = _summand_move(b, e.right, a, target, seen)
-                i1 = b.cong("sumr", ih, e.left)  # l+r = l+(r+a.t)
-                i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": added})
+                ih = _absorb_summand(b, e.right, leaf, seen)
+                i1 = b.cong("sumr", ih, e.left)  # l+r = l+(r+leaf)
+                i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
                 return b.chain(i1, i2)
             except _Blocked:
                 continue
         if branches:
             raise _Blocked
-        raise MoveNotPresent(f"{pretty(e)} has no {a} move to {pretty(target)}")
+        raise _not_present(e, leaf)
     if isinstance(e, Rec):
-        if (a, target) not in sos_step(e):
-            raise MoveNotPresent(f"{pretty(e)} has no {a} move to {pretty(target)}")
+        if not _has_leaf(e, leaf):
+            raise _not_present(e, leaf)
         unfolded = substitute(e.body, {e.binder: e})
         r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})  # e = unfolded
-        ih = _summand_move(b, unfolded, a, target, seen)
-        i1 = b.trans(r1, ih)  # e = unfolded + a.t
-        i2 = b.cong("suml", b.symm(r1), added)
+        ih = _absorb_summand(b, unfolded, leaf, seen)
+        i1 = b.trans(r1, ih)  # e = unfolded + leaf
+        i2 = b.cong("suml", b.symm(r1), leaf)
         return b.trans(i1, i2)
-    raise MoveNotPresent(f"{pretty(e)} has no {a} move to {pretty(target)}")
-
-
-def _summand_exposure(b: Builder, e: Expr, x: str, _seen=None) -> int:
-    """e = e + x, replaying a minimal derivation of the exposure."""
-    if _seen is None:
-        _seen = frozenset()
-    if e in _seen:
-        raise _Blocked
-    seen = _seen | {e}
-    added = Var(x)
-    if isinstance(e, Var) and e.name == x:
-        return b.symm(b.axiom("S3", {"E": e}))
-    if isinstance(e, Sum):
-        branches = []
-        if x in exposes(e.left):
-            branches.append("left")
-        if x in exposes(e.right):
-            branches.append("right")
-        for side in branches:
-            try:
-                if side == "left":
-                    ih = _summand_exposure(b, e.left, x, seen)
-                    i1 = b.cong("suml", ih, e.right)
-                    i2 = b.symm(b.axiom("S2", {"E": e.left, "F": added, "G": e.right}))
-                    i3 = b.cong("sumr", b.axiom("S1", {"E": added, "F": e.right}), e.left)
-                    i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": added})
-                    return b.chain(i1, i2, i3, i4)
-                ih = _summand_exposure(b, e.right, x, seen)
-                i1 = b.cong("sumr", ih, e.left)
-                i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": added})
-                return b.chain(i1, i2)
-            except _Blocked:
-                continue
-        if branches:
-            raise _Blocked
-        raise MoveNotPresent(f"{pretty(e)} does not expose {x}")
-    if isinstance(e, Rec):
-        if x not in exposes(e):
-            raise MoveNotPresent(f"{pretty(e)} does not expose {x}")
-        unfolded = substitute(e.body, {e.binder: e})
-        r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})
-        ih = _summand_exposure(b, unfolded, x, seen)
-        i1 = b.trans(r1, ih)
-        i2 = b.cong("suml", b.symm(r1), added)
-        return b.trans(i1, i2)
-    raise MoveNotPresent(f"{pretty(e)} does not expose {x}")
+    raise _not_present(e, leaf)
 
 
 def derive_summand_absorption(e: Expr, move) -> Derivation:
     """e = e + a.e' for a move of e, or e = e + X for an exposed variable."""
+    leaf = Var(move) if isinstance(move, str) else Prefix(*move)
+    if not _has_leaf(e, leaf):
+        raise _not_present(e, leaf)
     b = Builder()
-    if isinstance(move, str):
-        if move not in exposes(e):
-            raise MoveNotPresent(f"{pretty(e)} does not expose {move}")
-        idx = _summand_exposure(b, e, move)
-    else:
-        a, target = move
-        if (a, target) not in sos_step(e):
-            raise MoveNotPresent(
-                f"{pretty(e)} has no {a} move to {pretty(target)}")
-        idx = _summand_move(b, e, a, target)
-    return b.finalize(idx)
+    return b.finalize(_absorb_summand(b, e, leaf))
 
 
 def _tau_path_to_exposure(e: Expr, x: str):
@@ -933,7 +889,7 @@ def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
     for i in range(1, len(path)):
         ei = path[i]
         acc = accs[-1]
-        total = b.trans(total, lift(_summand_move(b, acc, TAU, ei)))
+        total = b.trans(total, lift(_absorb_summand(b, acc, Prefix(TAU, ei))))
         total = b.trans(
             total,
             lift(prove_sum_eq(b, Sum(acc, Prefix(TAU, ei)), Sum(Prefix(TAU, ei), acc))),
@@ -944,7 +900,7 @@ def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
         accs.append(Sum(acc, ei))
     # expose the variable and move it to the front
     acc = accs[-1]
-    total = b.trans(total, lift(_summand_exposure(b, acc, x)))
+    total = b.trans(total, lift(_absorb_summand(b, acc, Var(x))))
     total = b.trans(
         total, lift(prove_sum_eq(b, Sum(acc, Var(x)), Sum(Var(x), acc))))
     # strip the path states from the back, re-introducing each tau with R4
@@ -960,7 +916,7 @@ def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
             total,
             lift(prove_sum_eq(b, Sum(Prefix(TAU, ei), rest), Sum(rest, Prefix(TAU, ei)))))
         total = b.trans(
-            total, lift(b.symm(_summand_move(b, rest, TAU, ei))))
+            total, lift(b.symm(_absorb_summand(b, rest, Prefix(TAU, ei)))))
     return total
 
 

@@ -46,8 +46,7 @@ from .proof import (
     prove_sum_eq,
     subst_step,
     _t1,
-    _summand_move,
-    _summand_exposure,
+    _absorb_summand,
 )
 from .standardize import NotGuarded, _d1, _d2, _d5, _d6, _app, _standardize
 
@@ -66,8 +65,10 @@ class EqSystem:
     rhs: dict
 
     def __post_init__(self):
-        assert len(set(self.formals)) == len(self.formals)
-        assert set(self.formals) == set(self.rhs)
+        if len(set(self.formals)) != len(self.formals):
+            raise ValueError(f"duplicate formal variables in {self.formals}")
+        if set(self.formals) != set(self.rhs):
+            raise ValueError("the formal variables and the equations differ")
 
     def unguarded_successors(self, x: str):
         """Formal variables occurring unguarded in the rhs of x."""
@@ -920,7 +921,7 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
             w = last.name
             if w not in exposes(f):
                 raise ProofError(f"{w} is not exposed by {pretty(f)}")
-            absorb = b.symm(_summand_exposure(b, f, w))
+            absorb = b.symm(_absorb_summand(b, f, last))
         else:
             a, body = last.act, last.body
             witness = None
@@ -931,13 +932,13 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
             if witness is None:
                 raise ProofError(f"{pretty(last)} has no matching move in {pretty(f)}")
             if witness == body:
-                absorb = b.symm(_summand_move(b, f, a, body))
+                absorb = b.symm(_absorb_summand(b, f, last))
             else:
                 pad = b.symm(_t1(b, a, body))  # a.body = a.tau.body
                 bridge = _promote_bridge(b, body, witness, budget)
                 fixed = b.trans(pad, b.cong("prefix", bridge, a))
                 fixed = b.trans(fixed, _t1(b, a, witness))  # ... = a.witness
-                grow = _summand_move(b, f, a, witness)  # f = f + a.witness
+                grow = _absorb_summand(b, f, Prefix(a, witness))  # f = f + a.witness
                 shrink = b.rewrite_at(
                     Sum(f, Prefix(a, witness)), ["sumr"], b.symm(fixed))
                 absorb = b.symm(b.trans(grow, shrink))  # f + a.body = f

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 from click.testing import CliRunner
+
+import dpbc
 
 from dpbc.cli import main
 from dpbc.syntax import parse
@@ -132,3 +138,47 @@ def test_budget_exit_code(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["check", "--budget", "4", p, q])
     assert res.exit_code == 2
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports the dpbc under test."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
+    # a 400-deep `rec` exhausts the parser's recursion, a 3000-summand
+    # sum that of the transition function; neither may read as a verdict
+    text = "0"
+    for i in reversed(range(400)):
+        text = f"rec X{i}. a.({text} + b.X0)"
+    deep = _write(tmp_path, "deep.proc", text)
+    wide = _write(tmp_path, "wide.proc",
+                  " + ".join(f"{'abc'[i % 3]}.0" for i in range(3000)))
+    runs = [
+        ["check", "--rel", "dpbb", deep, deep],
+        ["check", "--rel", "strong", wide, wide],
+        ["prove", deep, deep],
+        ["lts", wide],
+        ["minimize", wide],
+        ["std", "--cert", str(tmp_path / "w.cert"), wide],
+    ]
+    for args in runs:
+        res = _python("-m", "dpbc.cli", *args)
+        assert res.returncode == 2, (args, res.stderr[-300:])
+        assert "Traceback" not in res.stderr, args
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), args
+
+
+def test_cli_imports_nothing_beyond_click_and_the_stdlib():
+    # every module that `import dpbc.cli` adds to those of `import click`
+    # comes from dpbc or the standard library
+    code = ("import sys, click; before = set(sys.modules); import dpbc.cli; "
+            "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+            "sys.exit(sorted(added - set(sys.stdlib_module_names) - {'dpbc'}) or None)")
+    res = _python("-c", code)
+    assert res.returncode == 0, res.stderr

@@ -95,6 +95,14 @@ def test_solve_rejects_unguarded():
         solve_system(EqSystem(("X",), {"X": parse("tau.X")}), "X")
 
 
+def test_eq_system_rejects_malformed_formals():
+    # real exceptions, not asserts: `python -O` must not let these through
+    with pytest.raises(ValueError, match="duplicate"):
+        EqSystem(("X", "X"), {"X": NIL})
+    with pytest.raises(ValueError):
+        EqSystem(("X",), {"X": NIL, "Y": NIL})
+
+
 def test_tau_transform():
     s = tau_transform(EqSystem(("X",), {"X": parse("a.X")}))
     assert s.rhs["X"] == parse("tau.a.X")
