@@ -26,8 +26,8 @@ from .syntax import (
     free_vars,
     fresh_name,
     is_guarded_in,
-    parse,
     pretty,
+    _parse,
     substitute,
     summand_key,
 )
@@ -928,25 +928,32 @@ def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
 
 # --- certificate file format --------------------------------------------------
 #
+#   term <n> <one constructor over @k, variables and 0>
 #   step <n> <lhs> = <rhs> by refl
 #   step <n> <lhs> = <rhs> by symm <k>
 #   step <n> <lhs> = <rhs> by trans <k> <l>
 #   step <n> <lhs> = <rhs> by axiom <ID> {E:=..., X:=..., a:=...} [premise <k>]
 #   step <n> <lhs> = <rhs> by cong <pos> <k> in <context with hole>
+#
+# The term table comes first and writes every distinct compound subterm
+# once, children before parents (`term 5 a.@3`, `term 6 @4 + @5`,
+# `term 7 rec X. @6`); steps, bindings and contexts refer to `@n`.  The
+# reader accepts any expression wherever `@n` may stand, so a certificate
+# without term lines (whole trees in the steps) reads the same way.
 
 
 HOLE = "◻"  # white medium square
 
 
-def _format_binding(name: str, value) -> str:
+def _format_binding(name: str, value, ref) -> str:
     if isinstance(value, Expr):
-        return f"{name}:={pretty(value)}"
+        return f"{name}:={ref(value)}"
     if isinstance(value, Action):
         return f"{name}:={value.name}"
     return f"{name}:={value}"
 
 
-def _format_just(just: Just) -> str:
+def _format_just(just: Just, ref) -> str:
     if isinstance(just, Refl):
         return "refl"
     if isinstance(just, Symm):
@@ -954,8 +961,8 @@ def _format_just(just: Just) -> str:
     if isinstance(just, Trans):
         return f"trans {just.first} {just.second}"
     if isinstance(just, AxiomStep):
-        parts = [_format_binding(n, v) for n, v in just.meta]
-        parts += [_format_binding(n, v) for n, v in just.extra]
+        parts = [_format_binding(n, v, ref) for n, v in just.meta]
+        parts += [_format_binding(n, v, ref) for n, v in just.extra]
         text = f"axiom {just.axiom} {{{', '.join(parts)}}}"
         if just.premise is not None:
             text += f" premise {just.premise}"
@@ -964,9 +971,9 @@ def _format_just(just: Just) -> str:
         if just.pos == "prefix":
             ctx = f"{just.context.name}.{HOLE}"
         elif just.pos == "suml":
-            ctx = f"{HOLE} + {pretty(just.context)}"
+            ctx = f"{HOLE} + {ref(just.context)}"
         elif just.pos == "sumr":
-            ctx = f"{pretty(just.context)} + {HOLE}"
+            ctx = f"{ref(just.context)} + {HOLE}"
         else:
             ctx = f"rec {just.context}. {HOLE}"
         return f"cong {just.pos} {just.inner} in {ctx}"
@@ -976,17 +983,36 @@ def _format_just(just: Just) -> str:
 def format_derivation(d: Derivation) -> str:
     lhs, rhs = d.conclusion
     lines = [f"# proves: {pretty(lhs)} = {pretty(rhs)}"]
-    for i, st in enumerate(d.steps):
-        lines.append(
-            f"step {i} {pretty(st.lhs)} = {pretty(st.rhs)} by {_format_just(st.just)}")
-    return "\n".join(lines) + "\n"
+    ids = {}
+
+    def ref(e: Expr) -> str:
+        """`@n` for a compound term, adding its `term` line on first use."""
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, Nil):
+            return "0"
+        n = ids.get(e)
+        if n is None:
+            if isinstance(e, Prefix):
+                body = f"{e.act}.{ref(e.body)}"
+            elif isinstance(e, Sum):
+                body = f"{ref(e.left)} + {ref(e.right)}"
+            else:
+                body = f"rec {e.binder}. {ref(e.body)}"
+            n = ids[e] = len(ids)
+            lines.append(f"term {n} {body}")
+        return f"@{n}"
+
+    steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_format_just(st.just, ref)}"
+             for i, st in enumerate(d.steps)]
+    return "\n".join(lines + steps) + "\n"
 
 
 class CertificateError(ValueError):
     pass
 
 
-def _parse_bindings(axiom: str, text: str):
+def _parse_bindings(axiom: str, text: str, terms: list):
     metas, extras = SCHEMA_PARAMS[axiom]
     meta, extra = {}, {}
     text = text.strip()
@@ -998,7 +1024,7 @@ def _parse_bindings(axiom: str, text: str):
             name = name.strip()
             value = value.strip()
             if name in metas:
-                meta[name] = parse(value)
+                meta[name] = _parse(value, terms)
             elif name == "a":
                 extra[name] = Action(value)
             elif name in extras:
@@ -1008,7 +1034,7 @@ def _parse_bindings(axiom: str, text: str):
     return meta, extra
 
 
-def _parse_just(text: str) -> Just:
+def _parse_just(text: str, terms: list) -> Just:
     text = text.strip()
     if text == "refl":
         return Refl()
@@ -1032,7 +1058,7 @@ def _parse_just(text: str) -> Just:
             if not tail.startswith("premise "):
                 raise CertificateError(f"unexpected trailer {tail!r}")
             premise = int(tail[8:].strip())
-        meta, extra = _parse_bindings(name, body)
+        meta, extra = _parse_bindings(name, body, terms)
         return AxiomStep(
             name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
     if text.startswith("cong "):
@@ -1051,11 +1077,11 @@ def _parse_just(text: str) -> Just:
         if pos == "suml":
             if not ctx.startswith(f"{HOLE} + "):
                 raise CertificateError(f"bad suml context {ctx!r}")
-            return Cong("suml", inner, parse(ctx[len(HOLE) + 3 :]))
+            return Cong("suml", inner, _parse(ctx[len(HOLE) + 3 :], terms))
         if pos == "sumr":
             if not ctx.endswith(f" + {HOLE}"):
                 raise CertificateError(f"bad sumr context {ctx!r}")
-            return Cong("sumr", inner, parse(ctx[: -len(HOLE) - 3]))
+            return Cong("sumr", inner, _parse(ctx[: -len(HOLE) - 3], terms))
         if pos == "recbody":
             prefix = "rec "
             if not (ctx.startswith(prefix) and ctx.endswith(f". {HOLE}")):
@@ -1066,31 +1092,36 @@ def _parse_just(text: str) -> Just:
 
 
 def parse_derivation(text: str) -> Derivation:
-    steps = []
+    """Read a certificate.  `term n` and `step n` lines are each numbered
+    from 0 in order, and `@k` may name only a term defined above it."""
+    terms, steps = [], []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not line.startswith("step "):
+        kind, _, rest = line.partition(" ")
+        if kind not in ("term", "step"):
             raise CertificateError(f"unexpected line {line!r}")
-        rest = line[5:]
         num, _, rest = rest.partition(" ")
         try:
-            if int(num) != len(steps):
-                raise CertificateError(
-                    f"step numbered {num} but {len(steps)} expected")
+            expected = len(terms) if kind == "term" else len(steps)
+            if int(num) != expected:
+                raise CertificateError(f"{kind} numbered {num} but {expected} expected")
+            if kind == "term":
+                terms.append(_parse(rest, terms))
+                continue
             body, sep, just_text = rest.rpartition(" by ")
             if not sep:
                 raise CertificateError(f"step {num} has no justification")
             if " = " not in body:
                 raise CertificateError(f"step {num} is not an equation")
             lhs_text, _, rhs_text = body.partition(" = ")
-            steps.append(
-                ProofStep(parse(lhs_text), parse(rhs_text), _parse_just(just_text)))
+            steps.append(ProofStep(_parse(lhs_text, terms), _parse(rhs_text, terms),
+                                   _parse_just(just_text, terms)))
         except ValueError as exc:
             if isinstance(exc, CertificateError):
                 raise
-            raise CertificateError(f"malformed step {num!r}: {exc}") from exc
+            raise CertificateError(f"malformed {kind} {num!r}: {exc}") from exc
     if not steps:
         raise CertificateError("certificate has no steps")
     return Derivation(tuple(steps))

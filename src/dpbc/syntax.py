@@ -432,6 +432,9 @@ def as_standard_sum(e: Expr) -> Optional[SumView]:
 #   rec X. E             recursion (body extends maximally right)
 #   tau* E               loop sugar
 #   # comment            to end of line
+#   @3                   reference to term 3 of a certificate's term table;
+#                        only `parse_derivation` resolves it, and plain
+#                        `parse` rejects it
 
 
 class ParseError(ValueError):
@@ -469,6 +472,14 @@ def _tokenize(text: str):
             toks.append(("rec" if word == "rec" else "ident", word, i))
             i = j
             continue
+        if c == "@":
+            j = i + 1
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            if j > i + 1:
+                toks.append(("ref", text[i + 1 : j], i))
+                i = j
+                continue
         raise ParseError(f"unexpected character {c!r} at offset {i}")
     toks.append(("eof", "", n))
     return toks
@@ -479,9 +490,10 @@ def _is_var_name(name: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, terms: Optional[list]):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.terms = terms
 
     def peek(self):
         return self.toks[self.pos]
@@ -535,6 +547,13 @@ class _Parser:
             if _is_var_name(word):
                 return Var(word)
             raise ParseError(f"action {word!r} must be followed by '.' at offset {off}")
+        if kind == "ref":
+            if self.terms is None:
+                raise ParseError(f"term reference @{word} outside a certificate at offset {off}")
+            k = int(word)
+            if k >= len(self.terms):
+                raise ParseError(f"undefined term @{word} at offset {off}")
+            return self.terms[k]
         if kind == "eof":
             raise ParseError(f"unexpected end of input at offset {off}")
         raise ParseError(f"unexpected token {word!r} at offset {off}")
@@ -542,7 +561,12 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse one expression; trailing whitespace and comments are ignored."""
-    p = _Parser(text)
+    return _parse(text, None)
+
+
+def _parse(text: str, terms: Optional[list]) -> Expr:
+    """`parse`, resolving each `@n` to `terms[n]` (certificates only)."""
+    p = _Parser(text, terms)
     e = p.parse_expr()
     tok = p.peek()
     if tok[0] != "eof":

@@ -36,7 +36,7 @@ def random_expr(rng: random.Random, size: int, free_pool=VARS) -> Expr:
             random_expr(rng, size - ls, free_pool),
         )
     binder = rng.choice(VARS)
-    body = random_expr(rng, size - 1, list(set(free_pool) | {binder}))
+    body = random_expr(rng, size - 1, sorted(set(free_pool) | {binder}))
     return Rec(binder, body)
 
 

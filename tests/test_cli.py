@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -67,7 +68,7 @@ def test_verify_tampered_certificate(tmp_path):
     p = _write(tmp_path, "p.proc", "a.0 + a.0")
     q = _write(tmp_path, "q.proc", "a.0")
     res = runner.invoke(main, ["prove", p, q])
-    lines = [l for l in res.output.splitlines() if l.startswith("step")]
+    lines = res.output.splitlines()
     head, _, just = lines[-1].rpartition(" by ")
     tag, _, eq = head.partition(" ")
     num, _, body = eq.partition(" ")
@@ -77,6 +78,36 @@ def test_verify_tampered_certificate(tmp_path):
     res2 = runner.invoke(main, ["verify", cert])
     assert res2.exit_code == 1
     assert f"step {num}" in res2.stderr
+
+
+def test_verify_edited_term_line(tmp_path):
+    runner = CliRunner()
+    p = _write(tmp_path, "p.proc", "a.0 + a.0")
+    q = _write(tmp_path, "q.proc", "a.0")
+    lines = runner.invoke(main, ["prove", p, q]).output.splitlines()
+    # the table writes a.0 + a.0 as `@k + @k`; drop its right summand
+    k = next(i for i, l in enumerate(lines)
+             if re.fullmatch(r"term \d+ (@\d+) \+ \1", l))
+    lines[k] = lines[k].rpartition(" + ")[0] + " + 0"
+    cert = _write(tmp_path, "bad.cert", "\n".join(lines))
+    res = runner.invoke(main, ["verify", cert])
+    assert res.exit_code == 1
+    assert res.stderr.startswith("invalid certificate: step ")
+
+
+def test_verify_bad_term_references_exit_2(tmp_path):
+    certs = {
+        "undefined": "step 0 @0 = @0 by refl\n",
+        "forward": "term 0 a.@1\nterm 1 b.0\nstep 0 @0 = @0 by refl\n",
+        "out_of_order": "term 0 a.0\nterm 2 b.0\nstep 0 @0 = @0 by refl\n",
+        "duplicate": "term 0 a.0\nterm 0 b.0\nstep 0 @0 = @0 by refl\n",
+    }
+    for name, text in certs.items():
+        res = _python("-m", "dpbc.cli", "verify", _write(tmp_path, f"{name}.cert", text))
+        assert res.returncode == 2, (name, res.stderr)
+        assert "Traceback" not in res.stderr, name
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), name
 
 
 def test_std_writes_certificate(tmp_path):
@@ -118,11 +149,33 @@ def test_minimize(tmp_path):
     q = _write(tmp_path, "q.proc", "rec X.(tau.X + a.0)")
     res2 = runner.invoke(main, ["minimize", q])
     assert '(0,"tau",0)' in res2.output
+    # several classes: a divergent loop, a two-state silent cycle folded
+    # into one diverging class, and tau.0 merged with 0 without divergence
+    r = _write(tmp_path, "r.proc", "rec X. tau.X + a.(rec Y. tau.tau.Y + b.0) + c.tau.0")
+    res3 = runner.invoke(main, ["minimize", r])
+    assert res3.output.splitlines() == [
+        "des (0, 5, 3)",
+        '(0,"tau",0)',
+        '(0,"a",1)',
+        '(0,"c",2)',
+        '(1,"tau",1)',
+        '(1,"b",2)',
+    ]
 
 
 def test_parse_error_exit_code(tmp_path):
     p = _write(tmp_path, "bad.proc", "a. + b")
     q = _write(tmp_path, "ok.proc", "0")
+    runner = CliRunner()
+    res = runner.invoke(main, ["check", p, q])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+
+
+def test_check_rejects_term_reference_in_expression(tmp_path):
+    # `@n` belongs in certificates only
+    p = _write(tmp_path, "p.proc", "a.@0")
+    q = _write(tmp_path, "q.proc", "@0")
     runner = CliRunner()
     res = runner.invoke(main, ["check", p, q])
     assert res.exit_code == 2

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, parse
 from dpbc.proof import (
     Builder,
+    CertificateError,
     Derivation,
     MissingMeta,
     MoveNotPresent,
@@ -280,8 +282,8 @@ def test_certificate_roundtrip():
 def test_certificate_tamper_detection():
     d = derive_T1(Action("a"), parse("b.0"))
     text = format_derivation(d)
-    lines = [l for l in text.splitlines() if l.startswith("step")]
-    # swap the endpoints of the final step
+    lines = text.splitlines()
+    # swap the endpoints of the final step, keeping the term table
     last = lines[-1]
     head, _, just = last.rpartition(" by ")
     prefix, _, eq = head.partition(" ")
@@ -291,3 +293,81 @@ def test_certificate_tamper_detection():
     bad = parse_derivation("\n".join(lines))
     failure = check(bad)
     assert failure is not None and failure.index == int(num)
+
+
+# A certificate without a term table, every side printed as a whole tree
+_TABLE_FREE_CERT = """\
+# proves: a.0 + a.0 = a.0
+step 0 a.0 + a.0 = a.0 by axiom S3 {E:=a.0}
+step 1 a.0 + a.0 + a.0 = a.0 + a.0 by cong suml 0 in ◻ + a.0
+step 2 a.0 = a.0 + a.0 by symm 0
+step 3 a.0 + a.0 = a.0 + a.0 by trans 0 2
+step 4 a.0 + a.0 + a.0 = a.0 + a.0 by trans 1 3
+step 5 a.0 + a.0 + a.0 = a.0 by trans 4 0
+step 6 a.0 + a.0 = a.0 + a.0 + a.0 by cong suml 2 in ◻ + a.0
+step 7 a.0 + (a.0 + a.0) = a.0 + a.0 + a.0 by axiom S2 {E:=a.0, F:=a.0, G:=a.0}
+step 8 a.0 + a.0 + a.0 = a.0 + (a.0 + a.0) by symm 7
+step 9 a.0 + a.0 = a.0 + a.0 by axiom S1 {E:=a.0, F:=a.0}
+step 10 a.0 + (a.0 + a.0) = a.0 + (a.0 + a.0) by cong sumr 9 in a.0 + ◻
+step 11 a.0 + a.0 = a.0 + (a.0 + a.0) by trans 6 8
+step 12 a.0 + a.0 = a.0 + (a.0 + a.0) by trans 11 10
+step 13 a.0 + a.0 = a.0 + a.0 + a.0 by trans 12 7
+step 14 a.0 + a.0 + a.0 = a.0 + a.0 by symm 13
+step 15 a.0 + a.0 + a.0 = a.0 by trans 1 0
+step 16 a.0 + (a.0 + a.0) = a.0 by trans 7 15
+step 17 a.0 = a.0 + a.0 + a.0 by symm 15
+step 18 a.0 + (a.0 + a.0) = a.0 + a.0 + a.0 by trans 16 17
+step 19 a.0 + (a.0 + a.0) = a.0 + a.0 by trans 18 14
+step 20 a.0 + a.0 + a.0 = a.0 + (a.0 + a.0) by axiom S1 {E:=a.0 + a.0, F:=a.0}
+step 21 a.0 + a.0 + a.0 = a.0 + a.0 by trans 20 19
+step 22 a.0 + a.0 = a.0 + a.0 + a.0 by symm 21
+step 23 a.0 + a.0 = a.0 by trans 22 5
+"""
+
+
+def test_table_free_certificate_still_verifies():
+    d = parse_derivation(_TABLE_FREE_CERT)
+    assert check(d) is None
+    assert d.conclusion == (parse("a.0 + a.0"), parse("a.0"))
+    # written again, it gains a term table and reads back to the same steps
+    text = format_derivation(d)
+    assert "term 0 " in text
+    assert parse_derivation(text) == d
+
+
+_REF = r"(@\d+|[A-Z_][\w']*|0)"
+_TERM_BODY = re.compile(
+    rf"[a-z]\w*\.{_REF}|{_REF} \+ {_REF}|rec [A-Z_][\w']*\. {_REF}")
+
+
+def test_certificate_writes_each_subterm_once():
+    d = derive_D0(parse("tau.X + b.0"), parse("a.0"), "X")
+    text = format_derivation(d)
+    terms = [l for l in text.splitlines() if l.startswith("term ")]
+    bodies = [l.split(" ", 2)[2] for l in terms]
+    assert len(set(bodies)) == len(bodies) > 0
+    # each body is one constructor over earlier terms, variables and 0
+    for n, body in enumerate(bodies):
+        assert _TERM_BODY.fullmatch(body), body
+        assert all(int(k) < n for k in re.findall(r"@(\d+)", body))
+    # every step side is a reference or a leaf
+    for line in text.splitlines():
+        if line.startswith("step "):
+            lhs, _, rest = line.split(" ", 2)[2].partition(" = ")
+            assert re.fullmatch(_REF, lhs) and re.fullmatch(_REF, rest.split(" by ")[0])
+    again = parse_derivation(text)
+    assert again == d and check(again) is None
+
+
+@pytest.mark.parametrize("text", [
+    "step 0 @0 = @0 by refl",                                  # undefined
+    "term 0 a.@0\nstep 0 @0 = @0 by refl",                     # self reference
+    "term 0 a.0\nterm 1 b.@2\nterm 2 c.0\nstep 0 @1 = @1 by refl",  # forward
+    "term 0 a.0\nterm 2 b.0\nstep 0 @0 = @0 by refl",          # out of order
+    "term 0 a.0\nterm 0 b.0\nstep 0 @0 = @0 by refl",          # duplicate
+    "term 0 a.0\nstep 0 @0 = @0 by axiom S3 {E:=@1}",          # undefined binding
+    "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 + @0 = @0 + @0 by cong suml 0 in ◻ + @9",
+])
+def test_certificate_rejects_bad_term_references(text):
+    with pytest.raises(CertificateError):
+        parse_derivation(text)

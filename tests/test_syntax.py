@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +30,8 @@ from dpbc.syntax import (
 )
 from dpbc.semantics import tau_exposes
 
+import dpbc
+import genexpr
 from genexpr import random_expr
 
 
@@ -180,6 +185,30 @@ def test_parse_basics():
         parse("a.0 +")
     with pytest.raises(ParseError):
         parse("a.0 b.0")
+
+
+def test_plain_parse_rejects_term_references():
+    # `@n` names a term of a certificate's table; expressions have none
+    for text in ("@0", "a.@12 + b.0", "rec X. @3", "@", "a.@x"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_random_expr_ignores_the_hash_seed():
+    # the same rng seed must draw the same terms in every process
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(dpbc.__file__)),
+                            os.path.dirname(genexpr.__file__)])
+    code = ("import random; from genexpr import random_expr; "
+            "from dpbc.syntax import pretty; "
+            "print([pretty(random_expr(random.Random(s), 14)) for s in range(20)])")
+    outs = set()
+    for hash_seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        outs.add(res.stdout)
+    assert len(outs) == 1
 
 
 @st.composite
