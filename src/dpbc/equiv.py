@@ -201,14 +201,16 @@ def _signatures(lts: Lts, block, kind: str):
     # the inert graph come sinks first, so a component's signature is its
     # own non-inert moves and exposures plus those of the components its
     # inert steps enter; likewise it diverges inside its block when it is
-    # an inert cycle or enters a component that diverges.
+    # an inert cycle or enters a component that diverges.  A block without
+    # inert steps has its single states as components, in any order.
     members = {}
     for s, c in enumerate(block):
         members.setdefault(c, []).append(s)
     sig = [None] * lts.n_states
     div = [False] * lts.n_states
-    for states in members.values():
-        for comp in _tau_sccs(lts, states):
+    inert = {block[s] for s, a, t in lts.transitions if block[s] == block[t] and a.is_tau}
+    for c, states in members.items():
+        for comp in _tau_sccs(lts, states) if c in inert else [[s] for s in states]:
             own = set()
             cyclic = len(comp) > 1
             for s in comp:

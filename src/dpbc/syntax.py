@@ -1,13 +1,16 @@
 """Abstract syntax of process expressions.
 
 Terms are built from 0, variables, action prefixes, binary sums and
-recursion.  Values are immutable after construction and hashable;
-equality is raw tree identity, never implicit alpha-conversion (the
-proof system makes alpha steps explicit).
+recursion.  Terms are hash-consed: every distinct term is built once
+and shared, so equality is node identity, never implicit
+alpha-conversion (the proof system makes alpha steps explicit).  The
+table of nodes holds them weakly; a term nothing uses leaves it.
 """
 
 from __future__ import annotations
 
+import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
@@ -36,10 +39,45 @@ class Action:
 TAU = Action(TAU_NAME)
 
 
-class Expr:
-    """Base class of process expressions."""
+class _Ref(weakref.ref):
+    """A weak reference to an interned node that carries its table key."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("key",)
+
+
+# (tag, action name or binder, child ids) -> _Ref of the one live node.
+# A key names its children by id; the node holds its children, so while
+# an entry's node lives no other object can take a child's id.
+_TABLE: dict = {}
+
+
+def _forget(ref, table=_TABLE):
+    # `table` is bound here so that nodes freed while the interpreter
+    # tears down module globals still find it.  A dead entry may already
+    # have been replaced by a live node built under the same key.
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _make(cls, key, h):
+    node = object.__new__(cls)
+    node._hash = h
+    node._memo = None
+    ref = _Ref(node, _forget)
+    ref.key = key
+    _TABLE[key] = ref
+    return node
+
+
+class Expr:
+    """Base class of process expressions.
+
+    Hash-consed: each constructor returns the one live node with its tag,
+    label and children, so equal terms are the same object and `==` is
+    identity.  `_memo` holds this node's substitution results.
+    """
+
+    __slots__ = ("_hash", "_memo", "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -54,92 +92,66 @@ class Expr:
 class Nil(Expr):
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = hash(("nil",))
-
-    def __eq__(self, other):
-        return type(other) is Nil
-
-    __hash__ = Expr.__hash__
+    def __new__(cls):
+        return NIL
 
 
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Var and other.name == self.name)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, name: str):
+        key = ("var", name)
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = _make(cls, key, hash(key))
+            node.name = name
+        return node
 
 
 class Prefix(Expr):
     __slots__ = ("act", "body")
 
-    def __init__(self, act: Action, body: Expr):
-        self.act = act
-        self.body = body
-        self._hash = hash(("pre", act, body))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Prefix
-            and self._hash == other._hash
-            and self.act == other.act
-            and self.body == other.body
-        )
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, act: Action, body: Expr):
+        key = ("pre", act.name, id(body))
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = _make(cls, key, hash(("pre", act, body)))
+            node.act = act
+            node.body = body
+        return node
 
 
 class Sum(Expr):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-        self._hash = hash(("sum", left, right))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Sum
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, left: Expr, right: Expr):
+        key = ("sum", id(left), id(right))
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = _make(cls, key, hash(("sum", left, right)))
+            node.left = left
+            node.right = right
+        return node
 
 
 class Rec(Expr):
     __slots__ = ("binder", "body")
 
-    def __init__(self, binder: str, body: Expr):
-        self.binder = binder
-        self.body = body
-        self._hash = hash(("rec", binder, body))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Rec
-            and self._hash == other._hash
-            and self.binder == other.binder
-            and self.body == other.body
-        )
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, binder: str, body: Expr):
+        key = ("rec", binder, id(body))
+        ref = _TABLE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = _make(cls, key, hash(("rec", binder, body)))
+            node.binder = binder
+            node.body = body
+        return node
 
 
-NIL = Nil()
+NIL = _make(Nil, ("nil",), hash(("nil",)))
 
 
 # --- orders ---------------------------------------------------------------
@@ -216,34 +228,55 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     in the reserved namespace) only when capture would occur.  Returns e
     itself when no binding applies to a free variable of e.
     """
-    rel = {x: f for x, f in bindings.items() if x in free_vars(e) and f != Var(x)}
+    rel = {}
+    for x in free_vars(e):
+        f = bindings.get(x)
+        if f is not None and f is not Var(x):
+            rel[x] = f
     if not rel:
         return e
     return _subst(e, rel)
 
 
+def _restrict(sub: dict, e: Expr) -> dict:
+    return {x: sub[x] for x in free_vars(e) if x in sub}
+
+
 def _subst(e: Expr, sub: dict) -> Expr:
-    sub = {x: f for x, f in sub.items() if x in free_vars(e)}
-    if not sub:
-        return e
-    if isinstance(e, Var):
+    """`substitute` for a non-empty `sub` over free variables of e only;
+    each node keeps its results, keyed by the bindings."""
+    if type(e) is Var:
         return sub[e.name]
-    if isinstance(e, Prefix):
-        return Prefix(e.act, _subst(e.body, sub))
-    if isinstance(e, Sum):
-        return Sum(_subst(e.left, sub), _subst(e.right, sub))
-    # recursion: drop the binder, rename it first if some value captures it
-    inner = {x: f for x, f in sub.items() if x != e.binder}
-    if not inner:
-        return e
-    if any(e.binder in free_vars(f) for f in inner.values()):
-        avoid = set(all_vars(e.body)) | set(inner)
-        for f in inner.values():
-            avoid |= free_vars(f)
-        nb = fresh_name(avoid)
-        body = _subst(e.body, {e.binder: Var(nb), **inner})
-        return Rec(nb, body)
-    return Rec(e.binder, _subst(e.body, inner))
+    key = tuple(sorted(sub.items()))
+    memo = e._memo
+    if memo is None:
+        memo = e._memo = {}
+    else:
+        out = memo.get(key)
+        if out is not None:
+            return out
+    if type(e) is Prefix:
+        out = Prefix(e.act, _subst(e.body, sub))
+    elif type(e) is Sum:
+        left = _restrict(sub, e.left)
+        right = _restrict(sub, e.right)
+        out = Sum(_subst(e.left, left) if left else e.left,
+                  _subst(e.right, right) if right else e.right)
+    else:
+        # recursion: the binder is not free in e, so not in sub; rename it
+        # first if some value would capture it
+        if any(e.binder in free_vars(f) for f in sub.values()):
+            avoid = set(all_vars(e.body)) | set(sub)
+            for f in sub.values():
+                avoid |= free_vars(f)
+            nb = fresh_name(avoid)
+            if e.binder in free_vars(e.body):
+                sub = {e.binder: Var(nb), **sub}
+            out = Rec(nb, _subst(e.body, sub))
+        else:
+            out = Rec(e.binder, _subst(e.body, sub))
+    memo[key] = out
+    return out
 
 
 # --- loops ------------------------------------------------------------------
@@ -564,8 +597,22 @@ def parse(text: str) -> Expr:
     return _parse(text, None)
 
 
+# a whole certificate field that is one term reference, `0` or a variable
+_ATOM = re.compile(r"[ \t\r\n]*(?:@([0-9]+)|(0)|([A-Z_][A-Za-z0-9_']*))[ \t\r\n]*")
+
+
 def _parse(text: str, terms: Optional[list]) -> Expr:
     """`parse`, resolving each `@n` to `terms[n]` (certificates only)."""
+    m = _ATOM.fullmatch(text) if terms is not None else None
+    if m is not None:
+        ref, nil, name = m.groups()
+        if name is not None:
+            return Var(name)
+        if nil is not None:
+            return NIL
+        if int(ref) < len(terms):
+            return terms[int(ref)]
+        # an undefined reference: the parser below reports it
     p = _Parser(text, terms)
     e = p.parse_expr()
     tok = p.peek()

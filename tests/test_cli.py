@@ -235,3 +235,14 @@ def test_cli_imports_nothing_beyond_click_and_the_stdlib():
             "sys.exit(sorted(added - set(sys.stdlib_module_names) - {'dpbc'}) or None)")
     res = _python("-c", code)
     assert res.returncode == 0, res.stderr
+
+
+def test_prove_and_verify_leave_stderr_empty(tmp_path):
+    # terms freed while the interpreter exits still find their table
+    left = _write(tmp_path, "l.proc", "a.tau.b.0")
+    right = _write(tmp_path, "r.proc", "a.b.0")
+    cert = str(tmp_path / "proof.cert")
+    for args in (["prove", left, right, "--cert", cert], ["verify", cert]):
+        res = _python("-m", "dpbc.cli", *args)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "", args

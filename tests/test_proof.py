@@ -1,5 +1,8 @@
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +31,7 @@ from dpbc.proof import (
 )
 from dpbc.equiv import rooted_check
 
+import dpbc
 from genexpr import random_expr
 
 
@@ -371,3 +375,82 @@ def test_certificate_writes_each_subterm_once():
 def test_certificate_rejects_bad_term_references(text):
     with pytest.raises(CertificateError):
         parse_derivation(text)
+
+
+# Certificates of two fixed pairs, byte for byte, as written under
+# PYTHONHASHSEED=0; a change to how terms hash or to the order in which
+# the prover visits them shows here.
+_PINNED = {
+    ("rec X. a.X", "a.rec X. a.X"): """\
+# proves: rec X. a.X = a.rec X. a.X
+term 0 a.X
+term 1 rec X. @0
+term 2 a.@1
+term 3 @1 + @2
+term 4 @2 + @2
+term 5 @2 + @1
+step 0 @1 = @2 by axiom R1 {E:=@0, X:=X}
+step 1 @3 = @4 by cong suml 0 in ◻ + @2
+step 2 @4 = @2 by axiom S3 {E:=@2}
+step 3 @2 = @4 by symm 2
+step 4 @4 = @4 by trans 2 3
+step 5 @3 = @4 by trans 1 4
+step 6 @3 = @2 by trans 5 2
+step 7 @1 = @4 by trans 0 3
+step 8 @2 = @1 by symm 0
+step 9 @4 = @3 by cong suml 8 in ◻ + @2
+step 10 @1 = @3 by trans 7 9
+step 11 @3 = @1 by symm 10
+step 12 @3 = @5 by axiom S1 {E:=@1, F:=@2}
+step 13 @5 = @3 by symm 12
+step 14 @5 = @1 by trans 13 11
+step 15 @3 = @1 by trans 12 14
+step 16 @1 = @3 by symm 15
+step 17 @1 = @2 by trans 16 6
+""",
+    ("a.0", "a.0 + a.0"): """\
+# proves: a.0 = a.0 + a.0
+term 0 a.0
+term 1 @0 + @0
+term 2 @1 + @0
+term 3 @0 + @1
+step 0 @1 = @0 by axiom S3 {E:=@0}
+step 1 @0 = @1 by symm 0
+step 2 @1 = @2 by cong suml 1 in ◻ + @0
+step 3 @3 = @2 by axiom S2 {E:=@0, F:=@0, G:=@0}
+step 4 @2 = @3 by symm 3
+step 5 @1 = @1 by axiom S1 {E:=@0, F:=@0}
+step 6 @3 = @3 by cong sumr 5 in @0 + ◻
+step 7 @1 = @3 by trans 2 4
+step 8 @1 = @3 by trans 7 6
+step 9 @1 = @2 by trans 8 3
+step 10 @2 = @1 by symm 9
+step 11 @2 = @1 by cong suml 0 in ◻ + @0
+step 12 @2 = @0 by trans 11 0
+step 13 @3 = @0 by trans 3 12
+step 14 @0 = @2 by symm 12
+step 15 @3 = @2 by trans 13 14
+step 16 @3 = @1 by trans 15 10
+step 17 @1 = @1 by trans 0 1
+step 18 @2 = @1 by trans 11 17
+step 19 @2 = @0 by trans 18 0
+step 20 @3 = @2 by axiom S1 {E:=@0, F:=@1}
+step 21 @3 = @0 by trans 20 19
+step 22 @0 = @3 by symm 21
+step 23 @0 = @1 by trans 22 16
+""",
+}
+
+
+def test_certificate_texts_are_pinned():
+    code = ("import sys; from dpbc import parse, prove_congruent; "
+            "from dpbc.proof import format_derivation; "
+            "sys.stdout.write(format_derivation("
+            "prove_congruent(parse(sys.argv[1]), parse(sys.argv[2]))))")
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8", PYTHONPATH=src)
+    for (left, right), want in _PINNED.items():
+        res = subprocess.run([sys.executable, "-c", code, left, right], env=env,
+                             capture_output=True, text=True, encoding="utf-8")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want

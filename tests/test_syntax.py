@@ -1,14 +1,17 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dpbc import syntax
 from dpbc.syntax import (
     Action,
     NIL,
+    Nil,
     Prefix,
     Rec,
     Sum,
@@ -233,3 +236,122 @@ def exprs(draw, depth=4):
 @given(exprs())
 def test_parse_print_roundtrip(e):
     assert parse(pretty(e)) == e
+
+
+# --- hash-consing ---------------------------------------------------------------
+
+
+def test_equal_terms_are_one_node():
+    text = "rec X.(a.X + tau.(b.Y + 0))"
+    assert parse(text) is parse(text)
+    assert Nil() is NIL and Var("X") is Var("X")
+    assert Prefix(Action("a"), NIL) is Prefix(Action("a"), NIL)
+
+
+def test_alpha_variants_are_distinct_nodes():
+    e, f = parse("rec X. a.X"), parse("rec Y. a.Y")
+    assert e is not f and e != f
+
+
+def test_hash_is_the_hash_of_the_constructor_tuple():
+    a, b = Action("a"), parse("b.0")
+    assert hash(Prefix(a, b)) == hash(("pre", a, b))
+    assert hash(Sum(a_b := Prefix(a, b), b)) == hash(("sum", a_b, b))
+    assert hash(Rec("X", b)) == hash(("rec", "X", b))
+    assert hash(Var("X")) == hash(("var", "X"))
+    assert hash(NIL) == hash(("nil",))
+
+
+def test_dropped_terms_leave_the_table():
+    # built without any cached function, so nothing else holds them
+    e = Sum(Prefix(Action("probe_act"), Var("Probe_var")), NIL)
+    assert ("var", "Probe_var") in syntax._TABLE
+    del e
+    gc.collect()
+    assert ("var", "Probe_var") not in syntax._TABLE
+    assert not any(key[:2] == ("pre", "probe_act") for key in syntax._TABLE)
+
+
+# --- substitution against a naive reference -------------------------------------
+#
+# Terms as plain tuples: ("nil",), ("var", x), ("pre", a, t), ("sum", l, r),
+# ("rec", x, t).  The reference filters the bindings at every node and
+# renames a capturing binder to the lowest unused `_g<i>`, with no sharing
+# and no memo.
+
+
+def _tup(e):
+    if isinstance(e, Var):
+        return ("var", e.name)
+    if isinstance(e, Prefix):
+        return ("pre", e.act.name, _tup(e.body))
+    if isinstance(e, Sum):
+        return ("sum", _tup(e.left), _tup(e.right))
+    if isinstance(e, Rec):
+        return ("rec", e.binder, _tup(e.body))
+    return ("nil",)
+
+
+def _naive_vars(t, free):
+    if t[0] == "var":
+        return {t[1]}
+    if t[0] == "pre":
+        return _naive_vars(t[2], free)
+    if t[0] == "sum":
+        return _naive_vars(t[1], free) | _naive_vars(t[2], free)
+    if t[0] == "rec":
+        inner = _naive_vars(t[2], free)
+        return inner - {t[1]} if free else inner | {t[1]}
+    return set()
+
+
+def _naive_subst(t, sub):
+    sub = {x: f for x, f in sub.items() if x in _naive_vars(t, True)}
+    if not sub:
+        return t
+    if t[0] == "var":
+        return sub[t[1]]
+    if t[0] == "pre":
+        return ("pre", t[1], _naive_subst(t[2], sub))
+    if t[0] == "sum":
+        return ("sum", _naive_subst(t[1], sub), _naive_subst(t[2], sub))
+    binder, body = t[1], t[2]
+    if not any(binder in _naive_vars(f, True) for f in sub.values()):
+        return ("rec", binder, _naive_subst(body, sub))
+    avoid = _naive_vars(body, False) | set(sub)
+    for f in sub.values():
+        avoid |= _naive_vars(f, True)
+    i = 0
+    while f"_g{i}" in avoid:
+        i += 1
+    return ("rec", f"_g{i}", _naive_subst(body, {binder: ("var", f"_g{i}"), **sub}))
+
+
+def _subterms(e):
+    yield e
+    for child in (getattr(e, "body", None), getattr(e, "left", None),
+                  getattr(e, "right", None)):
+        if child is not None:
+            yield from _subterms(child)
+
+
+_CAPTURE = parse("rec Y.(a.X + rec _g0. b.(X + _g0))")
+
+
+@settings(max_examples=400, deadline=None)
+@given(exprs(), st.dictionaries(st.sampled_from(["X", "Y", "Z'", "_g0"]),
+                                exprs(depth=2), max_size=3),
+       st.booleans())
+@example(parse("rec Y. a.X"), {"X": parse("b.Y")}, False)
+@example(_CAPTURE, {"X": parse("Y + _g0")}, True)
+@example(_CAPTURE, {"X": parse("_g1"), "Y": parse("a.Y")}, False)
+def test_substitute_matches_naive_reference(e, bindings, warm):
+    if warm:
+        # results memoised on shared subterms by other substitutions first
+        for sub in _subterms(e):
+            substitute(sub, bindings)
+            substitute(sub, {x: Var("Z'") for x in bindings})
+    want = _naive_subst(_tup(e), {x: _tup(f) for x, f in bindings.items()})
+    got = substitute(e, bindings)
+    assert _tup(got) == want
+    assert substitute(e, bindings) is got
