@@ -11,7 +11,6 @@ from .semantics import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     Lts,
-    _can_reach_tau_cycle,
     build_lts,
     format_aut,
 )
@@ -185,20 +184,11 @@ def minimize_cmd(budget, file):
         part = bisimilarity(lts, "dpbb")
     except _ERRORS as exc:
         _fail(exc)
-    moves = set()
-    silent_inside = set()
+    moves = {(c, TAU, c) for c in part.diverging}
     for src, act, dst in lts.transitions:
         cs, cd = part.class_of[src], part.class_of[dst]
         if not act.is_tau or cs != cd:
             moves.add((cs, act, cd))
-        else:
-            silent_inside.add(cs)
-    # a class diverges internally when some member can silently cycle
-    # without leaving the class, which needs a silent move inside it
-    blocks = part.blocks()
-    for c in silent_inside:
-        if _can_reach_tau_cycle(lts, blocks[c], allowed=blocks[c]):
-            moves.add((c, TAU, c))
     moves = sorted(moves, key=lambda t: (t[0], t[1].key(), t[2]))
     root = part.class_of[lts.root]
     lines = [f"des ({root}, {len(moves)}, {part.n_classes})"]

@@ -12,7 +12,7 @@ R <- sym(R & F(R)) and against a brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .semantics import (
@@ -38,11 +38,14 @@ class Partition:
     """Equivalence classes over the states of a transition system.
 
     Class ids are dense from 0, assigned by first occurrence, so equal
-    partitions compare equal as values.
+    partitions compare equal as values.  `diverging` holds the classes
+    in which some member can run silently forever without leaving the
+    class; `bisimilarity` fills it for dpbb only.
     """
 
     lts: Lts
     class_of: tuple
+    diverging: frozenset = field(default=frozenset(), compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -245,7 +248,10 @@ def bisimilarity(lts: Lts, kind: str) -> Partition:
         ids = {}
         block = [ids.setdefault(key, len(ids)) for key in _signatures(lts, block, kind)]
         if len(ids) == count:
-            return Partition(lts, tuple(block))
+            # the keys were taken against this same partition, so their
+            # divergence bits are those of the final classes
+            diverging = frozenset(c for key, c in ids.items() if key[1])
+            return Partition(lts, tuple(block), diverging)
         count = len(ids)
 
 

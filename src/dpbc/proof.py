@@ -9,6 +9,7 @@ and compares trees, so certificates are self-contained.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -27,6 +28,8 @@ from .syntax import (
     fresh_name,
     is_guarded_in,
     pretty,
+    _is_identifier,
+    _is_var_name,
     _parse,
     substitute,
     summand_key,
@@ -331,12 +334,36 @@ def check(derivation: Derivation) -> Optional[CheckFailure]:
 # --- derivation builder ---------------------------------------------------------
 
 
+def _derived(producer):
+    """Route `producer(b, *args)` through the memo of its Builder `b`,
+    keyed on the producer and its arguments (terms, names, actions and
+    indices of steps already in `b`)."""
+
+    @functools.wraps(producer)
+    def memoised(b, *args):
+        key = (producer, *args)
+        out = b._derived.get(key)
+        if out is None:
+            out = b._derived[key] = producer(b, *args)
+        return out
+
+    return memoised
+
+
 class Builder:
-    """Accumulates justified steps with structural deduplication."""
+    """Accumulates justified steps with structural deduplication.
+
+    Derived results (canonical sums, substitution lifts, T1 and axiom
+    steps) are memoised per Builder.  This is exact: each producer is a
+    pure function of its arguments and steps never change once emitted,
+    so a repeated call would only re-emit steps that `_emit` already
+    holds, and the step list is the same with or without the memo.
+    """
 
     def __init__(self):
         self.steps = []
         self._index = {}
+        self._derived = {}
 
     def _emit(self, lhs: Expr, rhs: Expr, just: Just) -> int:
         key = (lhs, rhs, just)
@@ -356,6 +383,12 @@ class Builder:
 
     def axiom(self, axiom: str, meta: Mapping, extra: Mapping = (),
               premise: Optional[int] = None) -> int:
+        return self._axiom(axiom, tuple(sorted(meta.items())),
+                           tuple(sorted(dict(extra).items())), premise)
+
+    @_derived
+    def _axiom(self, axiom: str, meta: tuple, extra: tuple,
+               premise: Optional[int]) -> int:
         st = instantiate_axiom(axiom, dict(meta), dict(extra), premise)
         return self._emit(st.lhs, st.rhs, st.just)
 
@@ -549,6 +582,7 @@ def _prove_compress(b: Builder, e: Expr):
     return cur, acc
 
 
+@_derived
 def prove_canon(b: Builder, e: Expr):
     """Prove e equal to its canonical sum form (sorted, duplicate- and
     0-free, left-nested)."""
@@ -593,6 +627,7 @@ def prove_alpha(b: Builder, lhs: Expr, rhs: Expr) -> int:
         f"not alpha-equivalent: {pretty(lhs)} vs {pretty(rhs)}")
 
 
+@_derived
 def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
     """Lift a proven equation into every free occurrence of `hole` in
     `context`: proves context{lhs/hole} = context{rhs/hole}."""
@@ -631,31 +666,32 @@ def _sigma_key(sigma: dict):
     return tuple(sorted(sigma.items(), key=lambda kv: kv[0]))
 
 
-def subst_step(b: Builder, i: int, sigma: dict, _cache=None) -> int:
+def subst_step(b: Builder, i: int, sigma: dict) -> int:
     """Transform a proven equation under a simultaneous substitution:
     returns a step proving lhs{sigma} = rhs{sigma}."""
-    if _cache is None:
-        _cache = {}
     st = b.steps[i]
     relevant = set(sigma) & (free_vars(st.lhs) | free_vars(st.rhs))
     sigma = {k: v for k, v in sigma.items() if k in relevant and v != Var(k)}
     if not sigma:
         return i
-    key = (i, _sigma_key(sigma))
-    if key in _cache:
-        return _cache[key]
-    res = _subst_step_raw(b, i, sigma, _cache)
+    return _subst_step(b, i, _sigma_key(sigma))
+
+
+@_derived
+def _subst_step(b: Builder, i: int, sigma_key: tuple) -> int:
+    st = b.steps[i]
+    sigma = dict(sigma_key)
+    res = _subst_step_raw(b, i, sigma)
     tl, tr = substitute(st.lhs, sigma), substitute(st.rhs, sigma)
     got = b.endpoints(res)
     if got != (tl, tr):
         raise ProofError(
             f"substitution transform drifted: {pretty(got[0])} = {pretty(got[1])}"
             f" wanted {pretty(tl)} = {pretty(tr)}")
-    _cache[key] = res
     return res
 
 
-def _subst_step_raw(b: Builder, i: int, sigma: dict, cache) -> int:
+def _subst_step_raw(b: Builder, i: int, sigma: dict) -> int:
     st = b.steps[i]
     j = st.just
     tl = substitute(st.lhs, sigma)
@@ -663,22 +699,22 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict, cache) -> int:
     if isinstance(j, Refl):
         return b.refl(tl)
     if isinstance(j, Symm):
-        return b.symm(subst_step(b, j.of, sigma, cache))
+        return b.symm(subst_step(b, j.of, sigma))
     if isinstance(j, Trans):
         return b.trans(
-            subst_step(b, j.first, sigma, cache),
-            subst_step(b, j.second, sigma, cache),
+            subst_step(b, j.first, sigma),
+            subst_step(b, j.second, sigma),
         )
     if isinstance(j, Cong):
         if j.pos == "prefix":
-            return b.cong("prefix", subst_step(b, j.inner, sigma, cache), j.context)
+            return b.cong("prefix", subst_step(b, j.inner, sigma), j.context)
         if j.pos == "suml":
             return b.cong(
-                "suml", subst_step(b, j.inner, sigma, cache),
+                "suml", subst_step(b, j.inner, sigma),
                 substitute(j.context, sigma))
         if j.pos == "sumr":
             return b.cong(
-                "sumr", subst_step(b, j.inner, sigma, cache),
+                "sumr", subst_step(b, j.inner, sigma),
                 substitute(j.context, sigma))
         # recbody: the binder may need renaming away from the substitution
         y = j.context
@@ -686,7 +722,7 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict, cache) -> int:
         sigma2 = {k: v for k, v in sigma.items() if k != y}
         captured = any(y in free_vars(v) for v in sigma2.values())
         if not captured:
-            inner2 = subst_step(b, j.inner, sigma2, cache)
+            inner2 = subst_step(b, j.inner, sigma2)
             out = b.cong("recbody", inner2, y)
         else:
             avoid = (
@@ -696,18 +732,18 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict, cache) -> int:
             z = fresh_name(avoid)
             composed = dict(sigma2)
             composed[y] = Var(z)
-            inner2 = subst_step(b, j.inner, composed, cache)
+            inner2 = subst_step(b, j.inner, composed)
             out = b.cong("recbody", inner2, z)
         got = b.endpoints(out)
         if got == (tl, tr):
             return out
         return b.chain(prove_alpha(b, tl, got[0]), out, prove_alpha(b, got[1], tr))
     if isinstance(j, AxiomStep):
-        return _subst_axiom(b, st, sigma, cache)
+        return _subst_axiom(b, st, sigma)
     raise ProofError(f"unknown justification {j!r}")
 
 
-def _subst_axiom(b: Builder, st: ProofStep, sigma: dict, cache) -> int:
+def _subst_axiom(b: Builder, st: ProofStep, sigma: dict) -> int:
     j = st.just
     meta = dict(j.meta)
     extra = dict(j.extra)
@@ -736,7 +772,7 @@ def _subst_axiom(b: Builder, st: ProofStep, sigma: dict, cache) -> int:
     meta2 = {m: substitute(v, composed) for m, v in meta.items()}
     premise2 = None
     if j.axiom == "R2":
-        prem_idx = subst_step(b, j.premise, sigma, cache)
+        prem_idx = subst_step(b, j.premise, sigma)
         # align the premise with the renamed instance if needed
         want_rhs = substitute(meta2["E"], {extra2["X"]: tl})
         got_l, got_r = b.endpoints(prem_idx)
@@ -754,6 +790,7 @@ def _subst_axiom(b: Builder, st: ProofStep, sigma: dict, cache) -> int:
 # --- derived rules ----------------------------------------------------------------
 
 
+@_derived
 def _t1(b: Builder, a: Action, e: Expr) -> int:
     """a.tau.e = a.e via the branching axiom with an empty second summand."""
     s4 = b.axiom("S4", {"E": e})
@@ -1012,6 +1049,15 @@ class CertificateError(ValueError):
     pass
 
 
+def _name(text: str, variable: bool) -> str:
+    """`text` when the expression grammar can write it as a variable or
+    binder name (`variable`) or as an action name (otherwise)."""
+    if not _is_identifier(text) or _is_var_name(text) != variable:
+        raise CertificateError(
+            f"bad {'variable' if variable else 'action'} name {text!r}")
+    return text
+
+
 def _parse_bindings(axiom: str, text: str, terms: list):
     metas, extras = SCHEMA_PARAMS[axiom]
     meta, extra = {}, {}
@@ -1026,9 +1072,9 @@ def _parse_bindings(axiom: str, text: str, terms: list):
             if name in metas:
                 meta[name] = _parse(value, terms)
             elif name == "a":
-                extra[name] = Action(value)
+                extra[name] = Action(_name(value, False))
             elif name in extras:
-                extra[name] = value
+                extra[name] = _name(value, True)
             else:
                 raise CertificateError(f"{axiom} takes no parameter {name!r}")
     return meta, extra
@@ -1073,7 +1119,7 @@ def _parse_just(text: str, terms: list) -> Just:
         if pos == "prefix":
             if not ctx.endswith(f".{HOLE}"):
                 raise CertificateError(f"bad prefix context {ctx!r}")
-            return Cong("prefix", inner, Action(ctx[: -len(HOLE) - 1]))
+            return Cong("prefix", inner, Action(_name(ctx[: -len(HOLE) - 1], False)))
         if pos == "suml":
             if not ctx.startswith(f"{HOLE} + "):
                 raise CertificateError(f"bad suml context {ctx!r}")
@@ -1086,7 +1132,8 @@ def _parse_just(text: str, terms: list) -> Just:
             prefix = "rec "
             if not (ctx.startswith(prefix) and ctx.endswith(f". {HOLE}")):
                 raise CertificateError(f"bad recbody context {ctx!r}")
-            return Cong("recbody", inner, ctx[len(prefix) : -len(HOLE) - 2].strip())
+            binder = ctx[len(prefix) : -len(HOLE) - 2].strip()
+            return Cong("recbody", inner, _name(binder, True))
         raise CertificateError(f"unknown congruence position {pos!r}")
     raise CertificateError(f"unknown justification {text!r}")
 

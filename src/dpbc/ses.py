@@ -9,6 +9,7 @@ drives the silent-prefix promotion step and the congruence prover.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .syntax import (
@@ -59,7 +60,9 @@ class NotEquivalent(ProofError):
 
 @dataclass(frozen=True)
 class EqSystem:
-    """A finite recursive equation system over distinct formal variables."""
+    """A finite recursive equation system over distinct formal variables.
+
+    `rhs` is not changed after construction."""
 
     formals: tuple
     rhs: dict
@@ -70,9 +73,14 @@ class EqSystem:
         if set(self.formals) != set(self.rhs):
             raise ValueError("the formal variables and the equations differ")
 
-    def unguarded_successors(self, x: str):
+    @cached_property
+    def _successors(self) -> dict:
+        return {x: tuple(y for y in self.formals if tau_exposes(y, self.rhs[x]))
+                for x in self.formals}
+
+    def unguarded_successors(self, x: str) -> tuple:
         """Formal variables occurring unguarded in the rhs of x."""
-        return [y for y in self.formals if tau_exposes(y, self.rhs[x])]
+        return self._successors[x]
 
     def is_guarded(self) -> bool:
         """The unguarded-occurrence relation admits no cycle."""
@@ -295,7 +303,6 @@ class _Extraction:
                 rho = h
             old_sols = dict(self.sols)
             old_ders = dict(self.ders)
-            cache = {}
             # re-point every solution of the subsystem below the binder
             for z in new_formals:
                 self.sols[z] = substitute(old_sols[z], sigma)
@@ -307,7 +314,7 @@ class _Extraction:
                 if substitute(e.body, sigma) != self.sols[r]
                 else b.refl(self.sols[r]),
             )
-            t_root = subst_step(b, old_ders[r], sigma, cache)
+            t_root = subst_step(b, old_ders[r], sigma)
             hole = b.trans(hole, t_root)
             if is_loop(h):
                 ll = b.rhs_after(t_root)
@@ -323,7 +330,7 @@ class _Extraction:
             for z in new_formals:
                 old_rhs = self.rhs[z]
                 new_rhs = self._transform_rhs(old_rhs, y, rho)
-                t_z = subst_step(b, old_ders[z], sigma, cache)
+                t_z = subst_step(b, old_ders[z], sigma)
                 k_z = substitute(old_rhs, {f: self.sols[f] for f in new_formals})
                 want_l = substitute(k_z, {y: e})
                 got = b.rhs_after(t_z)
@@ -541,7 +548,6 @@ class _Quotient:
             if got != want:
                 idx = self.b.trans(idx, prove_alpha(self.b, got, want))
             self.eq2[c] = idx
-        self._der_cache = {}
 
     # -- filled derivative sums --------------------------------------------
 
@@ -607,8 +613,6 @@ class _Quotient:
     def equality3(self, x: str) -> int:
         """tau.(filled equation of x) = tau.(filled designated equation)."""
         b = self.b
-        if x in self._der_cache:
-            return self._der_cache[x]
         c = self.cls[x]
         xi = self.bottoms[c]
         kind_x = self.s.shape[x][0]
@@ -616,9 +620,7 @@ class _Quotient:
         is_bottom = x == xi or all(
             self.cls[y] != c for y in self.s.unguarded_successors(x))
         if x == xi:
-            out = b.refl(Prefix(TAU, self.fillb(x)))
-            self._der_cache[x] = out
-            return out
+            return b.refl(Prefix(TAU, self.fillb(x)))
         f0x, f1x = self.filled(x)
         f0i, f1i = self.filled(xi)
         fxi = self.fillb(xi)
@@ -639,7 +641,6 @@ class _Quotient:
                 step = b.trans(
                     step, prove_alpha(b, b.rhs_after(step), b.rhs_after(back)))
                 out = b.cong("prefix", b.trans(step, b.symm(back)), TAU)
-            self._der_cache[x] = out
             return out
         if kind_x == "plain":
             # expand the stutter step onto the designated equation and
@@ -658,7 +659,6 @@ class _Quotient:
                          prove_sum_eq(b, Sum(grown, f1x), grown))
             total = _app(b, total, ["prefix"],
                          b.symm(self.clause_absorb(xi)))
-            self._der_cache[x] = total
             return total
         # x's equation is a loop, hence so is the designated one
         if kind_i != "loop":
@@ -695,7 +695,6 @@ class _Quotient:
         total = _app(b, total, ["prefix"],
                      prove_alpha(b, b.rhs_after(total).body, lpi))
         total = _app(b, total, ["prefix"], b.symm(self.clause_split(xi)))
-        self._der_cache[x] = total
         return total
 
     def common_solutions(self):

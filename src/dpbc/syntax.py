@@ -522,6 +522,15 @@ def _is_var_name(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
 
 
+def _is_identifier(word: str) -> bool:
+    """`word` reads as exactly one identifier token (not the keyword `rec`)."""
+    try:
+        toks = _tokenize(word)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0][0] == "ident" and toks[0][1] == word
+
+
 class _Parser:
     def __init__(self, text: str, terms: Optional[list]):
         self.toks = _tokenize(text)

@@ -110,6 +110,29 @@ def test_verify_bad_term_references_exit_2(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), name
 
 
+def test_verify_unwritable_names_exit_2(tmp_path):
+    # a name the expression grammar cannot write makes the text
+    # malformed (exit 2), not a certificate that fails its check (exit 1)
+    refl = "step 0 0 = 0 by refl\n"
+    certs = {
+        "empty_prefix_action": refl + "step 1 a.0 = a.0 by cong prefix 0 in .◻\n",
+        "variable_as_prefix_action": refl + "step 1 a.0 = a.0 by cong prefix 0 in X.◻\n",
+        "variable_as_action": "step 0 a.(tau.(0 + 0) + 0) = a.(0 + 0)"
+                              " by axiom B {E:=0, F:=0, a:=X}\n",
+        "empty_action": "step 0 a.(tau.(0 + 0) + 0) = a.(0 + 0) by axiom B {E:=0, F:=0, a:=}\n",
+        "two_word_binder": "step 0 rec X. 0 = rec Y. 0 by axiom R0 {E:=0, X:=X, Y:=a b}\n",
+        "action_as_binder": "step 0 rec X. 0 = rec Y. 0 by axiom R0 {E:=0, X:=x, Y:=Y}\n",
+        "keyword_as_action": refl + "step 1 a.0 = a.0 by cong prefix 0 in rec.◻\n",
+        "action_as_recbody_binder": refl + "step 1 rec X. 0 = rec X. 0"
+                                    " by cong recbody 0 in rec x. ◻\n",
+    }
+    for name, text in certs.items():
+        res = _python("-m", "dpbc.cli", "verify", _write(tmp_path, f"{name}.cert", text))
+        assert res.returncode == 2, (name, res.stderr)
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (name, res.stderr)
+
+
 def test_std_writes_certificate(tmp_path):
     p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.0)")
     runner = CliRunner()

@@ -1,3 +1,4 @@
+import inspect
 import os
 import random
 import re
@@ -26,8 +27,10 @@ from dpbc.proof import (
     instantiate_axiom,
     parse_derivation,
     prove_canon,
+    prove_subst_cong,
     prove_sum_eq,
     prove_alpha,
+    subst_step,
 )
 from dpbc.equiv import rooted_check
 
@@ -442,6 +445,15 @@ step 23 @0 = @1 by trans 22 16
 }
 
 
+# Longer pins, one file each under tests/pinned/, written the same way:
+# a loop of a loop and one silent step padded in under a prefix.  They
+# drive substitution lifts, uniqueness of solutions (R2) and T1.
+_PINNED_FILES = {
+    ("tau* tau* 0", "tau* 0"): "looploop.cert",
+    ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
+}
+
+
 def test_certificate_texts_are_pinned():
     code = ("import sys; from dpbc import parse, prove_congruent; "
             "from dpbc.proof import format_derivation; "
@@ -449,8 +461,38 @@ def test_certificate_texts_are_pinned():
             "prove_congruent(parse(sys.argv[1]), parse(sys.argv[2]))))")
     src = os.path.dirname(os.path.dirname(dpbc.__file__))
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8", PYTHONPATH=src)
-    for (left, right), want in _PINNED.items():
+    pins = dict(_PINNED)
+    for pair, name in _PINNED_FILES.items():
+        path = os.path.join(os.path.dirname(__file__), "pinned", name)
+        with open(path, encoding="utf-8") as fh:
+            pins[pair] = fh.read()
+    for (left, right), want in pins.items():
         res = subprocess.run([sys.executable, "-c", code, left, right], env=env,
                              capture_output=True, text=True, encoding="utf-8")
         assert res.returncode == 0, res.stderr
         assert res.stdout == want
+
+
+def test_builder_memo_repeats_no_work():
+    # the same derived results asked for twice: same indices, and the
+    # second round emits nothing, not even steps the builder already has
+    b = Builder()
+    inner = b.axiom("S4", {"E": parse("a.Y")})  # a.Y + 0 = a.Y
+    context = parse("c.X + rec Y. d.(X + Y)")  # the binder captures Y
+
+    def requests():
+        canon = prove_canon(b, parse("b.0 + (a.0 + b.0) + 0"))
+        lifted = prove_subst_cong(b, context, "X", inner)
+        moved = subst_step(b, lifted, {"Y": parse("rec Z. e.Z")})
+        return canon, lifted, moved
+
+    first = requests()
+    n = len(b.steps)
+    emitted = []
+    emit = b._emit
+    b._emit = lambda *args: emitted.append(args) or emit(*args)
+    assert requests() == first
+    assert len(b.steps) == n and emitted == []
+    for idx in (first[0][1], first[1], first[2]):
+        assert check(b.finalize(idx)) is None
+    assert list(inspect.signature(subst_step).parameters) == ["b", "i", "sigma"]
