@@ -447,10 +447,25 @@ step 23 @0 = @1 by trans 22 16
 
 # Longer pins, one file each under tests/pinned/, written the same way:
 # a loop of a loop and one silent step padded in under a prefix.  They
-# drive substitution lifts, uniqueness of solutions (R2) and T1.
+# drive substitution lifts, uniqueness of solutions (R2) and T1.  The
+# others each reach a branch of the prover that no shorter pin does:
+# standardization exposing a recursion variable in a sum whose right
+# half is unguarded or guarded, behind a loop, in two silent summands
+# that are folded together, or as a bare summand; extraction of loops
+# under a sum and under a recursion, of a loop of a loop under a prefix,
+# and of a loop whose body is rearranged under a recursion.
 _PINNED_FILES = {
     ("tau* tau* 0", "tau* 0"): "looploop.cert",
     ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
+    ("b.rec Z. tau.(Z + Z)", "b.(rec Z. tau.(Z + Z)) + b.rec Z. tau.(Z + Z)"):
+        "exposeunguarded.cert",
+    ("tau.(rec X. tau.(X + 0)) + 0", "tau.rec X. tau.(X + 0)"): "exposeguarded.cert",
+    ("rec X. tau.(tau* X)", "tau.tau* 0"): "exposeloop.cert",
+    ("rec X. tau.X + tau.tau.X", "tau* 0"): "foldsummands.cert",
+    ("rec X. X + a.0", "a.0"): "selfsummand.cert",
+    ("a.rec X. (tau* 0 + 0)", "a.tau.rec X. tau* 0"): "extractloops.cert",
+    ("a.tau* tau* 0", "a.tau* 0"): "looploopprefix.cert",
+    ("rec X. a.tau* (X + b.0)", "rec X. a.(tau* (X + b.0) + 0)"): "bridgeloop.cert",
 }
 
 
