@@ -10,6 +10,7 @@ and compares trees, so certificates are self-contained.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -30,7 +31,7 @@ from .syntax import (
     pretty,
     _is_identifier,
     _is_var_name,
-    _parse,
+    parse,
     substitute,
     summand_key,
 )
@@ -456,25 +457,6 @@ class Builder:
     def rhs_after(self, i: int) -> Expr:
         return self.steps[i].rhs
 
-    def splice(self, derivation: Derivation) -> int:
-        """Import an existing derivation; returns the index of its
-        conclusion step."""
-        remap = {}
-        last = -1
-        for i, st in enumerate(derivation.steps):
-            j = st.just
-            if isinstance(j, Symm):
-                j = Symm(remap[j.of])
-            elif isinstance(j, Trans):
-                j = Trans(remap[j.first], remap[j.second])
-            elif isinstance(j, Cong):
-                j = Cong(j.pos, remap[j.inner], j.context)
-            elif isinstance(j, AxiomStep) and j.premise is not None:
-                j = AxiomStep(j.axiom, j.meta, j.extra, remap[j.premise])
-            remap[i] = self._emit(st.lhs, st.rhs, j)
-            last = remap[i]
-        return last
-
     def finalize(self, conclusion: int) -> Derivation:
         """Extract the reachable part of the derivation ending at the
         conclusion step."""
@@ -627,6 +609,25 @@ def prove_alpha(b: Builder, lhs: Expr, rhs: Expr) -> int:
         f"not alpha-equivalent: {pretty(lhs)} vs {pretty(rhs)}")
 
 
+def align(b: Builder, i: int, want: Expr) -> int:
+    """Extend step i to `want`, an alpha-variant of its right-hand side."""
+    got = b.rhs_after(i)
+    return i if got == want else b.trans(i, prove_alpha(b, got, want))
+
+
+def _align_both(b: Builder, i: int, lhs: Expr, rhs: Expr) -> int:
+    """Step i restated as lhs = rhs, alpha-variants of its two sides."""
+    got = b.endpoints(i)
+    if got == (lhs, rhs):
+        return i
+    return b.chain(prove_alpha(b, lhs, got[0]), i, prove_alpha(b, got[1], rhs))
+
+
+def _app(b: Builder, total: int, path, inner: int) -> int:
+    """Extend a chain by rewriting inside its current right-hand side."""
+    return b.trans(total, b.rewrite_at(b.rhs_after(total), path, inner))
+
+
 @_derived
 def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
     """Lift a proven equation into every free occurrence of `hole` in
@@ -654,9 +655,8 @@ def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
     z = fresh_name(all_vars(context.body) | free_vars(lhs) | free_vars(rhs) | {hole, y})
     body_z = substitute(context.body, {y: Var(z)})
     mid = b.cong("recbody", prove_subst_cong(b, body_z, hole, inner), z)
-    left_bridge = prove_alpha(b, substitute(context, {hole: lhs}), b.endpoints(mid)[0])
-    right_bridge = prove_alpha(b, b.endpoints(mid)[1], substitute(context, {hole: rhs}))
-    return b.chain(left_bridge, mid, right_bridge)
+    return _align_both(
+        b, mid, substitute(context, {hole: lhs}), substitute(context, {hole: rhs}))
 
 
 # --- substitution through derivations --------------------------------------------
@@ -708,36 +708,22 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict) -> int:
     if isinstance(j, Cong):
         if j.pos == "prefix":
             return b.cong("prefix", subst_step(b, j.inner, sigma), j.context)
-        if j.pos == "suml":
+        if j.pos in ("suml", "sumr"):
             return b.cong(
-                "suml", subst_step(b, j.inner, sigma),
-                substitute(j.context, sigma))
-        if j.pos == "sumr":
-            return b.cong(
-                "sumr", subst_step(b, j.inner, sigma),
-                substitute(j.context, sigma))
+                j.pos, subst_step(b, j.inner, sigma), substitute(j.context, sigma))
         # recbody: the binder may need renaming away from the substitution
-        y = j.context
+        y = z = j.context
         inner_st = b.steps[j.inner]
         sigma2 = {k: v for k, v in sigma.items() if k != y}
-        captured = any(y in free_vars(v) for v in sigma2.values())
-        if not captured:
-            inner2 = subst_step(b, j.inner, sigma2)
-            out = b.cong("recbody", inner2, y)
-        else:
+        if any(y in free_vars(v) for v in sigma2.values()):
             avoid = (
                 all_vars(inner_st.lhs) | all_vars(inner_st.rhs) | set(sigma2) | {y})
             for v in sigma2.values():
                 avoid |= free_vars(v)
             z = fresh_name(avoid)
-            composed = dict(sigma2)
-            composed[y] = Var(z)
-            inner2 = subst_step(b, j.inner, composed)
-            out = b.cong("recbody", inner2, z)
-        got = b.endpoints(out)
-        if got == (tl, tr):
-            return out
-        return b.chain(prove_alpha(b, tl, got[0]), out, prove_alpha(b, got[1], tr))
+            sigma2[y] = Var(z)
+        out = b.cong("recbody", subst_step(b, j.inner, sigma2), z)
+        return _align_both(b, out, tl, tr)
     if isinstance(j, AxiomStep):
         return _subst_axiom(b, st, sigma)
     raise ProofError(f"unknown justification {j!r}")
@@ -772,19 +758,11 @@ def _subst_axiom(b: Builder, st: ProofStep, sigma: dict) -> int:
     meta2 = {m: substitute(v, composed) for m, v in meta.items()}
     premise2 = None
     if j.axiom == "R2":
-        prem_idx = subst_step(b, j.premise, sigma)
         # align the premise with the renamed instance if needed
-        want_rhs = substitute(meta2["E"], {extra2["X"]: tl})
-        got_l, got_r = b.endpoints(prem_idx)
-        if got_r != want_rhs:
-            prem_idx = b.trans(prem_idx, prove_alpha(b, got_r, want_rhs))
+        premise2 = align(b, subst_step(b, j.premise, sigma),
+                         substitute(meta2["E"], {extra2["X"]: tl}))
         meta2["F"] = tl
-        premise2 = prem_idx
-    out = b.axiom(j.axiom, meta2, extra2, premise2)
-    got = b.endpoints(out)
-    if got == (tl, tr):
-        return out
-    return b.chain(prove_alpha(b, tl, got[0]), out, prove_alpha(b, got[1], tr))
+    return _align_both(b, b.axiom(j.axiom, meta2, extra2, premise2), tl, tr)
 
 
 # --- derived rules ----------------------------------------------------------------
@@ -916,44 +894,35 @@ def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
     if path is None:
         raise SideCondition("D0", f"{x} is not reachable unguarded from {pretty(e)}")
 
-    def lift(inner: int) -> int:
-        lhs, _ = b.endpoints(inner)
-        host = Rec(x, Sum(Prefix(TAU, lhs), f))
-        return b.rewrite_at(host, ["rec", "suml", "prefix"], inner)
+    def lift(total: int, inner: int) -> int:
+        return _app(b, total, ["rec", "suml", "prefix"], inner)
 
     total = b.refl(Rec(x, Sum(Prefix(TAU, e), f)))
     accs = [e]  # accs[i] is e + e1 + ... + ei
     for i in range(1, len(path)):
         ei = path[i]
         acc = accs[-1]
-        total = b.trans(total, lift(_absorb_summand(b, acc, Prefix(TAU, ei))))
-        total = b.trans(
-            total,
-            lift(prove_sum_eq(b, Sum(acc, Prefix(TAU, ei)), Sum(Prefix(TAU, ei), acc))),
-        )
+        total = lift(total, _absorb_summand(b, acc, Prefix(TAU, ei)))
+        total = lift(
+            total, prove_sum_eq(b, Sum(acc, Prefix(TAU, ei)), Sum(Prefix(TAU, ei), acc)))
         total = b.trans(
             total, b.axiom("R4", {"E": ei, "F": acc, "G": f}, {"X": x}))
-        total = b.trans(total, lift(prove_sum_eq(b, Sum(ei, acc), Sum(acc, ei))))
+        total = lift(total, prove_sum_eq(b, Sum(ei, acc), Sum(acc, ei)))
         accs.append(Sum(acc, ei))
     # expose the variable and move it to the front
     acc = accs[-1]
-    total = b.trans(total, lift(_absorb_summand(b, acc, Var(x))))
-    total = b.trans(
-        total, lift(prove_sum_eq(b, Sum(acc, Var(x)), Sum(Var(x), acc))))
+    total = lift(total, _absorb_summand(b, acc, Var(x)))
+    total = lift(total, prove_sum_eq(b, Sum(acc, Var(x)), Sum(Var(x), acc)))
     # strip the path states from the back, re-introducing each tau with R4
     for i in range(len(path) - 1, 0, -1):
         ei = path[i]
         rest = Sum(Var(x), accs[i - 1])
-        total = b.trans(
-            total,
-            lift(prove_sum_eq(b, Sum(Var(x), accs[i]), Sum(ei, rest))))
+        total = lift(total, prove_sum_eq(b, Sum(Var(x), accs[i]), Sum(ei, rest)))
         total = b.trans(
             total, b.symm(b.axiom("R4", {"E": ei, "F": rest, "G": f}, {"X": x})))
-        total = b.trans(
-            total,
-            lift(prove_sum_eq(b, Sum(Prefix(TAU, ei), rest), Sum(rest, Prefix(TAU, ei)))))
-        total = b.trans(
-            total, lift(b.symm(_absorb_summand(b, rest, Prefix(TAU, ei)))))
+        total = lift(
+            total, prove_sum_eq(b, Sum(Prefix(TAU, ei), rest), Sum(rest, Prefix(TAU, ei))))
+        total = lift(total, b.symm(_absorb_summand(b, rest, Prefix(TAU, ei))))
     return total
 
 
@@ -974,9 +943,10 @@ def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
 #
 # The term table comes first and writes every distinct compound subterm
 # once, children before parents (`term 5 a.@3`, `term 6 @4 + @5`,
-# `term 7 rec X. @6`); steps, bindings and contexts refer to `@n`.  The
-# reader accepts any expression wherever `@n` may stand, so a certificate
-# without term lines (whole trees in the steps) reads the same way.
+# `term 7 rec X. @6`): each body is one constructor over fields, and a
+# field is `@k`, `0` or a variable.  Step sides, bindings and contexts
+# are fields too.  A certificate without term lines writes whole
+# expressions there instead, and the reader parses those as such.
 
 
 HOLE = "◻"  # white medium square
@@ -1049,6 +1019,7 @@ class CertificateError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=1024)
 def _name(text: str, variable: bool) -> str:
     """`text` when the expression grammar can write it as a variable or
     binder name (`variable`) or as an action name (otherwise)."""
@@ -1056,6 +1027,42 @@ def _name(text: str, variable: bool) -> str:
         raise CertificateError(
             f"bad {'variable' if variable else 'action'} name {text!r}")
     return text
+
+
+# a whole field: one term reference, `0` or a variable
+_FIELD = re.compile(r"[ \t\r\n]*(?:@([0-9]+)|(0)|([A-Z_][A-Za-z0-9_']*))[ \t\r\n]*")
+
+
+def _field(text: str, terms: list, whole: bool = True) -> Expr:
+    """The expression a field denotes.  Unless `whole` is false, a text
+    that is no field is read as a whole expression."""
+    m = _FIELD.fullmatch(text)
+    if m is None:
+        if whole:
+            return parse(text)
+        raise CertificateError(f"bad term field {text.strip()!r}")
+    ref, nil, name = m.groups()
+    if name is not None:
+        return Var(name)
+    if nil is not None:
+        return NIL
+    if int(ref) >= len(terms):
+        raise CertificateError(f"undefined term @{ref}")
+    return terms[int(ref)]
+
+
+def _term(text: str, terms: list) -> Expr:
+    """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
+    left, plus, right = text.partition("+")
+    if plus:
+        return Sum(_field(left, terms, False), _field(right, terms, False))
+    head, dot, body = text.partition(".")
+    words = head.split()
+    if dot and len(words) == 2 and words[0] == "rec":
+        return Rec(_name(words[1], True), _field(body, terms, False))
+    if dot and len(words) == 1:
+        return Prefix(Action(_name(words[0], False)), _field(body, terms, False))
+    raise CertificateError(f"bad term {text!r}")
 
 
 def _parse_bindings(axiom: str, text: str, terms: list):
@@ -1070,7 +1077,7 @@ def _parse_bindings(axiom: str, text: str, terms: list):
             name = name.strip()
             value = value.strip()
             if name in metas:
-                meta[name] = _parse(value, terms)
+                meta[name] = _field(value, terms)
             elif name == "a":
                 extra[name] = Action(_name(value, False))
             elif name in extras:
@@ -1081,17 +1088,16 @@ def _parse_bindings(axiom: str, text: str, terms: list):
 
 
 def _parse_just(text: str, terms: list) -> Just:
-    text = text.strip()
-    if text == "refl":
+    kind, _, rest = text.strip().partition(" ")
+    if kind == "refl" and not rest:
         return Refl()
-    if text.startswith("symm "):
-        return Symm(int(text[5:].strip()))
-    if text.startswith("trans "):
-        a, b = text[6:].split()
+    if kind == "symm":
+        return Symm(int(rest))
+    if kind == "trans":
+        a, b = rest.split()
         return Trans(int(a), int(b))
-    if text.startswith("axiom "):
-        rest = text[6:].strip()
-        name, _, rest = rest.partition(" ")
+    if kind == "axiom":
+        name, _, rest = rest.strip().partition(" ")
         if name not in AXIOM_IDS:
             raise CertificateError(f"unknown axiom {name!r}")
         rest = rest.strip()
@@ -1107,8 +1113,7 @@ def _parse_just(text: str, terms: list) -> Just:
         meta, extra = _parse_bindings(name, body, terms)
         return AxiomStep(
             name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
-    if text.startswith("cong "):
-        rest = text[5:]
+    if kind == "cong":
         pos, _, rest = rest.partition(" ")
         num, _, rest = rest.strip().partition(" ")
         inner = int(num)
@@ -1123,11 +1128,11 @@ def _parse_just(text: str, terms: list) -> Just:
         if pos == "suml":
             if not ctx.startswith(f"{HOLE} + "):
                 raise CertificateError(f"bad suml context {ctx!r}")
-            return Cong("suml", inner, _parse(ctx[len(HOLE) + 3 :], terms))
+            return Cong("suml", inner, _field(ctx[len(HOLE) + 3 :], terms))
         if pos == "sumr":
             if not ctx.endswith(f" + {HOLE}"):
                 raise CertificateError(f"bad sumr context {ctx!r}")
-            return Cong("sumr", inner, _parse(ctx[: -len(HOLE) - 3], terms))
+            return Cong("sumr", inner, _field(ctx[: -len(HOLE) - 3], terms))
         if pos == "recbody":
             prefix = "rec "
             if not (ctx.startswith(prefix) and ctx.endswith(f". {HOLE}")):
@@ -1155,7 +1160,7 @@ def parse_derivation(text: str) -> Derivation:
             if int(num) != expected:
                 raise CertificateError(f"{kind} numbered {num} but {expected} expected")
             if kind == "term":
-                terms.append(_parse(rest, terms))
+                terms.append(_term(rest, terms))
                 continue
             body, sep, just_text = rest.rpartition(" by ")
             if not sep:
@@ -1163,7 +1168,7 @@ def parse_derivation(text: str) -> Derivation:
             if " = " not in body:
                 raise CertificateError(f"step {num} is not an equation")
             lhs_text, _, rhs_text = body.partition(" = ")
-            steps.append(ProofStep(_parse(lhs_text, terms), _parse(rhs_text, terms),
+            steps.append(ProofStep(_field(lhs_text, terms), _field(rhs_text, terms),
                                    _parse_just(just_text, terms)))
         except ValueError as exc:
             if isinstance(exc, CertificateError):

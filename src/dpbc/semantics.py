@@ -47,21 +47,27 @@ def exposes(e: Expr) -> frozenset:
     return frozenset()
 
 
-def tau_exposes(x: str, e: Expr, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff some expression reachable from e by silent steps exposes x."""
+def tau_exposed(e: Expr, budget: int = DEFAULT_BUDGET) -> frozenset:
+    """The variables exposed by some expression reachable from e by
+    silent steps."""
     seen = {e}
     frontier = [e]
+    out = set()
     while frontier:
         cur = frontier.pop()
-        if x in exposes(cur):
-            return True
+        out |= exposes(cur)
         for act, nxt in step(cur):
             if act.is_tau and nxt not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded(f"state budget {budget} exceeded")
                 seen.add(nxt)
                 frontier.append(nxt)
-    return False
+    return frozenset(out)
+
+
+def tau_exposes(x: str, e: Expr, budget: int = DEFAULT_BUDGET) -> bool:
+    """True iff some expression reachable from e by silent steps exposes x."""
+    return x in tau_exposed(e, budget)
 
 
 @dataclass(frozen=True)

@@ -34,22 +34,27 @@ from .syntax import (
     loop_body,
     pretty,
     substitute,
+    view_expr,
 )
-from .semantics import Lts, tau_exposes, DEFAULT_BUDGET
+from .semantics import DEFAULT_BUDGET, Lts, exposes, tau_exposed
+from .semantics import step as sos_step
 from .equiv import Partition, bisimilarity, equivalent, rooted_check, RootedCheck
 from .proof import (
     Builder,
     Derivation,
     ProofError,
+    align,
     prove_alpha,
     prove_canon,
     prove_subst_cong,
     prove_sum_eq,
     subst_step,
+    _app,
     _t1,
     _absorb_summand,
 )
-from .standardize import NotGuarded, _d1, _d2, _d5, _d6, _app, _standardize
+from .standardize import (
+    NotGuarded, _d1, _d2, _d5, _d6, _standardize, prove_loop_canonical)
 
 
 class NotEquivalent(ProofError):
@@ -75,8 +80,8 @@ class EqSystem:
 
     @cached_property
     def _successors(self) -> dict:
-        return {x: tuple(y for y in self.formals if tau_exposes(y, self.rhs[x]))
-                for x in self.formals}
+        exposed = {x: tau_exposed(self.rhs[x]) for x in self.formals}
+        return {x: tuple(y for y in self.formals if y in exposed[x]) for x in self.formals}
 
     def unguarded_successors(self, x: str) -> tuple:
         """Formal variables occurring unguarded in the rhs of x."""
@@ -161,6 +166,20 @@ class DerivativePair:
 # --- extraction -----------------------------------------------------------------
 
 
+def _meet_loops(b: Builder, lp: Expr, target: Expr, before: Optional[int] = None) -> int:
+    """lp = target for two constructor-shaped loops whose bodies agree up
+    to S1-S4 and renaming: both bodies are brought to their canonical sum
+    and the loops then meet up to renaming.  With `before`, a chain that
+    ends at lp, the result extends that chain."""
+    _, dl = prove_canon(b, lp.body.right)
+    _, dt = prove_canon(b, target.body.right)
+    step = b.rewrite_at(lp, ["rec", "sumr"], dl)
+    back = b.rewrite_at(target, ["rec", "sumr"], dt)
+    if before is not None:
+        step = b.trans(before, step)
+    return b.trans(align(b, step, b.rhs_after(back)), b.symm(back))
+
+
 class _Extraction:
     def __init__(self, e: Expr):
         self.b = Builder()
@@ -198,23 +217,24 @@ class _Extraction:
         if cur == target:
             return idx
         if isinstance(cur, Rec) and isinstance(target, Rec):
-            ci = cur.body.right
-            ti = target.body.right
-            mid_a, da = prove_canon(b, ci)
-            mid_b, db = prove_canon(b, ti)
-            step = b.rewrite_at(cur, ["rec", "sumr"], da)
-            back_host = Rec(target.binder, Sum(Prefix(TAU, Var(target.binder)), ti))
-            back = b.rewrite_at(back_host, ["rec", "sumr"], db)
-            step = b.trans(idx, step)
-            step = b.trans(
-                step, prove_alpha(b, b.rhs_after(step), b.rhs_after(back)))
-            return b.trans(step, b.symm(back))
-        if isinstance(cur, Sum) or isinstance(target, Sum) or cur != target:
-            try:
-                return b.trans(idx, prove_sum_eq(b, cur, target))
-            except ProofError:
-                return b.trans(idx, prove_alpha(b, cur, target))
-        return idx
+            return _meet_loops(b, cur, target, idx)
+        try:
+            return b.trans(idx, prove_sum_eq(b, cur, target))
+        except ProofError:
+            return b.trans(idx, prove_alpha(b, cur, target))
+
+    def _unfold_loop(self, chain: int, last: int, target: Expr) -> int:
+        """Extend `chain`, whose last link `last` proves some E equal to a
+        loop, by unfolding the loop once and folding its silent self-step
+        back onto E: the result ends at tau.E + body, bridged to `target`."""
+        b = self.b
+        ll = b.rhs_after(last)
+        if not is_loop(ll):
+            raise ProofError("substituted loop lost its shape")
+        eq = b.trans(chain, _d1(b, ll))
+        fix = b.cong("prefix", b.symm(last), TAU)
+        eq = b.trans(eq, b.cong("suml", fix, ll.body.right))
+        return self._bridge(eq, target)
 
     def extract(self, e: Expr) -> str:
         b = self.b
@@ -233,17 +253,8 @@ class _Extraction:
             for r in (r1, r2):
                 rr = self.rhs[r]
                 if is_loop(rr):
-                    inner = loop_body(rr)
-                    template = Sum(Prefix(TAU, Var(r)), inner)
-                    ll = self.fill(rr)
-                    if not is_loop(ll):
-                        raise ProofError("substituted loop lost its shape")
-                    d1 = _d1(b, ll)
-                    eq = b.trans(self.ders[r], d1)
-                    fix = b.cong("prefix", b.symm(self.ders[r]), TAU)
-                    eq = b.trans(
-                        eq, b.cong("suml", fix, ll.body.right))
-                    eq = self._bridge(eq, self.fill(template))
+                    template = Sum(Prefix(TAU, Var(r)), loop_body(rr))
+                    eq = self._unfold_loop(self.ders[r], self.ders[r], self.fill(template))
                     parts.append((template, eq))
                 else:
                     parts.append((rr, self.ders[r]))
@@ -255,36 +266,21 @@ class _Extraction:
             der = self._bridge(b.trans(i1, i2), self.fill(rhs))
             return self.add(rhs, sol, der)
         if isinstance(e, Rec) and is_loop(e):
-            body = loop_body(e)
-            canonical = Rec(e.binder, Sum(Prefix(TAU, Var(e.binder)), body))
-            dcanon = (
-                b.refl(e)
-                if canonical == e
-                else b.cong("recbody", prove_sum_eq(b, e.body, canonical.body), e.binder)
-            )
-            r = self.extract(body)
+            _, dcanon = prove_loop_canonical(b, e)
+            r = self.extract(loop_body(e))
             h = self.rhs[r]
+            total = _app(b, dcanon, ["rec", "sumr"], self.ders[r])
             if is_loop(h):
                 # a loop of a loop collapses
-                total = b.trans(
-                    dcanon,
-                    b.rewrite_at(canonical, ["rec", "sumr"], self.ders[r]))
                 ll = self.fill(h)
                 if not is_loop(ll):
                     raise ProofError("substituted loop lost its shape")
                 arg = ll.body.right
-                outer = b.rhs_after(total)
-                total = b.trans(total, prove_alpha(b, outer, loop(loop(arg))))
+                total = align(b, total, loop(loop(arg)))
                 total = b.trans(total, _d6(b, arg, avoid=self.used))
-                total = b.trans(
-                    total, prove_alpha(b, b.rhs_after(total), ll))
-                return self.add(h, e, total)
+                return self.add(h, e, align(b, total, ll))
             rhs = loop(h)
-            total = b.trans(
-                dcanon, b.rewrite_at(canonical, ["rec", "sumr"], self.ders[r]))
-            total = b.trans(
-                total, prove_alpha(b, b.rhs_after(total), self.fill(rhs)))
-            return self.add(rhs, e, total)
+            return self.add(rhs, e, align(b, total, self.fill(rhs)))
         if isinstance(e, Rec):
             y = e.binder
             if not is_guarded_in(y, e.body):
@@ -307,35 +303,18 @@ class _Extraction:
             for z in new_formals:
                 self.sols[z] = substitute(old_sols[z], sigma)
             # the binder now denotes the recursion itself
-            r1ax = self.b.axiom("R1", {"E": e.body}, {"X": y})
-            hole = b.trans(
-                r1ax,
-                prove_alpha(b, substitute(e.body, sigma), self.sols[r])
-                if substitute(e.body, sigma) != self.sols[r]
-                else b.refl(self.sols[r]),
-            )
+            hole = align(b, b.axiom("R1", {"E": e.body}, {"X": y}), self.sols[r])
             t_root = subst_step(b, old_ders[r], sigma)
             hole = b.trans(hole, t_root)
             if is_loop(h):
-                ll = b.rhs_after(t_root)
-                if not is_loop(ll):
-                    raise ProofError("substituted loop lost its shape")
-                d1 = _d1(b, ll)
-                hole2 = b.trans(hole, d1)
-                fix = b.cong("prefix", b.symm(t_root), TAU)
-                hole_fill = b.trans(hole2, b.cong("suml", fix, ll.body.right))
-                hole_fill = self._bridge(hole_fill, self.fill(rho))
+                hole_fill = self._unfold_loop(hole, t_root, self.fill(rho))
             else:
                 hole_fill = self._bridge(hole, self.fill(rho))
             for z in new_formals:
                 old_rhs = self.rhs[z]
                 new_rhs = self._transform_rhs(old_rhs, y, rho)
-                t_z = subst_step(b, old_ders[z], sigma)
                 k_z = substitute(old_rhs, {f: self.sols[f] for f in new_formals})
-                want_l = substitute(k_z, {y: e})
-                got = b.rhs_after(t_z)
-                if got != want_l:
-                    t_z = b.trans(t_z, prove_alpha(b, got, want_l))
+                t_z = align(b, subst_step(b, old_ders[z], sigma), substitute(k_z, {y: e}))
                 t_z = b.trans(t_z, prove_subst_cong(b, k_z, y, hole_fill))
                 self.rhs[z] = new_rhs
                 self.ders[z] = self._bridge(t_z, self.fill(new_rhs))
@@ -394,15 +373,7 @@ def _solve_any(b: Builder, order, rhs):
         ders[x] = b.axiom("R1", {"E": body}, {"X": x})
     # bridge each unfolding to the original equation, now that every
     # solution is known
-    final = {}
-    for x in order:
-        target = substitute(rhs[x], sols)
-        idx = ders[x]
-        got = b.rhs_after(idx)
-        if got != target:
-            idx = b.trans(idx, prove_alpha(b, got, target))
-        final[x] = idx
-    return sols, final
+    return sols, {x: align(b, ders[x], substitute(rhs[x], sols)) for x in order}
 
 
 def solve_system(s: EqSystem, x: str):
@@ -493,11 +464,6 @@ def derivatives(s: SesSystem, classes: Partition, x: str) -> DerivativePair:
         SumView(tuple(stutter), ()), SumView(tuple(rest), view.vars))
 
 
-def _view_expr(view: SumView) -> Expr:
-    leaves = [Prefix(a, t) for a, t in view.prefixed] + [Var(v) for v in view.vars]
-    return compose_sum(leaves) if leaves else NIL
-
-
 # --- quotient construction ----------------------------------------------------------
 
 
@@ -512,6 +478,14 @@ def _fresh_many(avoid, n, prefix="_q"):
             avoid.add(name)
             out.append(name)
     return out
+
+
+def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
+    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
+    proves (by default a sum rearrangement: extra's summands are in Y)."""
+    mid = b.rhs_after(d)
+    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
+    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
 
 
 class _Quotient:
@@ -539,22 +513,17 @@ class _Quotient:
         self.bsol = {c: sols[self.zvar[c]] for c in class_ids}
         self.bmap = {y: self.bsol[self.cls[y]] for y in s.formals}
         # equality (2): each designated equation holds for the solutions
-        self.eq2 = {}
-        for c in class_ids:
-            xi = self.bottoms[c]
-            idx = ders[self.zvar[c]]
-            want = substitute(s.rhs[xi], self.bmap)
-            got = self.b.rhs_after(idx)
-            if got != want:
-                idx = self.b.trans(idx, prove_alpha(self.b, got, want))
-            self.eq2[c] = idx
+        self.eq2 = {
+            c: align(self.b, ders[self.zvar[c]], self.fillb(self.bottoms[c]))
+            for c in class_ids
+        }
 
     # -- filled derivative sums --------------------------------------------
 
     def filled(self, x: str):
         pair = derivatives(self.s, self.classes, x)
-        f0 = substitute(_view_expr(pair.stutter), self.bmap)
-        f1 = substitute(_view_expr(pair.nonstutter), self.bmap)
+        f0 = substitute(view_expr(pair.stutter), self.bmap)
+        f1 = substitute(view_expr(pair.nonstutter), self.bmap)
         return f0, f1
 
     def fillb(self, x: str) -> Expr:
@@ -571,10 +540,9 @@ class _Quotient:
             return prove_sum_eq(b, fx, Sum(f0, f1))
         if not is_loop(fx):
             raise ProofError("filled loop equation lost its shape")
-        target = loop(Sum(f0, f1))
         idx = b.rewrite_at(
             fx, ["rec", "sumr"], prove_sum_eq(b, fx.body.right, Sum(f0, f1)))
-        return b.trans(idx, prove_alpha(b, b.rhs_after(idx), target))
+        return align(b, idx, loop(Sum(f0, f1)))
 
     def clause_stutter(self, x: str) -> int:
         """A non-bottom stutter sum collapses to one silent step onto the
@@ -585,30 +553,15 @@ class _Quotient:
 
     def subset_absorb(self, lp: Expr, extra: Expr) -> int:
         """lp = lp + extra, when extra's summands occur in the loop body."""
-        b = self.b
-        d2 = _d2(b, lp)
-        grown = b.rhs_after(d2)
-        idx = b.trans(d2, prove_sum_eq(b, grown, Sum(grown, extra)))
-        return b.trans(
-            idx, b.rewrite_at(Sum(grown, extra), ["suml"], b.symm(d2)))
+        return _absorb_along(self.b, _d2(self.b, lp), extra)
 
     def clause_absorb(self, x: str) -> int:
         """The filled equation absorbs its own non-stuttering summands:
         F{B} = F{B} + F1{B}."""
-        b = self.b
         _, f1 = self.filled(x)
-        fx = self.fillb(x)
         split = self.clause_split(x)
-        kind, _ = self.s.shape[x]
-        if kind == "plain":
-            mid = b.rhs_after(split)
-            idx = b.trans(split, prove_sum_eq(b, mid, Sum(mid, f1)))
-            return b.trans(
-                idx, b.rewrite_at(Sum(mid, f1), ["suml"], b.symm(split)))
-        lp = b.rhs_after(split)
-        idx = b.trans(split, self.subset_absorb(lp, f1))
-        return b.trans(
-            idx, b.rewrite_at(Sum(lp, f1), ["suml"], b.symm(split)))
+        grow = None if self.s.shape[x][0] == "plain" else self.subset_absorb
+        return _absorb_along(self.b, split, f1, grow)
 
     def equality3(self, x: str) -> int:
         """tau.(filled equation of x) = tau.(filled designated equation)."""
@@ -630,18 +583,10 @@ class _Quotient:
             if kind_x != kind_i:
                 raise ProofError("bottom variables of one class disagree on loops")
             if kind_x == "plain":
-                left = prove_sum_eq(b, self.fillb(x), fxi)
-                out = b.cong("prefix", left, TAU)
+                meet = prove_sum_eq(b, self.fillb(x), fxi)
             else:
-                lx = self.fillb(x)
-                _, dx = prove_canon(b, lx.body.right)
-                _, di = prove_canon(b, fxi.body.right)
-                step = b.rewrite_at(lx, ["rec", "sumr"], dx)
-                back = b.rewrite_at(fxi, ["rec", "sumr"], di)
-                step = b.trans(
-                    step, prove_alpha(b, b.rhs_after(step), b.rhs_after(back)))
-                out = b.cong("prefix", b.trans(step, b.symm(back)), TAU)
-            return out
+                meet = _meet_loops(b, self.fillb(x), fxi)
+            return b.cong("prefix", meet, TAU)
         if kind_x == "plain":
             # expand the stutter step onto the designated equation and
             # absorb the leftover summands with the branching axiom
@@ -677,9 +622,7 @@ class _Quotient:
         # both loop layers now match the derived-rule shape
         lp_mid = loop(Sum(f1i, f1x))
         outer_target = loop(Sum(Prefix(TAU, lp_mid), f1x))
-        cur = b.rhs_after(total)
-        total = b.trans(
-            total, b.cong("prefix", prove_alpha(b, cur.body, outer_target), TAU))
+        total = align(b, total, Prefix(TAU, outer_target))
         total = _app(b, total, ["prefix"], _d5(b, f1i, f1x))
         # duplicate the tail inside the merged loop for the branching axiom
         dd2 = self.subset_absorb(lp_mid, f1x)
@@ -692,8 +635,7 @@ class _Quotient:
             lp_mid, ["rec", "sumr"],
             prove_sum_eq(b, Sum(f1i, f1x), Sum(f0i, f1i)))
         total = _app(b, total, ["prefix"], shrink)
-        total = _app(b, total, ["prefix"],
-                     prove_alpha(b, b.rhs_after(total).body, lpi))
+        total = align(b, total, Prefix(TAU, lpi))
         total = _app(b, total, ["prefix"], b.symm(self.clause_split(xi)))
         return total
 
@@ -776,17 +718,9 @@ def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) ->
         fm = substitute(rhs[m], others)
         if not is_guarded_in(m, fm):
             raise NotGuarded(f"{m} is unguarded in its own equation")
-        prem = der[m]
-        want = substitute(fm, {m: fam[m]})
-        got = b.rhs_after(prem)
-        if got != want:
-            prem = b.trans(prem, prove_alpha(b, got, want))
+        prem = align(b, der[m], substitute(fm, {m: fam[m]}))
         idx = b.axiom("R2", {"E": fm, "F": fam[m]}, {"X": m}, premise=prem)
-        want_l = substitute(Rec(m, rhs[m]), others)
-        got_l = b.rhs_after(idx)
-        if got_l != want_l:
-            idx = b.trans(idx, prove_alpha(b, got_l, want_l))
-        return idx
+        return align(b, idx, substitute(Rec(m, rhs[m]), others))
 
     while len(order) > 1:
         m = next(z for z in reversed(order) if z != target)
@@ -799,17 +733,9 @@ def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) ->
             others = {z: fam[z] for z in order}
             for z in order:
                 k = substitute(rhs[z], others)
-                want = substitute(k, {m: fam[m]})
-                idx = der[z]
-                got = b.rhs_after(idx)
-                if got != want:
-                    idx = b.trans(idx, prove_alpha(b, got, want))
+                idx = align(b, der[z], substitute(k, {m: fam[m]}))
                 idx = b.trans(idx, prove_subst_cong(b, k, m, dstar))
-                want2 = substitute(new_rhs[z], others)
-                got2 = b.rhs_after(idx)
-                if got2 != want2:
-                    idx = b.trans(idx, prove_alpha(b, got2, want2))
-                der[z] = idx
+                der[z] = align(b, idx, substitute(new_rhs[z], others))
             del fam[m]
             del der[m]
         rhs = new_rhs
@@ -902,9 +828,6 @@ def _promote_bridge(b: Builder, g: Expr, h: Expr, budget: int) -> int:
 
 def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
     """e + f = f, when every move and exposure of e is covered by f."""
-    from .semantics import step as sos_step
-    from .semantics import exposes
-
     std, dstd = _standardize(b, e)
     total = b.cong("suml", dstd, f)
     cur = std
@@ -938,16 +861,14 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
                 fixed = b.trans(pad, b.cong("prefix", bridge, a))
                 fixed = b.trans(fixed, _t1(b, a, witness))  # ... = a.witness
                 grow = _absorb_summand(b, f, Prefix(a, witness))  # f = f + a.witness
-                shrink = b.rewrite_at(
-                    Sum(f, Prefix(a, witness)), ["sumr"], b.symm(fixed))
-                absorb = b.symm(b.trans(grow, shrink))  # f + a.body = f
+                absorb = b.symm(_app(b, grow, ["sumr"], b.symm(fixed)))  # f + a.body = f
         if rest is None:
             total = b.trans(total, prove_sum_eq(b, Sum(cur, f), Sum(f, last)))
             total = b.trans(total, absorb)
             return total
         total = b.trans(
             total, prove_sum_eq(b, Sum(cur, f), Sum(rest, Sum(f, last))))
-        total = b.trans(total, b.rewrite_at(Sum(rest, Sum(f, last)), ["sumr"], absorb))
+        total = _app(b, total, ["sumr"], absorb)
         total = b.trans(total, b.cong("suml", b.refl(rest), f))
         cur = rest
 

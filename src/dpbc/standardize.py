@@ -35,9 +35,10 @@ from .proof import (
     Derivation,
     ProofError,
     SideCondition,
+    _app,
     _d0,
     _t1,
-    prove_alpha,
+    align,
     prove_canon,
     prove_sum_eq,
 )
@@ -50,14 +51,10 @@ class NotGuarded(ProofError):
 # --- loop helpers ----------------------------------------------------------
 
 
-def canonical_loop(e: Expr) -> Expr:
-    """The loop with the same binder and body, in constructor shape."""
-    return Rec(e.binder, Sum(Prefix(TAU, Var(e.binder)), loop_body(e)))
-
-
 def prove_loop_canonical(b: Builder, e: Expr):
-    """Reshape a recognized loop into constructor form; proves e = result."""
-    cl = canonical_loop(e)
+    """Reshape a recognized loop into constructor form, with the same
+    binder and body; proves e = result."""
+    cl = Rec(e.binder, Sum(Prefix(TAU, Var(e.binder)), loop_body(e)))
     if cl == e:
         return cl, b.refl(e)
     inner = prove_sum_eq(b, e.body, cl.body)
@@ -78,11 +75,6 @@ def _d2(b: Builder, lp: Expr) -> int:
     dup = prove_sum_eq(b, unfolded, Sum(unfolded, body))
     back = b.cong("suml", b.symm(d1), body)
     return b.chain(d1, dup, back)
-
-
-def _app(b: Builder, total: int, path, inner: int) -> int:
-    """Extend a chain by rewriting inside its current right-hand side."""
-    return b.trans(total, b.rewrite_at(b.rhs_after(total), path, inner))
 
 
 def _d3(b: Builder, x: str, e: Expr, f: Expr, avoid=()) -> int:
@@ -112,8 +104,7 @@ def _d3(b: Builder, x: str, e: Expr, f: Expr, avoid=()) -> int:
     p = n1.body
     c = b.rewrite_at(n1, ["rec"], b.symm(b.axiom("S4", {"E": p})))
     c = b.trans(c, b.axiom("R4", {"E": Sum(Var(y), e), "F": f, "G": NIL}, {"X": y}))
-    cur = b.rhs_after(c)
-    c = b.trans(c, b.rewrite_at(cur, ["rec"], b.axiom("S4", {"E": cur.body.left})))
+    c = _app(b, c, ["rec"], b.axiom("S4", {"E": b.rhs_after(c).body.left}))
     total = _app(b, total, ["rec", "suml", "prefix", "suml"], c)
     # push the silent prefix back inside
     r6b = b.axiom("R6", {"E": Sum(Sum(Var(y), e), f)}, {"X": y})
@@ -123,7 +114,7 @@ def _d3(b: Builder, x: str, e: Expr, f: Expr, avoid=()) -> int:
     lp = loop(Sum(e, f))
     shape = prove_sum_eq(b, ll.body, Sum(Prefix(TAU, Var(y)), Sum(e, f)))
     fix = b.cong("recbody", shape, y)
-    fix = b.trans(fix, prove_alpha(b, b.rhs_after(fix), lp))
+    fix = align(b, fix, lp)
     total = _app(b, total, ["rec", "suml", "prefix", "suml", "prefix"], fix)
     # absorb the loop body once
     total = _app(b, total, ["rec", "suml", "prefix", "suml", "prefix"], _d2(b, lp))
@@ -223,14 +214,10 @@ def _d5(b: Builder, e: Expr, f: Expr, avoid=()) -> int:
         prove_sum_eq(b, Sum(Var(y0), e), Sum(Sum(Var(y0), NIL), e)))
     inner = b.trans(inner, b.symm(_d4(b, y0, NIL, e, f, sub_avoid)))
     s4 = b.axiom("S4", {"E": Var(y0)})
-    inner = b.trans(
-        inner,
-        b.rewrite_at(b.rhs_after(inner), ["rec", "suml", "suml", "prefix"], s4))
-    inner = b.trans(
-        inner,
-        b.cong("recbody",
-               prove_sum_eq(b, Sum(Sum(Prefix(TAU, Var(y0)), te), f),
-                            Sum(Prefix(TAU, Var(y0)), Sum(te, f))), y0))
+    inner = _app(b, inner, ["rec", "suml", "suml", "prefix"], s4)
+    inner = _app(b, inner, ["rec"],
+                 prove_sum_eq(b, Sum(Sum(Prefix(TAU, Var(y0)), te), f),
+                              Sum(Prefix(TAU, Var(y0)), Sum(te, f))))
     total = _app(b, total, ["rec", "sumr"], inner)
     # merge the nested loops
     total = b.trans(
@@ -241,14 +228,10 @@ def _d5(b: Builder, e: Expr, f: Expr, avoid=()) -> int:
         prove_sum_eq(b, Sum(Prefix(TAU, Var(y0)), Sum(te, f)),
                      Sum(Sum(Prefix(TAU, Var(y0)), te), f)),
         y0)
-    undo = b.trans(
-        undo,
-        b.rewrite_at(b.rhs_after(undo), ["rec", "suml", "suml", "prefix"], b.symm(s4)))
+    undo = _app(b, undo, ["rec", "suml", "suml", "prefix"], b.symm(s4))
     undo = b.trans(undo, _d4(b, y0, NIL, e, f, sub_avoid))
-    undo = b.trans(
-        undo,
-        b.rewrite_at(b.rhs_after(undo), ["rec", "suml", "prefix"],
-                     prove_sum_eq(b, Sum(Sum(Var(y0), NIL), e), Sum(Var(y0), e))))
+    undo = _app(b, undo, ["rec", "suml", "prefix"],
+                prove_sum_eq(b, Sum(Sum(Var(y0), NIL), e), Sum(Var(y0), e)))
     undo = b.trans(undo, _d3(b, y0, e, f, sub_avoid))
     total = _app(b, total, ["rec"], undo)
     # discard both vacuous recursions
@@ -326,7 +309,7 @@ def _fully_expose(b: Builder, x: str, e: Expr):
             out = Rec(cl.binder, Sum(Prefix(TAU, Var(cl.binder)), body2))
             if cl.binder in free_vars(body2):
                 raise ProofError("loop body exposure captured the binder")
-            return out, b.trans(d0, b.rewrite_at(cl, ["rec", "sumr"], d1))
+            return out, _app(b, d0, ["rec", "sumr"], d1)
         body2, d1 = _fully_expose(b, x, e.body)
         if not is_guarded_in(e.binder, body2):
             raise ProofError("exposure unguarded the recursion binder")
@@ -375,59 +358,33 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
             return e1, b.trans(total, d)
         total = _d0(b, e, f, x)
         # split the two halves behind separate silent prefixes
-        host = Rec(x, Sum(Prefix(TAU, Sum(Var(x), e)), f))
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec", "suml", "prefix"],
-                         prove_sum_eq(b, Sum(Var(x), e), Sum(Sum(Var(x), el), er))))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     prove_sum_eq(b, Sum(Var(x), e), Sum(Sum(Var(x), el), er)))
         total = b.trans(total, b.symm(_d4(b, x, el, er, f)))
         tl = Prefix(TAU, Sum(Var(x), el))
         tr = Prefix(TAU, Sum(Var(x), er))
         f2 = Sum(tr, f)
-        host = Rec(x, Sum(Sum(tl, tr), f))
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec"], prove_sum_eq(b, Sum(Sum(tl, tr), f), Sum(tl, f2))))
+        total = _app(b, total, ["rec"], prove_sum_eq(b, Sum(Sum(tl, tr), f), Sum(tl, f2)))
         total = b.trans(total, b.symm(_d0(b, el, f2, x)))
         e1l, d = _expose(b, x, el, f2)
         total = b.trans(total, d)
         tl2 = Prefix(TAU, Sum(Var(x), e1l))
-        if is_guarded_in(x, er):
-            host = Rec(x, Sum(tl2, f2))
-            total = b.trans(
-                total,
-                b.rewrite_at(host, ["rec"],
-                             prove_sum_eq(b, Sum(tl2, f2), Sum(Sum(tl2, tr), f))))
-            total = b.trans(total, _d4(b, x, e1l, er, f))
-            e1 = Sum(e1l, er)
-            host = Rec(x, Sum(Prefix(TAU, Sum(Sum(Var(x), e1l), er)), f))
-            total = b.trans(
-                total,
-                b.rewrite_at(host, ["rec", "suml", "prefix"],
-                             prove_sum_eq(b, Sum(Sum(Var(x), e1l), er), Sum(Var(x), e1))))
-            return e1, total
-        # the right half also reaches x unguarded: process it the same way
-        f3 = Sum(tl2, f)
-        host = Rec(x, Sum(tl2, f2))
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec"], prove_sum_eq(b, Sum(tl2, f2), Sum(tr, f3))))
-        total = b.trans(total, b.symm(_d0(b, er, f3, x)))
-        e1r, d = _expose(b, x, er, f3)
-        total = b.trans(total, d)
+        e1r = er
+        if not is_guarded_in(x, er):
+            # the right half also reaches x unguarded: process it the same way
+            f3 = Sum(tl2, f)
+            total = _app(b, total, ["rec"], prove_sum_eq(b, Sum(tl2, f2), Sum(tr, f3)))
+            total = b.trans(total, b.symm(_d0(b, er, f3, x)))
+            e1r, d = _expose(b, x, er, f3)
+            total = b.trans(total, d)
+        # merge the two exposed halves again
         tr2 = Prefix(TAU, Sum(Var(x), e1r))
-        host = Rec(x, Sum(tr2, f3))
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec"],
-                         prove_sum_eq(b, Sum(tr2, f3), Sum(Sum(tl2, tr2), f))))
+        total = _app(b, total, ["rec"],
+                     prove_sum_eq(b, b.rhs_after(total).body, Sum(Sum(tl2, tr2), f)))
         total = b.trans(total, _d4(b, x, e1l, e1r, f))
         e1 = Sum(e1l, e1r)
-        host = Rec(x, Sum(Prefix(TAU, Sum(Sum(Var(x), e1l), e1r)), f))
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec", "suml", "prefix"],
-                         prove_sum_eq(b, Sum(Sum(Var(x), e1l), e1r), Sum(Var(x), e1))))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     prove_sum_eq(b, Sum(Sum(Var(x), e1l), e1r), Sum(Var(x), e1)))
         return e1, total
     if isinstance(e, Rec):
         # fully exposed + reachable forces a loop here
@@ -441,9 +398,8 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
             raise ProofError("loop binder clashes with the exposed variable")
         total = b.trans(
             total, b.axiom("R5", {"E": body, "F": f}, {"X": x, "Y": cl.binder}))
-        r1 = b.axiom("R1", {"E": body}, {"X": cl.binder})
-        host = Rec(x, Sum(Prefix(TAU, Rec(cl.binder, body)), f))
-        total = b.trans(total, b.rewrite_at(host, ["rec", "suml", "prefix"], r1))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     b.axiom("R1", {"E": body}, {"X": cl.binder}))
         e1, d = _expose(b, x, body, f)
         return e1, b.trans(total, d)
     raise SideCondition("expose_to_summand", f"{x} is not reachable unguarded in {pretty(e)}")
@@ -503,18 +459,14 @@ def _standardize(b: Builder, e: Expr):
     cur_body = sf
     if has_self:
         remainder = compose_sum([Prefix(TAU, h) for h in group1] + rest)
-        host = Rec(y, cur_body)
-        reshaped = prove_sum_eq(b, cur_body, Sum(Var(y), remainder))
-        total = b.trans(total, b.rewrite_at(host, ["rec"], reshaped))
+        total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, Sum(Var(y), remainder)))
         total = b.trans(total, b.axiom("R3", {"E": remainder}, {"X": y}))
         cur_body = remainder
     g = compose_sum(rest)
     if not group1:
         # the binder is guarded throughout: unfold once
-        host = Rec(y, cur_body)
-        fix = prove_sum_eq(b, cur_body, g) if cur_body != g else None
-        if fix is not None:
-            total = b.trans(total, b.rewrite_at(host, ["rec"], fix))
+        if cur_body != g:
+            total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, g))
         r1 = b.axiom("R1", {"E": g}, {"X": y})
         total = b.trans(total, r1)
         out, d = prove_canon(b, b.rhs_after(r1))
@@ -525,13 +477,10 @@ def _standardize(b: Builder, e: Expr):
         todo = [Prefix(TAU, hh) for hh in group1[i + 1 :]]
         done = [Prefix(TAU, Sum(Var(y), hh)) for hh in exposed]
         remainder = compose_sum(todo + done + rest)
-        host = Rec(y, cur_body)
-        reshaped = prove_sum_eq(b, cur_body, Sum(Prefix(TAU, h), remainder))
-        total = b.trans(total, b.rewrite_at(host, ["rec"], reshaped))
+        total = _app(b, total, ["rec"],
+                     prove_sum_eq(b, cur_body, Sum(Prefix(TAU, h), remainder)))
         h2, d = _fully_expose(b, y, h)
-        host = Rec(y, Sum(Prefix(TAU, h), remainder))
-        total = b.trans(
-            total, b.rewrite_at(host, ["rec", "suml", "prefix"], d))
+        total = _app(b, total, ["rec", "suml", "prefix"], d)
         if not tau_exposes(y, h2):
             raise ProofError("exposed summand lost its unguarded occurrence")
         h3, d = _expose(b, y, h2, remainder)
@@ -543,27 +492,19 @@ def _standardize(b: Builder, e: Expr):
         a2, b2_ = exposed[0], exposed[1]
         others = [Prefix(TAU, Sum(Var(y), hh)) for hh in exposed[2:]]
         remainder = compose_sum(others + rest)
-        host = Rec(y, cur_body)
         want = Sum(
             Sum(Prefix(TAU, Sum(Var(y), a2)), Prefix(TAU, Sum(Var(y), b2_))), remainder)
-        total = b.trans(
-            total, b.rewrite_at(host, ["rec"], prove_sum_eq(b, cur_body, want)))
+        total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, want))
         total = b.trans(total, _d4(b, y, a2, b2_, remainder))
         merged = Sum(a2, b2_)
-        mid = Sum(Prefix(TAU, Sum(Sum(Var(y), a2), b2_)), remainder)
-        host = Rec(y, mid)
-        total = b.trans(
-            total,
-            b.rewrite_at(host, ["rec", "suml", "prefix"],
-                         prove_sum_eq(b, Sum(Sum(Var(y), a2), b2_), Sum(Var(y), merged))))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     prove_sum_eq(b, Sum(Sum(Var(y), a2), b2_), Sum(Var(y), merged)))
         exposed = [merged] + exposed[2:]
         cur_body = Sum(Prefix(TAU, Sum(Var(y), merged)), remainder)
     tot = exposed[0]
-    host = Rec(y, cur_body)
     want = Sum(Prefix(TAU, Sum(Var(y), tot)), g)
     if cur_body != want:
-        total = b.trans(
-            total, b.rewrite_at(host, ["rec"], prove_sum_eq(b, cur_body, want)))
+        total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, want))
     total = b.trans(total, _d3(b, y, tot, g))
     lp = loop(Sum(tot, g))
     r1 = b.axiom("R1", {"E": Sum(Prefix(TAU, lp), g)}, {"X": y})

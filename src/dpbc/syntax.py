@@ -9,7 +9,6 @@ table of nodes holds them weakly; a term nothing uses leaves it.
 
 from __future__ import annotations
 
-import re
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -465,9 +464,6 @@ def as_standard_sum(e: Expr) -> Optional[SumView]:
 #   rec X. E             recursion (body extends maximally right)
 #   tau* E               loop sugar
 #   # comment            to end of line
-#   @3                   reference to term 3 of a certificate's term table;
-#                        only `parse_derivation` resolves it, and plain
-#                        `parse` rejects it
 
 
 class ParseError(ValueError):
@@ -505,14 +501,6 @@ def _tokenize(text: str):
             toks.append(("rec" if word == "rec" else "ident", word, i))
             i = j
             continue
-        if c == "@":
-            j = i + 1
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j > i + 1:
-                toks.append(("ref", text[i + 1 : j], i))
-                i = j
-                continue
         raise ParseError(f"unexpected character {c!r} at offset {i}")
     toks.append(("eof", "", n))
     return toks
@@ -532,10 +520,9 @@ def _is_identifier(word: str) -> bool:
 
 
 class _Parser:
-    def __init__(self, text: str, terms: Optional[list]):
+    def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.terms = terms
 
     def peek(self):
         return self.toks[self.pos]
@@ -589,13 +576,6 @@ class _Parser:
             if _is_var_name(word):
                 return Var(word)
             raise ParseError(f"action {word!r} must be followed by '.' at offset {off}")
-        if kind == "ref":
-            if self.terms is None:
-                raise ParseError(f"term reference @{word} outside a certificate at offset {off}")
-            k = int(word)
-            if k >= len(self.terms):
-                raise ParseError(f"undefined term @{word} at offset {off}")
-            return self.terms[k]
         if kind == "eof":
             raise ParseError(f"unexpected end of input at offset {off}")
         raise ParseError(f"unexpected token {word!r} at offset {off}")
@@ -603,26 +583,7 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse one expression; trailing whitespace and comments are ignored."""
-    return _parse(text, None)
-
-
-# a whole certificate field that is one term reference, `0` or a variable
-_ATOM = re.compile(r"[ \t\r\n]*(?:@([0-9]+)|(0)|([A-Z_][A-Za-z0-9_']*))[ \t\r\n]*")
-
-
-def _parse(text: str, terms: Optional[list]) -> Expr:
-    """`parse`, resolving each `@n` to `terms[n]` (certificates only)."""
-    m = _ATOM.fullmatch(text) if terms is not None else None
-    if m is not None:
-        ref, nil, name = m.groups()
-        if name is not None:
-            return Var(name)
-        if nil is not None:
-            return NIL
-        if int(ref) < len(terms):
-            return terms[int(ref)]
-        # an undefined reference: the parser below reports it
-    p = _Parser(text, terms)
+    p = _Parser(text)
     e = p.parse_expr()
     tok = p.peek()
     if tok[0] != "eof":

@@ -180,9 +180,14 @@ def test_axiom_soundness_random_sample():
 
 
 def _random_axiom_instance(rng) -> Derivation:
+    b = Builder()
+    return b.finalize(_random_axiom_instance_idx(b, rng))
+
+
+def _random_axiom_instance_idx(b, rng) -> int:
+    """Emit a random axiom instance into `b`; returns its step index."""
     from genexpr import random_expr as re_
 
-    b = Builder()
     axiom = rng.choice(
         ["S1", "S2", "S3", "S4", "B", "R0", "R1", "R2", "R3", "R4",
          "R5", "R6", "R7", "R8"])
@@ -217,7 +222,7 @@ def _random_axiom_instance(rng) -> Derivation:
         idx = b.axiom(axiom, {"E": e}, {"X": "X", "Y": "Y"})
     else:  # R8
         idx = b.axiom(axiom, {"E": e, "F": f}, {"X": "X", "Y": "Y"})
-    return b.finalize(idx)
+    return idx
 
 
 def test_soundness_of_randomly_composed_derivations():
@@ -249,11 +254,6 @@ def test_soundness_of_randomly_composed_derivations():
         d = b.finalize(idx)
         assert check(d) is None
         assert rooted_check(*d.conclusion).equal
-
-
-def _random_axiom_instance_idx(b, rng) -> int:
-    d = _random_axiom_instance(rng)
-    return b.splice(d)
 
 
 def test_prove_canon_and_sum_eq():

@@ -238,7 +238,7 @@ def test_quotient_random_contract():
 def test_derivative_splits_rebuild_equation():
     # the filled equation equals stutter + rest up to sum laws
     from dpbc.syntax import canon_leaves, flatten_sum
-    from dpbc.ses import _view_expr
+    from dpbc.syntax import view_expr
 
     rng = random.Random(53)
     for _ in range(40):
@@ -252,7 +252,7 @@ def test_derivative_splits_rebuild_equation():
             pair = derivatives(s, part, x)
             kind, view = s.shape[x]
             body = s.rhs[x] if kind == "plain" else s.rhs[x].body.right
-            merged = Sum(_view_expr(pair.stutter), _view_expr(pair.nonstutter))
+            merged = Sum(view_expr(pair.stutter), view_expr(pair.nonstutter))
             assert canon_leaves(flatten_sum(body)) == canon_leaves(flatten_sum(merged))
 
 
@@ -289,7 +289,7 @@ def test_bottom_variable_summand_subset():
     # for a bottom variable, the filled non-stuttering summands of any
     # equivalent formal are already among its own
     from dpbc.syntax import canon_leaves, flatten_sum
-    from dpbc.ses import _view_expr, quotient, _Quotient
+    from dpbc.ses import quotient, _Quotient
 
     rng = random.Random(56)
     checked = 0
