@@ -1019,7 +1019,6 @@ class CertificateError(ValueError):
     pass
 
 
-@functools.lru_cache(maxsize=1024)
 def _name(text: str, variable: bool) -> str:
     """`text` when the expression grammar can write it as a variable or
     binder name (`variable`) or as an action name (otherwise)."""
@@ -1029,39 +1028,40 @@ def _name(text: str, variable: bool) -> str:
     return text
 
 
-# a whole field: one term reference, `0` or a variable
-_FIELD = re.compile(r"[ \t\r\n]*(?:@([0-9]+)|(0)|([A-Z_][A-Za-z0-9_']*))[ \t\r\n]*")
+_REF = re.compile(r"@([0-9]+)")
 
 
-def _field(text: str, terms: list, whole: bool = True) -> Expr:
-    """The expression a field denotes.  Unless `whole` is false, a text
-    that is no field is read as a whole expression."""
-    m = _FIELD.fullmatch(text)
-    if m is None:
-        if whole:
-            return parse(text)
-        raise CertificateError(f"bad term field {text.strip()!r}")
-    ref, nil, name = m.groups()
-    if name is not None:
-        return Var(name)
-    if nil is not None:
+def _field(text: str, terms: list) -> Expr:
+    """The expression a field denotes: a term reference `@k`, `0` or a
+    variable."""
+    word = text.strip(" \t\r\n")
+    if word == "0":
         return NIL
-    if int(ref) >= len(terms):
-        raise CertificateError(f"undefined term @{ref}")
-    return terms[int(ref)]
+    m = _REF.fullmatch(word)
+    if m is None:
+        return Var(_name(word, True))
+    if int(m[1]) >= len(terms):
+        raise CertificateError(f"undefined term @{m[1]}")
+    return terms[int(m[1])]
+
+
+def _side(text: str, terms: list) -> Expr:
+    """A step side, binding or sum context: a field, or a whole expression
+    in a certificate without term lines."""
+    return _field(text, terms) if terms else parse(text)
 
 
 def _term(text: str, terms: list) -> Expr:
     """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
     left, plus, right = text.partition("+")
     if plus:
-        return Sum(_field(left, terms, False), _field(right, terms, False))
+        return Sum(_field(left, terms), _field(right, terms))
     head, dot, body = text.partition(".")
     words = head.split()
     if dot and len(words) == 2 and words[0] == "rec":
-        return Rec(_name(words[1], True), _field(body, terms, False))
+        return Rec(_name(words[1], True), _field(body, terms))
     if dot and len(words) == 1:
-        return Prefix(Action(_name(words[0], False)), _field(body, terms, False))
+        return Prefix(Action(_name(words[0], False)), _field(body, terms))
     raise CertificateError(f"bad term {text!r}")
 
 
@@ -1077,7 +1077,7 @@ def _parse_bindings(axiom: str, text: str, terms: list):
             name = name.strip()
             value = value.strip()
             if name in metas:
-                meta[name] = _field(value, terms)
+                meta[name] = _side(value, terms)
             elif name == "a":
                 extra[name] = Action(_name(value, False))
             elif name in extras:
@@ -1128,11 +1128,11 @@ def _parse_just(text: str, terms: list) -> Just:
         if pos == "suml":
             if not ctx.startswith(f"{HOLE} + "):
                 raise CertificateError(f"bad suml context {ctx!r}")
-            return Cong("suml", inner, _field(ctx[len(HOLE) + 3 :], terms))
+            return Cong("suml", inner, _side(ctx[len(HOLE) + 3 :], terms))
         if pos == "sumr":
             if not ctx.endswith(f" + {HOLE}"):
                 raise CertificateError(f"bad sumr context {ctx!r}")
-            return Cong("sumr", inner, _field(ctx[: -len(HOLE) - 3], terms))
+            return Cong("sumr", inner, _side(ctx[: -len(HOLE) - 3], terms))
         if pos == "recbody":
             prefix = "rec "
             if not (ctx.startswith(prefix) and ctx.endswith(f". {HOLE}")):
@@ -1160,6 +1160,8 @@ def parse_derivation(text: str) -> Derivation:
             if int(num) != expected:
                 raise CertificateError(f"{kind} numbered {num} but {expected} expected")
             if kind == "term":
+                if steps:
+                    raise CertificateError(f"term {num} follows a step")
                 terms.append(_term(rest, terms))
                 continue
             body, sep, just_text = rest.rpartition(" by ")
@@ -1168,7 +1170,7 @@ def parse_derivation(text: str) -> Derivation:
             if " = " not in body:
                 raise CertificateError(f"step {num} is not an equation")
             lhs_text, _, rhs_text = body.partition(" = ")
-            steps.append(ProofStep(_field(lhs_text, terms), _field(rhs_text, terms),
+            steps.append(ProofStep(_side(lhs_text, terms), _side(rhs_text, terms),
                                    _parse_just(just_text, terms)))
         except ValueError as exc:
             if isinstance(exc, CertificateError):

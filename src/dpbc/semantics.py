@@ -47,27 +47,33 @@ def exposes(e: Expr) -> frozenset:
     return frozenset()
 
 
-def tau_exposed(e: Expr, budget: int = DEFAULT_BUDGET) -> frozenset:
-    """The variables exposed by some expression reachable from e by
-    silent steps."""
+def _tau_reachable(e: Expr, budget: int):
+    """The expressions reachable from e by silent steps, e first; each is
+    yielded before its successors are explored, so a caller that stops
+    early searches no further."""
     seen = {e}
     frontier = [e]
-    out = set()
     while frontier:
         cur = frontier.pop()
-        out |= exposes(cur)
+        yield cur
         for act, nxt in step(cur):
             if act.is_tau and nxt not in seen:
                 if len(seen) >= budget:
                     raise BudgetExceeded(f"state budget {budget} exceeded")
                 seen.add(nxt)
                 frontier.append(nxt)
-    return frozenset(out)
+
+
+def tau_exposed(e: Expr, budget: int = DEFAULT_BUDGET) -> frozenset:
+    """The variables exposed by some expression reachable from e by
+    silent steps."""
+    return frozenset().union(*map(exposes, _tau_reachable(e, budget)))
 
 
 def tau_exposes(x: str, e: Expr, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff some expression reachable from e by silent steps exposes x."""
-    return x in tau_exposed(e, budget)
+    """True iff some expression reachable from e by silent steps exposes x;
+    the search stops at the first such expression."""
+    return any(x in exposes(cur) for cur in _tau_reachable(e, budget))
 
 
 @dataclass(frozen=True)

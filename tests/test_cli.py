@@ -63,6 +63,26 @@ def test_prove_verify_roundtrip_iff_rooted(tmp_path):
             assert "INEQ" in res.stderr
 
 
+def test_prove_verify_roundtrip_non_ascii_names(tmp_path):
+    # names the expression grammar reads beyond ASCII letters, written
+    # as leaves of term lines, read back on `verify`
+    pairs = [
+        ("rec Ä. a.Ä", "a.rec Ä. a.Ä"),
+        ("rec Xé. (a.Xé + b.Yé)", "a.(rec Xé. (a.Xé + b.Yé)) + b.Yé"),
+        ("a.tau.Ä + a.Ä", "a.Ä"),
+    ]
+    for i, (le, ri) in enumerate(pairs):
+        res = _python("-m", "dpbc.cli", "prove",
+                      _write(tmp_path, f"l{i}.proc", le), _write(tmp_path, f"r{i}.proc", ri))
+        assert res.returncode == 0, (le, res.stderr)
+        assert re.search(r"^term \d+ .*[ÄXY]é?$", res.stdout, re.M), res.stdout
+        cert = _write(tmp_path, f"c{i}.cert", res.stdout)
+        ver = _python("-m", "dpbc.cli", "verify", cert)
+        assert ver.returncode == 0, (le, ver.stderr)
+        d = parse_derivation(res.stdout)
+        assert check(d) is None and d.conclusion == (parse(le), parse(ri))
+
+
 def test_verify_tampered_certificate(tmp_path):
     runner = CliRunner()
     p = _write(tmp_path, "p.proc", "a.0 + a.0")

@@ -374,6 +374,11 @@ def test_certificate_writes_each_subterm_once():
     "term 0 a.0\nterm 0 b.0\nstep 0 @0 = @0 by refl",          # duplicate
     "term 0 a.0\nstep 0 @0 = @0 by axiom S3 {E:=@1}",          # undefined binding
     "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 + @0 = @0 + @0 by cong suml 0 in ◻ + @9",
+    "term 0 a.b.0\nstep 0 @0 = @0 by refl",                   # term body over a term
+    "term 0 a.0\nterm 1 @0 + (b.0)\nstep 0 @1 = @1 by refl",  # field in parentheses
+    "term 0 a.0\nstep 0 @0 = a.0 by refl",                    # whole side beside a table
+    "term 0 a.0\nstep 0 @0 = @0 by axiom S3 {E:=a.0}",        # whole binding beside a table
+    "term 0 a.0\nstep 0 @0 = @0 by refl\nterm 1 b.0",         # term line after a step
 ])
 def test_certificate_rejects_bad_term_references(text):
     with pytest.raises(CertificateError):

@@ -10,6 +10,7 @@ from dpbc.semantics import (
     exposes,
     format_aut,
     step,
+    tau_exposed,
     tau_exposes,
     union_lts,
 )
@@ -37,6 +38,18 @@ def test_tau_exposes_examples():
     assert tau_exposes("X", parse("tau.X + a.0"))
     assert not tau_exposes("X", parse("a.X"))
     assert tau_exposes("X", parse("rec Y.(tau.Y + tau.X)"))
+
+
+def test_tau_exposes_stops_at_first_witness():
+    # X is exposed at the root; the silent closure behind it is larger
+    # than the budget, which only the full search reaches
+    e = parse("X + tau.tau.tau.Y")
+    assert tau_exposed(e) == {"X", "Y"}
+    assert tau_exposes("X", e, budget=1)
+    with pytest.raises(BudgetExceeded):
+        tau_exposes("Y", e, budget=1)
+    with pytest.raises(BudgetExceeded):
+        tau_exposed(e, budget=1)
 
 
 def test_build_lts_examples():
