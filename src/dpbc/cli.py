@@ -143,10 +143,9 @@ def std_cmd(cert, file):
 def _format_text(lts: Lts) -> str:
     lines = [f"states: {lts.n_states}  transitions: {len(lts.transitions)}  root: {lts.root}"]
     for i, state in enumerate(lts.states):
-        label = pretty(state) if hasattr(state, "_hash") else str(state)
         exp = ",".join(sorted(lts.exposure[i]))
         suffix = f"  exposes {{{exp}}}" if exp else ""
-        lines.append(f"  {i}: {label}{suffix}")
+        lines.append(f"  {i}: {pretty(state)}{suffix}")
     for src, act, dst in lts.transitions:
         lines.append(f"  {src} --{act.name}--> {dst}")
     return "\n".join(lines) + "\n"

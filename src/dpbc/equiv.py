@@ -13,6 +13,7 @@ R <- sym(R & F(R)) and against a brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .semantics import (
@@ -53,12 +54,6 @@ class Partition:
 
     def same(self, i: int, j: int) -> bool:
         return self.class_of[i] == self.class_of[j]
-
-    def blocks(self):
-        out = [[] for _ in range(self.n_classes)]
-        for s, c in enumerate(self.class_of):
-            out[c].append(s)
-        return [tuple(b) for b in out]
 
     def pairs(self) -> PairRelation:
         ps = {
@@ -132,53 +127,29 @@ def _divergence_ok(lts: Lts, pairs, i: int, j: int) -> bool:
     return i not in _can_reach_tau_cycle(lts, [i], allowed)
 
 
-def functional_S(rel: PairRelation) -> PairRelation:
+def _image(rel: PairRelation, ok) -> PairRelation:
+    """The pairs (i, j) of states for which ok(lts, pairs, i, j) holds."""
     lts = rel.lts
     n = lts.n_states
-    out = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if _strong_ok(lts, rel.pairs, i, j)
-    }
-    return PairRelation(lts, frozenset(out))
+    return PairRelation(lts, frozenset(
+        (i, j) for i in range(n) for j in range(n) if ok(lts, rel.pairs, i, j)))
+
+
+def functional_S(rel: PairRelation) -> PairRelation:
+    return _image(rel, _strong_ok)
 
 
 def functional_B(rel: PairRelation) -> PairRelation:
-    lts = rel.lts
-    n = lts.n_states
-    out = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if _branching_ok(lts, rel.pairs, i, j, progressing=False)
-    }
-    return PairRelation(lts, frozenset(out))
+    return _image(rel, partial(_branching_ok, progressing=False))
 
 
 def functional_Bp(rel: PairRelation) -> PairRelation:
-    lts = rel.lts
-    n = lts.n_states
-    out = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if _branching_ok(lts, rel.pairs, i, j, progressing=True)
-    }
-    return PairRelation(lts, frozenset(out))
+    return _image(rel, partial(_branching_ok, progressing=True))
 
 
 def functional_Bd(rel: PairRelation) -> PairRelation:
-    lts = rel.lts
-    n = lts.n_states
-    out = {
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if _branching_ok(lts, rel.pairs, i, j, progressing=False)
-        and _divergence_ok(lts, rel.pairs, i, j)
-    }
-    return PairRelation(lts, frozenset(out))
+    return _image(rel, lambda lts, pairs, i, j: _branching_ok(
+        lts, pairs, i, j, progressing=False) and _divergence_ok(lts, pairs, i, j))
 
 
 FUNCTIONALS = {
@@ -274,12 +245,15 @@ class RootedCheck:
         return self.equal
 
 
+def _joint(e: Expr, f: Expr, kind: str, budget: int):
+    """(joint LTS of e and f, its partition under `kind`, e's root, f's root)."""
+    joint, re_, rf = union_lts(build_lts(e, budget), build_lts(f, budget))
+    return joint, bisimilarity(joint, kind), re_, rf
+
+
 def rooted_check(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> RootedCheck:
     """Check the three root clauses over the joint dpbb partition."""
-    le = build_lts(e, budget)
-    lf = build_lts(f, budget)
-    joint, re_, rf = union_lts(le, lf)
-    part = bisimilarity(joint, "dpbb")
+    joint, part, re_, rf = _joint(e, f, "dpbb", budget)
 
     def find_match(a, tgt, other_root):
         for a2, tgt2 in joint.succ(other_root):
@@ -312,10 +286,7 @@ def equivalent(e: Expr, f: Expr, kind: str, budget: int = DEFAULT_BUDGET) -> boo
     """Are the two expressions related by the selected bisimilarity?"""
     if kind == "rooted":
         return rooted_check(e, f, budget).equal
-    le = build_lts(e, budget)
-    lf = build_lts(f, budget)
-    joint, re_, rf = union_lts(le, lf)
-    part = bisimilarity(joint, kind)
+    _, part, re_, rf = _joint(e, f, kind, budget)
     return part.same(re_, rf)
 
 

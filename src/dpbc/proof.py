@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
     Action,
@@ -38,12 +38,8 @@ from .syntax import (
 from .semantics import step as sos_step
 from .semantics import exposes, tau_exposes
 
-AXIOM_IDS = (
-    "S1", "S2", "S3", "S4", "B",
-    "R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-)
-
-# metavariables (expressions) and extras (binders / actions) per schema
+# metavariables (expressions) and extras (binders / actions) per schema;
+# its keys are the axiom ids
 SCHEMA_PARAMS = {
     "S1": (("E", "F"), ()),
     "S2": (("E", "F", "G"), ()),
@@ -84,6 +80,8 @@ class MoveNotPresent(ProofError):
 def _axiom_sides(axiom: str, meta: dict, extra: dict):
     """Both sides of the schema under the given instantiation, checking
     side conditions.  The R2 premise is validated by the checker."""
+    if axiom not in SCHEMA_PARAMS:
+        raise ProofError(f"unknown axiom {axiom!r}")
     metas, extras = SCHEMA_PARAMS[axiom]
     for m in metas:
         if m not in meta or not isinstance(meta[m], Expr):
@@ -148,14 +146,13 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
             raise SideCondition("R7", "binders must be distinct")
         inner = Rec(Y, Sum(Prefix(TAU, Var(Y)), E))
         return Rec(X, Sum(Prefix(TAU, Var(X)), inner)), Rec(X, inner)
-    if axiom == "R8":
-        if X == Y:
-            raise SideCondition("R8", "binders must be distinct")
-        return (
-            Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(X), E)), F))),
-            Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(Y), E)), F))),
-        )
-    raise ProofError(f"unknown axiom {axiom!r}")
+    # R8
+    if X == Y:
+        raise SideCondition("R8", "binders must be distinct")
+    return (
+        Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(X), E)), F))),
+        Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(Y), E)), F))),
+    )
 
 
 # --- steps and derivations ----------------------------------------------------
@@ -187,12 +184,49 @@ class AxiomStep:
 
 @dataclass(frozen=True)
 class Cong:
-    pos: str  # 'prefix' | 'suml' | 'sumr' | 'recbody'
+    pos: str  # a key of POSITIONS
     inner: int
-    context: object  # Action | Expr | binder name
+    context: object  # of type POSITIONS[pos].kind
 
 
 Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
+
+# the fields of each justification that name earlier steps
+_STEP_REFS = {Symm: ("of",), Trans: ("first", "second"), AxiomStep: ("premise",),
+              Cong: ("inner",)}
+
+
+def _step_refs(just: Just) -> dict:
+    """{field: step index} for the earlier steps that `just` names."""
+    return {f: k for f in _STEP_REFS.get(type(just), ())
+            if (k := getattr(just, f)) is not None}
+
+
+HOLE = "◻"  # white medium square
+
+
+@dataclass(frozen=True)
+class Position:
+    """A congruence position: the type of its context, the certificate
+    text around the context's value, and how the context wraps a term."""
+
+    kind: type
+    before: str
+    after: str
+    wrap: Callable
+
+
+POSITIONS = {
+    "prefix": Position(Action, "", f".{HOLE}", Prefix),  # a.◻
+    "suml": Position(Expr, f"{HOLE} + ", "", lambda c, e: Sum(e, c)),  # ◻ + F
+    "sumr": Position(Expr, "", f" + {HOLE}", Sum),  # F + ◻
+    "recbody": Position(str, "rec ", f". {HOLE}", Rec),  # rec X. ◻
+}
+
+
+def plug(pos: str, context, e: Expr) -> Expr:
+    """The context at position `pos` with e in its hole."""
+    return POSITIONS[pos].wrap(context, e)
 
 
 @dataclass(frozen=True)
@@ -228,8 +262,6 @@ def instantiate_axiom(axiom: str, meta: Mapping, extra: Mapping,
                       premise: Optional[int] = None) -> ProofStep:
     """A single axiom step; raises on unknown ids, missing bindings or
     violated side conditions."""
-    if axiom not in AXIOM_IDS:
-        raise ProofError(f"unknown axiom {axiom!r}")
     lhs, rhs = _axiom_sides(axiom, dict(meta), dict(extra))
     just = AxiomStep(
         axiom,
@@ -287,34 +319,12 @@ def _check_step(steps, i) -> Optional[str]:
     if isinstance(j, Cong):
         if not 0 <= j.inner < i:
             return "cong reference out of range"
-        inner = steps[j.inner]
-        if j.pos == "prefix":
-            ok = (
-                isinstance(j.context, Action)
-                and st.lhs == Prefix(j.context, inner.lhs)
-                and st.rhs == Prefix(j.context, inner.rhs)
-            )
-        elif j.pos == "suml":
-            ok = (
-                isinstance(j.context, Expr)
-                and st.lhs == Sum(inner.lhs, j.context)
-                and st.rhs == Sum(inner.rhs, j.context)
-            )
-        elif j.pos == "sumr":
-            ok = (
-                isinstance(j.context, Expr)
-                and st.lhs == Sum(j.context, inner.lhs)
-                and st.rhs == Sum(j.context, inner.rhs)
-            )
-        elif j.pos == "recbody":
-            ok = (
-                isinstance(j.context, str)
-                and st.lhs == Rec(j.context, inner.lhs)
-                and st.rhs == Rec(j.context, inner.rhs)
-            )
-        else:
+        if j.pos not in POSITIONS:
             return f"unknown congruence position {j.pos!r}"
-        if not ok:
+        inner = steps[j.inner]
+        if not (isinstance(j.context, POSITIONS[j.pos].kind)
+                and st.lhs == plug(j.pos, j.context, inner.lhs)
+                and st.rhs == plug(j.pos, j.context, inner.rhs)):
             return "congruence endpoints do not wrap the referenced step"
         return None
     return f"unknown justification {j!r}"
@@ -420,16 +430,9 @@ class Builder:
 
     def cong(self, pos: str, inner: int, context) -> int:
         st = self.steps[inner]
-        if pos == "prefix":
-            lhs, rhs = Prefix(context, st.lhs), Prefix(context, st.rhs)
-        elif pos == "suml":
-            lhs, rhs = Sum(st.lhs, context), Sum(st.rhs, context)
-        elif pos == "sumr":
-            lhs, rhs = Sum(context, st.lhs), Sum(context, st.rhs)
-        elif pos == "recbody":
-            lhs, rhs = Rec(context, st.lhs), Rec(context, st.rhs)
-        else:
+        if pos not in POSITIONS:
             raise ProofError(f"unknown congruence position {pos!r}")
+        lhs, rhs = plug(pos, context, st.lhs), plug(pos, context, st.rhs)
         if isinstance(st.just, Refl):
             return self.refl(lhs)
         return self._emit(lhs, rhs, Cong(pos, inner, context))
@@ -467,29 +470,16 @@ class Builder:
             if i in needed:
                 continue
             needed.add(i)
-            j = self.steps[i].just
-            if isinstance(j, Symm):
-                stack.append(j.of)
-            elif isinstance(j, Trans):
-                stack.extend((j.first, j.second))
-            elif isinstance(j, Cong):
-                stack.append(j.inner)
-            elif isinstance(j, AxiomStep) and j.premise is not None:
-                stack.append(j.premise)
+            stack.extend(_step_refs(self.steps[i].just).values())
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         out = []
         for old in order:
             st = self.steps[old]
             j = st.just
-            if isinstance(j, Symm):
-                j = Symm(remap[j.of])
-            elif isinstance(j, Trans):
-                j = Trans(remap[j.first], remap[j.second])
-            elif isinstance(j, Cong):
-                j = Cong(j.pos, remap[j.inner], j.context)
-            elif isinstance(j, AxiomStep) and j.premise is not None:
-                j = AxiomStep(j.axiom, j.meta, j.extra, remap[j.premise])
+            refs = _step_refs(j)
+            if refs:
+                j = replace(j, **{f: remap[k] for f, k in refs.items()})
             out.append(ProofStep(st.lhs, st.rhs, j))
         return Derivation(tuple(out))
 
@@ -706,12 +696,10 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict) -> int:
             subst_step(b, j.second, sigma),
         )
     if isinstance(j, Cong):
-        if j.pos == "prefix":
-            return b.cong("prefix", subst_step(b, j.inner, sigma), j.context)
-        if j.pos in ("suml", "sumr"):
-            return b.cong(
-                j.pos, subst_step(b, j.inner, sigma), substitute(j.context, sigma))
-        # recbody: the binder may need renaming away from the substitution
+        if not isinstance(j.context, str):
+            ctx = substitute(j.context, sigma) if isinstance(j.context, Expr) else j.context
+            return b.cong(j.pos, subst_step(b, j.inner, sigma), ctx)
+        # a binder: it may need renaming away from the substitution
         y = z = j.context
         inner_st = b.steps[j.inner]
         sigma2 = {k: v for k, v in sigma.items() if k != y}
@@ -722,7 +710,7 @@ def _subst_step_raw(b: Builder, i: int, sigma: dict) -> int:
                 avoid |= free_vars(v)
             z = fresh_name(avoid)
             sigma2[y] = Var(z)
-        out = b.cong("recbody", subst_step(b, j.inner, sigma2), z)
+        out = b.cong(j.pos, subst_step(b, j.inner, sigma2), z)
         return _align_both(b, out, tl, tr)
     if isinstance(j, AxiomStep):
         return _subst_axiom(b, st, sigma)
@@ -939,7 +927,7 @@ def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
 #   step <n> <lhs> = <rhs> by symm <k>
 #   step <n> <lhs> = <rhs> by trans <k> <l>
 #   step <n> <lhs> = <rhs> by axiom <ID> {E:=..., X:=..., a:=...} [premise <k>]
-#   step <n> <lhs> = <rhs> by cong <pos> <k> in <context with hole>
+#   step <n> <lhs> = <rhs> by cong <pos> <k> in <context with hole, see POSITIONS>
 #
 # The term table comes first and writes every distinct compound subterm
 # once, children before parents (`term 5 a.@3`, `term 6 @4 + @5`,
@@ -949,15 +937,10 @@ def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
 # expressions there instead, and the reader parses those as such.
 
 
-HOLE = "◻"  # white medium square
-
-
-def _format_binding(name: str, value, ref) -> str:
-    if isinstance(value, Expr):
-        return f"{name}:={ref(value)}"
-    if isinstance(value, Action):
-        return f"{name}:={value.name}"
-    return f"{name}:={value}"
+def _write(value, ref) -> str:
+    """A binding or context value: a field for an expression, else the
+    action or binder name."""
+    return ref(value) if isinstance(value, Expr) else str(value)
 
 
 def _format_just(just: Just, ref) -> str:
@@ -968,22 +951,14 @@ def _format_just(just: Just, ref) -> str:
     if isinstance(just, Trans):
         return f"trans {just.first} {just.second}"
     if isinstance(just, AxiomStep):
-        parts = [_format_binding(n, v, ref) for n, v in just.meta]
-        parts += [_format_binding(n, v, ref) for n, v in just.extra]
+        parts = [f"{n}:={_write(v, ref)}" for n, v in just.meta + just.extra]
         text = f"axiom {just.axiom} {{{', '.join(parts)}}}"
         if just.premise is not None:
             text += f" premise {just.premise}"
         return text
     if isinstance(just, Cong):
-        if just.pos == "prefix":
-            ctx = f"{just.context.name}.{HOLE}"
-        elif just.pos == "suml":
-            ctx = f"{HOLE} + {ref(just.context)}"
-        elif just.pos == "sumr":
-            ctx = f"{ref(just.context)} + {HOLE}"
-        else:
-            ctx = f"rec {just.context}. {HOLE}"
-        return f"cong {just.pos} {just.inner} in {ctx}"
+        p = POSITIONS[just.pos]
+        return f"cong {just.pos} {just.inner} in {p.before}{_write(just.context, ref)}{p.after}"
     raise ProofError(f"cannot format {just!r}")
 
 
@@ -1065,6 +1040,16 @@ def _term(text: str, terms: list) -> Expr:
     raise CertificateError(f"bad term {text!r}")
 
 
+def _read(kind: type, text: str, terms: list):
+    """A binding or context value of the given type: an expression, an
+    action name or a binder name."""
+    if kind is Expr:
+        return _side(text, terms)
+    if kind is Action:
+        return Action(_name(text, False))
+    return _name(text.strip(), True)
+
+
 def _parse_bindings(axiom: str, text: str, terms: list):
     metas, extras = SCHEMA_PARAMS[axiom]
     meta, extra = {}, {}
@@ -1077,11 +1062,11 @@ def _parse_bindings(axiom: str, text: str, terms: list):
             name = name.strip()
             value = value.strip()
             if name in metas:
-                meta[name] = _side(value, terms)
+                meta[name] = _read(Expr, value, terms)
             elif name == "a":
-                extra[name] = Action(_name(value, False))
+                extra[name] = _read(Action, value, terms)
             elif name in extras:
-                extra[name] = _name(value, True)
+                extra[name] = _read(str, value, terms)
             else:
                 raise CertificateError(f"{axiom} takes no parameter {name!r}")
     return meta, extra
@@ -1098,7 +1083,7 @@ def _parse_just(text: str, terms: list) -> Just:
         return Trans(int(a), int(b))
     if kind == "axiom":
         name, _, rest = rest.strip().partition(" ")
-        if name not in AXIOM_IDS:
+        if name not in SCHEMA_PARAMS:
             raise CertificateError(f"unknown axiom {name!r}")
         rest = rest.strip()
         premise = None
@@ -1121,25 +1106,13 @@ def _parse_just(text: str, terms: list) -> Just:
         if not rest.startswith("in "):
             raise CertificateError("congruence step is missing its context")
         ctx = rest[3:].strip()
-        if pos == "prefix":
-            if not ctx.endswith(f".{HOLE}"):
-                raise CertificateError(f"bad prefix context {ctx!r}")
-            return Cong("prefix", inner, Action(_name(ctx[: -len(HOLE) - 1], False)))
-        if pos == "suml":
-            if not ctx.startswith(f"{HOLE} + "):
-                raise CertificateError(f"bad suml context {ctx!r}")
-            return Cong("suml", inner, _side(ctx[len(HOLE) + 3 :], terms))
-        if pos == "sumr":
-            if not ctx.endswith(f" + {HOLE}"):
-                raise CertificateError(f"bad sumr context {ctx!r}")
-            return Cong("sumr", inner, _side(ctx[: -len(HOLE) - 3], terms))
-        if pos == "recbody":
-            prefix = "rec "
-            if not (ctx.startswith(prefix) and ctx.endswith(f". {HOLE}")):
-                raise CertificateError(f"bad recbody context {ctx!r}")
-            binder = ctx[len(prefix) : -len(HOLE) - 2].strip()
-            return Cong("recbody", inner, _name(binder, True))
-        raise CertificateError(f"unknown congruence position {pos!r}")
+        p = POSITIONS.get(pos)
+        if p is None:
+            raise CertificateError(f"unknown congruence position {pos!r}")
+        if not (ctx.startswith(p.before) and ctx.endswith(p.after)):
+            raise CertificateError(f"bad {pos} context {ctx!r}")
+        value = ctx[len(p.before) : len(ctx) - len(p.after)]
+        return Cong(pos, inner, _read(p.kind, value, terms))
     raise CertificateError(f"unknown justification {text!r}")
 
 

@@ -259,14 +259,13 @@ def divergent(lts: Lts) -> frozenset:
     return _can_reach_tau_cycle(lts, range(lts.n_states))
 
 
-def format_aut(lts: Lts, with_exposure: bool = True) -> str:
+def format_aut(lts: Lts) -> str:
     """Render in Aldebaran format, with exposure sets as auxiliary lines."""
     root = lts.root if lts.root is not None else 0
     lines = [f"des ({root}, {len(lts.transitions)}, {lts.n_states})"]
     for src, act, dst in lts.transitions:
         lines.append(f'({src},"{act.name}",{dst})')
-    if with_exposure:
-        for s in range(lts.n_states):
-            for x in sorted(lts.exposure[s]):
-                lines.append(f'exp ({s}, "{x}")')
+    for s in range(lts.n_states):
+        for x in sorted(lts.exposure[s]):
+            lines.append(f'exp ({s}, "{x}")')
     return "\n".join(lines) + "\n"

@@ -23,8 +23,7 @@ from .syntax import (
     TAU,
     Var,
     all_vars,
-    canon_leaves,
-    compose_sum,
+    canon_sum,
     flatten_sum,
     free_vars,
     is_guarded_expr,
@@ -259,7 +258,7 @@ class _Extraction:
                 else:
                     parts.append((rr, self.ders[r]))
             (t1, eq1), (t2, eq2) = parts
-            rhs = compose_sum(canon_leaves(flatten_sum(t1) + flatten_sum(t2)))
+            rhs = canon_sum(Sum(t1, t2))
             sol = Sum(self.sols[r1], self.sols[r2])
             i1 = b.cong("suml", eq1, self.sols[r2])
             i2 = b.cong("sumr", eq2, b.rhs_after(eq1))
@@ -328,9 +327,9 @@ class _Extraction:
             return rhs
         if is_loop(rhs):
             inner = substitute(loop_body(rhs), {y: rho})
-            return loop(compose_sum(canon_leaves(flatten_sum(inner))))
+            return loop(canon_sum(inner))
         out = substitute(rhs, {y: rho})
-        return compose_sum(canon_leaves(flatten_sum(out)))
+        return canon_sum(out)
 
 
 def extract_ses(e: Expr):

@@ -423,10 +423,7 @@ class SumView:
 
 def make_view(prefixed, var_names) -> SumView:
     pre = canon_leaves(Prefix(a, b) for a, b in prefixed)
-    vs = []
-    for v in sorted(set(var_names)):
-        vs.append(v)
-    return SumView(tuple((p.act, p.body) for p in pre), tuple(vs))
+    return SumView(tuple((p.act, p.body) for p in pre), tuple(sorted(set(var_names))))
 
 
 def view_expr(view: SumView) -> Expr:

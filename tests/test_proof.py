@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import os
 import random
 import re
@@ -9,11 +10,14 @@ import pytest
 
 from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, parse
 from dpbc.proof import (
+    AxiomStep,
     Builder,
     CertificateError,
+    Cong,
     Derivation,
     MissingMeta,
     MoveNotPresent,
+    ProofError,
     ProofStep,
     Refl,
     SideCondition,
@@ -104,6 +108,39 @@ def test_check_rejects_swapped_axiom():
 def test_check_rejects_forward_reference():
     s0 = ProofStep(parse("a.0"), parse("a.0"), Symm(0))
     assert check(Derivation((s0,))) is not None
+
+
+def test_unknown_axiom_is_rejected_without_a_traceback():
+    e = parse("a.0")
+    failure = check(Derivation((ProofStep(e, e, AxiomStep("R9", (), ())),)))
+    assert failure is not None and failure.index == 0
+    assert failure.reason == "unknown axiom 'R9'"
+    with pytest.raises(ProofError):
+        instantiate_axiom("R9", {}, {})
+    with pytest.raises(CertificateError, match="unknown axiom 'R9'"):
+        parse_derivation("term 0 a.0\nstep 0 @0 = @0 by axiom R9 {}")
+
+
+# Each congruence position with a context of its own type, a context of
+# another type, and the endpoints that wrap `a.0 + 0 = a.0` (axiom S4).
+@pytest.mark.parametrize("pos, good, bad, lhs, rhs", [
+    ("prefix", Action("b"), "b", "b.(a.0 + 0)", "b.a.0"),
+    ("suml", Var("Y"), "Y", "(a.0 + 0) + Y", "a.0 + Y"),
+    ("sumr", Var("Y"), "Y", "Y + (a.0 + 0)", "Y + a.0"),
+    ("recbody", "X", Var("X"), "rec X. (a.0 + 0)", "rec X. a.0"),
+])
+def test_check_rejects_ill_typed_or_unknown_congruence(pos, good, bad, lhs, rhs):
+    inner = instantiate_axiom("S4", {"E": parse("a.0")}, {})
+    for just, reason in [
+        (Cong(pos, 0, good), None),
+        (Cong(pos, 0, bad), "congruence endpoints do not wrap the referenced step"),
+        (Cong("body", 0, good), "unknown congruence position 'body'"),
+    ]:
+        failure = check(Derivation((inner, ProofStep(parse(lhs), parse(rhs), just))))
+        if reason is None:
+            assert failure is None
+        else:
+            assert failure is not None and (failure.index, failure.reason) == (1, reason)
 
 
 def test_derive_t1_with_silent_action():
@@ -385,6 +422,25 @@ def test_certificate_rejects_bad_term_references(text):
         parse_derivation(text)
 
 
+# The context text of each congruence position in a certificate
+_CONTEXT_TEXTS = {
+    "prefix": "b.◻",
+    "suml": "◻ + @0",
+    "sumr": "@0 + ◻",
+    "recbody": "rec X. ◻",
+}
+
+
+@pytest.mark.parametrize("pos, other", itertools.permutations(_CONTEXT_TEXTS, 2))
+def test_certificate_rejects_context_of_another_position(pos, other):
+    head = "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 = @0 by cong"
+    # the position's own context text reads
+    own = parse_derivation(f"{head} {pos} 0 in {_CONTEXT_TEXTS[pos]}")
+    assert own.steps[1].just.pos == pos
+    with pytest.raises(CertificateError, match=f"bad {pos} context"):
+        parse_derivation(f"{head} {pos} 0 in {_CONTEXT_TEXTS[other]}")
+
+
 # Certificates of two fixed pairs, byte for byte, as written under
 # PYTHONHASHSEED=0; a change to how terms hash or to the order in which
 # the prover visits them shows here.
@@ -491,6 +547,7 @@ def test_certificate_texts_are_pinned():
                              capture_output=True, text=True, encoding="utf-8")
         assert res.returncode == 0, res.stderr
         assert res.stdout == want
+        assert check(parse_derivation(want)) is None
 
 
 def test_builder_memo_repeats_no_work():
