@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
@@ -191,15 +192,39 @@ class Cong:
 
 Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
 
-# the fields of each justification that name earlier steps
+# the fields of each justification that name earlier steps; a step
+# either sets all of them or none (an axiom without a premise)
 _STEP_REFS = {Symm: ("of",), Trans: ("first", "second"), AxiomStep: ("premise",),
               Cong: ("inner",)}
 
 
-def _step_refs(just: Just) -> dict:
-    """{field: step index} for the earlier steps that `just` names."""
-    return {f: k for f in _STEP_REFS.get(type(just), ())
-            if (k := getattr(just, f)) is not None}
+def _getter(names: tuple):
+    """The named attributes of an object, as a tuple."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+def _renumbering(cls: type, refs: tuple):
+    """For justifications of class `cls`, whose fields `refs` name earlier
+    steps: those fields' values (None when unset), and a copy whose step
+    indices go through a map."""
+    names = tuple(f.name for f in fields(cls))
+    at = tuple(names.index(f) for f in refs)
+    values = _getter(names)
+
+    def renumber(just, remap):
+        v = list(values(just))
+        for i in at:
+            if v[i] is None:
+                return just
+            v[i] = remap[v[i]]
+        return cls(*v)
+
+    return _getter(refs), renumber
+
+
+# class -> (the steps a justification names, its renumbered copy)
+_RENUMBER = {cls: _renumbering(cls, refs) for cls, refs in _STEP_REFS.items()}
 
 
 HOLE = "◻"  # white medium square
@@ -467,20 +492,23 @@ class Builder:
         stack = [conclusion]
         while stack:
             i = stack.pop()
-            if i in needed:
+            if i is None or i in needed:
                 continue
             needed.add(i)
-            stack.extend(_step_refs(self.steps[i].just).values())
+            just = self.steps[i].just
+            renumbering = _RENUMBER.get(type(just))
+            if renumbering is not None:
+                stack.extend(renumbering[0](just))
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         out = []
         for old in order:
             st = self.steps[old]
-            j = st.just
-            refs = _step_refs(j)
-            if refs:
-                j = replace(j, **{f: remap[k] for f, k in refs.items()})
-            out.append(ProofStep(st.lhs, st.rhs, j))
+            just = st.just
+            renumbering = _RENUMBER.get(type(just))
+            if renumbering is not None:
+                just = renumbering[1](just, remap)
+            out.append(ProofStep(st.lhs, st.rhs, just))
         return Derivation(tuple(out))
 
 
@@ -1063,10 +1091,8 @@ def _parse_bindings(axiom: str, text: str, terms: list):
             value = value.strip()
             if name in metas:
                 meta[name] = _read(Expr, value, terms)
-            elif name == "a":
-                extra[name] = _read(Action, value, terms)
             elif name in extras:
-                extra[name] = _read(str, value, terms)
+                extra[name] = _read(Action if name == "a" else str, value, terms)
             else:
                 raise CertificateError(f"{axiom} takes no parameter {name!r}")
     return meta, extra

@@ -350,6 +350,21 @@ def extract_ses(e: Expr):
 # --- solving --------------------------------------------------------------------
 
 
+def _live(order, rhs, roots) -> list:
+    """The formals reachable from `roots` through the free formals of each
+    right-hand side, in system order.  The set is closed under that
+    dependency, so its equations form a system of their own."""
+    formals = set(order)
+    seen = set()
+    stack = list(roots)
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack.extend(free_vars(rhs[x]) & formals)
+    return [x for x in order if x in seen]
+
+
 def _solve_any(b: Builder, order, rhs):
     """Provable solutions for an arbitrary system, by eliminating the
     formals with recursion and closing each equation by unfolding."""
@@ -703,13 +718,14 @@ def quotient(s: SesSystem):
 
 def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) -> int:
     """Given two provable-solution families of a guarded system, derive
-    the equality of their values at the target formal."""
-    order = list(order)
-    rhs = dict(rhs)
-    fam_d = dict(fam_d)
-    fam_e = dict(fam_e)
-    der_d = dict(der_d)
-    der_e = dict(der_e)
+    the equality of their values at the target formal.  Only the target's
+    live cone is eliminated: the other equations never reach it."""
+    order = _live(order, rhs, (target,))
+    rhs = {z: rhs[z] for z in order}
+    fam_d = {z: fam_d[z] for z in order}
+    fam_e = {z: fam_e[z] for z in order}
+    der_d = {z: der_d[z] for z in order}
+    der_e = {z: der_e[z] for z in order}
 
     def close(fam, der, m):
         """fam_m = (rec m. rhs_m){fam without m}, by fixpoint induction."""
@@ -727,17 +743,21 @@ def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) ->
         dm = close(fam_d, der_d, m)
         em = close(fam_e, der_e, m)
         order.remove(m)
-        new_rhs = {z: substitute(rhs[z], {m: l}) for z in order}
+        del rhs[m]
+        # an equation without m keeps its derivation: every later use
+        # aligns it first
+        new_rhs = {z: substitute(rhs[z], {m: l})
+                   for z in order if m in free_vars(rhs[z])}
         for fam, der, dstar in ((fam_d, der_d, dm), (fam_e, der_e, em)):
             others = {z: fam[z] for z in order}
-            for z in order:
+            for z in new_rhs:
                 k = substitute(rhs[z], others)
                 idx = align(b, der[z], substitute(k, {m: fam[m]}))
                 idx = b.trans(idx, prove_subst_cong(b, k, m, dstar))
                 der[z] = align(b, idx, substitute(new_rhs[z], others))
             del fam[m]
             del der[m]
-        rhs = new_rhs
+        rhs.update(new_rhs)
     m = order[0]
     if m != target:
         raise ProofError("target formal was eliminated")
@@ -764,8 +784,11 @@ def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
         return b.refl(Prefix(TAU, e))
     ex1, r1 = _extract_into(b, e, all_vars(f))
     ex2, r2 = _extract_into(b, f, set(ex1.used))
-    order = ex1.order + ex2.order
+    # only the equations the two roots reach take part; the rest is the
+    # unreachable part of the same transition system
     rhs = {**ex1.rhs, **ex2.rhs}
+    order = _live(ex1.order + ex2.order, rhs, (r1, r2))
+    rhs = {x: rhs[x] for x in order}
     sols = {**ex1.sols, **ex2.sols}
     merged = SesSystem.from_equations(order, rhs)
     part = formal_classes(merged)

@@ -130,6 +130,15 @@ def test_verify_bad_term_references_exit_2(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), name
 
 
+def test_verify_stray_action_binding_exit_2(tmp_path):
+    # only axiom B takes an action; S1 with `a:=zz` is malformed
+    text = ("term 0 a.0\nterm 1 @0 + @0\n"
+            "step 0 @1 = @1 by axiom S1 {E:=@0, F:=@0, a:=zz}\n")
+    res = _python("-m", "dpbc.cli", "verify", _write(tmp_path, "stray.cert", text))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.strip() == "error: S1 takes no parameter 'a'"
+
+
 def test_verify_unwritable_names_exit_2(tmp_path):
     # a name the expression grammar cannot write makes the text
     # malformed (exit 2), not a certificate that fails its check (exit 1)

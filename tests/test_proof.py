@@ -121,6 +121,21 @@ def test_unknown_axiom_is_rejected_without_a_traceback():
         parse_derivation("term 0 a.0\nstep 0 @0 = @0 by axiom R9 {}")
 
 
+# S1 over a.0 with an action binding only axiom B takes
+_STRAY_ACTION = ("term 0 a.0\nterm 1 @0 + @0\n"
+                 "step 0 @1 = @1 by axiom S1 {E:=@0, F:=@0, a:=zz}\n")
+
+
+def test_action_binding_is_read_only_where_the_axiom_takes_one():
+    with pytest.raises(CertificateError, match="S1 takes no parameter 'a'"):
+        parse_derivation(_STRAY_ACTION)
+    # B's own action still reads
+    st = instantiate_axiom("B", {"E": parse("b.0"), "F": NIL}, {"a": Action("zz")})
+    d = Derivation((st,))
+    again = parse_derivation(format_derivation(d))
+    assert again == d and check(again) is None
+
+
 # Each congruence position with a context of its own type, a context of
 # another type, and the endpoints that wrap `a.0 + 0 = a.0` (axiom S4).
 @pytest.mark.parametrize("pos, good, bad, lhs, rhs", [

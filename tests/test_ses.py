@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import dpbc.ses as ses
 from dpbc.syntax import (
     Action,
     NIL,
@@ -10,12 +11,13 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
+    free_vars,
     loop,
     parse,
     pretty,
     substitute,
 )
-from dpbc.proof import check
+from dpbc.proof import check, format_derivation, parse_derivation
 from dpbc.standardize import NotGuarded
 from dpbc.ses import (
     EqSystem,
@@ -31,6 +33,7 @@ from dpbc.ses import (
     ses_semantics,
     solve_system,
     tau_transform,
+    _live,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
 from dpbc.semantics import build_lts
@@ -320,6 +323,87 @@ def test_promote_examples():
     assert check(d2) is None
     with pytest.raises(NotEquivalent):
         promote(parse("rec X. a.X"), parse("b.0"))
+
+
+def test_live_formals_follow_the_free_formals():
+    order = ["A", "B", "C", "D", "E", "F"]
+    rhs = {
+        "A": parse("a.B + W"),  # W is not a formal
+        "B": parse("b.A + c.C"),  # a cycle with A
+        "C": parse("c.C"),  # a self-loop
+        "D": parse("d.E"),  # D -> E -> F is unreachable from A
+        "E": parse("rec A. e.(A + F)"),  # A is bound here
+        "F": parse("f.A"),
+    }
+    assert _live(order, rhs, ("A",)) == ["A", "B", "C"]
+    assert _live(order, rhs, ("C",)) == ["C"]
+    assert _live(order, rhs, ("E",)) == ["A", "B", "C", "E", "F"]
+    assert _live(order, rhs, ("F", "D")) == order
+    assert _live(order, rhs, ()) == []
+
+
+def _reach(rhs, roots):
+    seen, todo = set(), list(roots)
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.extend(free_vars(rhs[x]) & set(rhs))
+    return seen
+
+
+def test_promote_proves_only_the_live_equations(monkeypatch):
+    # the Sum case leaves each summand's root equation behind, unreachable
+    e, f = parse("a.(b.0 + c.0)"), parse("a.(c.0 + b.0)")
+    extracted, quotiented, unique = [], [], []
+
+    extract = ses._extract_into
+
+    def spy_extract(b, g, avoid):
+        ex, root = extract(b, g, avoid)
+        extracted.append((ex, root))
+        return ex, root
+
+    class SpyQuotient(ses._Quotient):
+        def __init__(self, s, b=None):
+            quotiented.append(s)
+            super().__init__(s, b)
+
+    prove_unique = ses._prove_unique
+
+    def spy_unique(b, order, rhs, *rest):
+        target, closed = rest[-1], []
+        axiom = b.axiom
+
+        def spy_axiom(name, meta, extra=(), premise=None):
+            if name == "R2":
+                closed.append(dict(extra)["X"])
+            return axiom(name, meta, extra, premise)
+
+        b.axiom = spy_axiom
+        out = prove_unique(b, order, rhs, *rest)
+        del b.axiom
+        unique.append((target, _reach(rhs, (target,)), set(closed), set(order)))
+        return out
+
+    monkeypatch.setattr(ses, "_extract_into", spy_extract)
+    monkeypatch.setattr(ses, "_Quotient", SpyQuotient)
+    monkeypatch.setattr(ses, "_prove_unique", spy_unique)
+    d = promote(e, f)
+
+    (ex1, r1), (ex2, r2) = extracted
+    rhs = {**ex1.rhs, **ex2.rhs}
+    live = _reach(rhs, (r1, r2))
+    assert live < set(rhs)  # the extraction did leave dead equations
+    (s,) = quotiented
+    assert s.formals == tuple(x for x in ex1.order + ex2.order if x in live)
+    assert [target for target, *_ in unique] == [r1, r2]
+    for target, cone, closed, given in unique:
+        assert given == live
+        assert target in closed and closed <= cone < live
+    again = parse_derivation(format_derivation(d))
+    assert check(again) is None
+    assert again.conclusion == (Prefix(TAU, e), Prefix(TAU, f))
 
 
 def test_promote_requires_guarded():
