@@ -15,7 +15,8 @@ from .semantics import (
     format_aut,
 )
 from .equiv import RootedCheck, bisimilarity, equivalent, rooted_check
-from .proof import CertificateError, check, format_derivation, parse_derivation
+from .proof import (
+    CertificateError, ProofError, check, format_derivation, parse_derivation)
 from .standardize import standardize
 from .ses import prove_congruent
 
@@ -28,8 +29,10 @@ def _read_expr(path: str):
 
 
 # Every command ends with exit 2 and one line on these: a wide sum or a
-# deep nesting can exhaust the interpreter's recursion limit.
-_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError)
+# deep nesting can exhaust the interpreter's recursion limit, and a
+# prover failure must not read as exit 1, "not congruent".
+_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError,
+           ProofError)
 
 
 def _fail(exc: Exception):
@@ -175,7 +178,8 @@ def minimize_cmd(budget, file):
     """Quotient under the divergence-preserving relation, in AUT format.
 
     States are equivalence classes; silent self-loops mark classes with
-    an internal divergence; silent moves inside one class are dropped.
+    an internal divergence; silent moves inside one class are dropped;
+    each class exposes the variables its members expose.
     """
     try:
         e = _read_expr(file)
@@ -188,12 +192,13 @@ def minimize_cmd(budget, file):
         cs, cd = part.class_of[src], part.class_of[dst]
         if not act.is_tau or cs != cd:
             moves.add((cs, act, cd))
-    moves = sorted(moves, key=lambda t: (t[0], t[1].key(), t[2]))
-    root = part.class_of[lts.root]
-    lines = [f"des ({root}, {len(moves)}, {part.n_classes})"]
-    for src, act, dst in moves:
-        lines.append(f'({src},"{act.name}",{dst})')
-    click.echo("\n".join(lines))
+    exposure = [frozenset()] * part.n_classes
+    for s, c in enumerate(part.class_of):
+        exposure[c] |= lts.exposure[s]
+    moves = tuple(sorted(moves, key=lambda t: (t[0], t[1].key(), t[2])))
+    quotient = Lts(tuple(range(part.n_classes)), moves, tuple(exposure),
+                   part.class_of[lts.root])
+    click.echo(format_aut(quotient), nl=False)
     sys.exit(0)
 
 

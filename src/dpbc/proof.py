@@ -37,7 +37,7 @@ from .syntax import (
     summand_key,
 )
 from .semantics import step as sos_step
-from .semantics import exposes, tau_exposes
+from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes, tau_exposes
 
 # metavariables (expressions) and extras (binders / actions) per schema;
 # its keys are the axiom ids
@@ -462,6 +462,12 @@ class Builder:
             return self.refl(lhs)
         return self._emit(lhs, rhs, Cong(pos, inner, context))
 
+    def sum_cong(self, i: int, j: int) -> int:
+        """l + r = l' + r' from step i proving l = l' and step j proving
+        r = r'."""
+        return self.trans(self.cong("suml", i, self.steps[j].lhs),
+                          self.cong("sumr", j, self.steps[i].rhs))
+
     def rewrite_at(self, host: Expr, path, inner: int) -> int:
         """Lift a step to a rewrite of the subterm of `host` at `path`;
         the result proves host = host-with-subterm-replaced."""
@@ -613,9 +619,8 @@ def prove_alpha(b: Builder, lhs: Expr, rhs: Expr) -> int:
     if isinstance(lhs, Prefix) and isinstance(rhs, Prefix) and lhs.act == rhs.act:
         return b.cong("prefix", prove_alpha(b, lhs.body, rhs.body), lhs.act)
     if isinstance(lhs, Sum) and isinstance(rhs, Sum):
-        d1 = b.cong("suml", prove_alpha(b, lhs.left, rhs.left), lhs.right)
-        d2 = b.cong("sumr", prove_alpha(b, lhs.right, rhs.right), rhs.left)
-        return b.trans(d1, d2)
+        return b.sum_cong(prove_alpha(b, lhs.left, rhs.left),
+                          prove_alpha(b, lhs.right, rhs.right))
     if isinstance(lhs, Rec) and isinstance(rhs, Rec):
         if lhs.binder == rhs.binder:
             return b.cong("recbody", prove_alpha(b, lhs.body, rhs.body), lhs.binder)
@@ -646,11 +651,26 @@ def _app(b: Builder, total: int, path, inner: int) -> int:
     return b.trans(total, b.rewrite_at(b.rhs_after(total), path, inner))
 
 
+def _rec_cong(b: Builder, context: Rec, sigmas: tuple, lift) -> int:
+    """context{sigmas[0]} = context{sigmas[1]} from `lift(body, s0, s1)`,
+    which proves body{s0} = body{s1} for the sigmas without the binder.
+    A binder that would capture a free name of a substituted value is
+    first renamed to a name fresh for the body, the sigmas and the values."""
+    y = context.binder
+    s0, s1 = ({k: v for k, v in s.items() if k != y} for s in sigmas)
+    free = frozenset().union(*map(free_vars, [*s0.values(), *s1.values()]))
+    if y not in free:
+        return b.cong("recbody", lift(context.body, s0, s1), y)
+    z = fresh_name(all_vars(context.body) | free | set(s0) | set(s1) | {y})
+    mid = b.cong("recbody", lift(substitute(context.body, {y: Var(z)}), s0, s1), z)
+    return _align_both(
+        b, mid, substitute(context, sigmas[0]), substitute(context, sigmas[1]))
+
+
 @_derived
 def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
     """Lift a proven equation into every free occurrence of `hole` in
     `context`: proves context{lhs/hole} = context{rhs/hole}."""
-    lhs, rhs = b.endpoints(inner)
     if hole not in free_vars(context):
         return b.refl(context)
     if isinstance(context, Var):
@@ -659,22 +679,11 @@ def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
         return b.cong(
             "prefix", prove_subst_cong(b, context.body, hole, inner), context.act)
     if isinstance(context, Sum):
-        la = substitute(context.left, {hole: lhs})
-        ra = substitute(context.right, {hole: lhs})
-        lb = substitute(context.left, {hole: rhs})
-        d1 = b.cong("suml", prove_subst_cong(b, context.left, hole, inner), ra)
-        d2 = b.cong("sumr", prove_subst_cong(b, context.right, hole, inner), lb)
-        return b.trans(d1, d2)
-    # recursion with a free occurrence of the hole below
-    y = context.binder
-    if y not in free_vars(lhs) and y not in free_vars(rhs):
-        return b.cong(
-            "recbody", prove_subst_cong(b, context.body, hole, inner), y)
-    z = fresh_name(all_vars(context.body) | free_vars(lhs) | free_vars(rhs) | {hole, y})
-    body_z = substitute(context.body, {y: Var(z)})
-    mid = b.cong("recbody", prove_subst_cong(b, body_z, hole, inner), z)
-    return _align_both(
-        b, mid, substitute(context, {hole: lhs}), substitute(context, {hole: rhs}))
+        return b.sum_cong(prove_subst_cong(b, context.left, hole, inner),
+                          prove_subst_cong(b, context.right, hole, inner))
+    lhs, rhs = b.endpoints(inner)
+    return _rec_cong(b, context, ({hole: lhs}, {hole: rhs}),
+                    lambda body, *_: prove_subst_cong(b, body, hole, inner))
 
 
 # --- substitution through derivations --------------------------------------------
@@ -804,8 +813,11 @@ def derive_T1(a: Action, e: Expr) -> Derivation:
     return b.finalize(_t1(b, a, e))
 
 
-class _Blocked(Exception):
+class _Blocked(MoveNotPresent):
     """Internal: the current search path revisited a goal."""
+
+    def __init__(self):
+        super().__init__("the summand search revisited its own goal")
 
 
 def _has_leaf(e: Expr, leaf: Expr) -> bool:
@@ -880,21 +892,13 @@ def derive_summand_absorption(e: Expr, move) -> Derivation:
 def _tau_path_to_exposure(e: Expr, x: str):
     """Shortest silent path from e to an expression exposing x,
     deterministic by derivative order."""
-    if x in exposes(e):
-        return [e]
-    seen = {e}
-    queue = [[e]]
-    qi = 0
-    while qi < len(queue):
-        path = queue[qi]
-        qi += 1
-        for a, nxt in sos_step(path[-1]):
-            if not a.is_tau or nxt in seen:
-                continue
-            if x in exposes(nxt):
-                return path + [nxt]
-            seen.add(nxt)
-            queue.append(path + [nxt])
+    parent = {}
+    for cur in _tau_reachable(e, DEFAULT_BUDGET, parent):
+        if x in exposes(cur):
+            path = [cur]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path[::-1]
     return None
 
 

@@ -47,21 +47,24 @@ def exposes(e: Expr) -> frozenset:
     return frozenset()
 
 
-def _tau_reachable(e: Expr, budget: int):
-    """The expressions reachable from e by silent steps, e first; each is
-    yielded before its successors are explored, so a caller that stops
-    early searches no further."""
-    seen = {e}
-    frontier = [e]
-    while frontier:
-        cur = frontier.pop()
+def _tau_reachable(e: Expr, budget: int, parent: Optional[dict] = None):
+    """The expressions reachable from e by silent steps, breadth first in
+    derivative order, e first; each is yielded before its successors are
+    explored, so a caller that stops early searches no further.  `parent`,
+    when given, maps each one to the expression it was first reached from
+    (e to None), which links it to e by a shortest silent path."""
+    if parent is None:
+        parent = {}
+    parent[e] = None
+    queue = [e]
+    for cur in queue:  # the loop also visits what it appends
         yield cur
         for act, nxt in step(cur):
-            if act.is_tau and nxt not in seen:
-                if len(seen) >= budget:
+            if act.is_tau and nxt not in parent:
+                if len(parent) >= budget:
                     raise BudgetExceeded(f"state budget {budget} exceeded")
-                seen.add(nxt)
-                frontier.append(nxt)
+                parent[nxt] = cur
+                queue.append(nxt)
 
 
 def tau_exposed(e: Expr, budget: int = DEFAULT_BUDGET) -> frozenset:

@@ -44,16 +44,17 @@ from .proof import (
     ProofError,
     align,
     prove_alpha,
-    prove_canon,
     prove_subst_cong,
     prove_sum_eq,
     subst_step,
     _app,
     _t1,
     _absorb_summand,
+    _rec_cong,
 )
 from .standardize import (
-    NotGuarded, _d1, _d2, _d5, _d6, _standardize, prove_loop_canonical)
+    NotGuarded, _absorb_along, _d1, _d2, _d5, _d6, _meet_loops, _standardize,
+    prove_loop_canonical)
 
 
 class NotEquivalent(ProofError):
@@ -165,20 +166,6 @@ class DerivativePair:
 # --- extraction -----------------------------------------------------------------
 
 
-def _meet_loops(b: Builder, lp: Expr, target: Expr, before: Optional[int] = None) -> int:
-    """lp = target for two constructor-shaped loops whose bodies agree up
-    to S1-S4 and renaming: both bodies are brought to their canonical sum
-    and the loops then meet up to renaming.  With `before`, a chain that
-    ends at lp, the result extends that chain."""
-    _, dl = prove_canon(b, lp.body.right)
-    _, dt = prove_canon(b, target.body.right)
-    step = b.rewrite_at(lp, ["rec", "sumr"], dl)
-    back = b.rewrite_at(target, ["rec", "sumr"], dt)
-    if before is not None:
-        step = b.trans(before, step)
-    return b.trans(align(b, step, b.rhs_after(back)), b.symm(back))
-
-
 class _Extraction:
     def __init__(self, e: Expr):
         self.b = Builder()
@@ -216,7 +203,7 @@ class _Extraction:
         if cur == target:
             return idx
         if isinstance(cur, Rec) and isinstance(target, Rec):
-            return _meet_loops(b, cur, target, idx)
+            return b.trans(idx, _meet_loops(b, cur, target))
         try:
             return b.trans(idx, prove_sum_eq(b, cur, target))
         except ProofError:
@@ -260,9 +247,7 @@ class _Extraction:
             (t1, eq1), (t2, eq2) = parts
             rhs = canon_sum(Sum(t1, t2))
             sol = Sum(self.sols[r1], self.sols[r2])
-            i1 = b.cong("suml", eq1, self.sols[r2])
-            i2 = b.cong("sumr", eq2, b.rhs_after(eq1))
-            der = self._bridge(b.trans(i1, i2), self.fill(rhs))
+            der = self._bridge(b.sum_cong(eq1, eq2), self.fill(rhs))
             return self.add(rhs, sol, der)
         if isinstance(e, Rec) and is_loop(e):
             _, dcanon = prove_loop_canonical(b, e)
@@ -494,14 +479,6 @@ def _fresh_many(avoid, n, prefix="_q"):
     return out
 
 
-def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
-    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
-    proves (by default a sum rearrangement: extra's summands are in Y)."""
-    mid = b.rhs_after(d)
-    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
-    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
-
-
 class _Quotient:
     """Carrier for the quotient computation on one system."""
 
@@ -682,19 +659,11 @@ def _pad_tau(b: Builder, template: Expr, sigma1: dict, sigma2: dict) -> int:
         return b.cong(
             "prefix", _pad_tau(b, template.body, sigma1, sigma2), template.act)
     if isinstance(template, Sum):
-        la = substitute(template.left, sigma1)
-        lb = substitute(template.left, sigma2)
-        ra = substitute(template.right, sigma1)
-        i1 = b.cong("suml", _pad_tau(b, template.left, sigma1, sigma2), ra)
-        i2 = b.cong("sumr", _pad_tau(b, template.right, sigma1, sigma2), lb)
-        return b.trans(i1, i2)
+        return b.sum_cong(_pad_tau(b, template.left, sigma1, sigma2),
+                          _pad_tau(b, template.right, sigma1, sigma2))
     if isinstance(template, Rec):
-        s1 = {k: v for k, v in sigma1.items() if k != template.binder}
-        s2 = {k: v for k, v in sigma2.items() if k != template.binder}
-        if any(template.binder in free_vars(v) for v in s1.values()):
-            raise ProofError("binder captured while padding silent steps")
-        return b.cong(
-            "recbody", _pad_tau(b, template.body, s1, s2), template.binder)
+        return _rec_cong(b, template, (sigma1, sigma2),
+                         lambda body, s1, s2: _pad_tau(b, body, s1, s2))
     raise ProofError("template contains a formal variable in a bare position")
 
 
@@ -891,7 +860,6 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
         total = b.trans(
             total, prove_sum_eq(b, Sum(cur, f), Sum(rest, Sum(f, last))))
         total = _app(b, total, ["sumr"], absorb)
-        total = b.trans(total, b.cong("suml", b.refl(rest), f))
         cur = rest
 
 

@@ -67,14 +67,28 @@ def _d1(b: Builder, lp: Expr) -> int:
     return b.axiom("R1", {"E": Sum(Prefix(TAU, Var(z)), body)}, {"X": z})
 
 
+def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
+    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
+    proves (by default a sum rearrangement: extra's summands are in Y)."""
+    mid = b.rhs_after(d)
+    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
+    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
+
+
+def _meet_loops(b: Builder, lp: Expr, target: Expr) -> int:
+    """lp = target for two constructor-shaped loops whose bodies agree up
+    to S1-S4 and renaming: both bodies are brought to their canonical sum
+    and the loops then meet up to renaming."""
+    _, dl = prove_canon(b, lp.body.right)
+    _, dt = prove_canon(b, target.body.right)
+    step = b.rewrite_at(lp, ["rec", "sumr"], dl)
+    back = b.rewrite_at(target, ["rec", "sumr"], dt)
+    return b.trans(align(b, step, b.rhs_after(back)), b.symm(back))
+
+
 def _d2(b: Builder, lp: Expr) -> int:
     """lp = lp + body, for any constructor-shaped loop."""
-    body = lp.body.right
-    d1 = _d1(b, lp)
-    unfolded = b.rhs_after(d1)  # tau.lp + body
-    dup = prove_sum_eq(b, unfolded, Sum(unfolded, body))
-    back = b.cong("suml", b.symm(d1), body)
-    return b.chain(d1, dup, back)
+    return _absorb_along(b, _d1(b, lp), lp.body.right)
 
 
 def _d3(b: Builder, x: str, e: Expr, f: Expr, avoid=()) -> int:
@@ -138,20 +152,26 @@ def _d4(b: Builder, x: str, e: Expr, f: Expr, g: Expr, avoid=()) -> int:
     total = b.refl(Rec(x, Sum(Sum(te, tf), g)))
     ff = Sum(tf, g)
     total = _app(b, total, ["rec"], prove_sum_eq(b, Sum(Sum(te, tf), g), Sum(te, ff)))
-    total = b.trans(total, _d3(b, x, e, ff, avoid))
-    p1 = loop(Sum(e, ff))
-    # collapse the loop: its body reaches x unguarded through the tail
-    total = b.trans(
-        total,
-        b.axiom("R5", {"E": Sum(e, ff), "F": ff}, {"X": x, "Y": p1.binder}))
-    total = _app(b, total, ["rec", "suml", "prefix"],
-                 b.axiom("R1", {"E": Sum(e, ff)}, {"X": p1.binder}))
-    # expose the silent summand for R4
-    total = _app(b, total, ["rec", "suml", "prefix"],
-                 prove_sum_eq(b, Sum(e, ff), Sum(tf, Sum(e, g))))
-    total = b.trans(
-        total,
-        b.axiom("R4", {"E": Sum(Var(x), f), "F": Sum(e, g), "G": ff}, {"X": x}))
+
+    def collapse(total: int, h: Expr, t: Expr) -> int:
+        """From rec x.(tau.(x+h) + (tau.t+g)) on: loop the first silent
+        summand, collapse the loop (its body reaches x unguarded through
+        the tail) and absorb tau.t into it with R4, ending at
+        rec x.(tau.(t+(h+g)) + (tau.t+g))."""
+        tail = Sum(Prefix(TAU, t), g)
+        total = b.trans(total, _d3(b, x, h, tail, avoid))
+        lp = loop(Sum(h, tail))
+        total = b.trans(
+            total,
+            b.axiom("R5", {"E": Sum(h, tail), "F": tail}, {"X": x, "Y": lp.binder}))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     b.axiom("R1", {"E": Sum(h, tail)}, {"X": lp.binder}))
+        total = _app(b, total, ["rec", "suml", "prefix"],
+                     prove_sum_eq(b, Sum(h, tail), Sum(Prefix(TAU, t), Sum(h, g))))
+        return b.trans(
+            total, b.axiom("R4", {"E": t, "F": Sum(h, g), "G": tail}, {"X": x}))
+
+    total = collapse(total, e, Sum(Var(x), f))
     w = Sum(Var(x), Sum(Sum(e, f), g))
     total = _app(b, total, ["rec", "suml", "prefix"],
                  prove_sum_eq(b, Sum(Sum(Var(x), f), Sum(e, g)), w))
@@ -159,16 +179,7 @@ def _d4(b: Builder, x: str, e: Expr, f: Expr, g: Expr, avoid=()) -> int:
     tw = Prefix(TAU, w)
     gg = Sum(tw, g)
     total = _app(b, total, ["rec"], prove_sum_eq(b, Sum(tw, ff), Sum(tf, gg)))
-    total = b.trans(total, _d3(b, x, f, gg, avoid))
-    p2 = loop(Sum(f, gg))
-    total = b.trans(
-        total, b.axiom("R5", {"E": Sum(f, gg), "F": gg}, {"X": x, "Y": p2.binder}))
-    total = _app(b, total, ["rec", "suml", "prefix"],
-                 b.axiom("R1", {"E": Sum(f, gg)}, {"X": p2.binder}))
-    total = _app(b, total, ["rec", "suml", "prefix"],
-                 prove_sum_eq(b, Sum(f, gg), Sum(tw, Sum(f, g))))
-    total = b.trans(
-        total, b.axiom("R4", {"E": w, "F": Sum(f, g), "G": gg}, {"X": x}))
+    total = collapse(total, f, w)
     # drop the duplicated summands inside, then the duplicated silent step
     total = _app(b, total, ["rec", "suml", "prefix"],
                  prove_sum_eq(b, Sum(w, Sum(f, g)), w))
@@ -177,14 +188,9 @@ def _d4(b: Builder, x: str, e: Expr, f: Expr, g: Expr, avoid=()) -> int:
     # side at the canonical loop argument
     a_ = Sum(Sum(e, f), g)
     total = b.trans(total, _d3(b, x, a_, g, avoid))
-    _, darg = prove_canon(b, Sum(a_, g))
-    total = _app(b, total, ["rec", "suml", "prefix", "rec", "sumr"], darg)
-    other = b.refl(Rec(x, Sum(Prefix(TAU, Sum(Var(x), Sum(e, f))), g)))
-    other = b.trans(other, _d3(b, x, Sum(e, f), g, avoid))
-    _, darg2 = prove_canon(b, Sum(Sum(e, f), g))
-    other = _app(b, other, ["rec", "suml", "prefix", "rec", "sumr"], darg2)
-    if b.rhs_after(other) != b.rhs_after(total):
-        raise ProofError("loop arguments failed to meet")
+    other = _d3(b, x, Sum(e, f), g, avoid)
+    total = _app(b, total, ["rec", "suml", "prefix"],
+                 _meet_loops(b, loop(Sum(a_, g)), loop(a_)))
     total = b.trans(total, b.symm(other))
     # final shape: left-nested inner sum
     total = _app(b, total, ["rec", "suml", "prefix"],
@@ -206,15 +212,13 @@ def _d5(b: Builder, e: Expr, f: Expr, avoid=()) -> int:
     # fold the loop back into recursion form
     total = _app(b, total, ["rec", "sumr"], b.symm(_d3(b, y0, e, f, sub_avoid)))
     # duplicate the silent summand, padding with an empty operand
-    ty0 = Prefix(TAU, Sum(Var(y0), NIL))
     te = Prefix(TAU, Sum(Var(y0), e))
     m1 = Rec(y0, Sum(te, f))
     inner = b.rewrite_at(
         m1, ["rec", "suml", "prefix"],
         prove_sum_eq(b, Sum(Var(y0), e), Sum(Sum(Var(y0), NIL), e)))
     inner = b.trans(inner, b.symm(_d4(b, y0, NIL, e, f, sub_avoid)))
-    s4 = b.axiom("S4", {"E": Var(y0)})
-    inner = _app(b, inner, ["rec", "suml", "suml", "prefix"], s4)
+    inner = _app(b, inner, ["rec", "suml", "suml", "prefix"], b.axiom("S4", {"E": Var(y0)}))
     inner = _app(b, inner, ["rec"],
                  prove_sum_eq(b, Sum(Sum(Prefix(TAU, Var(y0)), te), f),
                               Sum(Prefix(TAU, Var(y0)), Sum(te, f))))
@@ -223,17 +227,7 @@ def _d5(b: Builder, e: Expr, f: Expr, avoid=()) -> int:
     total = b.trans(
         total, b.axiom("R7", {"E": Sum(te, f)}, {"X": x0, "Y": y0}))
     # undo the duplication inside the remaining recursion
-    undo = b.cong(
-        "recbody",
-        prove_sum_eq(b, Sum(Prefix(TAU, Var(y0)), Sum(te, f)),
-                     Sum(Sum(Prefix(TAU, Var(y0)), te), f)),
-        y0)
-    undo = _app(b, undo, ["rec", "suml", "suml", "prefix"], b.symm(s4))
-    undo = b.trans(undo, _d4(b, y0, NIL, e, f, sub_avoid))
-    undo = _app(b, undo, ["rec", "suml", "prefix"],
-                prove_sum_eq(b, Sum(Sum(Var(y0), NIL), e), Sum(Var(y0), e)))
-    undo = b.trans(undo, _d3(b, y0, e, f, sub_avoid))
-    total = _app(b, total, ["rec"], undo)
+    total = _app(b, total, ["rec"], b.trans(b.symm(inner), _d3(b, y0, e, f, sub_avoid)))
     # discard both vacuous recursions
     total = b.trans(total, b.axiom("R1", {"E": Rec(y0, a)}, {"X": x0}))
     total = b.trans(total, b.axiom("R1", {"E": a}, {"X": y0}))
@@ -292,9 +286,7 @@ def _fully_expose(b: Builder, x: str, e: Expr):
     if isinstance(e, Sum):
         l2, dl = _fully_expose(b, x, e.left)
         r2, dr = _fully_expose(b, x, e.right)
-        i1 = b.cong("suml", dl, e.right)
-        i2 = b.cong("sumr", dr, l2)
-        return Sum(l2, r2), b.trans(i1, i2)
+        return Sum(l2, r2), b.sum_cong(dl, dr)
     if isinstance(e, Rec):
         if is_loop(e):
             cl, d0 = prove_loop_canonical(b, e)
@@ -428,11 +420,8 @@ def _standardize(b: Builder, e: Expr):
     if isinstance(e, Sum):
         sl, dl = _standardize(b, e.left)
         sr, dr = _standardize(b, e.right)
-        i1 = b.cong("suml", dl, e.right)
-        i2 = b.cong("sumr", dr, sl)
-        combined = Sum(sl, sr)
-        out, d3 = prove_canon(b, combined)
-        return out, b.chain(i1, i2, d3)
+        out, d3 = prove_canon(b, Sum(sl, sr))
+        return out, b.trans(b.sum_cong(dl, dr), d3)
     # recursion
     y = e.binder
     sf, df = _standardize(b, e.body)

@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 import dpbc
 
 from dpbc.cli import main
 from dpbc.syntax import parse
-from dpbc.proof import parse_derivation, check
+from dpbc.proof import ProofError, _Blocked, parse_derivation, check
 
 
 def _write(tmp_path, name, text):
@@ -213,6 +214,13 @@ def test_minimize(tmp_path):
         '(1,"tau",1)',
         '(1,"b",2)',
     ]
+    # a class exposes what its members expose, so X + a.0 and a.0 differ
+    x = _write(tmp_path, "x.proc", "X + a.0")
+    assert runner.invoke(main, ["minimize", x]).output.splitlines() == [
+        "des (0, 1, 2)",
+        '(0,"a",1)',
+        'exp (0, "X")',
+    ]
 
 
 def test_parse_error_exit_code(tmp_path):
@@ -222,6 +230,21 @@ def test_parse_error_exit_code(tmp_path):
     res = runner.invoke(main, ["check", p, q])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("exc", [ProofError("stuck"), _Blocked()])
+def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
+    # exit 1 means "not congruent"; a prover that fails has decided nothing
+    p = _write(tmp_path, "p.proc", "a.0")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("dpbc.cli.prove_congruent", fail)
+    res = CliRunner().invoke(main, ["prove", p, p])
+    assert res.exit_code == 2, res.exception
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_check_rejects_term_reference_in_expression(tmp_path):

@@ -3,7 +3,10 @@ fresh-name namespaces and for shadowed binders."""
 
 import random
 
+import pytest
+
 from dpbc.syntax import (
+    NIL,
     Prefix,
     Rec,
     Sum,
@@ -14,7 +17,7 @@ from dpbc.syntax import (
     parse,
     pretty,
 )
-from dpbc.proof import check
+from dpbc.proof import ProofError, check, format_derivation, parse_derivation
 from dpbc.standardize import standardize
 from dpbc.ses import extract_ses, promote, prove_congruent, solve_system
 from dpbc.equiv import RootedCheck, rooted_check
@@ -84,3 +87,31 @@ def test_randomized_hostile_names():
         result = prove_congruent(e, f)
         if not isinstance(result, RootedCheck):
             assert check(result) is None, (pretty(e), pretty(f))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("tau* c._g0", "tau* c._g0 + 0"),
+    ("a.tau* c._g0", "a.tau.tau* c._g0"),
+])
+def test_silent_padding_renames_a_capturing_binder(left, right):
+    # an equation's loop binder `_g0` would capture the free `_g0` of the
+    # solution padded in under it, so the padding renames the binder
+    e, f = parse(left), parse(right)
+    d = parse_derivation(format_derivation(prove_congruent(e, f)))
+    assert check(d) is None
+    assert d.conclusion == (e, f)
+
+
+@pytest.mark.xfail(strict=True, raises=ProofError, reason=(
+    "semantics.step substitutes into a recursion's derivatives while "
+    "_absorb_summand unfolds first; renaming a shadowed binder, the two "
+    "pick different fresh names"))
+@pytest.mark.parametrize("text", [
+    "rec W. rec X. c.((rec W. b.X) + W)",
+    "rec W. rec X. c.(rec W. tau* X) + W",
+])
+def test_shadowed_binder_renamed_apart_while_absorbing(text):
+    e = parse(text)
+    assert rooted_check(e, Sum(e, NIL)).equal
+    d = prove_congruent(e, Sum(e, NIL))
+    assert check(d) is None
