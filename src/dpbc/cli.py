@@ -15,8 +15,7 @@ from .semantics import (
     format_aut,
 )
 from .equiv import RootedCheck, bisimilarity, equivalent, rooted_check
-from .proof import (
-    CertificateError, ProofError, check, format_derivation, parse_derivation)
+from .proof import CertificateError, ProofError, check, format_derivation, parse_derivation
 from .standardize import standardize
 from .ses import prove_congruent
 
@@ -31,8 +30,7 @@ def _read_expr(path: str):
 # Every command ends with exit 2 and one line on these: a wide sum or a
 # deep nesting can exhaust the interpreter's recursion limit, and a
 # prover failure must not read as exit 1, "not congruent".
-_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError,
-           ProofError)
+_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError, ProofError)
 
 
 def _fail(exc: Exception):
