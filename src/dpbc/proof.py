@@ -813,13 +813,6 @@ def derive_T1(a: Action, e: Expr) -> Derivation:
     return b.finalize(_t1(b, a, e))
 
 
-class _Blocked(MoveNotPresent):
-    """Internal: the current search path revisited a goal."""
-
-    def __init__(self):
-        super().__init__("the summand search revisited its own goal")
-
-
 def _has_leaf(e: Expr, leaf: Expr) -> bool:
     """Is `leaf` (a.target or a variable) a move or an exposure of e?"""
     if isinstance(leaf, Var):
@@ -833,58 +826,48 @@ def _not_present(e: Expr, leaf: Expr) -> MoveNotPresent:
     return MoveNotPresent(f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
 
 
-def _absorb_summand(b: Builder, e: Expr, leaf: Expr, _seen=None) -> int:
+def _absorb_summand(b: Builder, e: Expr, leaf: Expr) -> int:
     """e = e + leaf, for a move a.target or an exposed variable of e,
-    replaying a minimal derivation of that move or exposure.
+    replaying the rule of `semantics.step` (or `exposes`) that derives it.
 
-    Goals already on the search path are dead ends: a minimal transition
-    derivation never passes through its own conclusion.
+    A recursion's moves are its body's moves with the recursion
+    substituted in, so its absorption is the body's, lifted by the same
+    substitution; each call goes into a strict subterm.
     """
-    if _seen is None:
-        _seen = frozenset()
-    if e in _seen:
-        raise _Blocked
-    seen = _seen | {e}
     if e == leaf:
         return b.symm(b.axiom("S3", {"E": e}))
     if isinstance(e, Sum):
-        branches = [side for side in ("left", "right")
-                    if _has_leaf(getattr(e, side), leaf)]
-        for side in branches:
-            try:
-                if side == "left":
-                    ih = _absorb_summand(b, e.left, leaf, seen)
-                    i1 = b.cong("suml", ih, e.right)  # l+r = (l+leaf)+r
-                    i2 = b.symm(b.axiom("S2", {"E": e.left, "F": leaf, "G": e.right}))
-                    i3 = b.cong("sumr", b.axiom("S1", {"E": leaf, "F": e.right}), e.left)
-                    i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
-                    return b.chain(i1, i2, i3, i4)
-                ih = _absorb_summand(b, e.right, leaf, seen)
-                i1 = b.cong("sumr", ih, e.left)  # l+r = l+(r+leaf)
-                i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
-                return b.chain(i1, i2)
-            except _Blocked:
-                continue
-        if branches:
-            raise _Blocked
-        raise _not_present(e, leaf)
+        if _has_leaf(e.left, leaf):
+            ih = _absorb_summand(b, e.left, leaf)
+            i1 = b.cong("suml", ih, e.right)  # l+r = (l+leaf)+r
+            i2 = b.symm(b.axiom("S2", {"E": e.left, "F": leaf, "G": e.right}))
+            i3 = b.cong("sumr", b.axiom("S1", {"E": leaf, "F": e.right}), e.left)
+            i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
+            return b.chain(i1, i2, i3, i4)
+        if _has_leaf(e.right, leaf):
+            ih = _absorb_summand(b, e.right, leaf)
+            i1 = b.cong("sumr", ih, e.left)  # l+r = l+(r+leaf)
+            i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
+            return b.chain(i1, i2)
     if isinstance(e, Rec):
-        if not _has_leaf(e, leaf):
-            raise _not_present(e, leaf)
-        unfolded = substitute(e.body, {e.binder: e})
-        r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})  # e = unfolded
-        ih = _absorb_summand(b, unfolded, leaf, seen)
-        i1 = b.trans(r1, ih)  # e = unfolded + leaf
-        i2 = b.cong("suml", b.symm(r1), leaf)
-        return b.trans(i1, i2)
+        sigma = {e.binder: e}
+        if isinstance(leaf, Var):
+            inner = leaf if leaf.name in exposes(e) else None
+        else:  # the body's move that step substitutes into leaf
+            inner = next((Prefix(a, d) for a, d in sos_step(e.body)
+                          if a == leaf.act and substitute(d, sigma) is leaf.body), None)
+        if inner is not None:
+            r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})  # e = unfolded
+            ih = subst_step(b, _absorb_summand(b, e.body, inner), sigma)
+            i1 = b.trans(r1, ih)  # e = unfolded + leaf
+            i2 = b.cong("suml", b.symm(r1), leaf)
+            return b.trans(i1, i2)
     raise _not_present(e, leaf)
 
 
 def derive_summand_absorption(e: Expr, move) -> Derivation:
     """e = e + a.e' for a move of e, or e = e + X for an exposed variable."""
     leaf = Var(move) if isinstance(move, str) else Prefix(*move)
-    if not _has_leaf(e, leaf):
-        raise _not_present(e, leaf)
     b = Builder()
     return b.finalize(_absorb_summand(b, e, leaf))
 

@@ -759,13 +759,10 @@ def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
     order = _live(ex1.order + ex2.order, rhs, (r1, r2))
     rhs = {x: rhs[x] for x in order}
     sols = {**ex1.sols, **ex2.sols}
-    merged = SesSystem.from_equations(order, rhs)
-    part = formal_classes(merged)
-    cls = _class_of(merged, part)
-    if cls[r1] != cls[r2]:
+    q = _Quotient(SesSystem.from_equations(order, rhs), b)
+    if q.cls[r1] != q.cls[r2]:
         raise NotEquivalent(rooted_check(Prefix(TAU, e), Prefix(TAU, f), budget))
     ders = {**ex1.ders, **ex2.ders}
-    q = _Quotient(merged, b)
     common = q.common_solutions()
     # the silent-prefixed inputs solve the silent-prefixed system
     taus = {x: Prefix(TAU, sols[x]) for x in order}

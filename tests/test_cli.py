@@ -10,7 +10,7 @@ import dpbc
 
 from dpbc.cli import main
 from dpbc.syntax import parse
-from dpbc.proof import ProofError, _Blocked, parse_derivation, check
+from dpbc.proof import MoveNotPresent, ProofError, parse_derivation, check
 
 
 def _write(tmp_path, name, text):
@@ -232,7 +232,7 @@ def test_parse_error_exit_code(tmp_path):
     assert res.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("exc", [ProofError("stuck"), _Blocked()])
+@pytest.mark.parametrize("exc", [ProofError("stuck"), MoveNotPresent("a.0 has no b move to 0")])
 def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
     # exit 1 means "not congruent"; a prover that fails has decided nothing
     p = _write(tmp_path, "p.proc", "a.0")

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, parse
+from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, parse, pretty
+from dpbc.semantics import exposes, step
 from dpbc.proof import (
     AxiomStep,
     Builder,
@@ -191,6 +192,20 @@ def test_summand_absorption_through_recursion():
     d = derive_summand_absorption(e, (Action("a"), parse("b.rec X. a.b.X")))
     assert check(d) is None
     assert rooted_check(*d.conclusion).equal
+
+
+def test_summand_absorption_is_total():
+    # every move of step(e) and every exposed variable is absorbed, also
+    # under a recursion that shadows a binder (random_expr draws binders
+    # from four names), closed and with the free names _g0 and W
+    rng = random.Random(4)
+    for i in range(3000):
+        e = random_expr(rng, rng.randint(1, 14), ["_g0", "W"] if i % 2 else [])
+        leaves = [(m, Prefix(*m)) for m in step(e)] + [(x, Var(x)) for x in exposes(e)]
+        for move, leaf in leaves:
+            d = derive_summand_absorption(e, move)
+            assert check(d) is None, pretty(e)
+            assert d.conclusion == (e, Sum(e, leaf)), pretty(e)
 
 
 def test_d0_immediate_exposure():
