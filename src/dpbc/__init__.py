@@ -36,7 +36,6 @@ from .semantics import (
     exposes,
     format_aut,
     step,
-    tau_exposes,
 )
 from .equiv import (
     Partition,
@@ -77,7 +76,7 @@ __all__ = [
     "loop_body", "is_guarded_in", "is_guarded_expr", "is_fully_exposed",
     "as_standard_sum", "SumView",
     "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
-    "format_aut", "step", "tau_exposes",
+    "format_aut", "step",
     "Partition", "PairRelation", "RootedCheck", "bisimilarity",
     "brute_oracle", "equivalent", "rooted_check",
     "Derivation", "CheckFailure", "check", "derive_D0", "derive_T1",

@@ -37,7 +37,7 @@ from .syntax import (
     summand_key,
 )
 from .semantics import step as sos_step
-from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes, tau_exposes
+from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
 
 # metavariables (expressions) and extras (binders / actions) per schema;
 # its keys are the axiom ids
@@ -121,8 +121,8 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
     if axiom == "R3":
         return Rec(X, Sum(Var(X), E)), Rec(X, E)
     if axiom == "R4":
-        if not tau_exposes(X, E):
-            raise SideCondition("R4", f"{X} is not reachable unguarded from the summand")
+        if is_guarded_in(X, E):
+            raise SideCondition("R4", f"{X} is guarded in the summand")
         return (
             Rec(X, Sum(Prefix(TAU, Sum(Prefix(TAU, E), F)), G)),
             Rec(X, Sum(Prefix(TAU, Sum(E, F)), G)),
@@ -130,8 +130,8 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
     if axiom == "R5":
         if X == Y:
             raise SideCondition("R5", "binders must be distinct")
-        if not tau_exposes(X, E):
-            raise SideCondition("R5", f"{X} is not reachable unguarded from the summand")
+        if is_guarded_in(X, E):
+            raise SideCondition("R5", f"{X} is guarded in the summand")
         inner_l = Rec(Y, Sum(Prefix(TAU, Var(Y)), E))
         return (
             Rec(X, Sum(Prefix(TAU, inner_l), F)),

@@ -67,18 +67,6 @@ def _tau_reachable(e: Expr, budget: int, parent: Optional[dict] = None):
                 queue.append(nxt)
 
 
-def tau_exposed(e: Expr, budget: int = DEFAULT_BUDGET) -> frozenset:
-    """The variables exposed by some expression reachable from e by
-    silent steps."""
-    return frozenset().union(*map(exposes, _tau_reachable(e, budget)))
-
-
-def tau_exposes(x: str, e: Expr, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff some expression reachable from e by silent steps exposes x;
-    the search stops at the first such expression."""
-    return any(x in exposes(cur) for cur in _tau_reachable(e, budget))
-
-
 @dataclass(frozen=True)
 class Lts:
     """A finite labelled transition system with per-state exposure sets."""

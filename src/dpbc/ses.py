@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from .syntax import (
@@ -35,7 +36,7 @@ from .syntax import (
     substitute,
     view_expr,
 )
-from .semantics import DEFAULT_BUDGET, Lts, exposes, tau_exposed
+from .semantics import DEFAULT_BUDGET, Lts, exposes
 from .semantics import step as sos_step
 from .equiv import Partition, bisimilarity, equivalent, rooted_check, RootedCheck
 from .proof import (
@@ -80,8 +81,10 @@ class EqSystem:
 
     @cached_property
     def _successors(self) -> dict:
-        exposed = {x: tau_exposed(self.rhs[x]) for x in self.formals}
-        return {x: tuple(y for y in self.formals if y in exposed[x]) for x in self.formals}
+        rhs = self.rhs
+        return {x: tuple(sorted(y for y in free_vars(rhs[x])
+                                if y in rhs and not is_guarded_in(y, rhs[x])))
+                for x in self.formals}
 
     def unguarded_successors(self, x: str) -> tuple:
         """Formal variables occurring unguarded in the rhs of x."""
@@ -89,20 +92,11 @@ class EqSystem:
 
     def is_guarded(self) -> bool:
         """The unguarded-occurrence relation admits no cycle."""
-        color = {}
-
-        def visit(x):
-            color[x] = 1
-            for y in self.unguarded_successors(x):
-                c = color.get(y)
-                if c == 1:
-                    return False
-                if c is None and not visit(y):
-                    return False
-            color[x] = 2
-            return True
-
-        return all(visit(x) for x in self.formals if x not in color)
+        try:
+            TopologicalSorter(self._successors).prepare()
+        except CycleError:
+            return False
+        return True
 
 
 def _classify_rhs(system_formals, e: Expr):

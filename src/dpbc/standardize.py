@@ -29,7 +29,6 @@ from .syntax import (
     loop_body,
     pretty,
 )
-from .semantics import tau_exposes
 from .proof import (
     Builder,
     Derivation,
@@ -335,7 +334,7 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
         return e1, b.trans(total, d)
     if isinstance(e, Sum):
         el, er = e.left, e.right
-        if not tau_exposes(x, el):
+        if is_guarded_in(x, el):
             flip = prove_sum_eq(b, e, Sum(er, el))
             host = Rec(x, Sum(Prefix(TAU, e), f))
             total = b.rewrite_at(host, ["rec", "suml", "prefix"], flip)
@@ -394,8 +393,8 @@ def expose_to_summand(x: str, e: Expr, f: Expr):
     """(e1, derivation of rec x.(tau.e+f) = rec x.(tau.(x+e1)+f))."""
     if not is_guarded_expr(e):
         raise NotGuarded(f"{pretty(e)} is not a guarded expression")
-    if not tau_exposes(x, e):
-        raise SideCondition("expose_to_summand", f"{x} is not reachable unguarded in {pretty(e)}")
+    if is_guarded_in(x, e):
+        raise SideCondition("expose_to_summand", f"{x} is guarded in {pretty(e)}")
     if not is_fully_exposed(x, e):
         raise SideCondition("expose_to_summand", f"{x} is not fully exposed in {pretty(e)}")
     b = Builder()
@@ -462,7 +461,7 @@ def _standardize(b: Builder, e: Expr):
                      prove_sum_eq(b, cur_body, Sum(Prefix(TAU, h), remainder)))
         h2, d = _fully_expose(b, y, h)
         total = _app(b, total, ["rec", "suml", "prefix"], d)
-        if not tau_exposes(y, h2):
+        if is_guarded_in(y, h2):
             raise ProofError("exposed summand lost its unguarded occurrence")
         h3, d = _expose(b, y, h2, remainder)
         total = b.trans(total, d)

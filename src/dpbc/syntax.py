@@ -329,17 +329,27 @@ def loop_body(e: Expr) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def is_guarded_in(x: str, e: Expr) -> bool:
-    """True iff every free occurrence of x in e lies under a visible prefix."""
+def _unguarded(e: Expr) -> frozenset:
+    """The free variables of e with an occurrence under no visible prefix."""
     if isinstance(e, Var):
-        return e.name != x
+        return frozenset((e.name,))
     if isinstance(e, Prefix):
-        return True if not e.act.is_tau else is_guarded_in(x, e.body)
+        return _unguarded(e.body) if e.act.is_tau else frozenset()
     if isinstance(e, Sum):
-        return is_guarded_in(x, e.left) and is_guarded_in(x, e.right)
+        return _unguarded(e.left) | _unguarded(e.right)
     if isinstance(e, Rec):
-        return True if e.binder == x else is_guarded_in(x, e.body)
-    return True
+        return _unguarded(e.body) - {e.binder}
+    return frozenset()
+
+
+def is_guarded_in(x: str, e: Expr) -> bool:
+    """True iff every free occurrence of x in e lies under a visible prefix.
+
+    Equivalently, no expression that e reaches by silent steps exposes x:
+    the silent steps fire the silent prefixes above an unguarded
+    occurrence, and unfolding a recursion copies only occurrences that
+    are guarded in it."""
+    return x not in _unguarded(e)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dpbc.syntax import (
     is_guarded_expr,
     loop,
 )
-from dpbc.semantics import Lts
+from dpbc.semantics import DEFAULT_BUDGET, Lts, _tau_reachable, exposes
 
 ACTIONS = [TAU, Action("a"), Action("b"), Action("c")]
 VARS = ["X", "Y", "Z", "W"]
@@ -59,6 +59,12 @@ def random_guarded_expr(rng: random.Random, size: int, free_pool=VARS) -> Expr:
     e = _repair(random_expr(rng, size, free_pool))
     assert is_guarded_expr(e)
     return e
+
+
+def silently_exposes(x: str, e: Expr) -> bool:
+    """Reference for `not is_guarded_in(x, e)`: some expression that e
+    reaches by silent steps exposes x."""
+    return any(x in exposes(s) for s in _tau_reachable(e, DEFAULT_BUDGET))
 
 
 def random_lts(rng: random.Random, max_states: int = 6) -> Lts:

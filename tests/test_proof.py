@@ -580,6 +580,39 @@ def test_certificate_texts_are_pinned():
         assert check(parse_derivation(want)) is None
 
 
+def test_checker_runs_no_transition_function(monkeypatch):
+    # the side conditions of R2, R4 and R5 are syntactic: with every
+    # function of the operational semantics disabled, each pin still
+    # checks and an R4 or R5 step whose X is guarded in E still fails
+    from dpbc import proof, semantics
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the checker ran the operational semantics")
+
+    for module in (semantics, proof):
+        for name, value in list(vars(module).items()):
+            if (callable(value) and not isinstance(value, type)
+                    and getattr(value, "__module__", None) == semantics.__name__):
+                monkeypatch.setattr(module, name, disabled)
+    assert proof.sos_step is disabled and proof._tau_reachable is disabled
+    pinned = os.path.join(os.path.dirname(__file__), "pinned")
+    for name in sorted(os.listdir(pinned)):
+        with open(os.path.join(pinned, name), encoding="utf-8") as fh:
+            assert check(parse_derivation(fh.read())) is None, name
+    guarded = parse("a.X")
+    r4 = ProofStep(parse("rec X.(tau.(tau.a.X + b.0) + 0)"),
+                   parse("rec X.(tau.(a.X + b.0) + 0)"),
+                   AxiomStep("R4", (("E", guarded), ("F", parse("b.0")), ("G", NIL)),
+                             (("X", "X"),)))
+    r5 = ProofStep(parse("rec X.(tau.(rec Y.(tau.Y + a.X)) + 0)"),
+                   parse("rec X.(tau.(rec Y. a.X) + 0)"),
+                   AxiomStep("R5", (("E", guarded), ("F", NIL)), (("X", "X"), ("Y", "Y"))))
+    for st in (r4, r5):
+        failure = check(Derivation((st,)))
+        assert failure is not None
+        assert failure.reason == f"{st.just.axiom}: X is guarded in the summand"
+
+
 def test_builder_memo_repeats_no_work():
     # the same derived results asked for twice: same indices, and the
     # second round emits nothing, not even steps the builder already has

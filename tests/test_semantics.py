@@ -10,9 +10,8 @@ from dpbc.semantics import (
     exposes,
     format_aut,
     step,
-    tau_exposed,
-    tau_exposes,
     union_lts,
+    _tau_reachable,
 )
 
 from genexpr import random_expr
@@ -34,22 +33,14 @@ def test_exposes_examples():
     assert exposes(parse("rec Y.(X + a.Y)")) == {"X"}
 
 
-def test_tau_exposes_examples():
-    assert tau_exposes("X", parse("tau.X + a.0"))
-    assert not tau_exposes("X", parse("a.X"))
-    assert tau_exposes("X", parse("rec Y.(tau.Y + tau.X)"))
-
-
-def test_tau_exposes_stops_at_first_witness():
-    # X is exposed at the root; the silent closure behind it is larger
-    # than the budget, which only the full search reaches
+def test_tau_reachable_yields_e_before_its_successors():
+    # a caller that stops at e searches no further; the silent closure
+    # behind e is larger than the budget, which only the full search reaches
     e = parse("X + tau.tau.tau.Y")
-    assert tau_exposed(e) == {"X", "Y"}
-    assert tau_exposes("X", e, budget=1)
+    assert {x for s in _tau_reachable(e, 10) for x in exposes(s)} == {"X", "Y"}
+    assert next(_tau_reachable(e, 1)) is e
     with pytest.raises(BudgetExceeded):
-        tau_exposes("Y", e, budget=1)
-    with pytest.raises(BudgetExceeded):
-        tau_exposed(e, budget=1)
+        list(_tau_reachable(e, 1))
 
 
 def test_build_lts_examples():

@@ -116,6 +116,19 @@ def test_tau_transform():
     assert empty.formals == ()
 
 
+def test_eq_system_guardedness_needs_no_recursion():
+    # a 3,000-formal silent chain, open and then closed into a cycle
+    n = 3000
+    formals = tuple(f"X{i}" for i in range(n))
+    rhs = {x: Prefix(TAU, Var(y)) for x, y in zip(formals, formals[1:])}
+    rhs[formals[-1]] = NIL
+    assert EqSystem(formals, rhs).is_guarded()
+    rhs[formals[-1]] = Prefix(TAU, Var(formals[0]))
+    assert not EqSystem(formals, rhs).is_guarded()
+    assert not EqSystem(("X",), {"X": parse("tau.X")}).is_guarded()
+    assert EqSystem(("X",), {"X": parse("a.X")}).is_guarded()
+
+
 def test_ses_semantics_and_classes():
     s = SesSystem.from_equations(
         ("X", "Y"), {"X": parse("a.X"), "Y": parse("a.Y")})
@@ -418,6 +431,14 @@ def test_prove_congruent_examples():
     assert isinstance(r, RootedCheck) and not r.equal
     d2 = prove_congruent(parse("a.0"), parse("a.0"))
     assert len(d2) == 1 and check(d2) is None
+    # the axiom the paper drops: these differ only in divergence, so they
+    # are branching-equivalent but neither dpbb-equivalent nor congruent
+    diverging, silent = parse("a.rec X.(tau.X + b.0)"), parse("a.tau.b.0")
+    assert equivalent(diverging, silent, "branching")
+    assert not equivalent(diverging, silent, "dpbb")
+    for left, right in ((diverging, silent), (silent, diverging)):
+        r = prove_congruent(left, right)
+        assert isinstance(r, RootedCheck) and not r.equal and r.clause == "forth"
 
 
 def test_roundtrip_solutions_unique_up_to_provability():

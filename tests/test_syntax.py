@@ -31,11 +31,10 @@ from dpbc.syntax import (
     view_expr,
     ParseError,
 )
-from dpbc.semantics import tau_exposes
 
 import dpbc
 import genexpr
-from genexpr import random_expr
+from genexpr import random_expr, silently_exposes
 
 
 def test_free_vars():
@@ -133,6 +132,9 @@ def test_guarded_in():
     assert is_guarded_in("X", parse("a.X"))
     assert not is_guarded_in("X", parse("tau.X"))
     assert is_guarded_in("X", parse("tau.(Z + a.(W + tau.X))"))
+    assert not is_guarded_in("X", parse("tau.X + a.0"))
+    assert not is_guarded_in("X", parse("rec Y.(tau.Y + tau.X)"))
+    assert is_guarded_in("X", parse("rec X. tau.X"))
 
 
 def test_guarded_expr():
@@ -166,12 +168,33 @@ def test_view_expr_is_canonical():
     assert view_expr(view) == parse("a.0 + X")
 
 
+def _all_terms(max_nodes):
+    """Every term of at most `max_nodes` nodes over 0, X, Y, tau., a., +,
+    rec X. and rec Y., open terms and shadowing binders included."""
+    by_size = [[], [NIL, Var("X"), Var("Y")]]
+    for n in range(2, max_nodes + 1):
+        terms = [wrap(e) for e in by_size[n - 1]
+                 for wrap in (lambda e: Prefix(TAU, e), lambda e: Prefix(Action("a"), e),
+                              lambda e: Rec("X", e), lambda e: Rec("Y", e))]
+        terms += [Sum(l, r) for k in range(1, n - 1)
+                  for l in by_size[k] for r in by_size[n - 1 - k]]
+        by_size.append(terms)
+    return [e for terms in by_size for e in terms]
+
+
 def test_guardedness_agrees_with_silent_exposure():
+    # the checker's side condition of R2, R4 and R5 is syntactic; its
+    # meaning is that no silently reachable expression exposes x
     rng = random.Random(8)
     for _ in range(300):
         e = random_expr(rng, rng.randint(1, 10))
         for x in ["X", "Y"]:
-            assert is_guarded_in(x, e) == (not tau_exposes(x, e))
+            assert is_guarded_in(x, e) == (not silently_exposes(x, e))
+    terms = _all_terms(7)
+    assert 2 * len(terms) == 144366
+    for e in terms:
+        for x in ["X", "Y"]:
+            assert is_guarded_in(x, e) == (not silently_exposes(x, e)), (x, pretty(e))
 
 
 def test_parse_basics():
