@@ -8,10 +8,9 @@ reachable closure finite for this calculus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .syntax import Expr, Prefix, Rec, Sum, Var, expr_key, substitute
+from .syntax import Expr, Prefix, Rec, Sum, Var, _per_node, expr_key, substitute
 
 DEFAULT_BUDGET = 100000
 
@@ -20,7 +19,7 @@ class BudgetExceeded(Exception):
     """Raised when a state-space construction passes its state budget."""
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def step(e: Expr):
     """All derivatives of e, sorted by (action, expression) order."""
     out = set()
@@ -35,7 +34,7 @@ def step(e: Expr):
     return tuple(sorted(out, key=lambda p: (p[0].key(), expr_key(p[1]))))
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def exposes(e: Expr) -> frozenset:
     """The variables e exposes as immediate unguarded summands."""
     if isinstance(e, Var):

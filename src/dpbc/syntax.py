@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from typing import Iterable, Mapping, Optional
 
 TAU_NAME = "tau"
@@ -73,7 +73,9 @@ class Expr:
 
     Hash-consed: each constructor returns the one live node with its tag,
     label and children, so equal terms are the same object and `==` is
-    identity.  `_memo` holds this node's substitution results.
+    identity.  `_memo` holds this node's substitution results and the
+    results of the functions marked `_per_node`, so they live exactly as
+    long as the node.
     """
 
     __slots__ = ("_hash", "_memo", "__weakref__")
@@ -153,10 +155,26 @@ class Rec(Expr):
 NIL = _make(Nil, ("nil",), hash(("nil",)))
 
 
+def _per_node(fn):
+    """Keep fn's result for a term in the term's `_memo`, under fn."""
+
+    @wraps(fn)
+    def cached(e):
+        memo = e._memo
+        if memo is None:
+            memo = e._memo = {}
+        elif cached in memo:
+            return memo[cached]
+        out = memo[cached] = fn(e)
+        return out
+
+    return cached
+
+
 # --- orders ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def expr_key(e: Expr):
     """Total order on expressions: constructor tag, then recursively."""
     if isinstance(e, Nil):
@@ -184,7 +202,7 @@ def summand_key(e: Expr):
 # --- variables -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def free_vars(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
@@ -197,7 +215,7 @@ def free_vars(e: Expr) -> frozenset:
     return frozenset()
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def all_vars(e: Expr) -> frozenset:
     """Every identifier occurring in e, free or bound."""
     if isinstance(e, Var):
@@ -328,7 +346,7 @@ def loop_body(e: Expr) -> Expr:
 # --- syntactic predicates ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def _unguarded(e: Expr) -> frozenset:
     """The free variables of e with an occurrence under no visible prefix."""
     if isinstance(e, Var):
@@ -352,7 +370,7 @@ def is_guarded_in(x: str, e: Expr) -> bool:
     return x not in _unguarded(e)
 
 
-@lru_cache(maxsize=None)
+@_per_node
 def is_guarded_expr(e: Expr) -> bool:
     """True iff every recursion subterm is a loop or has its binder guarded."""
     if isinstance(e, Prefix):

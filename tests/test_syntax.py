@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import os
 import random
 import subprocess
@@ -31,6 +32,8 @@ from dpbc.syntax import (
     view_expr,
     ParseError,
 )
+from dpbc.semantics import step
+from dpbc.ses import prove_congruent
 
 import dpbc
 import genexpr
@@ -285,6 +288,15 @@ def test_hash_is_the_hash_of_the_constructor_tuple():
     assert hash(NIL) == hash(("nil",))
 
 
+def _perfbench_gen():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(root, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
 def test_dropped_terms_leave_the_table():
     # built without any cached function, so nothing else holds them
     e = Sum(Prefix(Action("probe_act"), Var("Probe_var")), NIL)
@@ -293,6 +305,24 @@ def test_dropped_terms_leave_the_table():
     gc.collect()
     assert ("var", "Probe_var") not in syntax._TABLE
     assert not any(key[:2] == ("pre", "probe_act") for key in syntax._TABLE)
+    # what the cached functions learn about a term lives and dies with it
+    e = Rec("Probe_rec", Sum(Prefix(TAU, Var("Probe_rec")),
+                             Prefix(Action("probe_act"), Var("Probe_var"))))
+    assert free_vars(e) == {"Probe_var"} and is_guarded_in("Probe_var", e)
+    assert len(step(e)) == 2
+    del e
+    gc.collect()
+    assert ("var", "Probe_var") not in syntax._TABLE
+    assert not any(key[:2] in (("pre", "probe_act"), ("rec", "Probe_rec"))
+                   for key in syntax._TABLE)
+    # and so does everything a proof builds
+    ops = _perfbench_gen().prove_ops(7, 1)
+    gc.collect()
+    size = len(syntax._TABLE)
+    for op in ops:
+        prove_congruent(parse(op["left"]), parse(op["right"]))
+    gc.collect()
+    assert len(syntax._TABLE) == size
 
 
 # --- substitution against a naive reference -------------------------------------
