@@ -24,19 +24,24 @@ RELATIONS = ("strong", "branching", "dpbb", "rooted")
 
 def _read_expr(path: str):
     with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+        text = fh.read()
+    try:
+        return parse(text)
+    except RecursionError:
+        raise ParseError(f"{path}: input nested too deeply to parse") from None
 
 
-# Every command ends with exit 2 and one line on these: a wide sum or a
-# deep nesting can exhaust the interpreter's recursion limit, and a
-# prover failure must not read as exit 1, "not congruent".
+# Every command ends with exit 2 and one line on these: the work on a
+# wide sum or on the prover's own deep terms can exhaust the
+# interpreter's recursion limit, and a prover failure must not read as
+# exit 1, "not congruent".
 _ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError, ProofError)
 
 
 def _fail(exc: Exception):
     message = str(exc)
     if isinstance(exc, RecursionError):
-        message = f"input nested too deeply or too wide ({message})"
+        message = f"recursion limit reached while deciding or proving ({message})"
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
 

@@ -232,7 +232,8 @@ def test_parse_error_exit_code(tmp_path):
     assert res.stderr.startswith("error:")
 
 
-@pytest.mark.parametrize("exc", [ProofError("stuck"), MoveNotPresent("a.0 has no b move to 0")])
+@pytest.mark.parametrize("exc", [ProofError("stuck"), MoveNotPresent("a.0 has no b move to 0"),
+                                 RecursionError("maximum recursion depth exceeded")])
 def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
     # exit 1 means "not congruent"; a prover that fails has decided nothing
     p = _write(tmp_path, "p.proc", "a.0")
@@ -245,6 +246,8 @@ def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
     assert res.exit_code == 2, res.exception
     lines = res.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    # the prover's own depth is not the input's fault
+    assert "input" not in lines[0]
 
 
 def test_check_rejects_term_reference_in_expression(tmp_path):
@@ -300,6 +303,8 @@ def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
         assert "Traceback" not in res.stderr, args
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), args
+        # the parser blames the input; past the parser, the input is not named
+        assert ("input nested too deeply to parse" in lines[0]) == (deep in args), lines
 
 
 def test_cli_imports_nothing_beyond_click_and_the_stdlib():
