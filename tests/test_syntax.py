@@ -1,5 +1,4 @@
 import gc
-import importlib.util
 import os
 import random
 import subprocess
@@ -33,7 +32,6 @@ from dpbc.syntax import (
     ParseError,
 )
 from dpbc.semantics import step
-from dpbc.ses import prove_congruent
 
 import dpbc
 import genexpr
@@ -288,15 +286,6 @@ def test_hash_is_the_hash_of_the_constructor_tuple():
     assert hash(NIL) == hash(("nil",))
 
 
-def _perfbench_gen():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", os.path.join(root, "perfbench", "gen.py"))
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def test_dropped_terms_leave_the_table():
     # built without any cached function, so nothing else holds them
     e = Sum(Prefix(Action("probe_act"), Var("Probe_var")), NIL)
@@ -315,14 +304,21 @@ def test_dropped_terms_leave_the_table():
     assert ("var", "Probe_var") not in syntax._TABLE
     assert not any(key[:2] in (("pre", "probe_act"), ("rec", "Probe_rec"))
                    for key in syntax._TABLE)
-    # and so does everything a proof builds
-    ops = _perfbench_gen().prove_ops(7, 1)
-    gc.collect()
-    size = len(syntax._TABLE)
-    for op in ops:
-        prove_congruent(parse(op["left"]), parse(op["right"]))
-    gc.collect()
-    assert len(syntax._TABLE) == size
+    # and so does everything the proofs of twelve benchmark pairs build;
+    # in a fresh interpreter, since a term that lives on (as test data
+    # does here) keeps its substitution results
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(dpbc.__file__)),
+                            os.path.join(root, "perfbench")])
+    code = ("import gc, gen; from dpbc import parse, prove_congruent, syntax; "
+            "ops = gen.prove_ops(7, 1); gc.collect(); before = len(syntax._TABLE); "
+            "[prove_congruent(parse(op['left']), parse(op['right'])) for op in ops]; "
+            "gc.collect(); print(len(ops), before, len(syntax._TABLE))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert res.returncode == 0, res.stderr
+    n_ops, before, after = map(int, res.stdout.split())
+    assert n_ops == 12 and after == before
 
 
 # --- substitution against a naive reference -------------------------------------
