@@ -14,7 +14,7 @@ from dpbc.semantics import (
     _tau_reachable,
 )
 
-from genexpr import random_expr
+from genexpr import random_expr, silently_exposes
 
 
 def test_step_examples():
@@ -31,6 +31,13 @@ def test_exposes_examples():
     assert exposes(Var("X")) == {"X"}
     assert exposes(parse("tau.X + a.0")) == frozenset()
     assert exposes(parse("rec Y.(X + a.Y)")) == {"X"}
+
+
+def test_tau_exposes_examples():
+    # x is exposed once silent steps are taken, by tau-prefixes or a loop
+    assert silently_exposes("X", parse("tau.X + a.0"))
+    assert not silently_exposes("X", parse("a.X"))
+    assert silently_exposes("X", parse("rec Y.(tau.Y + tau.X)"))
 
 
 def test_tau_reachable_yields_e_before_its_successors():
