@@ -73,9 +73,8 @@ class Expr:
 
     Hash-consed: each constructor returns the one live node with its tag,
     label and children, so equal terms are the same object and `==` is
-    identity.  `_memo` holds this node's substitution results and the
-    results of the functions marked `_per_node`, so they live exactly as
-    long as the node.
+    identity.  `_memo` holds the results of the functions marked
+    `_per_node`, so they live exactly as long as the node.
     """
 
     __slots__ = ("_hash", "_memo", "__weakref__")
@@ -260,40 +259,27 @@ def _restrict(sub: dict, e: Expr) -> dict:
 
 
 def _subst(e: Expr, sub: dict) -> Expr:
-    """`substitute` for a non-empty `sub` over free variables of e only;
-    each node keeps its results, keyed by the bindings."""
+    """`substitute` for a non-empty `sub` over free variables of e only."""
     if type(e) is Var:
         return sub[e.name]
-    key = tuple(sorted(sub.items()))
-    memo = e._memo
-    if memo is None:
-        memo = e._memo = {}
-    else:
-        out = memo.get(key)
-        if out is not None:
-            return out
     if type(e) is Prefix:
-        out = Prefix(e.act, _subst(e.body, sub))
-    elif type(e) is Sum:
+        return Prefix(e.act, _subst(e.body, sub))
+    if type(e) is Sum:
         left = _restrict(sub, e.left)
         right = _restrict(sub, e.right)
-        out = Sum(_subst(e.left, left) if left else e.left,
-                  _subst(e.right, right) if right else e.right)
-    else:
-        # recursion: the binder is not free in e, so not in sub; rename it
-        # first if some value would capture it
-        if any(e.binder in free_vars(f) for f in sub.values()):
-            avoid = set(all_vars(e.body)) | set(sub)
-            for f in sub.values():
-                avoid |= free_vars(f)
-            nb = fresh_name(avoid)
-            if e.binder in free_vars(e.body):
-                sub = {e.binder: Var(nb), **sub}
-            out = Rec(nb, _subst(e.body, sub))
-        else:
-            out = Rec(e.binder, _subst(e.body, sub))
-    memo[key] = out
-    return out
+        return Sum(_subst(e.left, left) if left else e.left,
+                   _subst(e.right, right) if right else e.right)
+    # recursion: the binder is not free in e, so not in sub; rename it
+    # first if some value would capture it
+    if any(e.binder in free_vars(f) for f in sub.values()):
+        avoid = set(all_vars(e.body)) | set(sub)
+        for f in sub.values():
+            avoid |= free_vars(f)
+        nb = fresh_name(avoid)
+        if e.binder in free_vars(e.body):
+            sub = {e.binder: Var(nb), **sub}
+        return Rec(nb, _subst(e.body, sub))
+    return Rec(e.binder, _subst(e.body, sub))
 
 
 # --- loops ------------------------------------------------------------------

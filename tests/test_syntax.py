@@ -304,9 +304,17 @@ def test_dropped_terms_leave_the_table():
     assert ("var", "Probe_var") not in syntax._TABLE
     assert not any(key[:2] in (("pre", "probe_act"), ("rec", "Probe_rec"))
                    for key in syntax._TABLE)
-    # and so does everything the proofs of twelve benchmark pairs build;
-    # in a fresh interpreter, since a term that lives on (as test data
-    # does here) keeps its substitution results
+    # a term that lives on keeps nothing of what was substituted into it
+    kept = Prefix(TAU, Var("Probe_hole"))
+    gc.collect()
+    before = len(syntax._TABLE)
+    for i in range(1000):
+        substitute(kept, {"Probe_hole": Var(f"Probe_value{i}")})
+    gc.collect()
+    assert len(syntax._TABLE) == before
+    del kept
+    # and so does everything the proofs of twelve benchmark pairs build,
+    # in a fresh interpreter, where no test data holds terms
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join([os.path.dirname(os.path.dirname(dpbc.__file__)),
                             os.path.join(root, "perfbench")])
