@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
@@ -159,20 +158,40 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
 # --- steps and derivations ----------------------------------------------------
 
 
+# Each justification names the earlier steps it rests on (`refs`) and
+# makes a copy whose step indices go through a map (`renumber`).
+
+
 @dataclass(frozen=True)
 class Refl:
-    pass
+    def refs(self) -> tuple:
+        return ()
+
+    def renumber(self, remap):
+        return self
 
 
 @dataclass(frozen=True)
 class Symm:
     of: int
 
+    def refs(self) -> tuple:
+        return (self.of,)
+
+    def renumber(self, remap):
+        return Symm(remap[self.of])
+
 
 @dataclass(frozen=True)
 class Trans:
     first: int
     second: int
+
+    def refs(self) -> tuple:
+        return (self.first, self.second)
+
+    def renumber(self, remap):
+        return Trans(remap[self.first], remap[self.second])
 
 
 @dataclass(frozen=True)
@@ -182,6 +201,14 @@ class AxiomStep:
     extra: tuple  # ((name, str | Action), ...)
     premise: Optional[int] = None
 
+    def refs(self) -> tuple:
+        return () if self.premise is None else (self.premise,)
+
+    def renumber(self, remap):
+        if self.premise is None:
+            return self
+        return AxiomStep(self.axiom, self.meta, self.extra, remap[self.premise])
+
 
 @dataclass(frozen=True)
 class Cong:
@@ -189,42 +216,14 @@ class Cong:
     inner: int
     context: object  # of type POSITIONS[pos].kind
 
+    def refs(self) -> tuple:
+        return (self.inner,)
+
+    def renumber(self, remap):
+        return Cong(self.pos, remap[self.inner], self.context)
+
 
 Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
-
-# the fields of each justification that name earlier steps; a step
-# either sets all of them or none (an axiom without a premise)
-_STEP_REFS = {Symm: ("of",), Trans: ("first", "second"), AxiomStep: ("premise",),
-              Cong: ("inner",)}
-
-
-def _getter(names: tuple):
-    """The named attributes of an object, as a tuple."""
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda obj: (get(obj),)
-
-
-def _renumbering(cls: type, refs: tuple):
-    """For justifications of class `cls`, whose fields `refs` name earlier
-    steps: those fields' values (None when unset), and a copy whose step
-    indices go through a map."""
-    names = tuple(f.name for f in fields(cls))
-    at = tuple(names.index(f) for f in refs)
-    values = _getter(names)
-
-    def renumber(just, remap):
-        v = list(values(just))
-        for i in at:
-            if v[i] is None:
-                return just
-            v[i] = remap[v[i]]
-        return cls(*v)
-
-    return _getter(refs), renumber
-
-
-# class -> (the steps a justification names, its renumbered copy)
-_RENUMBER = {cls: _renumbering(cls, refs) for cls, refs in _STEP_REFS.items()}
 
 
 HOLE = "◻"  # white medium square
@@ -373,7 +372,9 @@ def check(derivation: Derivation) -> Optional[CheckFailure]:
 def _derived(producer):
     """Route `producer(b, *args)` through the memo of its Builder `b`,
     keyed on the producer and its arguments (terms, names, actions and
-    indices of steps already in `b`)."""
+    indices of steps already in `b`).  The memo saves building work
+    only: a repeated call would ask `_emit` for equations that `b`
+    already holds, so it would add no step."""
 
     @functools.wraps(producer)
     def memoised(b, *args):
@@ -387,13 +388,20 @@ def _derived(producer):
 
 
 class Builder:
-    """Accumulates justified steps with structural deduplication.
+    """Accumulates justified steps, one per equation.
+
+    `_emit` keys its steps on the equation alone: asked for an equation
+    it already holds, it returns the first step that proves it, whatever
+    the justification offered.  So no two steps prove the same equation,
+    and a symmetry of a symmetry, or a transitivity with a reflexivity,
+    comes back as the step that already proves its equation.
 
     Derived results (canonical sums, substitution lifts, T1 and axiom
     steps) are memoised per Builder.  This is exact: each producer is a
-    pure function of its arguments and steps never change once emitted,
-    so a repeated call would only re-emit steps that `_emit` already
-    holds, and the step list is the same with or without the memo.
+    pure function of its arguments and of the steps it reads, and steps
+    never change once emitted, so a repeated call would get back the
+    steps it got the first time, and the step list is the same with or
+    without the memo.
     """
 
     def __init__(self):
@@ -402,7 +410,7 @@ class Builder:
         self._derived = {}
 
     def _emit(self, lhs: Expr, rhs: Expr, just: Just) -> int:
-        key = (lhs, rhs, just)
+        key = (lhs, rhs)
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.steps)
@@ -430,10 +438,6 @@ class Builder:
 
     def symm(self, i: int) -> int:
         st = self.steps[i]
-        if isinstance(st.just, Refl):
-            return i
-        if isinstance(st.just, Symm):
-            return st.just.of
         return self._emit(st.rhs, st.lhs, Symm(i))
 
     def trans(self, i: int, j: int) -> int:
@@ -441,10 +445,6 @@ class Builder:
         if a.rhs != b.lhs:
             raise ProofError(
                 f"cannot chain: {pretty(a.rhs)} vs {pretty(b.lhs)}")
-        if isinstance(a.just, Refl):
-            return j
-        if isinstance(b.just, Refl):
-            return i
         return self._emit(a.lhs, b.rhs, Trans(i, j))
 
     def chain(self, *idxs: int) -> int:
@@ -498,23 +498,15 @@ class Builder:
         stack = [conclusion]
         while stack:
             i = stack.pop()
-            if i is None or i in needed:
-                continue
-            needed.add(i)
-            just = self.steps[i].just
-            renumbering = _RENUMBER.get(type(just))
-            if renumbering is not None:
-                stack.extend(renumbering[0](just))
+            if i not in needed:
+                needed.add(i)
+                stack.extend(self.steps[i].just.refs())
         order = sorted(needed)
         remap = {old: new for new, old in enumerate(order)}
         out = []
         for old in order:
             st = self.steps[old]
-            just = st.just
-            renumbering = _RENUMBER.get(type(just))
-            if renumbering is not None:
-                just = renumbering[1](just, remap)
-            out.append(ProofStep(st.lhs, st.rhs, just))
+            out.append(ProofStep(st.lhs, st.rhs, st.just.renumber(remap)))
         return Derivation(tuple(out))
 
 

@@ -27,6 +27,7 @@ from .syntax import (
     canon_sum,
     flatten_sum,
     free_vars,
+    fresh_name,
     is_guarded_expr,
     is_guarded_in,
     is_loop,
@@ -460,19 +461,6 @@ def derivatives(s: SesSystem, classes: Partition, x: str) -> DerivativePair:
 # --- quotient construction ----------------------------------------------------------
 
 
-def _fresh_many(avoid, n, prefix="_q"):
-    out = []
-    avoid = set(avoid)
-    i = 0
-    while len(out) < n:
-        name = f"{prefix}{i}"
-        i += 1
-        if name not in avoid:
-            avoid.add(name)
-            out.append(name)
-    return out
-
-
 class _Quotient:
     """Carrier for the quotient computation on one system."""
 
@@ -487,7 +475,10 @@ class _Quotient:
         avoid = set(s.formals)
         for x in s.formals:
             avoid |= all_vars(s.rhs[x])
-        self.zvar = {c: z for c, z in zip(class_ids, _fresh_many(avoid, len(class_ids)))}
+        self.zvar = {}
+        for c in class_ids:
+            self.zvar[c] = fresh_name(avoid, "_q")
+            avoid.add(self.zvar[c])
         self.iota = {x: self.bottoms[self.cls[x]] for x in s.formals}
         zmap = {y: Var(self.zvar[self.cls[y]]) for y in s.formals}
         self.quot_formals = tuple(self.zvar[c] for c in class_ids)

@@ -617,27 +617,21 @@ def _pp(e: Expr, rightmost: bool) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Sum):
-        return f"{_pp(e.left, False)} + {_pp_summand(e.right, rightmost)}"
+        return f"{_pp(e.left, False)} + {_pp_nested(e.right, rightmost)}"
     body = _loop_sugar(e)
     if body is not None:
-        return f"tau* {_pp_guard_body(body, rightmost)}"
+        return f"tau* {_pp_nested(body, rightmost)}"
     if isinstance(e, Prefix):
-        return f"{e.act}.{_pp_guard_body(e.body, rightmost)}"
+        return f"{e.act}.{_pp_nested(e.body, rightmost)}"
     if rightmost:
         return f"rec {e.binder}. {_pp(e.body, True)}"
     return f"(rec {e.binder}. {_pp(e.body, True)})"
 
 
-def _pp_summand(e: Expr, rightmost: bool) -> str:
-    # a sum appearing as the right child must keep its parentheses
-    if isinstance(e, Sum):
-        return f"({_pp(e, True)})"
-    return _pp(e, rightmost)
-
-
-def _pp_guard_body(e: Expr, rightmost: bool) -> str:
-    # prefix and loop bodies: sums always need parentheses; recursions
-    # only when something follows to the right
+def _pp_nested(e: Expr, rightmost: bool) -> str:
+    # the right child of a sum, a prefix body or a loop body: a sum always
+    # needs parentheses there, a recursion only when something follows
+    # to the right
     if isinstance(e, Sum):
         return f"({_pp(e, True)})"
     return _pp(e, rightmost)
