@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from itertools import count
 from typing import Optional
 
 from .syntax import (
     Expr,
     Nil,
-    NIL,
     Prefix,
     Rec,
     Sum,
@@ -24,7 +24,8 @@ from .syntax import (
     TAU,
     Var,
     all_vars,
-    canon_sum,
+    canon_leaves,
+    compose_sum,
     flatten_sum,
     free_vars,
     fresh_name,
@@ -45,17 +46,17 @@ from .proof import (
     Derivation,
     ProofError,
     align,
-    prove_alpha,
     prove_subst_cong,
     prove_sum_eq,
     subst_step,
     _app,
+    _derived,
     _t1,
     _absorb_summand,
     _rec_cong,
 )
 from .standardize import (
-    NotGuarded, _absorb_along, _d1, _d2, _d5, _d6, _meet_loops, _standardize,
+    NotGuarded, _absorb_along, _d2, _d5, _meet_loops, _standardize,
     prove_loop_canonical)
 
 
@@ -161,170 +162,71 @@ class DerivativePair:
 # --- extraction -----------------------------------------------------------------
 
 
-class _Extraction:
-    def __init__(self, e: Expr):
-        self.b = Builder()
-        self.used = set(all_vars(e))
-        self.counter = 0
-        self.order = []
-        self.rhs = {}
-        self.sols = {}
-        self.ders = {}
+@_derived
+def _hnf(b: Builder, e: Expr) -> int:
+    """e = a sum of its moves a.e', its exposed variables and 0s, along
+    the rules of `semantics.step` and `exposes`: a sum by both sides, a
+    recursion by unfolding it (R1) and lifting its body's sum, any other
+    term as it is.  The moves come out as `step`'s own terms."""
+    if isinstance(e, Sum):
+        return b.sum_cong(_hnf(b, e.left), _hnf(b, e.right))
+    if isinstance(e, Rec):
+        unfold = b.axiom("R1", {"E": e.body}, {"X": e.binder})
+        return b.trans(unfold, subst_step(b, _hnf(b, e.body), {e.binder: e}))
+    return b.refl(e)
 
-    def fresh_formal(self) -> str:
-        while True:
-            name = f"_X{self.counter}"
-            self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
 
-    def fill(self, e: Expr) -> Expr:
-        return substitute(e, self.sols)
+def _extract_into(b: Builder, roots):
+    """(formals, rhs, sols, ders): one formal per state that `roots` reach
+    under `semantics.step`, numbered breadth first, the roots' first.  A
+    formal's equation sums the state's moves onto formals and its exposed
+    variables, inside a loop when the state steps silently to itself; its
+    solution is the state, and `ders` holds the steps of `b` that prove
+    each solution equal to its filled equation."""
+    states = list(dict.fromkeys(roots))
+    seen = set(states)
+    for s in states:  # the loop also visits what it appends
+        for _, t in sos_step(s):
+            if t not in seen:
+                seen.add(t)
+                states.append(t)
+    used = set().union(*map(all_vars, states))
+    names = (x for x in map("_X{}".format, count()) if x not in used)
+    formal = {s: next(names) for s in states}
+    sols = {x: s for s, x in formal.items()}
 
-    def add(self, rhs: Expr, sol: Expr, der: int) -> str:
-        x = self.fresh_formal()
-        self.order.append(x)
-        self.rhs[x] = rhs
-        self.sols[x] = sol
-        self.ders[x] = der
-        return x
+    def meet(e: Expr, filled: Expr) -> int:
+        """e = filled, through e's head normal form."""
+        hnf = _hnf(b, e)
+        return b.trans(hnf, prove_sum_eq(b, b.rhs_after(hnf), filled))
 
-    def _bridge(self, idx: int, target: Expr) -> int:
-        """Extend a chain so its right-hand side becomes `target`,
-        assuming the two sides agree up to S1-S4 and renaming."""
-        b = self.b
-        cur = b.rhs_after(idx)
-        if cur == target:
-            return idx
-        if isinstance(cur, Rec) and isinstance(target, Rec):
-            return b.trans(idx, _meet_loops(b, cur, target))
-        try:
-            return b.trans(idx, prove_sum_eq(b, cur, target))
-        except ProofError:
-            return b.trans(idx, prove_alpha(b, cur, target))
-
-    def _unfold_loop(self, chain: int, last: int, target: Expr) -> int:
-        """Extend `chain`, whose last link `last` proves some E equal to a
-        loop, by unfolding the loop once and folding its silent self-step
-        back onto E: the result ends at tau.E + body, bridged to `target`."""
-        b = self.b
-        ll = b.rhs_after(last)
-        if not is_loop(ll):
-            raise ProofError("substituted loop lost its shape")
-        eq = b.trans(chain, _d1(b, ll))
-        fix = b.cong("prefix", b.symm(last), TAU)
-        eq = b.trans(eq, b.cong("suml", fix, ll.body.right))
-        return self._bridge(eq, target)
-
-    def extract(self, e: Expr) -> str:
-        b = self.b
-        if isinstance(e, Nil):
-            return self.add(NIL, NIL, b.refl(NIL))
-        if isinstance(e, Var):
-            return self.add(e, e, b.refl(e))
-        if isinstance(e, Prefix):
-            r = self.extract(e.body)
-            sol = Prefix(e.act, self.sols[r])
-            return self.add(Prefix(e.act, Var(r)), sol, b.refl(sol))
-        if isinstance(e, Sum):
-            r1 = self.extract(e.left)
-            r2 = self.extract(e.right)
-            parts = []
-            for r in (r1, r2):
-                rr = self.rhs[r]
-                if is_loop(rr):
-                    template = Sum(Prefix(TAU, Var(r)), loop_body(rr))
-                    eq = self._unfold_loop(self.ders[r], self.ders[r], self.fill(template))
-                    parts.append((template, eq))
-                else:
-                    parts.append((rr, self.ders[r]))
-            (t1, eq1), (t2, eq2) = parts
-            rhs = canon_sum(Sum(t1, t2))
-            sol = Sum(self.sols[r1], self.sols[r2])
-            der = self._bridge(b.sum_cong(eq1, eq2), self.fill(rhs))
-            return self.add(rhs, sol, der)
-        if isinstance(e, Rec) and is_loop(e):
-            _, dcanon = prove_loop_canonical(b, e)
-            r = self.extract(loop_body(e))
-            h = self.rhs[r]
-            total = _app(b, dcanon, ["rec", "sumr"], self.ders[r])
-            if is_loop(h):
-                # a loop of a loop collapses
-                ll = self.fill(h)
-                if not is_loop(ll):
-                    raise ProofError("substituted loop lost its shape")
-                arg = ll.body.right
-                total = align(b, total, loop(loop(arg)))
-                total = b.trans(total, _d6(b, arg, avoid=self.used))
-                return self.add(h, e, align(b, total, ll))
-            rhs = loop(h)
-            return self.add(rhs, e, align(b, total, self.fill(rhs)))
-        if isinstance(e, Rec):
-            y = e.binder
-            if not is_guarded_in(y, e.body):
-                raise NotGuarded(f"{pretty(e)} is not a guarded recursion")
-            before = len(self.order)
-            r = self.extract(e.body)
-            new_formals = self.order[before:]
-            h = self.rhs[r]
-            if y in free_vars(h):
-                raise ProofError("recursion binder escaped into its root equation")
-            sigma = {y: e}
-            # the replacement for the binder inside the subsystem
-            if is_loop(h):
-                rho = Sum(Prefix(TAU, Var(r)), loop_body(h))
-            else:
-                rho = h
-            old_sols = dict(self.sols)
-            old_ders = dict(self.ders)
-            # re-point every solution of the subsystem below the binder
-            for z in new_formals:
-                self.sols[z] = substitute(old_sols[z], sigma)
-            # the binder now denotes the recursion itself
-            hole = align(b, b.axiom("R1", {"E": e.body}, {"X": y}), self.sols[r])
-            t_root = subst_step(b, old_ders[r], sigma)
-            hole = b.trans(hole, t_root)
-            if is_loop(h):
-                hole_fill = self._unfold_loop(hole, t_root, self.fill(rho))
-            else:
-                hole_fill = self._bridge(hole, self.fill(rho))
-            for z in new_formals:
-                old_rhs = self.rhs[z]
-                new_rhs = self._transform_rhs(old_rhs, y, rho)
-                k_z = substitute(old_rhs, {f: self.sols[f] for f in new_formals})
-                t_z = align(b, subst_step(b, old_ders[z], sigma), substitute(k_z, {y: e}))
-                t_z = b.trans(t_z, prove_subst_cong(b, k_z, y, hole_fill))
-                self.rhs[z] = new_rhs
-                self.ders[z] = self._bridge(t_z, self.fill(new_rhs))
-            # the recursion's own equation repeats the root equation
-            root_der = self._bridge(hole, self.fill(h))
-            return self.add(h, e, root_der)
-        raise ProofError(f"cannot extract {pretty(e)}")
-
-    def _transform_rhs(self, rhs: Expr, y: str, rho: Expr) -> Expr:
-        if y not in free_vars(rhs):
-            return rhs
-        if is_loop(rhs):
-            inner = substitute(loop_body(rhs), {y: rho})
-            return loop(canon_sum(inner))
-        out = substitute(rhs, {y: rho})
-        return canon_sum(out)
+    rhs, ders = {}, {}
+    for s, x in formal.items():
+        moves = [Prefix(a, Var(formal[t])) for a, t in sos_step(s) if (a, t) != (TAU, s)]
+        body = compose_sum(canon_leaves(moves + [Var(w) for w in exposes(s)]))
+        if len(moves) == len(sos_step(s)):
+            rhs[x] = body
+            ders[x] = meet(s, substitute(body, sols))
+        elif is_loop(s):
+            rhs[x] = loop(body)
+            cl, dcanon = prove_loop_canonical(b, s)
+            total = _app(b, dcanon, ["rec", "sumr"],
+                         meet(cl.body.right, substitute(body, sols)))
+            ders[x] = align(b, total, substitute(rhs[x], sols))
+        else:
+            raise ProofError(f"{pretty(s)} steps silently to itself but is no loop")
+    return list(sols), rhs, sols, ders
 
 
 def extract_ses(e: Expr):
-    """(system, root formal, per-equation derivations) such that the
-    input provably solves the system for the root."""
+    """(system, root formal, solutions, per-equation derivations) such
+    that the input provably solves the system for the root."""
     if not is_guarded_expr(e):
         raise NotGuarded(f"{pretty(e)} is not a guarded expression")
-    ex = _Extraction(e)
-    root = ex.extract(e)
-    system = SesSystem.from_equations(ex.order, ex.rhs)
-    ders = {x: ex.b.finalize(ex.ders[x]) for x in ex.order}
-    sols = dict(ex.sols)
-    if sols[root] != e:
-        raise ProofError("extraction lost the input expression")
-    return system, root, sols, ders
+    b = Builder()
+    order, rhs, sols, ders = _extract_into(b, (e,))
+    system = SesSystem.from_equations(order, rhs)
+    return system, order[0], sols, {x: b.finalize(ders[x]) for x in order}
 
 
 # --- solving --------------------------------------------------------------------
@@ -723,31 +625,15 @@ def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) ->
 # --- promotion and congruence ----------------------------------------------------------
 
 
-def _extract_into(b: Builder, e: Expr, avoid):
-    """Extraction sharing one builder, with formals fresh for `avoid`."""
-    ex = _Extraction(e)
-    ex.b = b
-    ex.used |= set(avoid)
-    root = ex.extract(e)
-    return ex, root
-
-
 def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
     """tau.e = tau.f for equivalent guarded expressions."""
     if e == f:
         return b.refl(Prefix(TAU, e))
-    ex1, r1 = _extract_into(b, e, all_vars(f))
-    ex2, r2 = _extract_into(b, f, set(ex1.used))
-    # only the equations the two roots reach take part; the rest is the
-    # unreachable part of the same transition system
-    rhs = {**ex1.rhs, **ex2.rhs}
-    order = _live(ex1.order + ex2.order, rhs, (r1, r2))
-    rhs = {x: rhs[x] for x in order}
-    sols = {**ex1.sols, **ex2.sols}
+    order, rhs, sols, ders = _extract_into(b, (e, f))
+    r1, r2 = order[:2]
     q = _Quotient(SesSystem.from_equations(order, rhs), b)
     if q.cls[r1] != q.cls[r2]:
         raise NotEquivalent(rooted_check(Prefix(TAU, e), Prefix(TAU, f), budget))
-    ders = {**ex1.ders, **ex2.ders}
     common = q.common_solutions()
     # the silent-prefixed inputs solve the silent-prefixed system
     taus = {x: Prefix(TAU, sols[x]) for x in order}

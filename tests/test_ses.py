@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -36,26 +37,34 @@ from dpbc.ses import (
     _live,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
-from dpbc.semantics import build_lts
+from dpbc.semantics import build_lts, exposes, step
 
 from genexpr import random_expr, random_guarded_expr, random_ses_equations
 
 
 def _check_family(system, sols, ders):
+    assert len(set(sols.values())) == len(system.formals)  # one formal per state
     for x in system.formals:
         d = ders[x]
         assert check(d) is None, (x, check(d))
         lhs, rhs = d.conclusion
         assert lhs == sols[x]
         assert rhs == substitute(system.rhs[x], sols)
+        # the equation lists the state's moves, but a silent step to
+        # itself, which makes it a loop, and its exposed variables
+        kind, view = system.shape[x]
+        moves = set(step(sols[x]))
+        assert (kind == "loop") == ((TAU, sols[x]) in moves)
+        assert {(a, sols[y.name]) for a, y in view.prefixed} == moves - {(TAU, sols[x])}
+        assert set(view.vars) == exposes(sols[x])
 
 
 def test_extract_prefix_chain():
     s, root, sols, ders = extract_ses(parse("a.b.0"))
     assert len(s.formals) == 3
     shapes = [pretty(s.rhs[x]) for x in s.formals]
-    assert shapes == ["0", "b._X0", "a._X1"]
-    assert root == "_X2"
+    assert shapes == ["a._X1", "b._X2", "0"]
+    assert root == "_X0"
     assert sols[root] == parse("a.b.0")
     _check_family(s, sols, ders)
 
@@ -366,16 +375,17 @@ def _reach(rhs, roots):
 
 
 def test_promote_proves_only_the_live_equations(monkeypatch):
-    # the Sum case leaves each summand's root equation behind, unreachable
+    # one formal per state the two roots reach; each uniqueness proof
+    # eliminates only its own root's cone
     e, f = parse("a.(b.0 + c.0)"), parse("a.(c.0 + b.0)")
     extracted, quotiented, unique = [], [], []
 
     extract = ses._extract_into
 
-    def spy_extract(b, g, avoid):
-        ex, root = extract(b, g, avoid)
-        extracted.append((ex, root))
-        return ex, root
+    def spy_extract(b, roots):
+        out = extract(b, roots)
+        extracted.append((roots, out))
+        return out
 
     class SpyQuotient(ses._Quotient):
         def __init__(self, s, b=None):
@@ -404,16 +414,18 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
     monkeypatch.setattr(ses, "_prove_unique", spy_unique)
     d = promote(e, f)
 
-    (ex1, r1), (ex2, r2) = extracted
-    rhs = {**ex1.rhs, **ex2.rhs}
-    live = _reach(rhs, (r1, r2))
-    assert live < set(rhs)  # the extraction did leave dead equations
+    ((roots, (order, rhs, sols, _)),) = extracted
+    assert roots == (e, f)
+    r1, r2 = order[:2]
+    assert (sols[r1], sols[r2]) == (e, f)
+    states = set(build_lts(e).states) | set(build_lts(f).states)
     (s,) = quotiented
-    assert s.formals == tuple(x for x in ex1.order + ex2.order if x in live)
+    assert s.formals == tuple(order)
+    assert {sols[x] for x in s.formals} == states and len(s.formals) == len(states)
     assert [target for target, *_ in unique] == [r1, r2]
     for target, cone, closed, given in unique:
-        assert given == live
-        assert target in closed and closed <= cone < live
+        assert given == set(order)
+        assert target in closed and closed <= cone < given
     again = parse_derivation(format_derivation(d))
     assert check(again) is None
     assert again.conclusion == (Prefix(TAU, e), Prefix(TAU, f))
@@ -439,6 +451,29 @@ def test_prove_congruent_examples():
     for left, right in ((diverging, silent), (silent, diverging)):
         r = prove_congruent(left, right)
         assert isinstance(r, RootedCheck) and not r.equal and r.clause == "forth"
+
+
+# drawn by perfbench/gen.py as prove_pair(random.Random("t:taupad:32:2"),
+# "taupad", 32, (2, 2)): two nested recursions whose syntax-shaped
+# equation systems, once eliminated, held contexts some 400 levels deep
+_TAUPAD_LEFT = ("(rec X0. (rec X1. 0 + (a.(c.(0 + 0) + tau.X1) + a.a.(a.(c.tau.X0"
+                " + tau* b.X1) + ((X1 + 0) + (b.X1 + 0))))) + tau.a.((X0 + tau* 0)"
+                " + b.a.(X0 + X0)))")
+_TAUPAD_RIGHT = _TAUPAD_LEFT.replace("b.a.(X0 + X0)", "b.a.tau.(X0 + X0)")
+
+
+def test_prove_congruent_nested_recursions_at_default_recursion_limit():
+    e, f = parse(_TAUPAD_LEFT), parse(_TAUPAD_RIGHT)
+    assert e != f
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        d = prove_congruent(e, f)
+    finally:
+        sys.setrecursionlimit(limit)
+    again = parse_derivation(format_derivation(d))
+    assert check(again) is None
+    assert again.conclusion == (e, f)
 
 
 def test_roundtrip_solutions_unique_up_to_provability():
