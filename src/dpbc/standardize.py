@@ -483,8 +483,9 @@ def _standardize(b: Builder, e: Expr):
         cur_body = Sum(Prefix(TAU, Sum(Var(y), merged)), remainder)
     tot = exposed[0]  # the body is now tau.(y + tot) + g
     total = b.trans(total, _d3(b, y, tot, g))
-    lp = loop(Sum(tot, g))
-    r1 = b.axiom("R1", {"E": Sum(Prefix(TAU, lp), g)}, {"X": y})
+    total = _app(b, total, ["rec", "suml", "prefix", "rec", "sumr"],
+                 prove_canon(b, Sum(tot, g))[1])
+    r1 = b.axiom("R1", {"E": b.rhs_after(total).body}, {"X": y})
     total = b.trans(total, r1)
     out, d = prove_canon(b, b.rhs_after(r1))
     return out, b.trans(total, d)

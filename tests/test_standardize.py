@@ -154,6 +154,11 @@ def test_standardize_divergent_loop():
     se = d.conclusion[1]
     assert as_standard_sum(se) is not None
     assert rooted_check(e, se).equal
+    # a loop built over exposed occurrences of the binder keeps no 0s
+    e = parse("b.rec Z. tau.(Z + Z)")
+    _, d = standardize(e)
+    assert check(d) is None
+    assert d.conclusion == (e, parse("b.tau.tau* 0"))
 
 
 def test_standardize_random_contract():
