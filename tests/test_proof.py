@@ -500,12 +500,14 @@ step 1 @0 = @1 by symm 0
 # others each reach a branch of the prover that no shorter pin does:
 # standardization exposing a recursion variable in a sum whose right
 # half is unguarded or guarded, behind a loop, in two silent summands
-# that are folded together, or as a bare summand; extraction of loops
-# under a sum and under a recursion, of a loop of a loop under a prefix,
-# and of a loop whose body is rearranged under a recursion.  One pin
-# standardizes a single side, `b.rec Z. tau.(Z + Z)`, for the sum whose
-# two halves both expose the variable: its pair with `b.(...) + b.(...)`
-# proves by S3 and a symmetry, so its certificate no longer shows that.
+# that are folded together, or as a bare summand; and equation systems
+# read off a recursion whose unfolding steps into a loop, off a loop of
+# a loop under a prefix, and off a loop whose body unfolds a recursion,
+# each loop state proved through the head normal form of its body.
+# One pin standardizes a single side, `b.rec Z. tau.(Z + Z)`, for the
+# sum whose two halves both expose the variable: its pair with
+# `b.(...) + b.(...)` proves by S3 and a symmetry, so its certificate
+# no longer shows that.
 _PINNED_FILES = {
     ("tau* tau* 0", "tau* 0"): "looploop.cert",
     ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
