@@ -202,16 +202,17 @@ def _extract_into(b: Builder, roots):
 
     rhs, ders = {}, {}
     for s, x in formal.items():
-        moves = [Prefix(a, Var(formal[t])) for a, t in sos_step(s) if (a, t) != (TAU, s)]
-        body = compose_sum(canon_leaves(moves + [Var(w) for w in exposes(s)]))
-        if len(moves) == len(sos_step(s)):
-            rhs[x] = body
-            ders[x] = meet(s, substitute(body, sols))
+        moves = sos_step(s)
+        body = compose_sum(canon_leaves(
+            [Prefix(a, Var(formal[t])) for a, t in moves if (a, t) != (TAU, s)]
+            + [Var(w) for w in exposes(s)]))
+        filled = substitute(body, sols)
+        if (TAU, s) not in moves:
+            rhs[x], ders[x] = body, meet(s, filled)
         elif is_loop(s):
             rhs[x] = loop(body)
             cl, dcanon = prove_loop_canonical(b, s)
-            total = _app(b, dcanon, ["rec", "sumr"],
-                         meet(cl.body.right, substitute(body, sols)))
+            total = _app(b, dcanon, ["rec", "sumr"], meet(cl.body.right, filled))
             ders[x] = align(b, total, substitute(rhs[x], sols))
         else:
             raise ProofError(f"{pretty(s)} steps silently to itself but is no loop")
