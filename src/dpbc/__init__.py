@@ -3,86 +3,69 @@
 Decides strong, branching and divergence-preserving branching
 bisimilarity plus rooted congruence, and emits machine-checkable
 equational proof certificates for congruent pairs.
+
+The package loads its modules lazily (PEP 562): `import dpbc` loads
+none of them, and each name below loads its own module on first use,
+so a command that only checks a certificate never loads the prover.
 """
 
-from .syntax import (
-    Action,
-    Expr,
-    Nil,
-    Var,
-    Prefix,
-    Sum,
-    Rec,
-    NIL,
-    TAU,
-    parse,
-    pretty,
-    free_vars,
-    substitute,
-    loop,
-    is_loop,
-    loop_body,
-    is_guarded_in,
-    is_guarded_expr,
-    is_fully_exposed,
-    as_standard_sum,
-    SumView,
-)
-from .semantics import (
-    BudgetExceeded,
-    Lts,
-    build_lts,
-    divergent,
-    exposes,
-    format_aut,
-    step,
-)
-from .equiv import (
-    Partition,
-    PairRelation,
-    RootedCheck,
-    bisimilarity,
-    brute_oracle,
-    equivalent,
-    rooted_check,
-)
-from .proof import (
-    Derivation,
-    CheckFailure,
-    check,
-    derive_D0,
-    derive_T1,
-    derive_summand_absorption,
-    format_derivation,
-    instantiate_axiom,
-    parse_derivation,
-)
-from .standardize import derive_D, expose_to_summand, fully_expose, standardize
-from .ses import (
-    EqSystem,
-    SesSystem,
-    NotEquivalent,
-    extract_ses,
-    promote,
-    prove_congruent,
-    quotient,
-    solve_system,
-    tau_transform,
-)
+import importlib
+import sys
+import types
 
-__all__ = [
-    "Action", "Expr", "Nil", "Var", "Prefix", "Sum", "Rec", "NIL", "TAU",
-    "parse", "pretty", "free_vars", "substitute", "loop", "is_loop",
-    "loop_body", "is_guarded_in", "is_guarded_expr", "is_fully_exposed",
-    "as_standard_sum", "SumView",
-    "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
-    "format_aut", "step",
-    "Partition", "PairRelation", "RootedCheck", "bisimilarity",
-    "brute_oracle", "equivalent", "rooted_check",
-    "Derivation", "CheckFailure", "check", "derive_D0", "derive_T1",
-    "derive_summand_absorption", "format_derivation", "instantiate_axiom",
-    "parse_derivation",
-    "derive_D", "expose_to_summand", "fully_expose", "standardize",
-    "EqSystem", "SesSystem", "NotEquivalent", "extract_ses", "promote",
-    "prove_congruent", "quotient", "solve_system", "tau_transform",
-]
+# module -> the names the package exports from it
+_EXPORTS = {
+    "syntax": (
+        "Action", "Expr", "Nil", "Var", "Prefix", "Sum", "Rec", "NIL", "TAU",
+        "parse", "pretty", "free_vars", "substitute", "loop", "is_loop",
+        "loop_body", "is_guarded_in", "is_guarded_expr", "is_fully_exposed",
+        "as_standard_sum", "SumView",
+    ),
+    "semantics": (
+        "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
+        "format_aut", "step",
+    ),
+    "equiv": ("Partition", "RootedCheck", "bisimilarity", "equivalent", "rooted_check"),
+    "kernel": (
+        "Derivation", "CheckFailure", "check", "format_derivation",
+        "instantiate_axiom", "parse_derivation",
+    ),
+    "proof": ("derive_D0", "derive_T1", "derive_summand_absorption"),
+    "standardize": ("derive_D", "expose_to_summand", "fully_expose", "standardize"),
+    "ses": (
+        "EqSystem", "SesSystem", "NotEquivalent", "extract_ses", "promote",
+        "prove_congruent", "quotient", "solve_system", "tau_transform",
+    ),
+}
+_SUBMODULES = (*_EXPORTS, "cli")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is not None:
+        value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
+
+class _Package(types.ModuleType):
+    """Loading a submodule binds its name on the package, and `standardize`
+    names both a submodule and an exported function: an exported name
+    keeps its export."""
+
+    def __setattr__(self, name, value):
+        if name in _HOME and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

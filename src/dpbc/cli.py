@@ -1,4 +1,9 @@
-"""Command-line front end."""
+"""Command-line front end.
+
+Each command loads only the layers it runs: `check`, `lts` and
+`minimize` the decision side (`semantics`, `equiv`), `verify` the
+kernel alone, `prove` and `std` the prover as well.
+"""
 
 from __future__ import annotations
 
@@ -6,18 +11,7 @@ import sys
 
 import click
 
-from .syntax import ParseError, TAU, parse, pretty, view_expr
-from .semantics import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    Lts,
-    build_lts,
-    format_aut,
-)
-from .equiv import RootedCheck, bisimilarity, equivalent, rooted_check
-from .proof import CertificateError, ProofError, check, format_derivation, parse_derivation
-from .standardize import standardize
-from .ses import prove_congruent
+from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty, view_expr
 
 RELATIONS = ("strong", "branching", "dpbb", "rooted")
 
@@ -31,11 +25,12 @@ def _read_expr(path: str):
         raise ParseError(f"{path}: input nested too deeply to parse") from None
 
 
-# Every command ends with exit 2 and one line on these: the work on a
-# wide sum or on the prover's own deep terms can exhaust the
-# interpreter's recursion limit, and a prover failure must not read as
-# exit 1, "not congruent".
-_ERRORS = (ParseError, CertificateError, OSError, BudgetExceeded, RecursionError, ProofError)
+# Every command ends with exit 2 and one line on these, and on the
+# errors of the layers it loads (a state budget passed, a certificate
+# that cannot be read, a prover failure): exit 1 is a verdict, such as
+# "not congruent".  The work on a wide sum or on the prover's own deep
+# terms can exhaust the interpreter's recursion limit.
+_ERRORS = (ParseError, OSError, RecursionError)
 
 
 def _fail(exc: Exception):
@@ -60,6 +55,9 @@ def main():
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
 def check_cmd(rel, budget, file1, file2):
     """Decide whether two expressions are related (exit 0) or not (exit 1)."""
+    from .equiv import equivalent, rooted_check
+    from .semantics import BudgetExceeded
+
     try:
         e = _read_expr(file1)
         f = _read_expr(file2)
@@ -77,7 +75,7 @@ def check_cmd(rel, budget, file1, file2):
         click.echo(f"not {rel}-equivalent: the roots are in different classes",
                    err=True)
         sys.exit(1)
-    except _ERRORS as exc:
+    except (*_ERRORS, BudgetExceeded) as exc:
         _fail(exc)
 
 
@@ -89,6 +87,11 @@ def check_cmd(rel, budget, file1, file2):
 @click.argument("file2", type=click.Path(exists=True, dir_okay=False))
 def prove_cmd(budget, cert, file1, file2):
     """Prove two expressions congruent; emit a checkable certificate."""
+    from .equiv import RootedCheck
+    from .kernel import CertificateError, ProofError, format_derivation
+    from .semantics import BudgetExceeded
+    from .ses import prove_congruent
+
     try:
         e = _read_expr(file1)
         f = _read_expr(file2)
@@ -105,7 +108,7 @@ def prove_cmd(budget, cert, file1, file2):
                 fh.write(text)
         else:
             click.echo(text, nl=False)
-    except _ERRORS as exc:
+    except (*_ERRORS, BudgetExceeded, CertificateError, ProofError) as exc:
         _fail(exc)
     sys.exit(0)
 
@@ -114,6 +117,8 @@ def prove_cmd(budget, cert, file1, file2):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def verify_cmd(file):
     """Check a certificate; exit 0 when every step is justified."""
+    from .kernel import CertificateError, ProofError, check, parse_derivation
+
     try:
         with open(file, encoding="utf-8") as fh:
             derivation = parse_derivation(fh.read())
@@ -122,7 +127,7 @@ def verify_cmd(file):
             lhs, rhs = derivation.conclusion
             click.echo(f"verified: {pretty(lhs)} = {pretty(rhs)}")
             sys.exit(0)
-    except _ERRORS as exc:
+    except (*_ERRORS, CertificateError, ProofError) as exc:
         _fail(exc)
     click.echo(f"invalid certificate: {failure}", err=True)
     sys.exit(1)
@@ -134,6 +139,10 @@ def verify_cmd(file):
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def std_cmd(cert, file):
     """Rewrite an expression into a standard sum, with a certificate."""
+    from .kernel import CertificateError, ProofError, format_derivation
+    from .semantics import BudgetExceeded
+    from .standardize import standardize
+
     try:
         e = _read_expr(file)
         view, derivation = standardize(e)
@@ -141,12 +150,12 @@ def std_cmd(cert, file):
         path = cert if cert else f"{file}.cert"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(format_derivation(derivation))
-    except _ERRORS as exc:
+    except (*_ERRORS, BudgetExceeded, CertificateError, ProofError) as exc:
         _fail(exc)
     sys.exit(0)
 
 
-def _format_text(lts: Lts) -> str:
+def _format_text(lts) -> str:
     lines = [f"states: {lts.n_states}  transitions: {len(lts.transitions)}  root: {lts.root}"]
     for i, state in enumerate(lts.states):
         exp = ",".join(sorted(lts.exposure[i]))
@@ -164,11 +173,13 @@ def _format_text(lts: Lts) -> str:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def lts_cmd(fmt, budget, file):
     """Print the reachable transition system of an expression."""
+    from .semantics import BudgetExceeded, build_lts, format_aut
+
     try:
         e = _read_expr(file)
         lts = build_lts(e, budget)
         text = format_aut(lts) if fmt == "aut" else _format_text(lts)
-    except _ERRORS as exc:
+    except (*_ERRORS, BudgetExceeded) as exc:
         _fail(exc)
     click.echo(text, nl=False)
     sys.exit(0)
@@ -184,11 +195,14 @@ def minimize_cmd(budget, file):
     an internal divergence; silent moves inside one class are dropped;
     each class exposes the variables its members expose.
     """
+    from .equiv import bisimilarity
+    from .semantics import BudgetExceeded, Lts, build_lts, format_aut
+
     try:
         e = _read_expr(file)
         lts = build_lts(e, budget)
         part = bisimilarity(lts, "dpbb")
-    except _ERRORS as exc:
+    except (*_ERRORS, BudgetExceeded) as exc:
         _fail(exc)
     moves = {(c, TAU, c) for c in part.diverging}
     for src, act, dst in lts.transitions:

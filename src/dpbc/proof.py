@@ -1,18 +1,12 @@
-"""The axiom system as data: schema instantiation, derivations, checker.
-
-A derivation is a sequence of steps, each an equation justified by
-reflexivity, symmetry, transitivity, an axiom instance (with its
-metavariable bindings and side conditions), or a one-hole congruence.
-The checker re-instantiates every axiom step from its recorded bindings
-and compares trees, so certificates are self-contained.
+"""The prover's side of the axiom system: the derivation builder, its
+memo and the derived rules.  What it builds is checked by `kernel`,
+which defines the steps, the checker and the certificate format.
 """
 
 from __future__ import annotations
 
 import functools
-import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from .syntax import (
     Action,
@@ -27,343 +21,39 @@ from .syntax import (
     all_vars,
     free_vars,
     fresh_name,
-    is_guarded_in,
     pretty,
-    _is_identifier,
-    _is_var_name,
-    parse,
     substitute,
     summand_key,
 )
 from .semantics import step as sos_step
 from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
-
-# metavariables (expressions) and extras (binders / actions) per schema;
-# its keys are the axiom ids
-SCHEMA_PARAMS = {
-    "S1": (("E", "F"), ()),
-    "S2": (("E", "F", "G"), ()),
-    "S3": (("E",), ()),
-    "S4": (("E",), ()),
-    "B": (("E", "F"), ("a",)),
-    "R0": (("E",), ("X", "Y")),
-    "R1": (("E",), ("X",)),
-    "R2": (("E", "F"), ("X",)),
-    "R3": (("E",), ("X",)),
-    "R4": (("E", "F", "G"), ("X",)),
-    "R5": (("E", "F"), ("X", "Y")),
-    "R6": (("E",), ("X",)),
-    "R7": (("E",), ("X", "Y")),
-    "R8": (("E", "F"), ("X", "Y")),
-}
-
-
-class ProofError(Exception):
-    pass
-
-
-class MissingMeta(ProofError):
-    pass
-
-
-class SideCondition(ProofError):
-    def __init__(self, axiom: str, detail: str):
-        super().__init__(f"{axiom}: {detail}")
-        self.axiom = axiom
-        self.detail = detail
+# `check`, the certificate reader and writer and the errors are
+# re-exported for callers of the prover
+from .kernel import (  # noqa: F401
+    POSITIONS,
+    SCHEMA_PARAMS,
+    AxiomStep,
+    CertificateError,
+    Cong,
+    Derivation,
+    Just,
+    MissingMeta,
+    ProofError,
+    ProofStep,
+    Refl,
+    SideCondition,
+    Symm,
+    Trans,
+    check,
+    format_derivation,
+    instantiate_axiom,
+    parse_derivation,
+    plug,
+)
 
 
 class MoveNotPresent(ProofError):
     pass
-
-
-def _axiom_sides(axiom: str, meta: dict, extra: dict):
-    """Both sides of the schema under the given instantiation, checking
-    side conditions.  The R2 premise is validated by the checker."""
-    if axiom not in SCHEMA_PARAMS:
-        raise ProofError(f"unknown axiom {axiom!r}")
-    metas, extras = SCHEMA_PARAMS[axiom]
-    for m in metas:
-        if m not in meta or not isinstance(meta[m], Expr):
-            raise MissingMeta(f"{axiom} needs expression {m}")
-    for x in extras:
-        if x not in extra:
-            raise MissingMeta(f"{axiom} needs {x}")
-    E = meta.get("E")
-    F = meta.get("F")
-    G = meta.get("G")
-    X = extra.get("X")
-    Y = extra.get("Y")
-    if axiom == "S1":
-        return Sum(E, F), Sum(F, E)
-    if axiom == "S2":
-        return Sum(E, Sum(F, G)), Sum(Sum(E, F), G)
-    if axiom == "S3":
-        return Sum(E, E), E
-    if axiom == "S4":
-        return Sum(E, NIL), E
-    if axiom == "B":
-        a = extra["a"]
-        if not isinstance(a, Action):
-            raise MissingMeta("B needs an action for a")
-        return Prefix(a, Sum(Prefix(TAU, Sum(E, F)), F)), Prefix(a, Sum(E, F))
-    if axiom == "R0":
-        if Y in free_vars(Rec(X, E)):
-            raise SideCondition("R0", f"{Y} occurs free in the recursion")
-        return Rec(X, E), Rec(Y, substitute(E, {X: Var(Y)}))
-    if axiom == "R1":
-        return Rec(X, E), substitute(E, {X: Rec(X, E)})
-    if axiom == "R2":
-        if not is_guarded_in(X, E):
-            raise SideCondition("R2", f"{X} is not guarded in the body")
-        return F, Rec(X, E)
-    if axiom == "R3":
-        return Rec(X, Sum(Var(X), E)), Rec(X, E)
-    if axiom == "R4":
-        if is_guarded_in(X, E):
-            raise SideCondition("R4", f"{X} is guarded in the summand")
-        return (
-            Rec(X, Sum(Prefix(TAU, Sum(Prefix(TAU, E), F)), G)),
-            Rec(X, Sum(Prefix(TAU, Sum(E, F)), G)),
-        )
-    if axiom == "R5":
-        if X == Y:
-            raise SideCondition("R5", "binders must be distinct")
-        if is_guarded_in(X, E):
-            raise SideCondition("R5", f"{X} is guarded in the summand")
-        inner_l = Rec(Y, Sum(Prefix(TAU, Var(Y)), E))
-        return (
-            Rec(X, Sum(Prefix(TAU, inner_l), F)),
-            Rec(X, Sum(Prefix(TAU, Rec(Y, E)), F)),
-        )
-    if axiom == "R6":
-        return (
-            Rec(X, Prefix(TAU, E)),
-            Prefix(TAU, Rec(X, substitute(E, {X: Prefix(TAU, Var(X))}))),
-        )
-    if axiom == "R7":
-        if X == Y:
-            raise SideCondition("R7", "binders must be distinct")
-        inner = Rec(Y, Sum(Prefix(TAU, Var(Y)), E))
-        return Rec(X, Sum(Prefix(TAU, Var(X)), inner)), Rec(X, inner)
-    # R8
-    if X == Y:
-        raise SideCondition("R8", "binders must be distinct")
-    return (
-        Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(X), E)), F))),
-        Rec(X, Rec(Y, Sum(Prefix(TAU, Sum(Var(Y), E)), F))),
-    )
-
-
-# --- steps and derivations ----------------------------------------------------
-
-
-# Each justification names the earlier steps it rests on (`refs`) and
-# makes a copy whose step indices go through a map (`renumber`).
-
-
-@dataclass(frozen=True)
-class Refl:
-    def refs(self) -> tuple:
-        return ()
-
-    def renumber(self, remap):
-        return self
-
-
-@dataclass(frozen=True)
-class Symm:
-    of: int
-
-    def refs(self) -> tuple:
-        return (self.of,)
-
-    def renumber(self, remap):
-        return Symm(remap[self.of])
-
-
-@dataclass(frozen=True)
-class Trans:
-    first: int
-    second: int
-
-    def refs(self) -> tuple:
-        return (self.first, self.second)
-
-    def renumber(self, remap):
-        return Trans(remap[self.first], remap[self.second])
-
-
-@dataclass(frozen=True)
-class AxiomStep:
-    axiom: str
-    meta: tuple  # ((name, Expr), ...)
-    extra: tuple  # ((name, str | Action), ...)
-    premise: Optional[int] = None
-
-    def refs(self) -> tuple:
-        return () if self.premise is None else (self.premise,)
-
-    def renumber(self, remap):
-        if self.premise is None:
-            return self
-        return AxiomStep(self.axiom, self.meta, self.extra, remap[self.premise])
-
-
-@dataclass(frozen=True)
-class Cong:
-    pos: str  # a key of POSITIONS
-    inner: int
-    context: object  # of type POSITIONS[pos].kind
-
-    def refs(self) -> tuple:
-        return (self.inner,)
-
-    def renumber(self, remap):
-        return Cong(self.pos, remap[self.inner], self.context)
-
-
-Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
-
-
-HOLE = "◻"  # white medium square
-
-
-@dataclass(frozen=True)
-class Position:
-    """A congruence position: the type of its context, the certificate
-    text around the context's value, and how the context wraps a term."""
-
-    kind: type
-    before: str
-    after: str
-    wrap: Callable
-
-
-POSITIONS = {
-    "prefix": Position(Action, "", f".{HOLE}", Prefix),  # a.◻
-    "suml": Position(Expr, f"{HOLE} + ", "", lambda c, e: Sum(e, c)),  # ◻ + F
-    "sumr": Position(Expr, "", f" + {HOLE}", Sum),  # F + ◻
-    "recbody": Position(str, "rec ", f". {HOLE}", Rec),  # rec X. ◻
-}
-
-
-def plug(pos: str, context, e: Expr) -> Expr:
-    """The context at position `pos` with e in its hole."""
-    return POSITIONS[pos].wrap(context, e)
-
-
-@dataclass(frozen=True)
-class ProofStep:
-    lhs: Expr
-    rhs: Expr
-    just: Just
-
-
-@dataclass(frozen=True)
-class Derivation:
-    steps: tuple
-
-    @property
-    def conclusion(self):
-        last = self.steps[-1]
-        return (last.lhs, last.rhs)
-
-    def __len__(self):
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
-class CheckFailure:
-    index: int
-    reason: str
-
-    def __str__(self):
-        return f"step {self.index}: {self.reason}"
-
-
-def instantiate_axiom(axiom: str, meta: Mapping, extra: Mapping,
-                      premise: Optional[int] = None) -> ProofStep:
-    """A single axiom step; raises on unknown ids, missing bindings or
-    violated side conditions."""
-    lhs, rhs = _axiom_sides(axiom, dict(meta), dict(extra))
-    just = AxiomStep(
-        axiom,
-        tuple(sorted(meta.items())),
-        tuple(sorted(extra.items())),
-        premise,
-    )
-    return ProofStep(lhs, rhs, just)
-
-
-def _check_step(steps, i) -> Optional[str]:
-    st = steps[i]
-    j = st.just
-    if isinstance(j, Refl):
-        if st.lhs != st.rhs:
-            return "refl endpoints differ"
-        return None
-    if isinstance(j, Symm):
-        if not 0 <= j.of < i:
-            return "symm reference out of range"
-        prev = steps[j.of]
-        if st.lhs != prev.rhs or st.rhs != prev.lhs:
-            return "symm endpoints do not mirror the referenced step"
-        return None
-    if isinstance(j, Trans):
-        if not (0 <= j.first < i and 0 <= j.second < i):
-            return "trans reference out of range"
-        a, b = steps[j.first], steps[j.second]
-        if a.rhs != b.lhs:
-            return "trans endpoints do not meet"
-        if st.lhs != a.lhs or st.rhs != b.rhs:
-            return "trans endpoints differ from the referenced chain"
-        return None
-    if isinstance(j, AxiomStep):
-        try:
-            lhs, rhs = _axiom_sides(j.axiom, dict(j.meta), dict(j.extra))
-        except ProofError as exc:
-            return str(exc)
-        if st.lhs != lhs or st.rhs != rhs:
-            return f"{j.axiom} instance does not match the recorded bindings"
-        if j.axiom == "R2":
-            if j.premise is None or not 0 <= j.premise < i:
-                return "R2 needs an earlier premise step"
-            prem = steps[j.premise]
-            meta = dict(j.meta)
-            extra = dict(j.extra)
-            if prem.lhs != st.lhs:
-                return "R2 premise must share the left-hand side"
-            expected = substitute(meta["E"], {extra["X"]: st.lhs})
-            if prem.rhs != expected:
-                return "R2 premise does not unfold the recursion body"
-        elif j.premise is not None:
-            return f"{j.axiom} takes no premise"
-        return None
-    if isinstance(j, Cong):
-        if not 0 <= j.inner < i:
-            return "cong reference out of range"
-        if j.pos not in POSITIONS:
-            return f"unknown congruence position {j.pos!r}"
-        inner = steps[j.inner]
-        if not (isinstance(j.context, POSITIONS[j.pos].kind)
-                and st.lhs == plug(j.pos, j.context, inner.lhs)
-                and st.rhs == plug(j.pos, j.context, inner.rhs)):
-            return "congruence endpoints do not wrap the referenced step"
-        return None
-    return f"unknown justification {j!r}"
-
-
-def check(derivation: Derivation) -> Optional[CheckFailure]:
-    """None when every step is justified, else the first failure."""
-    steps = derivation.steps
-    if not steps:
-        return CheckFailure(0, "empty derivation")
-    for i in range(len(steps)):
-        reason = _check_step(steps, i)
-        if reason is not None:
-            return CheckFailure(i, reason)
-    return None
 
 
 # --- derivation builder ---------------------------------------------------------
@@ -925,235 +615,3 @@ def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
     """rec x.(tau.e + f) = rec x.(tau.(x + e) + f)."""
     b = Builder()
     return b.finalize(_d0(b, e, f, x))
-
-
-# --- certificate file format --------------------------------------------------
-#
-#   term <n> <one constructor over @k, variables and 0>
-#   step <n> <lhs> = <rhs> by refl
-#   step <n> <lhs> = <rhs> by symm <k>
-#   step <n> <lhs> = <rhs> by trans <k> <l>
-#   step <n> <lhs> = <rhs> by axiom <ID> {E:=..., X:=..., a:=...} [premise <k>]
-#   step <n> <lhs> = <rhs> by cong <pos> <k> in <context with hole, see POSITIONS>
-#
-# The term table comes first and writes every distinct compound subterm
-# once, children before parents (`term 5 a.@3`, `term 6 @4 + @5`,
-# `term 7 rec X. @6`): each body is one constructor over fields, and a
-# field is `@k`, `0` or a variable.  Step sides, bindings and contexts
-# are fields too.  A certificate without term lines writes whole
-# expressions there instead, and the reader parses those as such.
-
-
-def _write(value, ref) -> str:
-    """A binding or context value: a field for an expression, else the
-    action or binder name."""
-    return ref(value) if isinstance(value, Expr) else str(value)
-
-
-def _format_just(just: Just, ref) -> str:
-    if isinstance(just, Refl):
-        return "refl"
-    if isinstance(just, Symm):
-        return f"symm {just.of}"
-    if isinstance(just, Trans):
-        return f"trans {just.first} {just.second}"
-    if isinstance(just, AxiomStep):
-        parts = [f"{n}:={_write(v, ref)}" for n, v in just.meta + just.extra]
-        text = f"axiom {just.axiom} {{{', '.join(parts)}}}"
-        if just.premise is not None:
-            text += f" premise {just.premise}"
-        return text
-    if isinstance(just, Cong):
-        p = POSITIONS[just.pos]
-        return f"cong {just.pos} {just.inner} in {p.before}{_write(just.context, ref)}{p.after}"
-    raise ProofError(f"cannot format {just!r}")
-
-
-def format_derivation(d: Derivation) -> str:
-    lhs, rhs = d.conclusion
-    lines = [f"# proves: {pretty(lhs)} = {pretty(rhs)}"]
-    ids = {}
-
-    def ref(e: Expr) -> str:
-        """`@n` for a compound term, adding its `term` line on first use."""
-        if isinstance(e, Var):
-            return e.name
-        if isinstance(e, Nil):
-            return "0"
-        n = ids.get(e)
-        if n is None:
-            if isinstance(e, Prefix):
-                body = f"{e.act}.{ref(e.body)}"
-            elif isinstance(e, Sum):
-                body = f"{ref(e.left)} + {ref(e.right)}"
-            else:
-                body = f"rec {e.binder}. {ref(e.body)}"
-            n = ids[e] = len(ids)
-            lines.append(f"term {n} {body}")
-        return f"@{n}"
-
-    steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_format_just(st.just, ref)}"
-             for i, st in enumerate(d.steps)]
-    return "\n".join(lines + steps) + "\n"
-
-
-class CertificateError(ValueError):
-    pass
-
-
-def _name(text: str, variable: bool) -> str:
-    """`text` when the expression grammar can write it as a variable or
-    binder name (`variable`) or as an action name (otherwise)."""
-    if not _is_identifier(text) or _is_var_name(text) != variable:
-        raise CertificateError(
-            f"bad {'variable' if variable else 'action'} name {text!r}")
-    return text
-
-
-_REF = re.compile(r"@([0-9]+)")
-
-
-def _field(text: str, terms: list) -> Expr:
-    """The expression a field denotes: a term reference `@k`, `0` or a
-    variable."""
-    word = text.strip(" \t\r\n")
-    if word == "0":
-        return NIL
-    m = _REF.fullmatch(word)
-    if m is None:
-        return Var(_name(word, True))
-    if int(m[1]) >= len(terms):
-        raise CertificateError(f"undefined term @{m[1]}")
-    return terms[int(m[1])]
-
-
-def _side(text: str, terms: list) -> Expr:
-    """A step side, binding or sum context: a field, or a whole expression
-    in a certificate without term lines."""
-    return _field(text, terms) if terms else parse(text)
-
-
-def _term(text: str, terms: list) -> Expr:
-    """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
-    left, plus, right = text.partition("+")
-    if plus:
-        return Sum(_field(left, terms), _field(right, terms))
-    head, dot, body = text.partition(".")
-    words = head.split()
-    if dot and len(words) == 2 and words[0] == "rec":
-        return Rec(_name(words[1], True), _field(body, terms))
-    if dot and len(words) == 1:
-        return Prefix(Action(_name(words[0], False)), _field(body, terms))
-    raise CertificateError(f"bad term {text!r}")
-
-
-def _read(kind: type, text: str, terms: list):
-    """A binding or context value of the given type: an expression, an
-    action name or a binder name."""
-    if kind is Expr:
-        return _side(text, terms)
-    if kind is Action:
-        return Action(_name(text, False))
-    return _name(text.strip(), True)
-
-
-def _parse_bindings(axiom: str, text: str, terms: list):
-    metas, extras = SCHEMA_PARAMS[axiom]
-    meta, extra = {}, {}
-    text = text.strip()
-    if text:
-        for chunk in text.split(","):
-            if ":=" not in chunk:
-                raise CertificateError(f"bad binding {chunk!r}")
-            name, value = chunk.split(":=", 1)
-            name = name.strip()
-            value = value.strip()
-            if name in metas:
-                meta[name] = _read(Expr, value, terms)
-            elif name in extras:
-                extra[name] = _read(Action if name == "a" else str, value, terms)
-            else:
-                raise CertificateError(f"{axiom} takes no parameter {name!r}")
-    return meta, extra
-
-
-def _parse_just(text: str, terms: list) -> Just:
-    kind, _, rest = text.strip().partition(" ")
-    if kind == "refl" and not rest:
-        return Refl()
-    if kind == "symm":
-        return Symm(int(rest))
-    if kind == "trans":
-        a, b = rest.split()
-        return Trans(int(a), int(b))
-    if kind == "axiom":
-        name, _, rest = rest.strip().partition(" ")
-        if name not in SCHEMA_PARAMS:
-            raise CertificateError(f"unknown axiom {name!r}")
-        rest = rest.strip()
-        premise = None
-        if not rest.startswith("{") or "}" not in rest:
-            raise CertificateError(f"missing bindings for {name}")
-        body, _, tail = rest[1:].partition("}")
-        tail = tail.strip()
-        if tail:
-            if not tail.startswith("premise "):
-                raise CertificateError(f"unexpected trailer {tail!r}")
-            premise = int(tail[8:].strip())
-        meta, extra = _parse_bindings(name, body, terms)
-        return AxiomStep(
-            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
-    if kind == "cong":
-        pos, _, rest = rest.partition(" ")
-        num, _, rest = rest.strip().partition(" ")
-        inner = int(num)
-        rest = rest.strip()
-        if not rest.startswith("in "):
-            raise CertificateError("congruence step is missing its context")
-        ctx = rest[3:].strip()
-        p = POSITIONS.get(pos)
-        if p is None:
-            raise CertificateError(f"unknown congruence position {pos!r}")
-        if not (ctx.startswith(p.before) and ctx.endswith(p.after)):
-            raise CertificateError(f"bad {pos} context {ctx!r}")
-        value = ctx[len(p.before) : len(ctx) - len(p.after)]
-        return Cong(pos, inner, _read(p.kind, value, terms))
-    raise CertificateError(f"unknown justification {text!r}")
-
-
-def parse_derivation(text: str) -> Derivation:
-    """Read a certificate.  `term n` and `step n` lines are each numbered
-    from 0 in order, and `@k` may name only a term defined above it."""
-    terms, steps = [], []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind not in ("term", "step"):
-            raise CertificateError(f"unexpected line {line!r}")
-        num, _, rest = rest.partition(" ")
-        try:
-            expected = len(terms) if kind == "term" else len(steps)
-            if int(num) != expected:
-                raise CertificateError(f"{kind} numbered {num} but {expected} expected")
-            if kind == "term":
-                if steps:
-                    raise CertificateError(f"term {num} follows a step")
-                terms.append(_term(rest, terms))
-                continue
-            body, sep, just_text = rest.rpartition(" by ")
-            if not sep:
-                raise CertificateError(f"step {num} has no justification")
-            if " = " not in body:
-                raise CertificateError(f"step {num} is not an equation")
-            lhs_text, _, rhs_text = body.partition(" = ")
-            steps.append(ProofStep(_side(lhs_text, terms), _side(rhs_text, terms),
-                                   _parse_just(just_text, terms)))
-        except ValueError as exc:
-            if isinstance(exc, CertificateError):
-                raise
-            raise CertificateError(f"malformed {kind} {num!r}: {exc}") from exc
-    if not steps:
-        raise CertificateError("certificate has no steps")
-    return Derivation(tuple(steps))

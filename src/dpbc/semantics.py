@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .syntax import Expr, Prefix, Rec, Sum, Var, _per_node, expr_key, substitute
-
-DEFAULT_BUDGET = 100000
+from .syntax import (
+    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Var, _per_node, expr_key, substitute)
 
 
 class BudgetExceeded(Exception):

@@ -41,10 +41,9 @@ from .syntax import (
 from .semantics import DEFAULT_BUDGET, Lts, exposes
 from .semantics import step as sos_step
 from .equiv import Partition, bisimilarity, equivalent, rooted_check, RootedCheck
+from .kernel import Derivation, ProofError
 from .proof import (
     Builder,
-    Derivation,
-    ProofError,
     align,
     prove_subst_cong,
     prove_sum_eq,

@@ -29,11 +29,9 @@ from .syntax import (
     loop_body,
     pretty,
 )
+from .kernel import Derivation, ProofError, SideCondition
 from .proof import (
     Builder,
-    Derivation,
-    ProofError,
-    SideCondition,
     _app,
     _d0,
     _t1,

@@ -16,6 +16,11 @@ from typing import Iterable, Mapping, Optional
 
 TAU_NAME = "tau"
 
+# The state budget of a search through a term's derivatives (see
+# `semantics`).  It is set here so that the command line can show it as
+# the default of `--budget` without loading the semantics.
+DEFAULT_BUDGET = 100000
+
 
 @dataclass(frozen=True, slots=True)
 class Action:

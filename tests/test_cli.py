@@ -241,7 +241,8 @@ def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
     def fail(*args):
         raise exc
 
-    monkeypatch.setattr("dpbc.cli.prove_congruent", fail)
+    # `prove` looks the prover up in its own module when it runs
+    monkeypatch.setattr("dpbc.ses.prove_congruent", fail)
     res = CliRunner().invoke(main, ["prove", p, p])
     assert res.exit_code == 2, res.exception
     lines = res.output.strip().splitlines()
@@ -326,3 +327,92 @@ def test_prove_and_verify_leave_stderr_empty(tmp_path):
         res = _python("-m", "dpbc.cli", *args)
         assert res.returncode == 0, res.stderr
         assert res.stderr == "", args
+
+
+_PINNED = os.path.join(os.path.dirname(__file__), "pinned")
+
+
+def _loaded_modules(*args):
+    """Run `python -X importtime <args>`; the dpbc submodules it loads
+    (the module that `-m` runs is not imported), and the result."""
+    res = _python("-X", "importtime", *args)
+    names = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n[len("dpbc."):] for n in names if n.startswith("dpbc.")} - {"cli"}, res
+
+
+def test_import_dpbc_loads_no_submodule():
+    loaded, res = _loaded_modules("-c", "import dpbc")
+    assert res.returncode == 0, res.stderr[-300:]
+    assert loaded == set()
+
+
+def test_package_exports_resolve_lazily():
+    # `standardize` names a submodule and a function: loading the
+    # submodule (through `ses`) must leave the package's name the function
+    code = "\n".join([
+        "import pkgutil, sys, dpbc",
+        "from dpbc import prove_congruent",
+        "from dpbc import standardize",
+        "assert standardize is sys.modules['dpbc.standardize'].standardize",
+        "for name in dpbc.__all__:",
+        "    getattr(dpbc, name)",
+        "for info in pkgutil.iter_modules(dpbc.__path__):",
+        "    got = getattr(dpbc, info.name)",
+        "    module = sys.modules[f'dpbc.{info.name}']",
+        "    want = getattr(module, info.name) if info.name in dpbc.__all__ else module",
+        "    assert got is want, info.name",
+        "assert set(dpbc.__all__) <= set(dir(dpbc))",
+        "assert not {'PairRelation', 'brute_oracle'} & set(dpbc.__all__)",
+    ])
+    res = _python("-c", code)
+    assert res.returncode == 0, res.stderr[-500:]
+
+
+@pytest.mark.parametrize("args, code, layers", [
+    (["check", "--rel", "strong", "l.proc", "r.proc"], 1, {"syntax", "semantics", "equiv"}),
+    (["check", "--rel", "rooted", "l.proc", "l.proc"], 0, {"syntax", "semantics", "equiv"}),
+    (["check", "bad.proc", "r.proc"], 2, {"syntax", "semantics", "equiv"}),
+    (["check", "--budget", "1", "l.proc", "r.proc"], 2, {"syntax", "semantics", "equiv"}),
+    (["lts", "l.proc"], 0, {"syntax", "semantics"}),
+    (["minimize", "l.proc"], 0, {"syntax", "semantics", "equiv"}),
+    (["std", "--cert", "l.cert", "l.proc"], 0,
+     {"syntax", "semantics", "kernel", "proof", "standardize"}),
+    (["prove", "l.proc", "r.proc"], 0,
+     {"syntax", "semantics", "equiv", "kernel", "proof", "standardize", "ses"}),
+    (["verify", "pinned"], 0, {"syntax", "kernel"}),
+    (["verify", "tampered.cert"], 1, {"syntax", "kernel"}),
+    (["verify", "bad.proc"], 2, {"syntax", "kernel"}),
+])
+def test_each_command_loads_only_its_layers(tmp_path, args, code, layers):
+    _write(tmp_path, "l.proc", "a.tau.b.0")
+    _write(tmp_path, "r.proc", "a.b.0")
+    _write(tmp_path, "bad.proc", "a. + b")
+    _write(tmp_path, "tampered.cert", "step 0 a.0 = b.0 by refl\n")
+    paths = {"pinned": os.path.join(_PINNED, "taupad.cert")}
+    argv = [paths.get(a) or (str(tmp_path / a) if "." in a else a) for a in args]
+    loaded, res = _loaded_modules("-m", "dpbc.cli", *argv)
+    assert res.returncode == code, res.stderr[-300:]
+    assert loaded == layers
+
+
+def test_pins_verify_with_only_the_kernel():
+    # the trusted base is `syntax` and `kernel`: with every other module
+    # blocked from loading, `verify` accepts every pinned certificate
+    blocked = ["dpbc.semantics", "dpbc.equiv", "dpbc.ses", "dpbc.standardize", "dpbc.proof"]
+    code = "\n".join([
+        "import sys",
+        f"sys.modules.update(dict.fromkeys({blocked!r}))",
+        "from dpbc.cli import main",
+        "for path in sys.argv[1:]:",
+        "    try:",
+        "        main(['verify', path], standalone_mode=False)",
+        "    except SystemExit as exc:",
+        "        assert exc.code == 0, (path, exc.code)",
+        "    else:",
+        "        raise AssertionError(path)",
+    ])
+    pins = sorted(os.path.join(_PINNED, name) for name in os.listdir(_PINNED))
+    res = _python("-c", code, *pins)
+    assert res.returncode == 0, res.stderr[-500:]
+    assert res.stdout.count("verified: ") == len(pins) > 0
