@@ -19,7 +19,7 @@ _EXPORTS = {
         "Action", "Expr", "Nil", "Var", "Prefix", "Sum", "Rec", "NIL", "TAU",
         "parse", "pretty", "free_vars", "substitute", "loop", "is_loop",
         "loop_body", "is_guarded_in", "is_guarded_expr", "is_fully_exposed",
-        "as_standard_sum", "SumView",
+        "is_standard_sum",
     ),
     "semantics": (
         "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",

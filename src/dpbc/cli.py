@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty, view_expr
+from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty
 
 RELATIONS = ("strong", "branching", "dpbb", "rooted")
 
@@ -145,8 +145,8 @@ def std_cmd(cert, file):
 
     try:
         e = _read_expr(file)
-        view, derivation = standardize(e)
-        click.echo(pretty(view_expr(view)))
+        out, derivation = standardize(e)
+        click.echo(pretty(out))
         path = cert if cert else f"{file}.cert"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(format_derivation(derivation))

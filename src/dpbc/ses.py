@@ -20,7 +20,6 @@ from .syntax import (
     Prefix,
     Rec,
     Sum,
-    SumView,
     TAU,
     Var,
     all_vars,
@@ -36,7 +35,6 @@ from .syntax import (
     loop_body,
     pretty,
     substitute,
-    view_expr,
 )
 from .semantics import DEFAULT_BUDGET, Lts, exposes
 from .semantics import step as sos_step
@@ -100,62 +98,47 @@ class EqSystem:
         return True
 
 
-def _classify_rhs(system_formals, e: Expr):
-    """Validate an SES right-hand side; returns ('plain'|'loop', SumView)."""
-    kind = "plain"
-    body = e
-    if isinstance(e, Rec):
-        if not is_loop(e):
-            return None
-        kind = "loop"
-        body = loop_body(e)
-    prefixed = []
-    bare = []
-    for leaf in flatten_sum(body):
-        if isinstance(leaf, Nil):
-            continue
-        if isinstance(leaf, Prefix):
-            if not (isinstance(leaf.body, Var) and leaf.body.name in system_formals):
-                return None
-            prefixed.append((leaf.act, leaf.body))
-        elif isinstance(leaf, Var):
-            if leaf.name in system_formals:
-                return None
-            bare.append(leaf.name)
-        else:
-            return None
-    return kind, SumView(tuple(prefixed), tuple(sorted(set(bare))))
-
-
 @dataclass(frozen=True)
 class SesSystem(EqSystem):
     """An equation system in standard form: every right-hand side is a
     sum of prefixes over formals plus non-formal variables, optionally
-    inside a loop, and the system is guarded."""
+    inside a loop, and the system is guarded.
 
-    shape: dict
+    `lts` is the system as a transition system: state i is formal i,
+    its moves are the prefixes of its equation plus a silent self-step
+    when the equation is a loop, and it exposes the equation's
+    non-formal variables."""
+
+    lts: Lts
 
     @staticmethod
     def from_equations(formals, rhs) -> "SesSystem":
-        shapes = {}
         fs = tuple(formals)
-        for x in fs:
-            cls = _classify_rhs(set(fs), rhs[x])
-            if cls is None:
-                raise ValueError(f"{x} has a non-standard right-hand side: {pretty(rhs[x])}")
-            shapes[x] = cls
-        sys = SesSystem(fs, dict(rhs), shapes)
+        index = {x: i for i, x in enumerate(fs)}
+        transitions = set()
+        exposure = []
+        for i, x in enumerate(fs):
+            body = rhs[x]
+            if isinstance(body, Rec) and is_loop(body):
+                transitions.add((i, TAU, i))
+                body = loop_body(body)
+            exposed = set()
+            for leaf in flatten_sum(body):
+                if (isinstance(leaf, Prefix) and isinstance(leaf.body, Var)
+                        and leaf.body.name in index):
+                    transitions.add((i, leaf.act, index[leaf.body.name]))
+                elif isinstance(leaf, Var) and leaf.name not in index:
+                    exposed.add(leaf.name)
+                elif not isinstance(leaf, Nil):
+                    raise ValueError(
+                        f"{x} has a non-standard right-hand side: {pretty(rhs[x])}")
+            exposure.append(frozenset(exposed))
+        transitions = tuple(sorted(transitions, key=lambda t: (t[0], t[1].key(), t[2])))
+        lts = Lts(fs, transitions, tuple(exposure), 0 if fs else None)
+        sys = SesSystem(fs, dict(rhs), lts)
         if not sys.is_guarded():
             raise NotGuarded("equation system has an unguarded cycle")
         return sys
-
-
-@dataclass(frozen=True)
-class DerivativePair:
-    """Class-preserving silent summands of an equation, and the rest."""
-
-    stutter: SumView
-    nonstutter: SumView
 
 
 # --- extraction -----------------------------------------------------------------
@@ -292,37 +275,13 @@ def tau_transform(s: EqSystem) -> EqSystem:
     return out
 
 
-# --- semantics of a system --------------------------------------------------------
-
-
-def ses_semantics(s: SesSystem) -> Lts:
-    """The system as a transition system: formal states plus absorbing
-    states for the exposed non-formal variables."""
-    exposed = sorted({w for x in s.formals for w in s.shape[x][1].vars})
-    index = {x: i for i, x in enumerate(s.formals)}
-    for w in exposed:
-        index[w] = len(index)
-    transitions = []
-    exposure = [frozenset() for _ in index]
-    for x in s.formals:
-        kind, view = s.shape[x]
-        src = index[x]
-        if kind == "loop":
-            transitions.append((src, TAU, src))
-        for a, tgt in view.prefixed:
-            transitions.append((src, a, index[tgt.name]))
-        exposure[src] = frozenset(view.vars)
-    for w in exposed:
-        exposure[index[w]] = frozenset((w,))
-    transitions = tuple(sorted(set(transitions), key=lambda t: (t[0], t[1].key(), t[2])))
-    root = 0 if s.formals else None
-    return Lts(tuple(s.formals) + tuple(exposed), transitions, tuple(exposure), root)
+# --- classes of formals ---------------------------------------------------------------
 
 
 def formal_classes(s: SesSystem) -> Partition:
     """Solution equivalence of the formal variables, decided on the
     system's own transition system."""
-    return bisimilarity(ses_semantics(s), "dpbb")
+    return bisimilarity(s.lts, "dpbb")
 
 
 def _class_of(s: SesSystem, part: Partition):
@@ -344,20 +303,21 @@ def bottom_variables(s: SesSystem, classes: Partition):
     return bottoms
 
 
-def derivatives(s: SesSystem, classes: Partition, x: str) -> DerivativePair:
-    """Split the summands of x's equation into class-preserving silent
-    moves and the rest (plus exposed variables)."""
-    cls = _class_of(s, classes)
-    _, view = s.shape[x]
-    stutter = []
-    rest = []
-    for a, tgt in view.prefixed:
-        if a.is_tau and cls[tgt.name] == cls[x]:
-            stutter.append((a, tgt))
-        else:
-            rest.append((a, tgt))
-    return DerivativePair(
-        SumView(tuple(stutter), ()), SumView(tuple(rest), view.vars))
+def derivatives(s: SesSystem, classes: Partition, x: str):
+    """(stutter, rest): the silent moves of x's equation that stay in
+    x's class, and its other moves plus its exposed variables, as
+    canonical sums over the formals.  A loop's own silent step is in
+    neither."""
+    i = s.formals.index(x)
+    cls = classes.class_of
+    stutter, rest = [], []
+    for a, j in s.lts.succ(i):
+        if (a, j) == (TAU, i):
+            continue
+        (stutter if a.is_tau and cls[j] == cls[i] else rest).append(
+            Prefix(a, Var(s.formals[j])))
+    rest += map(Var, s.lts.exposure[i])
+    return compose_sum(canon_leaves(stutter)), compose_sum(canon_leaves(rest))
 
 
 # --- quotient construction ----------------------------------------------------------
@@ -399,10 +359,8 @@ class _Quotient:
     # -- filled derivative sums --------------------------------------------
 
     def filled(self, x: str):
-        pair = derivatives(self.s, self.classes, x)
-        f0 = substitute(view_expr(pair.stutter), self.bmap)
-        f1 = substitute(view_expr(pair.nonstutter), self.bmap)
-        return f0, f1
+        f0, f1 = derivatives(self.s, self.classes, x)
+        return substitute(f0, self.bmap), substitute(f1, self.bmap)
 
     def fillb(self, x: str) -> Expr:
         return substitute(self.s.rhs[x], self.bmap)
@@ -412,9 +370,8 @@ class _Quotient:
         (wrapped in a loop when the equation is in loop form)."""
         b = self.b
         f0, f1 = self.filled(x)
-        kind, _ = self.s.shape[x]
         fx = self.fillb(x)
-        if kind == "plain":
+        if not isinstance(self.s.rhs[x], Rec):
             return prove_sum_eq(b, fx, Sum(f0, f1))
         if not is_loop(fx):
             raise ProofError("filled loop equation lost its shape")
@@ -438,7 +395,7 @@ class _Quotient:
         F{B} = F{B} + F1{B}."""
         _, f1 = self.filled(x)
         split = self.clause_split(x)
-        grow = None if self.s.shape[x][0] == "plain" else self.subset_absorb
+        grow = self.subset_absorb if isinstance(self.s.rhs[x], Rec) else None
         return _absorb_along(self.b, split, f1, grow)
 
     def equality3(self, x: str) -> int:
@@ -446,8 +403,8 @@ class _Quotient:
         b = self.b
         c = self.cls[x]
         xi = self.bottoms[c]
-        kind_x = self.s.shape[x][0]
-        kind_i = self.s.shape[xi][0]
+        loop_x = isinstance(self.s.rhs[x], Rec)
+        loop_i = isinstance(self.s.rhs[xi], Rec)
         is_bottom = x == xi or all(
             self.cls[y] != c for y in self.s.unguarded_successors(x))
         if x == xi:
@@ -458,14 +415,14 @@ class _Quotient:
         if is_bottom:
             # the stutter sums are empty and the rest coincide as sets,
             # so both sides meet at one canonical sum (loop) directly
-            if kind_x != kind_i:
+            if loop_x != loop_i:
                 raise ProofError("bottom variables of one class disagree on loops")
-            if kind_x == "plain":
+            if not loop_x:
                 meet = prove_sum_eq(b, self.fillb(x), fxi)
             else:
                 meet = _meet_loops(b, self.fillb(x), fxi)
             return b.cong("prefix", meet, TAU)
-        if kind_x == "plain":
+        if not loop_x:
             # expand the stutter step onto the designated equation and
             # absorb the leftover summands with the branching axiom
             total = b.cong("prefix", self.clause_split(x), TAU)
@@ -484,7 +441,7 @@ class _Quotient:
                          b.symm(self.clause_absorb(xi)))
             return total
         # x's equation is a loop, hence so is the designated one
-        if kind_i != "loop":
+        if not loop_i:
             raise ProofError("a loop equation met a loop-free designated bottom")
         total = b.cong("prefix", self.clause_split(x), TAU)
         total = _app(b, total, ["prefix", "rec", "sumr", "suml"],
@@ -638,7 +595,7 @@ def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
     # the silent-prefixed inputs solve the silent-prefixed system
     taus = {x: Prefix(TAU, sols[x]) for x in order}
     taumap = dict(taus)
-    tau_rhs = {x: Prefix(TAU, rhs[x]) for x in order}
+    tau_rhs = tau_transform(q.s).rhs
     tau_ders = {}
     for x in order:
         idx = b.cong("prefix", ders[x], TAU)

@@ -17,7 +17,6 @@ from .syntax import (
     Sum,
     TAU,
     Var,
-    as_standard_sum,
     flatten_sum,
     free_vars,
     fresh_name,
@@ -25,6 +24,7 @@ from .syntax import (
     is_guarded_expr,
     is_guarded_in,
     is_loop,
+    is_standard_sum,
     loop,
     loop_body,
     pretty,
@@ -490,10 +490,9 @@ def _standardize(b: Builder, e: Expr):
 
 
 def standardize(e: Expr):
-    """(view, derivation of e = standard sum)."""
+    """(standard sum, derivation of e = it)."""
     b = Builder()
     out, idx = _standardize(b, e)
-    view = as_standard_sum(out)
-    if view is None:
+    if not is_standard_sum(out):
         raise ProofError(f"standardization produced a non-standard shape: {pretty(out)}")
-    return view, b.finalize(idx)
+    return out, b.finalize(idx)

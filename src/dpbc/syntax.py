@@ -424,51 +424,12 @@ def compose_sum(leaves: Iterable[Expr]) -> Expr:
     return acc
 
 
-def canon_sum(e: Expr) -> Expr:
-    """The canonical form of a sum: sorted, duplicate- and 0-free."""
-    return compose_sum(canon_leaves(flatten_sum(e)))
-
-
-@dataclass(frozen=True)
-class SumView:
-    """A sum seen as prefixed summands plus variable summands, normalized."""
-
-    prefixed: tuple
-    vars: tuple
-
-    def is_empty(self) -> bool:
-        return not self.prefixed and not self.vars
-
-
-def make_view(prefixed, var_names) -> SumView:
-    pre = canon_leaves(Prefix(a, b) for a, b in prefixed)
-    return SumView(tuple((p.act, p.body) for p in pre), tuple(sorted(set(var_names))))
-
-
-def view_expr(view: SumView) -> Expr:
-    """The canonical expression denoted by a sum view."""
-    leaves = [Prefix(a, b) for a, b in view.prefixed] + [Var(v) for v in view.vars]
-    return compose_sum(canon_leaves(leaves))
-
-
-def as_standard_sum(e: Expr) -> Optional[SumView]:
-    """View e as a sum of prefixes over guarded expressions plus variables.
-
-    Returns None when some summand has another shape; empty summands are
-    absorbed.
-    """
-    prefixed = []
-    var_names = []
-    for leaf in flatten_sum(e):
-        if isinstance(leaf, Nil):
-            continue
-        if isinstance(leaf, Var):
-            var_names.append(leaf.name)
-        elif isinstance(leaf, Prefix) and is_guarded_expr(leaf.body):
-            prefixed.append((leaf.act, leaf.body))
-        else:
-            return None
-    return make_view(prefixed, var_names)
+def is_standard_sum(e: Expr) -> bool:
+    """Every summand of e is 0, a variable, or a prefix over a guarded
+    expression."""
+    return all(isinstance(leaf, (Nil, Var))
+               or (isinstance(leaf, Prefix) and is_guarded_expr(leaf.body))
+               for leaf in flatten_sum(e))
 
 
 # --- concrete grammar --------------------------------------------------------

@@ -61,6 +61,20 @@ def random_guarded_expr(rng: random.Random, size: int, free_pool=VARS) -> Expr:
     return e
 
 
+def all_terms(max_nodes: int, leaves) -> list:
+    """Every term of at most `max_nodes` nodes over the given leaves,
+    tau., a., +, rec X. and rec Y., shadowing binders included."""
+    by_size = [[], list(leaves)]
+    for n in range(2, max_nodes + 1):
+        terms = [wrap(e) for e in by_size[n - 1]
+                 for wrap in (lambda e: Prefix(TAU, e), lambda e: Prefix(Action("a"), e),
+                              lambda e: Rec("X", e), lambda e: Rec("Y", e))]
+        terms += [Sum(l, r) for k in range(1, n - 1)
+                  for l in by_size[k] for r in by_size[n - 1 - k]]
+        by_size.append(terms)
+    return [e for terms in by_size for e in terms]
+
+
 def silently_exposes(x: str, e: Expr) -> bool:
     """Reference for `not is_guarded_in(x, e)`: some expression that e
     reaches by silent steps exposes x."""

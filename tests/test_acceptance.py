@@ -12,7 +12,7 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
-    as_standard_sum,
+    is_standard_sum,
     parse,
 )
 from dpbc.semantics import build_lts, _can_reach_tau_cycle
@@ -180,11 +180,10 @@ def test_criterion_6_standardization():
     ok = True
     for _ in range(300):
         e = random_expr(rng, rng.randint(1, 25))
-        view, d = standardize(e)
-        se = d.conclusion[1]
+        se, d = standardize(e)
         if check(d) is not None:
             ok = False
-        if d.conclusion[0] != e or as_standard_sum(se) is None:
+        if d.conclusion != (e, se) or not is_standard_sum(se):
             ok = False
         if not rooted_check(e, se).equal:
             ok = False

@@ -57,7 +57,7 @@ def test_extraction_avoids_user_reserved_names():
 
 def test_shadowed_binders():
     e = parse("rec X. a.rec X. b.X")
-    view, d = standardize(e)
+    _, d = standardize(e)
     assert check(d) is None
     assert rooted_check(e, d.conclusion[1]).equal
 
@@ -71,7 +71,7 @@ def test_randomized_hostile_names():
     rng = random.Random(31337)
     for _ in range(40):
         e = random_expr(rng, rng.randint(1, 12), HOSTILE)
-        view, d = standardize(e)
+        _, d = standardize(e)
         assert check(d) is None, pretty(e)
         assert rooted_check(e, d.conclusion[1]).equal, pretty(e)
     for _ in range(30):

@@ -1,5 +1,6 @@
 import random
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -31,7 +32,6 @@ from dpbc.ses import (
     prove_congruent,
     promote,
     quotient,
-    ses_semantics,
     solve_system,
     tau_transform,
     _live,
@@ -39,7 +39,7 @@ from dpbc.ses import (
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
 from dpbc.semantics import build_lts, exposes, step
 
-from genexpr import random_expr, random_guarded_expr, random_ses_equations
+from genexpr import all_terms, random_expr, random_guarded_expr, random_ses_equations
 
 
 def _check_family(system, sols, ders):
@@ -51,12 +51,13 @@ def _check_family(system, sols, ders):
         assert lhs == sols[x]
         assert rhs == substitute(system.rhs[x], sols)
         # the equation lists the state's moves, but a silent step to
-        # itself, which makes it a loop, and its exposed variables
-        kind, view = system.shape[x]
+        # itself, which makes it a loop, and its exposed variables; the
+        # system's transition system has exactly the state's moves
+        i = system.formals.index(x)
         moves = set(step(sols[x]))
-        assert (kind == "loop") == ((TAU, sols[x]) in moves)
-        assert {(a, sols[y.name]) for a, y in view.prefixed} == moves - {(TAU, sols[x])}
-        assert set(view.vars) == exposes(sols[x])
+        assert isinstance(system.rhs[x], Rec) == ((TAU, sols[x]) in moves)
+        assert {(a, sols[system.formals[j]]) for a, j in system.lts.succ(i)} == moves
+        assert system.lts.exposure[i] == exposes(sols[x])
 
 
 def test_extract_prefix_chain():
@@ -71,8 +72,8 @@ def test_extract_prefix_chain():
 
 def test_extract_loop():
     s, root, sols, ders = extract_ses(parse("tau* a.0"))
-    kinds = {x: s.shape[x][0] for x in s.formals}
-    assert kinds[root] == "loop"
+    assert s.rhs[root] == loop(parse(f"a.{s.formals[1]}"))
+    assert s.lts.transitions == ((0, TAU, 0), (0, Action("a"), 1))
     _check_family(s, sols, ders)
 
 
@@ -113,6 +114,16 @@ def test_eq_system_rejects_malformed_formals():
         EqSystem(("X", "X"), {"X": NIL})
     with pytest.raises(ValueError):
         EqSystem(("X",), {"X": NIL, "Y": NIL})
+
+
+def test_ses_system_rejects_non_standard_equations():
+    for text in ("a.b.X", "X", "a.W", "rec Z. a.Z", "a.X + tau.(X + Y)"):
+        with pytest.raises(ValueError, match="non-standard"):
+            SesSystem.from_equations(("X", "Y"), {"X": parse(text), "Y": NIL})
+    with pytest.raises(NotGuarded):
+        SesSystem.from_equations(("X", "Y"), {"X": parse("tau.Y"), "Y": parse("tau.X")})
+    with pytest.raises(NotGuarded):
+        SesSystem.from_equations(("X",), {"X": loop(parse("tau.X"))})
 
 
 def test_tau_transform():
@@ -159,7 +170,7 @@ def test_ses_semantics_against_solutions():
         except (ValueError, NotGuarded):
             continue
         part = formal_classes(s)
-        sems = ses_semantics(s)
+        assert s.lts.states == tuple(formals)
         for i, x in enumerate(formals):
             for j, y in enumerate(formals):
                 solx, _ = solve_system(s, x)
@@ -195,16 +206,17 @@ def test_derivatives_examples():
         ("X", "Y", "Z"),
         {"X": parse("tau.Y + a.Z"), "Y": parse("a.Z"), "Z": NIL})
     part = formal_classes(s)
-    pair = derivatives(s, part, "X")
-    assert pair.stutter.prefixed == ((TAU, Var("Y")),)
-    assert pair.nonstutter.prefixed == ((Action("a"), Var("Z")),)
+    assert derivatives(s, part, "X") == (parse("tau.Y"), parse("a.Z"))
     # a bottom variable has an empty stuttering derivative
-    pair_y = derivatives(s, part, "Y")
-    assert pair_y.stutter.prefixed == ()
+    assert derivatives(s, part, "Y") == (NIL, parse("a.Z"))
     # exposed non-formals land in the non-stuttering derivative
-    s2 = SesSystem.from_equations(("X",), {"X": parse("a.X + W")})
-    pair2 = derivatives(s2, formal_classes(s2), "X")
-    assert pair2.nonstutter.vars == ("W",)
+    s2 = SesSystem.from_equations(("X",), {"X": parse("W + a.X")})
+    assert derivatives(s2, formal_classes(s2), "X") == (NIL, parse("a.X + W"))
+    # a loop's own silent step is in neither sum
+    s3 = SesSystem.from_equations(
+        ("X", "Z"), {"X": loop(parse("tau.Z + a.Z")), "Z": NIL})
+    assert (0, TAU, 0) in s3.lts.transitions
+    assert derivatives(s3, formal_classes(s3), "X") == (NIL, parse("tau.Z + a.Z"))
 
 
 def test_quotient_two_equal_loops():
@@ -263,7 +275,6 @@ def test_quotient_random_contract():
 def test_derivative_splits_rebuild_equation():
     # the filled equation equals stutter + rest up to sum laws
     from dpbc.syntax import canon_leaves, flatten_sum
-    from dpbc.syntax import view_expr
 
     rng = random.Random(53)
     for _ in range(40):
@@ -274,10 +285,8 @@ def test_derivative_splits_rebuild_equation():
             continue
         part = formal_classes(s)
         for x in formals:
-            pair = derivatives(s, part, x)
-            kind, view = s.shape[x]
-            body = s.rhs[x] if kind == "plain" else s.rhs[x].body.right
-            merged = Sum(view_expr(pair.stutter), view_expr(pair.nonstutter))
+            body = s.rhs[x].body.right if isinstance(s.rhs[x], Rec) else s.rhs[x]
+            merged = Sum(*derivatives(s, part, x))
             assert canon_leaves(flatten_sum(body)) == canon_leaves(flatten_sum(merged))
 
 
@@ -507,3 +516,31 @@ def test_completeness_matches_rooted_equivalence():
             assert rooted_check(e, f).equal
             assert check(r) is None
             assert r.conclusion == (e, f)
+
+
+@pytest.mark.parametrize("max_nodes, leaves, free", [
+    (5, (NIL, Var("X"), Var("Y")), frozenset()),
+    (4, (NIL, Var("X"), Var("Y"), Var("Z")), frozenset({"Z"})),
+])
+def test_completeness_on_every_small_term(max_nodes, leaves, free):
+    # bounded-exhaustive: every term up to the size whose free names lie
+    # in `free`, grouped into rooted-congruence classes; each member
+    # proves against its class's first member, and no two classes prove
+    terms = [e for e in all_terms(max_nodes, leaves) if free_vars(e) <= free]
+    classes = []
+    for e in terms:
+        for members in classes:
+            if rooted_check(e, members[0]).equal:
+                members.append(e)
+                break
+        else:
+            classes.append([e])
+    for first, *rest in classes:
+        for e in rest:
+            d = prove_congruent(e, first)
+            assert not isinstance(d, RootedCheck), (pretty(e), pretty(first))
+            d = parse_derivation(format_derivation(d))
+            assert check(d) is None, (pretty(e), pretty(first))
+            assert d.conclusion == (e, first)
+    for (first, *_), (other, *_) in permutations(classes, 2):
+        assert isinstance(prove_congruent(first, other), RootedCheck)

@@ -9,10 +9,13 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
-    as_standard_sum,
+    canon_leaves,
+    compose_sum,
+    flatten_sum,
     is_fully_exposed,
     is_guarded_expr,
     is_guarded_in,
+    is_standard_sum,
     loop,
     parse,
     pretty,
@@ -140,19 +143,19 @@ def test_expose_random_contract():
 
 
 def test_standardize_already_standard():
-    view, d = standardize(parse("a.0"))
+    out, d = standardize(parse("a.0"))
     assert len(d) == 1
-    assert view.prefixed == ((Action("a"), NIL),)
-    view, d = standardize(Var("X"))
-    assert view.vars == ("X",)
+    assert out == parse("a.0")
+    out, d = standardize(Var("X"))
+    assert out == Var("X")
 
 
 def test_standardize_divergent_loop():
     e = parse("rec X.(tau.X + a.0)")
-    view, d = standardize(e)
+    se, d = standardize(e)
     assert check(d) is None
-    se = d.conclusion[1]
-    assert as_standard_sum(se) is not None
+    assert d.conclusion == (e, se)
+    assert is_standard_sum(se)
     assert rooted_check(e, se).equal
     # a loop built over exposed occurrences of the binder keeps no 0s
     e = parse("b.rec Z. tau.(Z + Z)")
@@ -165,14 +168,16 @@ def test_standardize_random_contract():
     rng = random.Random(44)
     for _ in range(80):
         e = random_expr(rng, rng.randint(1, 20))
-        view, d = standardize(e)
+        out, d = standardize(e)
         assert check(d) is None
-        assert d.conclusion[0] == e
-        se = d.conclusion[1]
-        assert as_standard_sum(se) is not None
-        for _, body in view.prefixed:
-            assert is_guarded_expr(body)
-        assert rooted_check(e, se).equal
+        assert d.conclusion == (e, out)
+        # the sum is canonical: `dpbc std` prints it as the certificate's
+        # right-hand side
+        assert out == compose_sum(canon_leaves(flatten_sum(out)))
+        assert is_standard_sum(out)
+        for leaf in flatten_sum(out):
+            assert not isinstance(leaf, Prefix) or is_guarded_expr(leaf.body)
+        assert rooted_check(e, out).equal
 
 
 def test_standardize_idempotent_on_standard_sums():

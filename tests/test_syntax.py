@@ -17,25 +17,24 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
-    as_standard_sum,
     free_vars,
     is_fully_exposed,
     is_guarded_expr,
     is_guarded_in,
     is_loop,
+    is_standard_sum,
     loop,
     loop_body,
     parse,
     pretty,
     substitute,
-    view_expr,
     ParseError,
 )
 from dpbc.semantics import step
 
 import dpbc
 import genexpr
-from genexpr import random_expr, silently_exposes
+from genexpr import all_terms, random_expr, silently_exposes
 
 
 def test_free_vars():
@@ -151,36 +150,14 @@ def test_fully_exposed():
     assert is_fully_exposed("X", parse("a.0 + b.0"))
 
 
-def test_as_standard_sum():
-    view = as_standard_sum(parse("a.0 + X"))
-    assert view is not None
-    assert view.prefixed == ((Action("a"), NIL),)
-    assert view.vars == ("X",)
-    assert as_standard_sum(parse("rec X. a.X")) is None
-    empty = as_standard_sum(NIL)
-    assert empty is not None and empty.is_empty()
-    # empty summands are absorbed, unguarded bodies rejected
-    assert as_standard_sum(parse("a.0 + 0")) is not None
-    assert as_standard_sum(Prefix(Action("a"), parse("rec X. tau.X"))) is None
-
-
-def test_view_expr_is_canonical():
-    view = as_standard_sum(parse("X + a.0 + X + 0"))
-    assert view_expr(view) == parse("a.0 + X")
-
-
-def _all_terms(max_nodes):
-    """Every term of at most `max_nodes` nodes over 0, X, Y, tau., a., +,
-    rec X. and rec Y., open terms and shadowing binders included."""
-    by_size = [[], [NIL, Var("X"), Var("Y")]]
-    for n in range(2, max_nodes + 1):
-        terms = [wrap(e) for e in by_size[n - 1]
-                 for wrap in (lambda e: Prefix(TAU, e), lambda e: Prefix(Action("a"), e),
-                              lambda e: Rec("X", e), lambda e: Rec("Y", e))]
-        terms += [Sum(l, r) for k in range(1, n - 1)
-                  for l in by_size[k] for r in by_size[n - 1 - k]]
-        by_size.append(terms)
-    return [e for terms in by_size for e in terms]
+def test_is_standard_sum():
+    assert is_standard_sum(parse("a.0 + X"))
+    assert is_standard_sum(NIL)
+    assert is_standard_sum(parse("X + a.(rec X. b.X) + X + 0"))
+    assert not is_standard_sum(parse("rec X. a.X"))
+    assert not is_standard_sum(parse("a.0 + (rec X. a.X)"))
+    # a prefix over an unguarded recursion is no standard summand
+    assert not is_standard_sum(Prefix(Action("a"), parse("rec X. tau.X")))
 
 
 def test_guardedness_agrees_with_silent_exposure():
@@ -191,7 +168,7 @@ def test_guardedness_agrees_with_silent_exposure():
         e = random_expr(rng, rng.randint(1, 10))
         for x in ["X", "Y"]:
             assert is_guarded_in(x, e) == (not silently_exposes(x, e))
-    terms = _all_terms(7)
+    terms = all_terms(7, (NIL, Var("X"), Var("Y")))
     assert 2 * len(terms) == 144366
     for e in terms:
         for x in ["X", "Y"]:
