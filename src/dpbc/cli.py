@@ -16,9 +16,17 @@ from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty
 RELATIONS = ("strong", "branching", "dpbb", "rooted")
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_expr(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return parse(text)
     except RecursionError:
@@ -120,8 +128,7 @@ def verify_cmd(file):
     from .kernel import CertificateError, ProofError, check, parse_derivation
 
     try:
-        with open(file, encoding="utf-8") as fh:
-            derivation = parse_derivation(fh.read())
+        derivation = parse_derivation(_read_text(file))
         failure = check(derivation)
         if failure is None:
             lhs, rhs = derivation.conclusion

@@ -19,13 +19,13 @@ from .syntax import (
     TAU,
     Var,
     all_vars,
+    flatten_sum,
     free_vars,
     fresh_name,
     pretty,
     substitute,
     summand_key,
 )
-from .semantics import step as sos_step
 from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
 # `check`, the certificate reader and writer and the errors are
 # re-exported for callers of the prover
@@ -495,56 +495,38 @@ def derive_T1(a: Action, e: Expr) -> Derivation:
     return b.finalize(_t1(b, a, e))
 
 
-def _has_leaf(e: Expr, leaf: Expr) -> bool:
-    """Is `leaf` (a.target or a variable) a move or an exposure of e?"""
-    if isinstance(leaf, Var):
-        return leaf.name in exposes(e)
-    return (leaf.act, leaf.body) in sos_step(e)
+@_derived
+def _hnf(b: Builder, e: Expr) -> int:
+    """e = a sum of its moves a.e', its exposed variables and 0s, along
+    the rules of `semantics.step` and `exposes`: a sum by both sides, a
+    recursion by unfolding it (R1) and lifting its body's sum, any other
+    term as it is.  The moves come out as `step`'s own terms."""
+    if isinstance(e, Sum):
+        return b.sum_cong(_hnf(b, e.left), _hnf(b, e.right))
+    if isinstance(e, Rec):
+        unfold = b.axiom("R1", {"E": e.body}, {"X": e.binder})
+        return b.trans(unfold, subst_step(b, _hnf(b, e.body), {e.binder: e}))
+    return b.refl(e)
 
 
-def _not_present(e: Expr, leaf: Expr) -> MoveNotPresent:
-    if isinstance(leaf, Var):
-        return MoveNotPresent(f"{pretty(e)} does not expose {leaf.name}")
-    return MoveNotPresent(f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
+def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
+    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
+    proves (by default a sum rearrangement: extra's summands are in Y)."""
+    mid = b.rhs_after(d)
+    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
+    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
 
 
 def _absorb_summand(b: Builder, e: Expr, leaf: Expr) -> int:
-    """e = e + leaf, for a move a.target or an exposed variable of e,
-    replaying the rule of `semantics.step` (or `exposes`) that derives it.
-
-    A recursion's moves are its body's moves with the recursion
-    substituted in, so its absorption is the body's, lifted by the same
-    substitution; each call goes into a strict subterm.
-    """
-    if e == leaf:
-        return b.symm(b.axiom("S3", {"E": e}))
-    if isinstance(e, Sum):
-        if _has_leaf(e.left, leaf):
-            ih = _absorb_summand(b, e.left, leaf)
-            i1 = b.cong("suml", ih, e.right)  # l+r = (l+leaf)+r
-            i2 = b.symm(b.axiom("S2", {"E": e.left, "F": leaf, "G": e.right}))
-            i3 = b.cong("sumr", b.axiom("S1", {"E": leaf, "F": e.right}), e.left)
-            i4 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
-            return b.chain(i1, i2, i3, i4)
-        if _has_leaf(e.right, leaf):
-            ih = _absorb_summand(b, e.right, leaf)
-            i1 = b.cong("sumr", ih, e.left)  # l+r = l+(r+leaf)
-            i2 = b.axiom("S2", {"E": e.left, "F": e.right, "G": leaf})
-            return b.chain(i1, i2)
-    if isinstance(e, Rec):
-        sigma = {e.binder: e}
+    """e = e + leaf, for a move a.target or an exposed variable of e: a
+    summand of e's head normal form."""
+    hnf = _hnf(b, e)
+    if leaf not in flatten_sum(b.rhs_after(hnf)):
         if isinstance(leaf, Var):
-            inner = leaf if leaf.name in exposes(e) else None
-        else:  # the body's move that step substitutes into leaf
-            inner = next((Prefix(a, d) for a, d in sos_step(e.body)
-                          if a == leaf.act and substitute(d, sigma) is leaf.body), None)
-        if inner is not None:
-            r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})  # e = unfolded
-            ih = subst_step(b, _absorb_summand(b, e.body, inner), sigma)
-            i1 = b.trans(r1, ih)  # e = unfolded + leaf
-            i2 = b.cong("suml", b.symm(r1), leaf)
-            return b.trans(i1, i2)
-    raise _not_present(e, leaf)
+            raise MoveNotPresent(f"{pretty(e)} does not expose {leaf.name}")
+        raise MoveNotPresent(
+            f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
+    return _absorb_along(b, hnf, leaf)
 
 
 def derive_summand_absorption(e: Expr, move) -> Derivation:

@@ -45,16 +45,14 @@ from .proof import (
     align,
     prove_subst_cong,
     prove_sum_eq,
-    subst_step,
+    _absorb_along,
     _app,
-    _derived,
-    _t1,
-    _absorb_summand,
+    _hnf,
     _rec_cong,
+    _t1,
 )
 from .standardize import (
-    NotGuarded, _absorb_along, _d2, _d5, _meet_loops, _standardize,
-    prove_loop_canonical)
+    NotGuarded, _d2, _d5, _meet_loops, _standardize, prove_loop_canonical)
 
 
 class NotEquivalent(ProofError):
@@ -142,20 +140,6 @@ class SesSystem(EqSystem):
 
 
 # --- extraction -----------------------------------------------------------------
-
-
-@_derived
-def _hnf(b: Builder, e: Expr) -> int:
-    """e = a sum of its moves a.e', its exposed variables and 0s, along
-    the rules of `semantics.step` and `exposes`: a sum by both sides, a
-    recursion by unfolding it (R1) and lifting its body's sum, any other
-    term as it is.  The moves come out as `step`'s own terms."""
-    if isinstance(e, Sum):
-        return b.sum_cong(_hnf(b, e.left), _hnf(b, e.right))
-    if isinstance(e, Rec):
-        unfold = b.axiom("R1", {"E": e.body}, {"X": e.binder})
-        return b.trans(unfold, subst_step(b, _hnf(b, e.body), {e.binder: e}))
-    return b.refl(e)
 
 
 def _extract_into(b: Builder, roots):
@@ -623,69 +607,36 @@ def promote(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> Derivation:
     return b.finalize(_promote(b, e, f, budget))
 
 
-def _promote_bridge(b: Builder, g: Expr, h: Expr, budget: int) -> int:
-    """tau.g = tau.h for equivalent expressions, standardizing whichever
-    side is not a guarded expression."""
-    if g == h:
-        return b.refl(Prefix(TAU, g))
-    left, dl = (g, None)
-    right, dr = (h, None)
-    if not is_guarded_expr(g):
-        left, dl = _standardize(b, g)
-    if not is_guarded_expr(h):
-        right, dr = _standardize(b, h)
-    mid = _promote(b, left, right, budget)
-    if dl is not None:
-        mid = b.trans(b.symm(b.cong("prefix", dl, TAU)), mid)
-    if dr is not None:
-        mid = b.trans(mid, b.symm(b.cong("prefix", dr, TAU)))
-    return mid
-
-
 def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
-    """e + f = f, when every move and exposure of e is covered by f."""
-    std, dstd = _standardize(b, e)
-    total = b.cong("suml", dstd, f)
-    cur = std
-    while True:
-        if isinstance(cur, Nil):
-            total = b.trans(total, prove_sum_eq(b, Sum(cur, f), f))
-            return total
-        if isinstance(cur, Sum):
-            rest, last = cur.left, cur.right
-        else:
-            rest, last = None, cur
-        if isinstance(last, Var):
-            w = last.name
-            if w not in exposes(f):
-                raise ProofError(f"{w} is not exposed by {pretty(f)}")
-            absorb = b.symm(_absorb_summand(b, f, last))
-        else:
-            a, body = last.act, last.body
-            witness = None
-            for a2, tgt in sos_step(f):
-                if a2 == a and equivalent(body, tgt, "dpbb", budget):
-                    witness = tgt
-                    break
-            if witness is None:
-                raise ProofError(f"{pretty(last)} has no matching move in {pretty(f)}")
-            if witness == body:
-                absorb = b.symm(_absorb_summand(b, f, last))
-            else:
-                pad = b.symm(_t1(b, a, body))  # a.body = a.tau.body
-                bridge = _promote_bridge(b, body, witness, budget)
-                fixed = b.trans(pad, b.cong("prefix", bridge, a))
-                fixed = b.trans(fixed, _t1(b, a, witness))  # ... = a.witness
-                grow = _absorb_summand(b, f, Prefix(a, witness))  # f = f + a.witness
-                absorb = b.symm(_app(b, grow, ["sumr"], b.symm(fixed)))  # f + a.body = f
-        if rest is None:
-            total = b.trans(total, prove_sum_eq(b, Sum(cur, f), Sum(f, last)))
-            total = b.trans(total, absorb)
-            return total
-        total = b.trans(
-            total, prove_sum_eq(b, Sum(cur, f), Sum(rest, Sum(f, last))))
-        total = _app(b, total, ["sumr"], absorb)
-        cur = rest
+    """e + f = f, when every move and exposure of e is covered by f.
+
+    Both sides are standardized.  A summand of e's standard sum that is
+    not one of f's meets the first of f's with its action and an
+    equivalent body w, as a.body = a.tau.body = a.tau.w = a.w (T1,
+    promotion, T1); both bodies are guarded, being the prefix bodies of
+    standard sums.  The sums then meet by S1-S4."""
+    se, de = _standardize(b, e)
+    sf, df = _standardize(b, f)
+    theirs = flatten_sum(sf)
+
+    def meet(leaf: Expr) -> int:
+        if isinstance(leaf, Sum):
+            return b.sum_cong(meet(leaf.left), meet(leaf.right))
+        if leaf in theirs or not isinstance(leaf, Prefix):
+            return b.refl(leaf)
+        a = leaf.act
+        w = next((g.body for g in theirs if isinstance(g, Prefix) and g.act == a
+                  and equivalent(leaf.body, g.body, "dpbb", budget)), None)
+        if w is None:
+            raise ProofError(f"{pretty(leaf)} has no matching summand in {pretty(sf)}")
+        return b.chain(b.symm(_t1(b, a, leaf.body)),
+                       b.cong("prefix", _promote(b, leaf.body, w, budget), a),
+                       _t1(b, a, w))
+
+    mine = b.trans(de, meet(se))
+    total = b.trans(b.sum_cong(mine, df),
+                    prove_sum_eq(b, Sum(b.rhs_after(mine), sf), sf))
+    return b.trans(total, b.symm(df))
 
 
 def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET):
@@ -697,6 +648,9 @@ def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET):
     b = Builder()
     if e == f:
         return b.finalize(b.refl(e))
+    if canon_leaves(flatten_sum(e)) == canon_leaves(flatten_sum(f)):
+        # equal by S1-S4 alone
+        return b.finalize(prove_sum_eq(b, e, f))
     fwd = _absorb_into(b, e, f, budget)  # e + f = f
     bwd = _absorb_into(b, f, e, budget)  # f + e = e
     s1 = b.axiom("S1", {"E": e, "F": f})  # e + f = f + e

@@ -32,6 +32,7 @@ from .syntax import (
 from .kernel import Derivation, ProofError, SideCondition
 from .proof import (
     Builder,
+    _absorb_along,
     _app,
     _d0,
     _t1,
@@ -62,14 +63,6 @@ def _d1(b: Builder, lp: Expr) -> int:
     """lp = tau.lp + body, for any constructor-shaped loop."""
     z, body = lp.binder, lp.body.right
     return b.axiom("R1", {"E": Sum(Prefix(TAU, Var(z)), body)}, {"X": z})
-
-
-def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
-    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
-    proves (by default a sum rearrangement: extra's summands are in Y)."""
-    mid = b.rhs_after(d)
-    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
-    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
 
 
 def _meet_loops(b: Builder, lp: Expr, target: Expr) -> int:

@@ -28,6 +28,21 @@ def test_check_divergence_pair(tmp_path):
     assert runner.invoke(main, ["check", "--rel", "rooted", p, q]).exit_code == 1
 
 
+def test_prove_refuses_the_divergence_pair(tmp_path):
+    # branching-equivalent, but only the left side can diverge after its
+    # a move: the axiom the paper drops would equate them, so nothing proves
+    from dpbc.equiv import RootedCheck, equivalent
+    from dpbc.ses import prove_congruent
+    left, right = "a.rec X.(tau.X + b.0)", "a.tau.b.0"
+    e, f = parse(left), parse(right)
+    assert equivalent(e, f, "branching") and not equivalent(e, f, "dpbb")
+    assert isinstance(prove_congruent(e, f), RootedCheck)
+    p, q = _write(tmp_path, "p.proc", left), _write(tmp_path, "q.proc", right)
+    res = CliRunner().invoke(main, ["prove", p, q])
+    assert res.exit_code == 1, res.output
+    assert res.stderr.startswith("INEQ ")
+
+
 def test_check_strong(tmp_path):
     p = _write(tmp_path, "p.proc", "a.0 + b.0")
     q = _write(tmp_path, "q.proc", "b.0 + a.0")
@@ -270,6 +285,21 @@ def test_budget_exit_code(tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["check", "--budget", "4", p, q])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["check", "prove", "verify", "std", "lts", "minimize"])
+def test_non_utf8_input_exits_2_with_one_line(tmp_path, command):
+    # an undecodable file is no verdict: exit 2, and the line names the file
+    bad = tmp_path / "bad.proc"
+    bad.write_bytes(b"\xff\xfe a.0")
+    ok = _write(tmp_path, "ok.proc", "a.0")
+    files = {"check": [str(bad), ok], "prove": [str(bad), ok]}.get(command, [str(bad)])
+    res = _python("-m", "dpbc.cli", command, *files)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(bad) in lines[0] and "UTF-8" in lines[0]
 
 
 def _python(*args):

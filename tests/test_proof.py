@@ -504,10 +504,11 @@ step 1 @0 = @1 by symm 0
 # read off a recursion whose unfolding steps into a loop, off a loop of
 # a loop under a prefix, and off a loop whose body unfolds a recursion,
 # each loop state proved through the head normal form of its body.
-# One pin standardizes a single side, `b.rec Z. tau.(Z + Z)`, for the
-# sum whose two halves both expose the variable: its pair with
-# `b.(...) + b.(...)` proves by S3 and a symmetry, so its certificate
-# no longer shows that.
+# Two pins standardize a single side, for a sum whose halves both
+# expose the variable (`b.rec Z. tau.(Z + Z)`) and one whose right half
+# is guarded (`tau.rec X. tau.(X + 0)`): the pairs they came from are
+# equal by S1-S4 alone, which `prove_congruent` proves by S3 and a
+# symmetry or by S4, so their certificates no longer show that.
 _PINNED_FILES = {
     ("tau* tau* 0", "tau* 0"): "looploop.cert",
     ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
@@ -521,6 +522,7 @@ _PINNED_FILES = {
     ("a.tau* tau* 0", "a.tau* 0"): "looploopprefix.cert",
     ("rec X. a.tau* (X + b.0)", "rec X. a.(tau* (X + b.0) + 0)"): "bridgeloop.cert",
     ("b.rec Z. tau.(Z + Z)",): "stdexposeunguarded.cert",
+    ("tau.rec X. tau.(X + 0)",): "stdexposeguarded.cert",
 }
 
 
@@ -559,7 +561,7 @@ def test_checker_runs_no_transition_function(monkeypatch):
             if (callable(value) and not isinstance(value, type)
                     and getattr(value, "__module__", None) == semantics.__name__):
                 monkeypatch.setattr(module, name, disabled)
-    assert proof.sos_step is disabled and proof._tau_reachable is disabled
+    assert proof.exposes is disabled and proof._tau_reachable is disabled
     pinned = os.path.join(os.path.dirname(__file__), "pinned")
     for name in sorted(os.listdir(pinned)):
         with open(os.path.join(pinned, name), encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from dpbc.syntax import (
     pretty,
     substitute,
 )
-from dpbc.proof import check, format_derivation, parse_derivation
+from dpbc.proof import AxiomStep, check, format_derivation, parse_derivation
 from dpbc.standardize import NotGuarded
 from dpbc.ses import (
     EqSystem,
@@ -525,8 +525,10 @@ def test_completeness_matches_rooted_equivalence():
 def test_completeness_on_every_small_term(max_nodes, leaves, free):
     # bounded-exhaustive: every term up to the size whose free names lie
     # in `free`, grouped into rooted-congruence classes; each member
-    # proves against its class's first member, and no two classes prove
+    # proves against its class's first member, and no two classes prove.
+    # Every axiom instance those proofs use between closed terms is sound
     terms = [e for e in all_terms(max_nodes, leaves) if free_vars(e) <= free]
+    instances = set()
     classes = []
     for e in terms:
         for members in classes:
@@ -542,5 +544,11 @@ def test_completeness_on_every_small_term(max_nodes, leaves, free):
             d = parse_derivation(format_derivation(d))
             assert check(d) is None, (pretty(e), pretty(first))
             assert d.conclusion == (e, first)
+            instances.update((st.lhs, st.rhs) for st in d.steps
+                             if isinstance(st.just, AxiomStep)
+                             and not free_vars(st.lhs) | free_vars(st.rhs))
+    assert instances
+    for lhs, rhs in instances:
+        assert rooted_check(lhs, rhs).equal, (pretty(lhs), pretty(rhs))
     for (first, *_), (other, *_) in permutations(classes, 2):
         assert isinstance(prove_congruent(first, other), RootedCheck)
