@@ -293,7 +293,7 @@ def test_non_utf8_input_exits_2_with_one_line(tmp_path, command):
     bad = tmp_path / "bad.proc"
     bad.write_bytes(b"\xff\xfe a.0")
     ok = _write(tmp_path, "ok.proc", "a.0")
-    files = {"check": [str(bad), ok], "prove": [str(bad), ok]}.get(command, [str(bad)])
+    files = [str(bad), ok] if command in ("check", "prove") else [str(bad)]
     res = _python("-m", "dpbc.cli", command, *files)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
