@@ -18,8 +18,7 @@ _EXPORTS = {
     "syntax": (
         "Action", "Expr", "Nil", "Var", "Prefix", "Sum", "Rec", "NIL", "TAU",
         "parse", "pretty", "free_vars", "substitute", "loop", "is_loop",
-        "loop_body", "is_guarded_in", "is_guarded_expr", "is_fully_exposed",
-        "is_standard_sum",
+        "loop_body", "is_guarded_in", "is_guarded_expr", "is_standard_sum",
     ),
     "semantics": (
         "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
@@ -31,7 +30,7 @@ _EXPORTS = {
         "instantiate_axiom", "parse_derivation",
     ),
     "proof": ("derive_D0", "derive_T1", "derive_summand_absorption"),
-    "standardize": ("derive_D", "expose_to_summand", "fully_expose", "standardize"),
+    "standardize": ("derive_D", "expose_to_summand", "standardize"),
     "ses": (
         "EqSystem", "SesSystem", "NotEquivalent", "extract_ses", "promote",
         "prove_congruent", "quotient", "solve_system", "tau_transform",

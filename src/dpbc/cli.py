@@ -153,10 +153,10 @@ def std_cmd(cert, file):
     try:
         e = _read_expr(file)
         out, derivation = standardize(e)
-        click.echo(pretty(out))
-        path = cert if cert else f"{file}.cert"
-        with open(path, "w", encoding="utf-8") as fh:
+        # the sum is printed only once its certificate is written
+        with open(cert if cert else f"{file}.cert", "w", encoding="utf-8") as fh:
             fh.write(format_derivation(derivation))
+        click.echo(pretty(out))
     except (*_ERRORS, BudgetExceeded, CertificateError, ProofError) as exc:
         _fail(exc)
     sys.exit(0)

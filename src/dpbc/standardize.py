@@ -20,7 +20,6 @@ from .syntax import (
     flatten_sum,
     free_vars,
     fresh_name,
-    is_fully_exposed,
     is_guarded_expr,
     is_guarded_in,
     is_loop,
@@ -35,6 +34,7 @@ from .proof import (
     _absorb_along,
     _app,
     _d0,
+    _hnf,
     _t1,
     align,
     prove_canon,
@@ -263,54 +263,13 @@ def derive_D(k: int, operands) -> Derivation:
     return b.finalize(_DERIVED_RULES[k](b, *operands))
 
 
-# --- full exposure -----------------------------------------------------------
-
-
-def _fully_expose(b: Builder, x: str, e: Expr):
-    """Equal guarded expression with x fully exposed; proves e = result."""
-    if is_fully_exposed(x, e):
-        return e, b.refl(e)
-    if isinstance(e, Prefix):
-        body2, d = _fully_expose(b, x, e.body)
-        return Prefix(e.act, body2), b.cong("prefix", d, e.act)
-    if isinstance(e, Sum):
-        l2, dl = _fully_expose(b, x, e.left)
-        r2, dr = _fully_expose(b, x, e.right)
-        return Sum(l2, r2), b.sum_cong(dl, dr)
-    if isinstance(e, Rec):
-        if is_loop(e):
-            cl, d0 = prove_loop_canonical(b, e)
-            body2, d1 = _fully_expose(b, x, cl.body.right)
-            out = Rec(cl.binder, Sum(Prefix(TAU, Var(cl.binder)), body2))
-            if cl.binder in free_vars(body2):
-                raise ProofError("loop body exposure captured the binder")
-            return out, _app(b, d0, ["rec", "sumr"], d1)
-        body2, d1 = _fully_expose(b, x, e.body)
-        if not is_guarded_in(e.binder, body2):
-            raise ProofError("exposure unguarded the recursion binder")
-        i1 = b.cong("recbody", d1, e.binder)
-        r1 = b.axiom("R1", {"E": body2}, {"X": e.binder})
-        return b.rhs_after(r1), b.trans(i1, r1)
-    raise ProofError(f"cannot expose {x} in {pretty(e)}")
-
-
-def fully_expose(x: str, e: Expr):
-    """(e', derivation of e = e') with x fully exposed in the guarded e'."""
-    if not is_guarded_expr(e):
-        raise NotGuarded(f"{pretty(e)} is not a guarded expression")
-    b = Builder()
-    out, idx = _fully_expose(b, x, e)
-    if not (is_fully_exposed(x, out) and is_guarded_expr(out)):
-        raise ProofError("full exposure failed to establish its contract")
-    return out, b.finalize(idx)
-
-
 # --- exposure as a summand -----------------------------------------------------
 
 
 def _expose(b: Builder, x: str, e: Expr, f: Expr):
     """(e1, idx) with x guarded in e1 and idx proving
-    rec x.(tau.e + f) = rec x.(tau.(x + e1) + f)."""
+    rec x.(tau.e + f) = rec x.(tau.(x + e1) + f), for a guarded e that
+    reaches x unguarded."""
     if isinstance(e, Var) and e.name == x:
         s4 = b.symm(b.axiom("S4", {"E": Var(x)}))
         host = Rec(x, Sum(Prefix(TAU, Var(x)), f))
@@ -362,11 +321,15 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
                      prove_sum_eq(b, Sum(Sum(Var(x), e1l), e1r), Sum(Var(x), e1)))
         return e1, total
     if isinstance(e, Rec):
-        # fully exposed + reachable forces a loop here
-        if not is_loop(e):
-            raise SideCondition("expose_to_summand", f"{pretty(e)} is not a loop")
-        cl, dcanon = prove_loop_canonical(b, e)
         host = Rec(x, Sum(Prefix(TAU, e), f))
+        if not is_loop(e):
+            # e is guarded, so its binder is: unfold it once, and the
+            # copies of e land under visible prefixes, where x is guarded
+            r1 = b.axiom("R1", {"E": e.body}, {"X": e.binder})
+            total = b.rewrite_at(host, ["rec", "suml", "prefix"], r1)
+            e1, d = _expose(b, x, b.rhs_after(r1), f)
+            return e1, b.trans(total, d)
+        cl, dcanon = prove_loop_canonical(b, e)
         total = b.rewrite_at(host, ["rec", "suml", "prefix"], dcanon)
         body = cl.body.right
         if cl.binder == x:
@@ -386,8 +349,6 @@ def expose_to_summand(x: str, e: Expr, f: Expr):
         raise NotGuarded(f"{pretty(e)} is not a guarded expression")
     if is_guarded_in(x, e):
         raise SideCondition("expose_to_summand", f"{x} is guarded in {pretty(e)}")
-    if not is_fully_exposed(x, e):
-        raise SideCondition("expose_to_summand", f"{x} is not fully exposed in {pretty(e)}")
     b = Builder()
     e1, idx = _expose(b, x, e, f)
     if not is_guarded_in(x, e1):
@@ -398,29 +359,16 @@ def expose_to_summand(x: str, e: Expr, f: Expr):
 # --- standardization -----------------------------------------------------------
 
 
-def _standardize(b: Builder, e: Expr):
-    """(standard-sum expression, idx proving e = it)."""
-    if isinstance(e, (Nil, Var)):
-        return e, b.refl(e)
-    if isinstance(e, Prefix):
-        if is_guarded_expr(e.body):
-            return e, b.refl(e)
-        sb, d = _standardize(b, e.body)
-        return Prefix(e.act, sb), b.cong("prefix", d, e.act)
-    if isinstance(e, Sum):
-        sl, dl = _standardize(b, e.left)
-        sr, dr = _standardize(b, e.right)
-        out, d3 = prove_canon(b, Sum(sl, sr))
-        return out, b.trans(b.sum_cong(dl, dr), d3)
-    # recursion
-    y = e.binder
-    sf, df = _standardize(b, e.body)
-    total = b.cong("recbody", df, y)
-    leaves = flatten_sum(sf) if not isinstance(sf, Nil) else []
+def _guard_binder(b: Builder, total: int, y: str, sf: Expr) -> int:
+    """Extend `total`, which ends at rec y. sf for a standard sum sf that
+    reaches y unguarded, to an equal recursion whose binder is guarded:
+    R3 drops a bare y, the binder is exposed in every unguarded silent
+    summand, those summands are folded into one and D3 turns it into a
+    loop."""
     group1 = []
     rest = []
     has_self = False
-    for leaf in leaves:
+    for leaf in flatten_sum(sf):
         if isinstance(leaf, Var) and leaf.name == y:
             has_self = True
         elif (isinstance(leaf, Prefix) and leaf.act.is_tau
@@ -434,14 +382,9 @@ def _standardize(b: Builder, e: Expr):
         total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, Sum(Var(y), remainder)))
         total = b.trans(total, b.axiom("R3", {"E": remainder}, {"X": y}))
         cur_body = remainder
-    g = compose_sum(rest)
     if not group1:
-        # the binder is guarded throughout: unfold once (the body is g
-        # already, since every _standardize result is a left-nested sum)
-        r1 = b.axiom("R1", {"E": g}, {"X": y})
-        total = b.trans(total, r1)
-        out, d = prove_canon(b, b.rhs_after(r1))
-        return out, b.trans(total, d)
+        return total
+    g = compose_sum(rest)
     # expose the binder in every unguarded silent summand
     exposed = []
     for i, h in enumerate(group1):
@@ -450,14 +393,10 @@ def _standardize(b: Builder, e: Expr):
         remainder = compose_sum(todo + done + rest)
         total = _app(b, total, ["rec"],
                      prove_sum_eq(b, cur_body, Sum(Prefix(TAU, h), remainder)))
-        h2, d = _fully_expose(b, y, h)
-        total = _app(b, total, ["rec", "suml", "prefix"], d)
-        if is_guarded_in(y, h2):
-            raise ProofError("exposed summand lost its unguarded occurrence")
-        h3, d = _expose(b, y, h2, remainder)
+        h1, d = _expose(b, y, h, remainder)
         total = b.trans(total, d)
-        exposed.append(h3)
-        cur_body = Sum(Prefix(TAU, Sum(Var(y), h3)), remainder)
+        exposed.append(h1)
+        cur_body = Sum(Prefix(TAU, Sum(Var(y), h1)), remainder)
     # fold the exposed summands together
     while len(exposed) > 1:
         a2, b2_ = exposed[0], exposed[1]
@@ -474,11 +413,32 @@ def _standardize(b: Builder, e: Expr):
         cur_body = Sum(Prefix(TAU, Sum(Var(y), merged)), remainder)
     tot = exposed[0]  # the body is now tau.(y + tot) + g
     total = b.trans(total, _d3(b, y, tot, g))
-    total = _app(b, total, ["rec", "suml", "prefix", "rec", "sumr"],
-                 prove_canon(b, Sum(tot, g))[1])
-    r1 = b.axiom("R1", {"E": b.rhs_after(total).body}, {"X": y})
-    total = b.trans(total, r1)
-    out, d = prove_canon(b, b.rhs_after(r1))
+    return _app(b, total, ["rec", "suml", "prefix", "rec", "sumr"],
+                prove_canon(b, Sum(tot, g))[1])
+
+
+def _standardize(b: Builder, e: Expr):
+    """(standard-sum expression, idx proving e = it)."""
+    if isinstance(e, (Nil, Var)):
+        return e, b.refl(e)
+    if isinstance(e, Prefix):
+        if is_guarded_expr(e.body):
+            return e, b.refl(e)
+        sb, d = _standardize(b, e.body)
+        return Prefix(e.act, sb), b.cong("prefix", d, e.act)
+    if isinstance(e, Sum):
+        sl, dl = _standardize(b, e.left)
+        sr, dr = _standardize(b, e.right)
+        out, d3 = prove_canon(b, Sum(sl, sr))
+        return out, b.trans(b.sum_cong(dl, dr), d3)
+    # recursion: standardize the body, guard the binder if it is not,
+    # then unfold once into the head normal form
+    sf, df = _standardize(b, e.body)
+    total = b.cong("recbody", df, e.binder)
+    if not is_guarded_expr(Rec(e.binder, sf)):
+        total = _guard_binder(b, total, e.binder, sf)
+    total = b.trans(total, _hnf(b, b.rhs_after(total)))
+    out, d = prove_canon(b, b.rhs_after(total))
     return out, b.trans(total, d)
 
 

@@ -375,22 +375,6 @@ def is_guarded_expr(e: Expr) -> bool:
     return True
 
 
-def is_fully_exposed(x: str, e: Expr) -> bool:
-    """True iff every unguarded free occurrence of x sits only inside
-    recursions that are loops."""
-    if isinstance(e, Prefix):
-        return True if not e.act.is_tau else is_fully_exposed(x, e.body)
-    if isinstance(e, Sum):
-        return is_fully_exposed(x, e.left) and is_fully_exposed(x, e.right)
-    if isinstance(e, Rec):
-        if e.binder == x:
-            return True
-        if not is_guarded_in(x, e.body) and not is_loop(e):
-            return False
-        return is_fully_exposed(x, e.body)
-    return True
-
-
 # --- sums -------------------------------------------------------------------
 
 
@@ -577,32 +561,44 @@ def _loop_sugar(e: Expr) -> Optional[Expr]:
     return None
 
 
-def _pp(e: Expr, rightmost: bool) -> str:
-    if isinstance(e, Nil):
-        return "0"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Sum):
-        return f"{_pp(e.left, False)} + {_pp_nested(e.right, rightmost)}"
-    body = _loop_sugar(e)
-    if body is not None:
-        return f"tau* {_pp_nested(body, rightmost)}"
-    if isinstance(e, Prefix):
-        return f"{e.act}.{_pp_nested(e.body, rightmost)}"
-    if rightmost:
-        return f"rec {e.binder}. {_pp(e.body, True)}"
-    return f"(rec {e.binder}. {_pp(e.body, True)})"
-
-
-def _pp_nested(e: Expr, rightmost: bool) -> str:
+def _nested(e: Expr, rightmost: bool) -> list:
     # the right child of a sum, a prefix body or a loop body: a sum always
     # needs parentheses there, a recursion only when something follows
     # to the right
     if isinstance(e, Sum):
-        return f"({_pp(e, True)})"
-    return _pp(e, rightmost)
+        return ["(", (e, True), ")"]
+    return [(e, rightmost)]
 
 
 def pretty(e: Expr) -> str:
-    """Print in the concrete grammar; parse(pretty(e)) == e."""
-    return _pp(e, True)
+    """Print in the concrete grammar; parse(pretty(e)) == e.
+
+    Iterative, so a term of any depth prints: `todo` holds what is left
+    to write, next piece last, as strings and (term, rightmost) pairs,
+    where `rightmost` says that nothing follows the term."""
+    out = []
+    todo = [(e, True)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        e, rightmost = piece
+        if isinstance(e, Nil):
+            out.append("0")
+            continue
+        if isinstance(e, Var):
+            out.append(e.name)
+            continue
+        if isinstance(e, Sum):
+            parts = [(e.left, False), " + ", *_nested(e.right, rightmost)]
+        elif (body := _loop_sugar(e)) is not None:
+            parts = ["tau* ", *_nested(body, rightmost)]
+        elif isinstance(e, Prefix):
+            parts = [f"{e.act}.", *_nested(e.body, rightmost)]
+        elif rightmost:
+            parts = [f"rec {e.binder}. ", (e.body, True)]
+        else:
+            parts = [f"(rec {e.binder}. ", (e.body, True), ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)

@@ -190,6 +190,16 @@ def test_std_writes_certificate(tmp_path):
     assert d.conclusion == (parse("rec X.(tau.X + a.0)"), printed)
 
 
+def test_std_prints_nothing_when_the_certificate_cannot_be_written(tmp_path):
+    p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.0)")
+    res = _python("-m", "dpbc.cli", "std", "--cert",
+                  str(tmp_path / "missing" / "x.cert"), p)
+    assert res.returncode == 2, res.stderr
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
 def test_lts_aut_output(tmp_path):
     p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.Y)")
     runner = CliRunner()
@@ -336,6 +346,18 @@ def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), args
         # the parser blames the input; past the parser, the input is not named
         assert ("input nested too deeply to parse" in lines[0]) == (deep in args), lines
+
+
+def test_verify_prints_a_deep_conclusion(tmp_path):
+    # a chain of 3000 prefixes: checking it is flat, and so is printing
+    # the `verified:` line
+    lines = ["term 0 a.0"]
+    lines += [f"term {i} a.@{i - 1}" for i in range(1, 3000)]
+    lines.append("step 0 @2999 = @2999 by refl")
+    cert = _write(tmp_path, "deep.cert", "\n".join(lines) + "\n")
+    res = _python("-m", "dpbc.cli", "verify", cert)
+    assert res.returncode == 0, res.stderr[-300:]
+    assert res.stdout == f"verified: {'a.' * 3000}0 = {'a.' * 3000}0\n"
 
 
 def test_cli_imports_nothing_beyond_click_and_the_stdlib():

@@ -508,7 +508,9 @@ step 1 @0 = @1 by symm 0
 # expose the variable (`b.rec Z. tau.(Z + Z)`) and one whose right half
 # is guarded (`tau.rec X. tau.(X + 0)`): the pairs they came from are
 # equal by S1-S4 alone, which `prove_congruent` proves by S3 and a
-# symmetry or by S4, so their certificates no longer show that.
+# symmetry or by S4, so their certificates no longer show that.  A third
+# standardizes a recursion whose silent summand reaches its binder
+# through a recursion that is not a loop, which exposure unfolds in place.
 _PINNED_FILES = {
     ("tau* tau* 0", "tau* 0"): "looploop.cert",
     ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
@@ -523,6 +525,7 @@ _PINNED_FILES = {
     ("rec X. a.tau* (X + b.0)", "rec X. a.(tau* (X + b.0) + 0)"): "bridgeloop.cert",
     ("b.rec Z. tau.(Z + Z)",): "stdexposeunguarded.cert",
     ("tau.rec X. tau.(X + 0)",): "stdexposeguarded.cert",
+    ("rec X. tau.tau.rec Y.(tau.X + a.Y)",): "exposerec.cert",
 }
 
 

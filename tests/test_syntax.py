@@ -18,7 +18,6 @@ from dpbc.syntax import (
     TAU,
     Var,
     free_vars,
-    is_fully_exposed,
     is_guarded_expr,
     is_guarded_in,
     is_loop,
@@ -142,12 +141,6 @@ def test_guarded_expr():
     assert not is_guarded_expr(parse("rec X. tau.X"))
     assert is_guarded_expr(parse("rec X.(tau.X + 0)"))
     assert is_guarded_expr(loop(parse("a.0")))
-
-
-def test_fully_exposed():
-    assert not is_fully_exposed("X", parse("tau.rec Y.(tau.X + a.Y)"))
-    assert is_fully_exposed("X", parse("tau.(tau.X + a.rec Y.(tau.X + a.Y))"))
-    assert is_fully_exposed("X", parse("a.0 + b.0"))
 
 
 def test_is_standard_sum():
