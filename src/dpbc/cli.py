@@ -1,15 +1,16 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's `argparse`.
 
 Each command loads only the layers it runs: `check`, `lts` and
 `minimize` the decision side (`semantics`, `equiv`), `verify` the
-kernel alone, `prove` and `std` the prover as well.
+kernel alone, `prove` and `std` the prover as well.  A command returns
+its exit code: 0 and 1 are verdicts, such as "congruent" and "not
+congruent", and 2 says that nothing was decided.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-
-import click
 
 from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty
 
@@ -33,133 +34,72 @@ def _read_expr(path: str):
         raise ParseError(f"{path}: input nested too deeply to parse") from None
 
 
-# Every command ends with exit 2 and one line on these, and on the
-# errors of the layers it loads (a state budget passed, a certificate
-# that cannot be read, a prover failure): exit 1 is a verdict, such as
-# "not congruent".  The work on a wide sum or on the prover's own deep
-# terms can exhaust the interpreter's recursion limit.
-_ERRORS = (ParseError, OSError, RecursionError)
-
-
-def _fail(exc: Exception):
-    message = str(exc)
-    if isinstance(exc, RecursionError):
-        message = f"recursion limit reached while deciding or proving ({message})"
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
-@click.group()
-def main():
-    """Equivalence prover for finite-state process expressions."""
-
-
-@main.command("check")
-@click.option("--rel", type=click.Choice(RELATIONS), default="dpbb",
-              show_default=True, help="relation to decide")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True,
-              help="state budget for transition systems")
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-def check_cmd(rel, budget, file1, file2):
+def _check(args) -> int:
     """Decide whether two expressions are related (exit 0) or not (exit 1)."""
     from .equiv import equivalent, rooted_check
-    from .semantics import BudgetExceeded
 
-    try:
-        e = _read_expr(file1)
-        f = _read_expr(file2)
-        if rel == "rooted":
-            rc = rooted_check(e, f, budget)
-            if rc.equal:
-                sys.exit(0)
-            click.echo(
-                f"not rooted-equivalent: {rc.clause} at states "
-                f"({rc.root_left},{rc.root_right}): {rc.detail}",
-                err=True)
-            sys.exit(1)
-        if equivalent(e, f, rel, budget):
-            sys.exit(0)
-        click.echo(f"not {rel}-equivalent: the roots are in different classes",
-                   err=True)
-        sys.exit(1)
-    except (*_ERRORS, BudgetExceeded) as exc:
-        _fail(exc)
+    e = _read_expr(args.file1)
+    f = _read_expr(args.file2)
+    if args.rel == "rooted":
+        rc = rooted_check(e, f, args.budget)
+        if rc.equal:
+            return 0
+        print(f"not rooted-equivalent: {rc.clause} at states "
+              f"({rc.root_left},{rc.root_right}): {rc.detail}", file=sys.stderr)
+        return 1
+    if equivalent(e, f, args.rel, args.budget):
+        return 0
+    print(f"not {args.rel}-equivalent: the roots are in different classes",
+          file=sys.stderr)
+    return 1
 
 
-@main.command("prove")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
-@click.option("--cert", type=click.Path(dir_okay=False), default=None,
-              help="write the certificate here instead of stdout")
-@click.argument("file1", type=click.Path(exists=True, dir_okay=False))
-@click.argument("file2", type=click.Path(exists=True, dir_okay=False))
-def prove_cmd(budget, cert, file1, file2):
+def _prove(args) -> int:
     """Prove two expressions congruent; emit a checkable certificate."""
     from .equiv import RootedCheck
-    from .kernel import CertificateError, ProofError, format_derivation
-    from .semantics import BudgetExceeded
+    from .kernel import format_derivation
     from .ses import prove_congruent
 
-    try:
-        e = _read_expr(file1)
-        f = _read_expr(file2)
-        result = prove_congruent(e, f, budget)
-        if isinstance(result, RootedCheck):
-            click.echo(
-                f"INEQ {result.clause} ({result.root_left},{result.root_right})",
-                err=True)
-            click.echo(result.detail, err=True)
-            sys.exit(1)
-        text = format_derivation(result)
-        if cert:
-            with open(cert, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
-    except (*_ERRORS, BudgetExceeded, CertificateError, ProofError) as exc:
-        _fail(exc)
-    sys.exit(0)
+    result = prove_congruent(_read_expr(args.file1), _read_expr(args.file2), args.budget)
+    if isinstance(result, RootedCheck):
+        print(f"INEQ {result.clause} ({result.root_left},{result.root_right})",
+              file=sys.stderr)
+        print(result.detail, file=sys.stderr)
+        return 1
+    text = format_derivation(result)
+    if args.cert:
+        with open(args.cert, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
-@main.command("verify")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def verify_cmd(file):
+def _verify(args) -> int:
     """Check a certificate; exit 0 when every step is justified."""
-    from .kernel import CertificateError, ProofError, check, parse_derivation
+    from .kernel import check, parse_derivation
 
-    try:
-        derivation = parse_derivation(_read_text(file))
-        failure = check(derivation)
-        if failure is None:
-            lhs, rhs = derivation.conclusion
-            click.echo(f"verified: {pretty(lhs)} = {pretty(rhs)}")
-            sys.exit(0)
-    except (*_ERRORS, CertificateError, ProofError) as exc:
-        _fail(exc)
-    click.echo(f"invalid certificate: {failure}", err=True)
-    sys.exit(1)
+    derivation = parse_derivation(_read_text(args.file))
+    failure = check(derivation)
+    if failure is not None:
+        print(f"invalid certificate: {failure}", file=sys.stderr)
+        return 1
+    lhs, rhs = derivation.conclusion
+    print(f"verified: {pretty(lhs)} = {pretty(rhs)}")
+    return 0
 
 
-@main.command("std")
-@click.option("--cert", type=click.Path(dir_okay=False), default=None,
-              help="certificate path (default: FILE.cert)")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def std_cmd(cert, file):
+def _std(args) -> int:
     """Rewrite an expression into a standard sum, with a certificate."""
-    from .kernel import CertificateError, ProofError, format_derivation
-    from .semantics import BudgetExceeded
+    from .kernel import format_derivation
     from .standardize import standardize
 
-    try:
-        e = _read_expr(file)
-        out, derivation = standardize(e)
-        # the sum is printed only once its certificate is written
-        with open(cert if cert else f"{file}.cert", "w", encoding="utf-8") as fh:
-            fh.write(format_derivation(derivation))
-        click.echo(pretty(out))
-    except (*_ERRORS, BudgetExceeded, CertificateError, ProofError) as exc:
-        _fail(exc)
-    sys.exit(0)
+    out, derivation = standardize(_read_expr(args.file))
+    # the sum is printed only once its certificate is written
+    with open(args.cert or f"{args.file}.cert", "w", encoding="utf-8") as fh:
+        fh.write(format_derivation(derivation))
+    print(pretty(out))
+    return 0
 
 
 def _format_text(lts) -> str:
@@ -173,29 +113,16 @@ def _format_text(lts) -> str:
     return "\n".join(lines) + "\n"
 
 
-@main.command("lts")
-@click.option("--format", "fmt", type=click.Choice(["text", "aut"]),
-              default="aut", show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def lts_cmd(fmt, budget, file):
+def _lts(args) -> int:
     """Print the reachable transition system of an expression."""
-    from .semantics import BudgetExceeded, build_lts, format_aut
+    from .semantics import build_lts, format_aut
 
-    try:
-        e = _read_expr(file)
-        lts = build_lts(e, budget)
-        text = format_aut(lts) if fmt == "aut" else _format_text(lts)
-    except (*_ERRORS, BudgetExceeded) as exc:
-        _fail(exc)
-    click.echo(text, nl=False)
-    sys.exit(0)
+    lts = build_lts(_read_expr(args.file), args.budget)
+    sys.stdout.write(format_aut(lts) if args.format == "aut" else _format_text(lts))
+    return 0
 
 
-@main.command("minimize")
-@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-def minimize_cmd(budget, file):
+def _minimize(args) -> int:
     """Quotient under the divergence-preserving relation, in AUT format.
 
     States are equivalence classes; silent self-loops mark classes with
@@ -203,14 +130,10 @@ def minimize_cmd(budget, file):
     each class exposes the variables its members expose.
     """
     from .equiv import bisimilarity
-    from .semantics import BudgetExceeded, Lts, build_lts, format_aut
+    from .semantics import Lts, build_lts, format_aut
 
-    try:
-        e = _read_expr(file)
-        lts = build_lts(e, budget)
-        part = bisimilarity(lts, "dpbb")
-    except (*_ERRORS, BudgetExceeded) as exc:
-        _fail(exc)
+    lts = build_lts(_read_expr(args.file), args.budget)
+    part = bisimilarity(lts, "dpbb")
     moves = {(c, TAU, c) for c in part.diverging}
     for src, act, dst in lts.transitions:
         cs, cd = part.class_of[src], part.class_of[dst]
@@ -222,8 +145,82 @@ def minimize_cmd(budget, file):
     moves = tuple(sorted(moves, key=lambda t: (t[0], t[1].key(), t[2])))
     quotient = Lts(tuple(range(part.n_classes)), moves, tuple(exposure),
                    part.class_of[lts.root])
-    click.echo(format_aut(quotient), nl=False)
-    sys.exit(0)
+    sys.stdout.write(format_aut(quotient))
+    return 0
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Equivalence prover for finite-state process expressions.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run, *files):
+        sub = commands.add_parser(run.__name__[1:], help=run.__doc__.partition("\n")[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        for name in files:
+            sub.add_argument(name)
+        return sub
+
+    def budget(sub):
+        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                         help="state budget for transition systems (default: %(default)s)")
+
+    sub = command(_check, "file1", "file2")
+    sub.add_argument("--rel", choices=RELATIONS, default="dpbb",
+                     help="relation to decide (default: %(default)s)")
+    budget(sub)
+    sub = command(_prove, "file1", "file2")
+    budget(sub)
+    sub.add_argument("--cert", help="write the certificate here instead of stdout")
+    command(_verify, "file")
+    sub = command(_std, "file")
+    sub.add_argument("--cert", help="certificate path (default: FILE.cert)")
+    sub = command(_lts, "file")
+    sub.add_argument("--format", choices=("text", "aut"), default="aut",
+                     help="output format (default: %(default)s)")
+    budget(sub)
+    budget(command(_minimize, "file"))
+    return parser
+
+
+# The errors that a command reports by their message alone, and their
+# subclasses: a file that cannot be read or parsed, a state budget
+# passed, a certificate that cannot be read, a prover that is stuck.
+# They are named, not imported, so that a failing command loads no layer
+# that it did not run.  The line for any other error names its type.
+_EXPECTED = {"builtins.OSError", "dpbc.syntax.ParseError", "dpbc.semantics.BudgetExceeded",
+             "dpbc.kernel.CertificateError", "dpbc.kernel.ProofError"}
+
+
+def _describe(exc: Exception, command: str) -> str:
+    if isinstance(exc, RecursionError):
+        # a wide sum or the prover's own deep terms; the parser's depth
+        # is a ParseError that names the file
+        return f"recursion limit reached in {command} ({exc})"
+    if any(f"{c.__module__}.{c.__qualname__}" in _EXPECTED for c in type(exc).__mro__):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
+def main(args=None, prog_name: str = "dpbc", standalone_mode: bool = True):
+    """Run the command that `args` (default: the process's arguments)
+    names, and exit with its code.  A malformed command line exits 2
+    with argparse's usage message; an error while the command runs exits
+    2 with one `error:` line.
+
+    `prog_name` and `standalone_mode` are the keywords of the click
+    command that this replaced, and `perfbench/clitrace.py` still calls
+    `main` with them, so they stay.  `standalone_mode` changes nothing:
+    every run ends in `SystemExit`.
+    """
+    parsed = _parser(prog_name).parse_args(args)
+    try:
+        code = parsed.run(parsed)
+    except Exception as exc:  # every failure of a command is one line and exit 2
+        print(f"error: {_describe(exc, f'{prog_name} {parsed.command}')}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -63,9 +63,10 @@ def _forget(ref, table=_TABLE):
         del table[ref.key]
 
 
-def _make(cls, key, h):
+def _make(cls, key, h, free):
     node = object.__new__(cls)
     node._hash = h
+    node._free = free
     node._memo = None
     ref = _Ref(node, _forget)
     ref.key = key
@@ -78,11 +79,14 @@ class Expr:
 
     Hash-consed: each constructor returns the one live node with its tag,
     label and children, so equal terms are the same object and `==` is
-    identity.  `_memo` holds the results of the functions marked
-    `_per_node`, so they live exactly as long as the node.
+    identity.  `_free` holds the free variables, worked out from the
+    children when the node is built, so that no walk over a term of any
+    depth is needed for them.  `_memo` holds the results of the
+    functions marked `_per_node`, so they live exactly as long as the
+    node.
     """
 
-    __slots__ = ("_hash", "_memo", "__weakref__")
+    __slots__ = ("_hash", "_free", "_memo", "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -109,7 +113,7 @@ class Var(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(key))
+            node = _make(cls, key, hash(key), frozenset((name,)))
             node.name = name
         return node
 
@@ -122,7 +126,7 @@ class Prefix(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(("pre", act, body)))
+            node = _make(cls, key, hash(("pre", act, body)), body._free)
             node.act = act
             node.body = body
         return node
@@ -136,7 +140,9 @@ class Sum(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(("sum", left, right)))
+            lf, rf = left._free, right._free
+            free = lf if rf <= lf else rf if lf <= rf else lf | rf
+            node = _make(cls, key, hash(("sum", left, right)), free)
             node.left = left
             node.right = right
         return node
@@ -150,13 +156,14 @@ class Rec(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(("rec", binder, body)))
+            free = body._free - {binder} if binder in body._free else body._free
+            node = _make(cls, key, hash(("rec", binder, body)), free)
             node.binder = binder
             node.body = body
         return node
 
 
-NIL = _make(Nil, ("nil",), hash(("nil",)))
+NIL = _make(Nil, ("nil",), hash(("nil",)), frozenset())
 
 
 def _per_node(fn):
@@ -206,17 +213,9 @@ def summand_key(e: Expr):
 # --- variables -------------------------------------------------------------
 
 
-@_per_node
 def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Prefix):
-        return free_vars(e.body)
-    if isinstance(e, Sum):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Rec):
-        return free_vars(e.body) - {e.binder}
-    return frozenset()
+    """The free variables of e, set when its node was built."""
+    return e._free
 
 
 @_per_node

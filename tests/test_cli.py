@@ -1,14 +1,17 @@
+import io
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import dpbc
 
 from dpbc.cli import main
+from dpbc.semantics import BudgetExceeded
 from dpbc.syntax import parse
 from dpbc.proof import MoveNotPresent, ProofError, parse_derivation, check
 
@@ -19,13 +22,26 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+class _Result(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def _run(argv):
+    """Run `dpbc <argv>` in this process: its exit code and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as stop:
+        main(argv)
+    return _Result(stop.value.code, out.getvalue(), err.getvalue())
+
+
 def test_check_divergence_pair(tmp_path):
     p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.0)")
     q = _write(tmp_path, "q.proc", "tau.a.0")
-    runner = CliRunner()
-    assert runner.invoke(main, ["check", "--rel", "branching", p, q]).exit_code == 0
-    assert runner.invoke(main, ["check", "--rel", "dpbb", p, q]).exit_code == 1
-    assert runner.invoke(main, ["check", "--rel", "rooted", p, q]).exit_code == 1
+    assert _run(["check", "--rel", "branching", p, q]).exit_code == 0
+    assert _run(["check", "--rel", "dpbb", p, q]).exit_code == 1
+    assert _run(["check", "--rel", "rooted", p, q]).exit_code == 1
 
 
 def test_prove_refuses_the_divergence_pair(tmp_path):
@@ -38,29 +54,26 @@ def test_prove_refuses_the_divergence_pair(tmp_path):
     assert equivalent(e, f, "branching") and not equivalent(e, f, "dpbb")
     assert isinstance(prove_congruent(e, f), RootedCheck)
     p, q = _write(tmp_path, "p.proc", left), _write(tmp_path, "q.proc", right)
-    res = CliRunner().invoke(main, ["prove", p, q])
-    assert res.exit_code == 1, res.output
+    res = _run(["prove", p, q])
+    assert res.exit_code == 1, res.stderr
     assert res.stderr.startswith("INEQ ")
 
 
 def test_check_strong(tmp_path):
     p = _write(tmp_path, "p.proc", "a.0 + b.0")
     q = _write(tmp_path, "q.proc", "b.0 + a.0")
-    runner = CliRunner()
-    assert runner.invoke(main, ["check", "--rel", "strong", p, q]).exit_code == 0
+    assert _run(["check", "--rel", "strong", p, q]).exit_code == 0
 
 
 def test_prove_refl_and_verify(tmp_path):
     p = _write(tmp_path, "p.proc", "a.b.0 # one expression per file")
-    runner = CliRunner()
-    res = runner.invoke(main, ["prove", p, p])
+    res = _run(["prove", p, p])
     assert res.exit_code == 0
-    cert = _write(tmp_path, "refl.cert", res.output)
-    assert runner.invoke(main, ["verify", cert]).exit_code == 0
+    cert = _write(tmp_path, "refl.cert", res.stdout)
+    assert _run(["verify", cert]).exit_code == 0
 
 
 def test_prove_verify_roundtrip_iff_rooted(tmp_path):
-    runner = CliRunner()
     pairs = [
         ("a.tau.b.0", "a.b.0", 0),
         ("a.0 + a.0", "a.0", 0),
@@ -69,10 +82,10 @@ def test_prove_verify_roundtrip_iff_rooted(tmp_path):
     for i, (le, ri, code) in enumerate(pairs):
         p = _write(tmp_path, f"l{i}.proc", le)
         q = _write(tmp_path, f"r{i}.proc", ri)
-        res = runner.invoke(main, ["prove", p, q])
-        assert res.exit_code == code, res.output
+        res = _run(["prove", p, q])
+        assert res.exit_code == code, res.stderr
         if code == 0:
-            d = parse_derivation(res.output)
+            d = parse_derivation(res.stdout)
             assert check(d) is None
             assert d.conclusion == (parse(le), parse(ri))
         else:
@@ -100,33 +113,31 @@ def test_prove_verify_roundtrip_non_ascii_names(tmp_path):
 
 
 def test_verify_tampered_certificate(tmp_path):
-    runner = CliRunner()
     p = _write(tmp_path, "p.proc", "a.0 + a.0")
     q = _write(tmp_path, "q.proc", "a.0")
-    res = runner.invoke(main, ["prove", p, q])
-    lines = res.output.splitlines()
+    res = _run(["prove", p, q])
+    lines = res.stdout.splitlines()
     head, _, just = lines[-1].rpartition(" by ")
     tag, _, eq = head.partition(" ")
     num, _, body = eq.partition(" ")
     lhs, _, rhs = body.partition(" = ")
     lines[-1] = f"step {num} {rhs} = {lhs} by {just}"
     cert = _write(tmp_path, "bad.cert", "\n".join(lines))
-    res2 = runner.invoke(main, ["verify", cert])
+    res2 = _run(["verify", cert])
     assert res2.exit_code == 1
     assert f"step {num}" in res2.stderr
 
 
 def test_verify_edited_term_line(tmp_path):
-    runner = CliRunner()
     p = _write(tmp_path, "p.proc", "a.0 + a.0")
     q = _write(tmp_path, "q.proc", "a.0")
-    lines = runner.invoke(main, ["prove", p, q]).output.splitlines()
+    lines = _run(["prove", p, q]).stdout.splitlines()
     # the table writes a.0 + a.0 as `@k + @k`; drop its right summand
     k = next(i for i, l in enumerate(lines)
              if re.fullmatch(r"term \d+ (@\d+) \+ \1", l))
     lines[k] = lines[k].rpartition(" + ")[0] + " + 0"
     cert = _write(tmp_path, "bad.cert", "\n".join(lines))
-    res = runner.invoke(main, ["verify", cert])
+    res = _run(["verify", cert])
     assert res.exit_code == 1
     assert res.stderr.startswith("invalid certificate: step ")
 
@@ -180,10 +191,9 @@ def test_verify_unwritable_names_exit_2(tmp_path):
 
 def test_std_writes_certificate(tmp_path):
     p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.0)")
-    runner = CliRunner()
-    res = runner.invoke(main, ["std", p])
+    res = _run(["std", p])
     assert res.exit_code == 0
-    printed = parse(res.output.strip())
+    printed = parse(res.stdout.strip())
     cert = (tmp_path / "p.proc.cert").read_text()
     d = parse_derivation(cert)
     assert check(d) is None
@@ -202,36 +212,34 @@ def test_std_prints_nothing_when_the_certificate_cannot_be_written(tmp_path):
 
 def test_lts_aut_output(tmp_path):
     p = _write(tmp_path, "p.proc", "rec X.(tau.X + a.Y)")
-    runner = CliRunner()
-    res = runner.invoke(main, ["lts", p])
-    lines = res.output.strip().splitlines()
+    res = _run(["lts", p])
+    lines = res.stdout.strip().splitlines()
     assert lines[0] == "des (0, 2, 2)"
     assert '(0,"tau",0)' in lines
     assert 'exp (1, "Y")' in lines
-    text = runner.invoke(main, ["lts", "--format", "text", p])
-    assert "states: 2" in text.output
+    text = _run(["lts", "--format", "text", p])
+    assert "states: 2" in text.stdout
 
 
 def test_minimize(tmp_path):
     # tau.a.0 merges with a.0 (the quotient is not rooted), dropping the
     # class-internal silent move
     p = _write(tmp_path, "p.proc", "tau.a.0 + tau.a.0")
-    runner = CliRunner()
-    res = runner.invoke(main, ["minimize", p])
-    lines = res.output.strip().splitlines()
+    res = _run(["minimize", p])
+    lines = res.stdout.strip().splitlines()
     assert lines[0].startswith("des (")
     assert int(lines[0].split(",")[2].strip(" )")) == 2
     assert '(0,"a",1)' in lines
     assert not any('"tau"' in l for l in lines)
     # a divergent loop keeps a silent self-loop on its class
     q = _write(tmp_path, "q.proc", "rec X.(tau.X + a.0)")
-    res2 = runner.invoke(main, ["minimize", q])
-    assert '(0,"tau",0)' in res2.output
+    res2 = _run(["minimize", q])
+    assert '(0,"tau",0)' in res2.stdout
     # several classes: a divergent loop, a two-state silent cycle folded
     # into one diverging class, and tau.0 merged with 0 without divergence
     r = _write(tmp_path, "r.proc", "rec X. tau.X + a.(rec Y. tau.tau.Y + b.0) + c.tau.0")
-    res3 = runner.invoke(main, ["minimize", r])
-    assert res3.output.splitlines() == [
+    res3 = _run(["minimize", r])
+    assert res3.stdout.splitlines() == [
         "des (0, 5, 3)",
         '(0,"tau",0)',
         '(0,"a",1)',
@@ -241,7 +249,7 @@ def test_minimize(tmp_path):
     ]
     # a class exposes what its members expose, so X + a.0 and a.0 differ
     x = _write(tmp_path, "x.proc", "X + a.0")
-    assert runner.invoke(main, ["minimize", x]).output.splitlines() == [
+    assert _run(["minimize", x]).stdout.splitlines() == [
         "des (0, 1, 2)",
         '(0,"a",1)',
         'exp (0, "X")',
@@ -251,8 +259,7 @@ def test_minimize(tmp_path):
 def test_parse_error_exit_code(tmp_path):
     p = _write(tmp_path, "bad.proc", "a. + b")
     q = _write(tmp_path, "ok.proc", "0")
-    runner = CliRunner()
-    res = runner.invoke(main, ["check", p, q])
+    res = _run(["check", p, q])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
 
@@ -268,20 +275,84 @@ def test_prover_failure_exits_2_with_one_line(tmp_path, monkeypatch, exc):
 
     # `prove` looks the prover up in its own module when it runs
     monkeypatch.setattr("dpbc.ses.prove_congruent", fail)
-    res = CliRunner().invoke(main, ["prove", p, p])
-    assert res.exit_code == 2, res.exception
-    lines = res.output.strip().splitlines()
+    res = _run(["prove", p, p])
+    assert res.exit_code == 2, res.stderr
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     # the prover's own depth is not the input's fault
     assert "input" not in lines[0]
 
 
+@pytest.mark.parametrize("args, target, exc, line", [
+    (["prove", "p.proc", "p.proc"], "dpbc.ses.prove_congruent", RecursionError("depth"),
+     "error: recursion limit reached in dpbc prove (depth)"),
+    (["verify", "p.cert"], "dpbc.kernel.check", RecursionError("depth"),
+     "error: recursion limit reached in dpbc verify (depth)"),
+    (["lts", "p.proc"], "dpbc.semantics.build_lts", KeyError("x"), "error: KeyError: 'x'"),
+    (["minimize", "p.proc"], "dpbc.semantics.build_lts", BudgetExceeded("over budget"),
+     "error: over budget"),
+], ids=["recursion-prove", "recursion-verify", "unexpected", "budget"])
+def test_error_line_names_the_command_or_the_unexpected_type(tmp_path, monkeypatch,
+                                                            args, target, exc, line):
+    # a deep recursion is not the prover's alone; an error that no layer
+    # raises on purpose is named by its type
+    _write(tmp_path, "p.proc", "a.0")
+    _write(tmp_path, "p.cert", "step 0 a.0 = a.0 by refl\n")
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(target, fail)
+    res = _run([str(tmp_path / a) if "." in a else a for a in args])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("args", [
+    [], ["nope"], ["check", "--rel", "nope", "ok.proc", "ok.proc"],
+    ["check", "--budget", "x", "ok.proc", "ok.proc"], ["check", "ok.proc"], ["verify"],
+], ids=["no-command", "unknown-command", "bad-rel", "bad-budget", "missing-file2",
+        "missing-file"])
+def test_argument_errors_exit_2(tmp_path, args):
+    _write(tmp_path, "ok.proc", "a.0")
+    res = _run([str(tmp_path / a) if "." in a else a for a in args])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "usage: dpbc" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name", ["nowhere.proc", "."], ids=["nonexistent", "directory"])
+@pytest.mark.parametrize("command", ["check", "prove", "verify", "std", "lts", "minimize"])
+def test_unreadable_file_exits_2_with_one_line(tmp_path, command, name):
+    path = str(tmp_path / name)
+    files = [path, path] if command in ("check", "prove") else [path]
+    res = _run([command, *files])
+    assert res.exit_code == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [Errno "), lines
+    assert path in lines[0], lines
+
+
+@pytest.mark.parametrize("command, options", [
+    (None, ["check", "prove", "verify", "std", "lts", "minimize"]),
+    ("check", ["--rel", "--budget", "strong", "branching", "dpbb", "rooted", "file1", "file2"]),
+    ("prove", ["--budget", "--cert", "file1", "file2"]),
+    ("verify", ["file"]),
+    ("std", ["--cert", "file"]),
+    ("lts", ["--format", "--budget", "text", "aut", "file"]),
+    ("minimize", ["--budget", "file"]),
+])
+def test_help_names_every_command_and_option(command, options):
+    res = _run([command, "--help"] if command else ["--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.startswith(f"usage: dpbc {command or ''}".rstrip())
+    for word in options:
+        assert re.search(rf"(?<![\w-]){re.escape(word)}(?![\w-])", res.stdout), word
+
 def test_check_rejects_term_reference_in_expression(tmp_path):
     # `@n` belongs in certificates only
     p = _write(tmp_path, "p.proc", "a.@0")
     q = _write(tmp_path, "q.proc", "@0")
-    runner = CliRunner()
-    res = runner.invoke(main, ["check", p, q])
+    res = _run(["check", p, q])
     assert res.exit_code == 2
     assert res.stderr.startswith("error:")
 
@@ -292,8 +363,7 @@ def test_budget_exit_code(tmp_path):
         deep = f"a.({deep} + b.{deep})"
     p = _write(tmp_path, "deep.proc", deep)
     q = _write(tmp_path, "ok.proc", "0")
-    runner = CliRunner()
-    res = runner.invoke(main, ["check", "--budget", "4", p, q])
+    res = _run(["check", "--budget", "4", p, q])
     assert res.exit_code == 2
 
 
@@ -360,10 +430,25 @@ def test_verify_prints_a_deep_conclusion(tmp_path):
     assert res.stdout == f"verified: {'a.' * 3000}0 = {'a.' * 3000}0\n"
 
 
-def test_cli_imports_nothing_beyond_click_and_the_stdlib():
-    # every module that `import dpbc.cli` adds to those of `import click`
-    # comes from dpbc or the standard library
-    code = ("import sys, click; before = set(sys.modules); import dpbc.cli; "
+def test_verify_prints_deeply_nested_loops(tmp_path):
+    # 1,500 nested `tau*` loops over a.0: printing each loop as `tau*`
+    # asks for the free names of the loop below it, at any depth
+    lines = ["term 0 a.0", "term 1 tau._g0"]
+    for k in range(2, 3002, 2):
+        lines += [f"term {k} @1 + @{k - 1 if k > 2 else 0}", f"term {k + 1} rec _g0. @{k}"]
+    lines.append("step 0 @3001 = @3001 by refl")
+    cert = _write(tmp_path, "loops.cert", "\n".join(lines) + "\n")
+    res = _python("-m", "dpbc.cli", "verify", cert)
+    assert res.returncode == 0, res.stderr[-300:]
+    side = "tau* " * 1500 + "a.0"
+    assert res.stdout == f"verified: {side} = {side}\n"
+
+
+def test_cli_imports_nothing_beyond_the_stdlib():
+    # every module that `import dpbc.cli` adds comes from dpbc or the
+    # standard library; click, which the command line once ran on, is not one
+    code = ("import sys; before = set(sys.modules); import dpbc.cli; "
+            "assert 'click' not in sys.modules; "
             "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
             "sys.exit(sorted(added - set(sys.stdlib_module_names) - {'dpbc'}) or None)")
     res = _python("-c", code)
@@ -458,7 +543,7 @@ def test_pins_verify_with_only_the_kernel():
         "from dpbc.cli import main",
         "for path in sys.argv[1:]:",
         "    try:",
-        "        main(['verify', path], standalone_mode=False)",
+        "        main(['verify', path])",
         "    except SystemExit as exc:",
         "        assert exc.code == 0, (path, exc.code)",
         "    else:",
