@@ -12,14 +12,12 @@ decision procedures or of the prover (`proof`, `standardize`, `ses`).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
     Action,
     Expr,
-    Nil,
     NIL,
     Prefix,
     Rec,
@@ -156,7 +154,7 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
 # makes a copy whose step indices go through a map (`renumber`).
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refl:
     def refs(self) -> tuple:
         return ()
@@ -165,7 +163,7 @@ class Refl:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symm:
     of: int
 
@@ -176,7 +174,7 @@ class Symm:
         return Symm(remap[self.of])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trans:
     first: int
     second: int
@@ -188,7 +186,7 @@ class Trans:
         return Trans(remap[self.first], remap[self.second])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AxiomStep:
     axiom: str
     meta: tuple  # ((name, Expr), ...)
@@ -204,7 +202,7 @@ class AxiomStep:
         return AxiomStep(self.axiom, self.meta, self.extra, remap[self.premise])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cong:
     pos: str  # a key of POSITIONS
     inner: int
@@ -223,7 +221,7 @@ Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
 HOLE = "◻"  # white medium square
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """A congruence position: the type of its context, the certificate
     text around the context's value, and how the context wraps a term."""
@@ -247,14 +245,14 @@ def plug(pos: str, context, e: Expr) -> Expr:
     return POSITIONS[pos].wrap(context, e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofStep:
     lhs: Expr
     rhs: Expr
     just: Just
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     steps: tuple
 
@@ -267,7 +265,7 @@ class Derivation:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckFailure:
     index: int
     reason: str
@@ -405,25 +403,29 @@ def _format_just(just: Just, ref) -> str:
 def format_derivation(d: Derivation) -> str:
     lhs, rhs = d.conclusion
     lines = [f"# proves: {pretty(lhs)} = {pretty(rhs)}"]
-    ids = {}
+    # id of each term written so far -> its field; hash-consed terms are
+    # equal exactly when they are the same object, and d keeps them alive
+    ids = {id(NIL): "0"}
 
     def ref(e: Expr) -> str:
-        """`@n` for a compound term, adding its `term` line on first use."""
-        if isinstance(e, Var):
-            return e.name
-        if isinstance(e, Nil):
-            return "0"
-        n = ids.get(e)
-        if n is None:
-            if isinstance(e, Prefix):
-                body = f"{e.act}.{ref(e.body)}"
-            elif isinstance(e, Sum):
-                body = f"{ref(e.left)} + {ref(e.right)}"
+        """The field of e: `0`, a variable's name, or `@n` for a compound
+        term, whose `term` line is added on first use."""
+        field = ids.get(id(e))
+        if field is None:
+            if isinstance(e, Var):
+                field = e.name
             else:
-                body = f"rec {e.binder}. {ref(e.body)}"
-            n = ids[e] = len(ids)
-            lines.append(f"term {n} {body}")
-        return f"@{n}"
+                if isinstance(e, Prefix):
+                    body = f"{e.act}.{ref(e.body)}"
+                elif isinstance(e, Sum):
+                    body = f"{ref(e.left)} + {ref(e.right)}"
+                else:
+                    body = f"rec {e.binder}. {ref(e.body)}"
+                n = len(lines) - 1
+                field = f"@{n}"
+                lines.append(f"term {n} {body}")
+            ids[id(e)] = field
+        return field
 
     steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_format_just(st.just, ref)}"
              for i, st in enumerate(d.steps)]
@@ -443,103 +445,99 @@ def _name(text: str, variable: bool) -> str:
     return text
 
 
-_REF = re.compile(r"@([0-9]+)")
+def _numeral(text: str) -> int:
+    """A line number, step reference or term index: ASCII decimal with no
+    sign, underscore or leading zero."""
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise CertificateError(f"bad number {text!r}")
 
 
-def _field(text: str, terms: list) -> Expr:
-    """The expression a field denotes: a term reference `@k`, `0` or a
-    variable."""
-    word = text.strip(" \t\r\n")
-    if word == "0":
-        return NIL
-    m = _REF.fullmatch(word)
-    if m is None:
-        return Var(_name(word, True))
-    if int(m[1]) >= len(terms):
-        raise CertificateError(f"undefined term @{m[1]}")
-    return terms[int(m[1])]
+class _Fields(dict):
+    """Field text -> term, for one certificate.  It starts with `0`, gains
+    `@n` as term line n is read and each variable once `_name` accepts
+    it.  A certificate with term lines (`table`) writes only those in a
+    field; one without writes whole expressions, parsed once each."""
+
+    def __init__(self):
+        super().__init__({"0": NIL})
+        self.table = False
+
+    def __missing__(self, text: str) -> Expr:
+        if not self.table:
+            e = self[text] = parse(text)
+            return e
+        word = text.strip(" \t\r\n")
+        if word != text:
+            return self[word]
+        if word.startswith("@"):
+            # every term defined so far is in the table
+            raise CertificateError(f"undefined term @{_numeral(word[1:])}")
+        e = self[word] = Var(_name(word, True))
+        return e
 
 
-def _side(text: str, terms: list) -> Expr:
-    """A step side, binding or sum context: a field, or a whole expression
-    in a certificate without term lines."""
-    return _field(text, terms) if terms else parse(text)
+class _Names(dict):
+    """Action names (`Action`s) or binder names (`variable`), each text
+    validated on its first lookup."""
+
+    def __init__(self, variable: bool):
+        super().__init__()
+        self.variable = variable
+
+    def __missing__(self, text: str):
+        name = _name(text, self.variable)
+        value = self[text] = name if self.variable else Action(name)
+        return value
 
 
-def _term(text: str, terms: list) -> Expr:
-    """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
-    left, plus, right = text.partition("+")
-    if plus:
-        return Sum(_field(left, terms), _field(right, terms))
-    head, dot, body = text.partition(".")
-    words = head.split()
-    if dot and len(words) == 2 and words[0] == "rec":
-        return Rec(_name(words[1], True), _field(body, terms))
-    if dot and len(words) == 1:
-        return Prefix(Action(_name(words[0], False)), _field(body, terms))
-    raise CertificateError(f"bad term {text!r}")
+class _Reader:
+    """The tables of one certificate: text already read -> its value, so
+    that each field, action name and binder name is read once."""
 
+    def __init__(self):
+        self.fields = _Fields()
+        self.actions = _Names(variable=False)
+        self.binders = _Names(variable=True)
 
-def _read(kind: type, text: str, terms: list):
-    """A binding or context value of the given type: an expression, an
-    action name or a binder name."""
-    if kind is Expr:
-        return _side(text, terms)
-    if kind is Action:
-        return Action(_name(text, False))
-    return _name(text.strip(), True)
+    def term(self, text: str) -> Expr:
+        """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
+        fields = self.fields
+        # the writer's ` + ` first, so that its fields need no strip
+        left, plus, right = text.partition(" + ")
+        if not plus:
+            left, plus, right = text.partition("+")
+        if plus:
+            return Sum(fields[left], fields[right])
+        head, dot, body = text.partition(".")
+        if dot:
+            words = head.split()
+            if len(words) == 2 and words[0] == "rec":
+                return Rec(self.binders[words[1]], fields[body])
+            if len(words) == 1:
+                return Prefix(self.actions[words[0]], fields[body])
+        raise CertificateError(f"bad term {text!r}")
 
+    def just(self, text: str) -> Just:
+        kind, _, rest = text.strip().partition(" ")
+        if kind == "trans":
+            a, b = rest.split()
+            return Trans(_numeral(a), _numeral(b))
+        if kind == "cong":
+            return self.cong(rest)
+        if kind == "axiom":
+            return self.axiom(rest)
+        if kind == "symm":
+            return Symm(_numeral(rest.strip()))
+        if kind == "refl" and not rest:
+            return Refl()
+        raise CertificateError(f"unknown justification {text!r}")
 
-def _parse_bindings(axiom: str, text: str, terms: list):
-    metas, extras = SCHEMA_PARAMS[axiom]
-    meta, extra = {}, {}
-    text = text.strip()
-    if text:
-        for chunk in text.split(","):
-            if ":=" not in chunk:
-                raise CertificateError(f"bad binding {chunk!r}")
-            name, value = chunk.split(":=", 1)
-            name = name.strip()
-            value = value.strip()
-            if name in metas:
-                meta[name] = _read(Expr, value, terms)
-            elif name in extras:
-                extra[name] = _read(Action if name == "a" else str, value, terms)
-            else:
-                raise CertificateError(f"{axiom} takes no parameter {name!r}")
-    return meta, extra
-
-
-def _parse_just(text: str, terms: list) -> Just:
-    kind, _, rest = text.strip().partition(" ")
-    if kind == "refl" and not rest:
-        return Refl()
-    if kind == "symm":
-        return Symm(int(rest))
-    if kind == "trans":
-        a, b = rest.split()
-        return Trans(int(a), int(b))
-    if kind == "axiom":
-        name, _, rest = rest.strip().partition(" ")
-        if name not in SCHEMA_PARAMS:
-            raise CertificateError(f"unknown axiom {name!r}")
-        rest = rest.strip()
-        premise = None
-        if not rest.startswith("{") or "}" not in rest:
-            raise CertificateError(f"missing bindings for {name}")
-        body, _, tail = rest[1:].partition("}")
-        tail = tail.strip()
-        if tail:
-            if not tail.startswith("premise "):
-                raise CertificateError(f"unexpected trailer {tail!r}")
-            premise = int(tail[8:].strip())
-        meta, extra = _parse_bindings(name, body, terms)
-        return AxiomStep(
-            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
-    if kind == "cong":
-        pos, _, rest = rest.partition(" ")
+    def cong(self, text: str) -> Cong:
+        """`<pos> <k> in <context>`, the context written as POSITIONS says."""
+        pos, _, rest = text.partition(" ")
         num, _, rest = rest.strip().partition(" ")
-        inner = int(num)
+        inner = _numeral(num)
         rest = rest.strip()
         if not rest.startswith("in "):
             raise CertificateError("congruence step is missing its context")
@@ -550,39 +548,80 @@ def _parse_just(text: str, terms: list) -> Just:
         if not (ctx.startswith(p.before) and ctx.endswith(p.after)):
             raise CertificateError(f"bad {pos} context {ctx!r}")
         value = ctx[len(p.before) : len(ctx) - len(p.after)]
-        return Cong(pos, inner, _read(p.kind, value, terms))
-    raise CertificateError(f"unknown justification {text!r}")
+        if p.kind is Expr:
+            return Cong(pos, inner, self.fields[value])
+        if p.kind is Action:
+            return Cong(pos, inner, self.actions[value])
+        return Cong(pos, inner, self.binders[value.strip()])
+
+    def axiom(self, text: str) -> AxiomStep:
+        """`<ID> {<name>:=<value>, ...} [premise <k>]`."""
+        name, _, rest = text.strip().partition(" ")
+        params = SCHEMA_PARAMS.get(name)
+        if params is None:
+            raise CertificateError(f"unknown axiom {name!r}")
+        rest = rest.strip()
+        if not rest.startswith("{") or "}" not in rest:
+            raise CertificateError(f"missing bindings for {name}")
+        body, _, tail = rest[1:].partition("}")
+        tail = tail.strip()
+        premise = None
+        if tail:
+            if not tail.startswith("premise "):
+                raise CertificateError(f"unexpected trailer {tail!r}")
+            premise = _numeral(tail[8:].strip())
+        metas, extras = params
+        meta, extra = {}, {}
+        if body.strip():
+            for chunk in body.split(","):
+                key, sep, value = chunk.partition(":=")
+                if not sep:
+                    raise CertificateError(f"bad binding {chunk!r}")
+                key = key.strip()
+                value = value.strip()
+                if key in metas:
+                    meta[key] = self.fields[value]
+                elif key in extras:
+                    extra[key] = (self.actions if key == "a" else self.binders)[value]
+                else:
+                    raise CertificateError(f"{name} takes no parameter {key!r}")
+        return AxiomStep(
+            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
 
 
 def parse_derivation(text: str) -> Derivation:
     """Read a certificate.  `term n` and `step n` lines are each numbered
     from 0 in order, and `@k` may name only a term defined above it."""
-    terms, steps = [], []
+    reader = _Reader()
+    fields, just = reader.fields, reader.just
+    n_terms, steps = 0, []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         kind, _, rest = line.partition(" ")
         if kind not in ("term", "step"):
             raise CertificateError(f"unexpected line {line!r}")
         num, _, rest = rest.partition(" ")
         try:
-            expected = len(terms) if kind == "term" else len(steps)
-            if int(num) != expected:
-                raise CertificateError(f"{kind} numbered {num} but {expected} expected")
+            expected = n_terms if kind == "term" else len(steps)
+            if num != str(expected):
+                raise CertificateError(
+                    f"{kind} numbered {_numeral(num)} but {expected} expected")
             if kind == "term":
                 if steps:
                     raise CertificateError(f"term {num} follows a step")
-                terms.append(_term(rest, terms))
+                fields.table = True
+                fields["@" + num] = reader.term(rest)
+                n_terms += 1
                 continue
             body, sep, just_text = rest.rpartition(" by ")
             if not sep:
                 raise CertificateError(f"step {num} has no justification")
-            if " = " not in body:
+            lhs_text, eq, rhs_text = body.partition(" = ")
+            if not eq:
                 raise CertificateError(f"step {num} is not an equation")
-            lhs_text, _, rhs_text = body.partition(" = ")
-            steps.append(ProofStep(_side(lhs_text, terms), _side(rhs_text, terms),
-                                   _parse_just(just_text, terms)))
+            steps.append(ProofStep(fields[lhs_text], fields[rhs_text], just(just_text)))
         except ValueError as exc:
             if isinstance(exc, CertificateError):
                 raise

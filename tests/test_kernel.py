@@ -1,0 +1,123 @@
+"""The certificate reader: the text it accepts, the numerals it refuses,
+and mutated certificates that neither it nor the checker may raise on."""
+
+import os
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dpbc.kernel import CertificateError, CheckFailure, check, format_derivation, parse_derivation
+from dpbc.proof import derive_T1
+from dpbc.syntax import Action, parse
+
+_PINNED = os.path.join(os.path.dirname(__file__), "pinned")
+
+
+def _pin(name: str) -> str:
+    with open(os.path.join(_PINNED, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+# T1 over b.0 (axioms S4 and B, symm, trans, cong prefix) and a pin with
+# R2 premises and rec and sum contexts
+_T1 = format_derivation(derive_T1(Action("a"), parse("b.0")))
+_TAUPAD = _pin("taupad.cert")
+
+
+def _on_lines(kind: str, edit):
+    """Apply `edit` to the lines that start with `kind`."""
+    def apply(text):
+        return "\n".join(edit(l) if l.startswith(kind) else l
+                         for l in text.split("\n"))
+    return apply
+
+
+# Layouts the writer never produces and the reader has always accepted
+_LAYOUTS = {
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "trailing spaces": lambda t: t.replace("\n", "   \n"),
+    "indented steps": _on_lines("step ", lambda l: "  " + l),
+    "blank and comment lines": lambda t: t.replace("\nstep ", "\n\n# a note\n\nstep "),
+    "spaced equation": lambda t: t.replace(" = ", "  =  "),
+    "spaced step number": _on_lines("step ", lambda l: re.sub(r"^(step \d+) ", r"\1  ", l)),
+    "spaced sum terms": _on_lines("term ", lambda l: l.replace(" + ", "  +  ")),
+    "spaced bindings": lambda t: (t.replace("{", "{ ").replace("}", " }")
+                                  .replace(":=", "  :=  ").replace(", ", " ,  ")),
+    "spaced premise": lambda t: t.replace(" premise ", " premise   "),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_certificate_layouts_read_alike(layout):
+    edit = _LAYOUTS[layout]
+    changed = False
+    for text in (_T1, _TAUPAD):
+        variant = edit(text)
+        changed |= variant != text
+        assert parse_derivation(variant) == parse_derivation(text)
+    assert changed
+
+
+@pytest.mark.parametrize("tab", ["\t= ", " =\t", "\t=\t"])
+def test_tab_around_the_equals_sign_is_rejected(tab):
+    with pytest.raises(CertificateError):
+        parse_derivation(_T1.replace(" = ", tab))
+
+
+# Line numbers, step references, `@k`, `premise k` and the congruence
+# index are ASCII decimal with no sign, underscore or leading zero.
+@pytest.mark.parametrize("text", [
+    "term 0 a.0\nstep +0 @0 = @0 by refl",
+    "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 = @0 by symm ٠",
+    "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 = @0 by trans 0 +0_0",
+    "term 0 a.0\nstep 0 @00 = @0 by refl",
+    "term 00 a.0\nstep 0 @0 = @0 by refl",
+    "term 0 a.0\nstep 0 @0 = @0 by refl\nstep 1 @0 = @0 by cong prefix 00 in b.◻",
+    "term 0 a.X\nterm 1 rec X. @0\nterm 2 a.@1\n"
+    "step 0 @1 = @2 by axiom R1 {E:=@0, X:=X}\n"
+    "step 1 @1 = @1 by axiom R2 {E:=@0, F:=@1, X:=X} premise 0_0",
+])
+def test_certificate_rejects_non_canonical_numerals(text):
+    with pytest.raises(CertificateError):
+        parse_derivation(text)
+
+
+# The smaller pins (under 30 kB) cover every justification, R2 premises
+# and every congruence position.
+_FUZZ_PINS = {name: _pin(name) for name in sorted(os.listdir(_PINNED))
+              if os.path.getsize(os.path.join(_PINNED, name)) < 30000}
+# Their words with every number made 1 (a term and a step every pin
+# has), and numerals and separators of other shapes
+_VOCABULARY = sorted(
+    {re.sub(r"[0-9]+", "1", word) for text in _FUZZ_PINS.values() for word in text.split()}
+    | {"", "0", "@0", "@", "00", "+1", "-1", "1_0", "٠", "99999", "{", "}", ":=", ",",
+       "\t", "(", ")", "tau*", "rec", "term", "step", "by", "in", "premise", "R9"})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_certificates_fail_closed(data):
+    text = _FUZZ_PINS[data.draw(st.sampled_from(sorted(_FUZZ_PINS)))]
+    lines = text.split("\n")
+    i = data.draw(st.sampled_from(
+        [i for i, l in enumerate(lines) if l.startswith(("term ", "step "))]))
+    words = lines[i].split(" ")
+    for _ in range(data.draw(st.integers(1, 3))):
+        # the line keeps its kind and number, so the edit reaches its body
+        j = data.draw(st.integers(2, len(words)))
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "insert":
+            words.insert(j, data.draw(st.sampled_from(_VOCABULARY)))
+        elif j < len(words):
+            if edit == "delete":
+                del words[j]
+            else:
+                words[j] = data.draw(st.sampled_from(_VOCABULARY))
+    lines[i] = " ".join(words)
+    try:
+        derivation = parse_derivation("\n".join(lines))
+    except CertificateError:
+        return
+    failure = check(derivation)
+    assert failure is None or isinstance(failure, CheckFailure)
