@@ -409,23 +409,41 @@ def format_derivation(d: Derivation) -> str:
 
     def ref(e: Expr) -> str:
         """The field of e: `0`, a variable's name, or `@n` for a compound
-        term, whose `term` line is added on first use."""
+        term, whose `term` line is added on first use, after those of
+        its children.  Iterative, so a term of any depth writes."""
         field = ids.get(id(e))
-        if field is None:
-            if isinstance(e, Var):
-                field = e.name
+        if field is not None:
+            return field
+        todo = [e]
+        while todo:
+            n = todo.pop()
+            if id(n) in ids:
+                continue
+            if isinstance(n, Var):
+                ids[id(n)] = n.name
+                continue
+            if isinstance(n, Sum):
+                left, right = ids.get(id(n.left)), ids.get(id(n.right))
+                if left is None or right is None:
+                    # back to n once its children have their fields
+                    todo.append(n)
+                    if right is None:
+                        todo.append(n.right)
+                    if left is None:
+                        todo.append(n.left)
+                    continue
+                body = f"{left} + {right}"
             else:
-                if isinstance(e, Prefix):
-                    body = f"{e.act}.{ref(e.body)}"
-                elif isinstance(e, Sum):
-                    body = f"{ref(e.left)} + {ref(e.right)}"
-                else:
-                    body = f"rec {e.binder}. {ref(e.body)}"
-                n = len(lines) - 1
-                field = f"@{n}"
-                lines.append(f"term {n} {body}")
-            ids[id(e)] = field
-        return field
+                inner = ids.get(id(n.body))
+                if inner is None:
+                    todo += (n, n.body)
+                    continue
+                body = (f"{n.act}.{inner}" if isinstance(n, Prefix)
+                        else f"rec {n.binder}. {inner}")
+            k = len(lines) - 1
+            ids[id(n)] = f"@{k}"
+            lines.append(f"term {k} {body}")
+        return ids[id(e)]
 
     steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_format_just(st.just, ref)}"
              for i, st in enumerate(d.steps)]

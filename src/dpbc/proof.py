@@ -6,12 +6,12 @@ which defines the steps, the checker and the certificate format.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from typing import Mapping, Optional
 
 from .syntax import (
     Action,
     Expr,
-    Nil,
     NIL,
     Prefix,
     Rec,
@@ -108,6 +108,10 @@ class Builder:
             self._index[key] = idx
         return idx
 
+    def held(self, lhs: Expr, rhs: Expr) -> Optional[int]:
+        """The step that proves lhs = rhs, if the builder holds one."""
+        return self._index.get((lhs, rhs))
+
     def endpoints(self, i: int):
         st = self.steps[i]
         return st.lhs, st.rhs
@@ -201,92 +205,262 @@ class Builder:
 
 
 # --- sum rearrangement with proof ------------------------------------------------
+#
+# S1-S4 rearrange a sum over its summands: the nodes where a walk down
+# its sum tree stops, at every node that is no sum and at the sums in a
+# set `keep` of node ids.  `prove_canon` keeps no sum, so its summands
+# are the leaves; `prove_sum_eq` keeps the coarsest sub-sums its two
+# sides share.  The routines below hold the summands in a list, so a
+# kept sum is one summand even where it equals a sum of others, and
+# they loop instead of recursing, so a sum of any width costs no stack.
 
 
-def _prove_lassoc(b: Builder, e: Expr):
-    """Flatten every nested sum onto the left spine; returns the
-    left-nested tree and a step proving equality."""
-    if not isinstance(e, Sum):
-        return e, b.refl(e)
-    cur = e
-    acc = b.refl(e)
-    while isinstance(cur.right, Sum):
-        s2 = b.axiom("S2", {"E": cur.left, "F": cur.right.left, "G": cur.right.right})
-        acc = b.trans(acc, s2)
-        cur = Sum(Sum(cur.left, cur.right.left), cur.right.right)
-    left2, dl = _prove_lassoc(b, cur.left)
-    acc = b.trans(acc, b.cong("suml", dl, cur.right))
-    return Sum(left2, cur.right), acc
+def _prove_lassoc(b: Builder, e: Expr, keep):
+    """The summands of e, left to right, and a step proving e equal to
+    their left-nested sum."""
+    # per left-spine level: the chain that empties its right side, and
+    # the summand left there
+    levels = []
+    # the rotations build sums on the left spine: `built` says that cur
+    # is one, `below` how many are under it; each is opened, whatever
+    # kept sum it may equal
+    cur, built, below = e, False, 0
+    while type(cur) is Sum and (built or id(cur) not in keep):
+        acc = b.refl(cur)
+        while type(cur.right) is Sum and id(cur.right) not in keep:
+            s2 = b.axiom("S2", {"E": cur.left, "F": cur.right.left, "G": cur.right.right})
+            acc = b.trans(acc, s2)
+            cur = Sum(Sum(cur.left, cur.right.left), cur.right.right)
+            below += 1
+        levels.append((acc, cur.right))
+        cur, built, below = cur.left, below > 0, max(below - 1, 0)
+    xs, d = [cur], b.refl(cur)
+    for acc, last in reversed(levels):
+        d = b.trans(acc, b.cong("suml", d, last))
+        xs.append(last)
+    return xs, d
 
 
-def _prove_insert(b: Builder, tree: Expr, x: Expr):
-    """Insert x into a sorted left-nested sum; proves Sum(tree, x) = result."""
-    host = Sum(tree, x)
-    if not isinstance(tree, Sum):
-        if summand_key(x) >= summand_key(tree):
-            return host, b.refl(host)
-        return Sum(x, tree), b.axiom("S1", {"E": tree, "F": x})
-    init, last = tree.left, tree.right
-    if summand_key(x) >= summand_key(last):
-        return host, b.refl(host)
-    # (init + last) + x = init + (last + x) = init + (x + last) = (init + x) + last
-    i1 = b.symm(b.axiom("S2", {"E": init, "F": last, "G": x}))
-    i2 = b.cong("sumr", b.axiom("S1", {"E": last, "F": x}), init)
-    i3 = b.axiom("S2", {"E": init, "F": x, "G": last})
-    acc = b.chain(i1, i2, i3)
-    inner, d = _prove_insert(b, init, x)
-    acc = b.trans(acc, b.cong("suml", d, last))
-    return Sum(inner, last), acc
+def _prove_insert(b: Builder, ys: list, pre: list, x: Expr, key) -> int:
+    """Insert x into the summands ys, sorted by `key`, whose left-nested
+    prefix sums are pre, updating both; proves pre[-1] + x = the new
+    pre[-1]."""
+    kx = key(x)
+    levels = []  # the chain that moves x left past ys[j], and ys[j]
+    j = len(ys) - 1
+    while j > 0 and kx < key(ys[j]):
+        # (init + last) + x = init + (last + x) = init + (x + last) = (init + x) + last
+        init, last = pre[j - 1], ys[j]
+        i1 = b.symm(b.axiom("S2", {"E": init, "F": last, "G": x}))
+        i2 = b.cong("sumr", b.axiom("S1", {"E": last, "F": x}), init)
+        i3 = b.axiom("S2", {"E": init, "F": x, "G": last})
+        levels.append((b.chain(i1, i2, i3), last))
+        j -= 1
+    if j == 0 and kx < key(ys[0]):
+        d, at = b.axiom("S1", {"E": ys[0], "F": x}), 0
+    else:
+        d, at = b.refl(Sum(pre[j], x)), j + 1
+    for chain, last in reversed(levels):
+        d = b.trans(chain, b.cong("suml", d, last))
+    ys.insert(at, x)
+    del pre[at:]
+    for y in ys[at:]:
+        pre.append(Sum(pre[-1], y) if pre else y)
+    return d
 
 
-def _prove_sort(b: Builder, e: Expr):
-    """Insertion sort of a left-nested sum by summand order."""
-    if not isinstance(e, Sum):
-        return e, b.refl(e)
-    init, last = e.left, e.right
-    init2, d = _prove_sort(b, init)
-    acc = b.cong("suml", d, last)
-    res, d2 = _prove_insert(b, init2, last)
-    return res, b.trans(acc, d2)
+def _prove_sort(b: Builder, xs: list, key):
+    """Insertion sort of left-nested summands by `key`: the sorted
+    summands and a step proving the two sums equal."""
+    ys, pre = [xs[0]], [xs[0]]
+    d = b.refl(xs[0])
+    for x in xs[1:]:
+        acc = b.cong("suml", d, x)
+        d = b.trans(acc, _prove_insert(b, ys, pre, x, key))
+    return ys, d
 
 
-def _prove_compress(b: Builder, e: Expr):
-    """Remove duplicate and empty summands from a sorted left-nested sum."""
-    if not isinstance(e, Sum):
-        return e, b.refl(e)
-    init, last = e.left, e.right
-    init2, d = _prove_compress(b, init)
-    acc = b.cong("suml", d, last)
-    cur = Sum(init2, last)
-    if isinstance(last, Nil):
-        return init2, b.trans(acc, b.axiom("S4", {"E": init2}))
-    if init2 == last:
-        return last, b.trans(acc, b.axiom("S3", {"E": last}))
-    if isinstance(init2, Sum) and init2.right == last:
-        # (I + x) + x = I + (x + x) = I + x
-        i1 = b.symm(b.axiom("S2", {"E": init2.left, "F": last, "G": last}))
-        i2 = b.cong("sumr", b.axiom("S3", {"E": last}), init2.left)
-        return init2, b.chain(acc, i1, i2)
-    return cur, acc
+def _prove_compress(b: Builder, ys: list):
+    """Drop the repeated and empty summands of sorted ones: their
+    left-nested sum and a step proving it equal to the sum of ys."""
+    out = [ys[0]]  # left-nested prefix sums of the summands kept
+    d = b.refl(ys[0])
+    for last in ys[1:]:
+        acc = b.cong("suml", d, last)
+        if last is NIL:
+            d = b.trans(acc, b.axiom("S4", {"E": out[-1]}))
+        elif len(out) == 1 and out[0] is last:
+            d = b.trans(acc, b.axiom("S3", {"E": last}))
+        elif len(out) > 1 and out[-1].right is last:
+            # (I + x) + x = I + (x + x) = I + x
+            init = out[-2]
+            i1 = b.symm(b.axiom("S2", {"E": init, "F": last, "G": last}))
+            i2 = b.cong("sumr", b.axiom("S3", {"E": last}), init)
+            d = b.chain(acc, i1, i2)
+        else:
+            out.append(Sum(out[-1], last))
+            d = acc
+    return out[-1], d
+
+
+def _prove_sorted(b: Builder, xs: list, d: int, key=summand_key):
+    """From d proving e equal to the left-nested sum of xs on: e equal to
+    the left-nested sum of xs sorted by `key`, which puts 0 last, without
+    repeats or 0s."""
+    ys, d2 = _prove_sort(b, xs, key)
+    out, d3 = _prove_compress(b, ys)
+    return out, b.chain(d, d2, d3)
 
 
 @_derived
 def prove_canon(b: Builder, e: Expr):
     """Prove e equal to its canonical sum form (sorted, duplicate- and
-    0-free, left-nested)."""
-    flat, d1 = _prove_lassoc(b, e)
-    sorted_, d2 = _prove_sort(b, flat)
-    out, d3 = _prove_compress(b, sorted_)
-    return out, b.chain(d1, d2, d3)
+    0-free, left-nested over its leaves)."""
+    return _prove_sorted(b, *_prove_lassoc(b, e, ()))
+
+
+def _sum_tree(e: Expr) -> dict:
+    """id -> node for e and every child of a sum in its sum tree."""
+    nodes = {id(e): e}
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if type(n) is Sum:
+            for c in (n.left, n.right):
+                if id(c) not in nodes:
+                    nodes[id(c)] = c
+                    todo.append(c)
+    return nodes
+
+
+def _summand_ids(e: Expr, keep) -> set:
+    """The ids of e's summands under `keep`."""
+    out, seen, todo = set(), set(), [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            if type(n) is Sum and id(n) not in keep:
+                todo += (n.left, n.right)
+            else:
+                out.add(id(n))
+    return out
+
+
+def _shared_summands(lhs: Expr, rhs: Expr):
+    """The coarsest sub-sums over which lhs and rhs have the same summands
+    up to 0s and repeats: of the sums in both sum trees, every one that
+    is a summand of one side only or holds such a summand is opened,
+    until the two sets agree.  Returns the ids of the sums left whole."""
+    ltree, rtree = _sum_tree(lhs), _sum_tree(rhs)
+    keep = {i for i in ltree.keys() & rtree.keys() if type(ltree[i]) is Sum}
+    parents = None  # child id -> ids of the sums above it, in either tree
+    visited = set()
+    while True:
+        ls, rs = _summand_ids(lhs, keep), _summand_ids(rhs, keep)
+        diff = (ls ^ rs) - {id(NIL)}
+        if not diff:
+            return keep
+        if parents is None:
+            parents = {}
+            for n in (*ltree.values(), *rtree.values()):
+                if type(n) is Sum:
+                    for c in (n.left, n.right):
+                        parents.setdefault(id(c), set()).add(id(n))
+        opened = False
+        todo = list(diff)
+        while todo:
+            i = todo.pop()
+            if i not in visited:
+                visited.add(i)
+                if i in keep:
+                    keep.remove(i)
+                    opened = True
+                todo += parents.get(i, ())
+        if not opened:
+            raise ProofError(
+                f"sums differ beyond S1-S4: {pretty(lhs)} vs {pretty(rhs)}")
+
+
+def _absorb_copy(b: Builder, host: Expr, x: Expr):
+    """host + x = host when x is 0 or a node of host's sum tree: x moves
+    down beside its nearest copy, where S3 merges the two; None when x
+    is neither."""
+    if x is NIL:
+        return b.axiom("S4", {"E": host})
+    above = {id(host): None}  # node id -> (the sum above it, the side it is on)
+    queue = deque([host])
+    while queue and id(x) not in above:
+        n = queue.popleft()
+        if type(n) is Sum:
+            for side, c in (("l", n.left), ("r", n.right)):
+                if id(c) not in above:
+                    above[id(c)] = (n, side)
+                    queue.append(c)
+    if id(x) not in above:
+        return None
+    path = []
+    link = above[id(x)]
+    while link is not None:
+        path.append(link)
+        link = above[id(link[0])]
+    # per sum on the path: the chain that moves x into the side that
+    # holds the copy, that side's congruence position and the other side
+    levels = []
+    for n, side in reversed(path):
+        l, r = n.left, n.right
+        # (l + r) + x = l + (r + x)
+        i1 = b.symm(b.axiom("S2", {"E": l, "F": r, "G": x}))
+        if side == "r":
+            levels.append((i1, "sumr", l))
+            continue
+        # = l + (x + r) = (l + x) + r
+        i2 = b.cong("sumr", b.axiom("S1", {"E": r, "F": x}), l)
+        i3 = b.axiom("S2", {"E": l, "F": x, "G": r})
+        levels.append((b.chain(i1, i2, i3), "suml", r))
+    d = b.axiom("S3", {"E": x})
+    for chain, pos, other in reversed(levels):
+        d = b.trans(chain, b.cong(pos, d, other))
+    return d
 
 
 def prove_sum_eq(b: Builder, lhs: Expr, rhs: Expr) -> int:
-    """Prove two sums equal when their canonical forms coincide."""
-    cl, dl = prove_canon(b, lhs)
-    cr, dr = prove_canon(b, rhs)
-    if cl != cr:
-        raise ProofError(
-            f"sums differ beyond S1-S4: {pretty(lhs)} vs {pretty(rhs)}")
+    """Prove two sums equal by S1-S4 when they have the same summands up
+    to order, grouping, 0s and repeats, rearranging both over the
+    coarsest sub-sums they share.  A side that is the other plus a 0 or
+    a node of the other's sum tree absorbs it directly."""
+    if lhs is rhs:
+        return b.refl(lhs)
+    held = b.held(lhs, rhs)
+    if held is not None:
+        return held
+    held = b.held(rhs, lhs)
+    if held is not None:
+        return b.symm(held)
+    if type(rhs) is Sum and rhs.left is lhs:
+        d = _absorb_copy(b, lhs, rhs.right)
+        if d is not None:
+            return b.symm(d)
+    if type(lhs) is Sum and lhs.left is rhs:
+        d = _absorb_copy(b, rhs, lhs.right)
+        if d is not None:
+            return d
+    keep = _shared_summands(lhs, rhs)
+    xl, dl = _prove_lassoc(b, lhs, keep)
+    xr, dr = _prove_lassoc(b, rhs, keep)
+    if xl != xr:
+        # the same summands in another order: both sides meet at lhs's
+        # summands in the order they first occur in, 0 last
+        rank = {}
+        for x in xl:
+            if x is not NIL:
+                rank.setdefault(id(x), len(rank))
+
+        def key(x):
+            return rank.get(id(x), len(rank))
+
+        dl = _prove_sorted(b, xl, dl, key)[1]
+        dr = _prove_sorted(b, xr, dr, key)[1]
     return b.trans(dl, b.symm(dr))
 
 
@@ -511,7 +685,11 @@ def _hnf(b: Builder, e: Expr) -> int:
 
 def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
     """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
-    proves (by default a sum rearrangement: extra's summands are in Y)."""
+    proves (by default a sum rearrangement: extra's summands are in Y).
+    When extra is 0 or a node of X's own sum tree, X absorbs it directly."""
+    direct = _absorb_copy(b, b.endpoints(d)[0], extra)
+    if direct is not None:
+        return b.symm(direct)
     mid = b.rhs_after(d)
     g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
     return _app(b, b.trans(d, g), ["suml"], b.symm(d))

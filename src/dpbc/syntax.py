@@ -379,9 +379,14 @@ def is_guarded_expr(e: Expr) -> bool:
 
 def flatten_sum(e: Expr) -> list:
     """All non-sum leaves of a sum tree, in syntactic order."""
-    if isinstance(e, Sum):
-        return flatten_sum(e.left) + flatten_sum(e.right)
-    return [e]
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Sum):
+            todo += (n.right, n.left)
+        else:
+            out.append(n)
+    return out
 
 
 def canon_leaves(leaves: Iterable[Expr]) -> list:

@@ -7,9 +7,19 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpbc.kernel import CertificateError, CheckFailure, check, format_derivation, parse_derivation
+from dpbc.kernel import (
+    CertificateError,
+    CheckFailure,
+    Derivation,
+    ProofStep,
+    Trans,
+    check,
+    format_derivation,
+    instantiate_axiom,
+    parse_derivation,
+)
 from dpbc.proof import derive_T1
-from dpbc.syntax import Action, parse
+from dpbc.syntax import Action, Sum, parse
 
 _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
 
@@ -121,3 +131,28 @@ def test_mutated_certificates_fail_closed(data):
         return
     failure = check(derivation)
     assert failure is None or isinstance(failure, CheckFailure)
+
+
+def test_a_wide_regrouping_writes_and_reads_back():
+    # S2 rotates a right-nested sum of 2,000 summands into a left-nested
+    # one, a step at a time (3,995 steps); the writer walks the terms
+    # with a stack of its own, so the certificate writes at the default
+    # recursion limit
+    leaves = [parse(f"a{i}.0") for i in range(2000)]
+    cur = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        cur = Sum(leaf, cur)
+    right_nested = cur
+    steps = []
+    while isinstance(cur.right, Sum):
+        st = instantiate_axiom(
+            "S2", {"E": cur.left, "F": cur.right.left, "G": cur.right.right}, {}, None)
+        steps.append(st)
+        if len(steps) > 1:
+            # the chain so far, then this rotation
+            steps.append(ProofStep(right_nested, st.rhs, Trans(len(steps) - 2, len(steps) - 1)))
+        cur = st.rhs
+    d = Derivation(tuple(steps))
+    assert len(d.steps) == 3995 and check(d) is None
+    back = parse_derivation(format_derivation(d))
+    assert back.conclusion == (right_nested, cur) and check(back) is None

@@ -8,7 +8,20 @@ import sys
 
 import pytest
 
-from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, parse, pretty
+from dpbc.syntax import (
+    Action,
+    NIL,
+    Prefix,
+    Rec,
+    Sum,
+    TAU,
+    Var,
+    canon_leaves,
+    compose_sum,
+    flatten_sum,
+    parse,
+    pretty,
+)
 from dpbc.semantics import exposes, step
 from dpbc.proof import (
     AxiomStep,
@@ -334,6 +347,104 @@ def test_prove_canon_and_sum_eq():
         lhs, rhs = b.endpoints(idx)
         assert lhs == e and rhs == out
     d = b.finalize(prove_sum_eq(b, parse("a.0 + (b.0 + a.0)"), parse("b.0 + a.0 + 0")))
+    assert check(d) is None
+    # left association rebuilds a.0 + 0, a sum both sides hold whole,
+    # out of two other summands: it is taken apart all the same
+    lhs, rhs = parse("0 + (a.0 + (a.0 + 0))"), parse("a.0 + (0 + (a.0 + 0))")
+    d = b.finalize(prove_sum_eq(b, lhs, rhs))
+    assert check(d) is None and d.conclusion == (lhs, rhs)
+
+
+# leaves with 0, and sums of them, so that a sum can be kept whole on
+# one side and rebuilt from its leaves on the other
+_SUMMANDS = [parse(t) for t in ("0", "a.0", "b.0", "X", "tau.a.0", "c.(a.0 + b.0)",
+                                "a.0 + 0", "a.0 + b.0")]
+
+
+def _grouped(rng, parts):
+    """A sum tree over parts, in their order, grouped at random."""
+    parts = list(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        parts[i:i + 2] = [Sum(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def _cut(rng, e):
+    """e's sum tree cut at random into subtrees kept whole, left to right."""
+    out, todo = [], [e]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, Sum) and rng.random() < 0.7:
+            todo += (n.right, n.left)
+        else:
+            out.append(n)
+    return out
+
+
+def test_prove_sum_eq_on_random_rearrangements():
+    # a random sum over a pool with 0 and repeats against its subtrees
+    # regrouped, permuted, repeated, dropped or joined by another
+    # summand: prove_sum_eq proves exactly the pairs whose leaves agree
+    # up to order, 0s and repeats, and each certificate reads back
+    rng = random.Random(20)
+    proved = refused = 0
+    for _ in range(400):
+        lhs = _grouped(rng, [rng.choice(_SUMMANDS) for _ in range(rng.randint(1, 7))])
+        parts = _cut(rng, lhs)
+        rng.shuffle(parts)
+        for _ in range(rng.randint(0, 2)):
+            edit = rng.choice(("repeat", "drop", "add"))
+            if edit == "repeat":
+                parts.append(rng.choice(parts))
+            elif edit == "drop" and len(parts) > 1:
+                parts.pop(rng.randrange(len(parts)))
+            elif edit == "add":
+                parts.insert(rng.randrange(len(parts) + 1), rng.choice(_SUMMANDS))
+        if rng.random() < 0.2:
+            # the shape the absorptions ask for: a side and one more summand
+            rhs = Sum(lhs, rng.choice(parts + _SUMMANDS))
+        else:
+            rhs = _grouped(rng, parts)
+        if rng.random() < 0.5:
+            lhs, rhs = rhs, lhs
+        b = Builder()
+        if canon_leaves(flatten_sum(lhs)) == canon_leaves(flatten_sum(rhs)):
+            d = parse_derivation(format_derivation(b.finalize(prove_sum_eq(b, lhs, rhs))))
+            assert check(d) is None and d.conclusion == (lhs, rhs)
+            proved += 1
+        else:
+            with pytest.raises(ProofError):
+                prove_sum_eq(b, lhs, rhs)
+            refused += 1
+    assert proved > 150 and refused > 50
+
+
+def test_prove_sum_eq_moves_shared_operands_whole():
+    # E + (F + G) = (E + G) + F rearranges E, F and G as they stand, so
+    # the proof does not grow with their width
+    def steps(width):
+        e, f, g = (compose_sum(parse(f"{a}{i}.0") for i in range(width)) for a in "efg")
+        b = Builder()
+        d = b.finalize(prove_sum_eq(b, Sum(e, Sum(f, g)), Sum(Sum(e, g), f)))
+        assert check(d) is None and d.conclusion == (Sum(e, Sum(f, g)), Sum(Sum(e, g), f))
+        return len(d.steps)
+
+    assert steps(30) == steps(3) <= 20
+
+
+def test_prove_sum_eq_regroups_a_wide_sum():
+    # 2,000 summands, left-nested against right-nested, at the default
+    # recursion limit and in a number of steps linear in the width
+    n = 2000
+    leaves = [Prefix(Action(f"a{i}"), NIL) for i in range(n)]
+    left, right = compose_sum(leaves), leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        right = Sum(leaf, right)
+    b = Builder()
+    d = b.finalize(prove_sum_eq(b, left, right))
+    assert d.conclusion == (left, right)
+    assert len(d.steps) <= 2 * n
     assert check(d) is None
 
 

@@ -17,6 +17,8 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
+    compose_sum,
+    flatten_sum,
     free_vars,
     is_guarded_expr,
     is_guarded_in,
@@ -151,6 +153,17 @@ def test_is_standard_sum():
     assert not is_standard_sum(parse("a.0 + (rec X. a.X)"))
     # a prefix over an unguarded recursion is no standard summand
     assert not is_standard_sum(Prefix(Action("a"), parse("rec X. tau.X")))
+
+
+def test_flatten_sum_of_a_wide_sum():
+    # 2,000 summands, nested to the left and to the right: no recursion
+    # and one pass over the tree
+    leaves = [parse(f"a{i}.0") for i in range(1998)] + [NIL, Var("X")]
+    left, right = compose_sum(leaves), leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        right = Sum(leaf, right)
+    assert flatten_sum(left) == leaves == flatten_sum(right)
+    assert is_standard_sum(left) and is_standard_sum(right)
 
 
 def test_guardedness_agrees_with_silent_exposure():
