@@ -52,7 +52,8 @@ from .proof import (
     _t1,
 )
 from .standardize import (
-    NotGuarded, _d2, _d5, _meet_loops, _standardize, prove_loop_canonical)
+    NotGuarded, _d2, _d5, _d6, _meet_loops, _standardize, is_loop_of_loop,
+    prove_loop_canonical)
 
 
 class NotEquivalent(ProofError):
@@ -639,20 +640,115 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
     return b.trans(total, b.symm(df))
 
 
-def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET):
-    """A checkable derivation of e = f when they are rooted-equivalent,
-    otherwise the failing rooted check."""
-    rc = rooted_check(e, f, budget)
-    if not rc.equal:
-        return rc
-    b = Builder()
+def _same_summands(e: Expr, f: Expr) -> bool:
+    """e and f are sums of the same summands up to order, grouping, 0s
+    and repeats: S1-S4 alone prove them equal."""
+    return canon_leaves(flatten_sum(e)) == canon_leaves(flatten_sum(f))
+
+
+def _route(b: Builder, e: Expr, f: Expr, budget: int) -> int:
+    """e = f for rooted-equivalent e and f, proved at their roots: by
+    S1-S4 alone when their sums have the same summands, otherwise by
+    absorbing each side into the other (`_absorb_into`)."""
     if e == f:
-        return b.finalize(b.refl(e))
-    if canon_leaves(flatten_sum(e)) == canon_leaves(flatten_sum(f)):
-        # equal by S1-S4 alone
-        return b.finalize(prove_sum_eq(b, e, f))
+        return b.refl(e)
+    if _same_summands(e, f):
+        return prove_sum_eq(b, e, f)
     fwd = _absorb_into(b, e, f, budget)  # e + f = f
     bwd = _absorb_into(b, f, e, budget)  # f + e = e
     s1 = b.axiom("S1", {"E": e, "F": f})  # e + f = f + e
     left = b.symm(b.trans(s1, bwd))  # e = e + f
-    return b.finalize(b.trans(left, fwd))
+    return b.trans(left, fwd)
+
+
+class _Fallback(Exception):
+    """A pair the walk met is not rooted-equivalent, so the proof has to
+    be made at the root."""
+
+
+def _t1_shape(lhs: Expr, rhs: Expr) -> bool:
+    """lhs is a.tau.E and rhs is a.F: T1 applies to lhs."""
+    return (isinstance(lhs, Prefix) and isinstance(rhs, Prefix) and lhs.act == rhs.act
+            and isinstance(lhs.body, Prefix) and lhs.body.act.is_tau)
+
+
+def _close(b: Builder, e: Expr, f: Expr, budget: int, known: bool) -> Optional[int]:
+    """e = f through one law, when one applies, with either side as its
+    left-hand side: T1 (a.tau.E = a.E) when it meets the other side
+    exactly; otherwise D6 (loop(loop E) = loop E), or T1 against a side
+    a.F whose F is no silent prefix, each followed by the walk from what
+    the law leaves to the other side."""
+    sides = ((e, f, False), (f, e, True))
+    for lhs, rhs, flip in sides:
+        if _t1_shape(lhs, rhs) and lhs.body.body == rhs.body:
+            d = _t1(b, lhs.act, rhs.body)
+            return b.symm(d) if flip else d
+    for lhs, rhs, flip in sides:
+        if is_loop_of_loop(lhs) and not is_loop_of_loop(rhs):
+            d = _d6(b, lhs)
+        elif (_t1_shape(lhs, rhs)
+              and not (isinstance(rhs.body, Prefix) and rhs.body.act.is_tau)):
+            d = _t1(b, lhs.act, lhs.body.body)
+        else:
+            continue
+        d = b.trans(d, _walk(b, b.rhs_after(d), rhs, budget, known))
+        return b.symm(d) if flip else d
+    return None
+
+
+def _walk(b: Builder, e: Expr, f: Expr, budget: int, known: bool) -> int:
+    """e = f, proved only where the two sides differ.  The walk goes down
+    both sides while they share a constructor: a prefix with the same
+    action, a sum by both halves, a recursion by its body after R0 when
+    only the binders differ.  A pair that one law closes (`_close`) or
+    S1-S4 alone proves stops it.  Any other pair that differs is proved
+    by `_route`; `known` says that e and f are already known to be
+    rooted-equivalent, and otherwise `rooted_check` decides first and
+    raises `_Fallback` when they are not.  A free variable of the pair
+    that a recursion binds higher up counts as an exposure."""
+    if e == f:
+        return b.refl(e)
+    d = _close(b, e, f, budget, known)
+    if d is not None:
+        return d
+    if isinstance(e, Sum) and isinstance(f, Sum):
+        # when the sides share a half, the other half holds what differs,
+        # and the sums are not compared, so a wide sum costs no more than
+        # its depth
+        if e.left != f.left and e.right != f.right and _same_summands(e, f):
+            return prove_sum_eq(b, e, f)
+        return b.sum_cong(_walk(b, e.left, f.left, budget, False),
+                          _walk(b, e.right, f.right, budget, False))
+    if (isinstance(e, Sum) or isinstance(f, Sum)) and _same_summands(e, f):
+        return prove_sum_eq(b, e, f)
+    if isinstance(e, Prefix) and isinstance(f, Prefix) and e.act == f.act:
+        return b.cong("prefix", _walk(b, e.body, f.body, budget, False), e.act)
+    if isinstance(e, Rec) and isinstance(f, Rec):
+        if e.binder == f.binder:
+            return b.cong("recbody", _walk(b, e.body, f.body, budget, False), e.binder)
+        if f.binder not in free_vars(e):
+            ren = b.axiom("R0", {"E": e.body}, {"X": e.binder, "Y": f.binder})
+            return b.trans(ren, _walk(b, b.rhs_after(ren), f, budget, known))
+    if not known and not rooted_check(e, f, budget).equal:
+        raise _Fallback
+    return _route(b, e, f, budget)
+
+
+def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET):
+    """A checkable derivation of e = f when they are rooted-equivalent,
+    otherwise the failing rooted check.
+
+    Rooted equivalence is a congruence, so the proof goes down both
+    sides to where they differ (`_walk`) and lifts what it proves there
+    through one congruence step per level.  When a pair down there is
+    not rooted-equivalent, the walk is dropped, and the pair is proved
+    at its root (`_route`)."""
+    rc = rooted_check(e, f, budget)
+    if not rc.equal:
+        return rc
+    b = Builder()
+    try:
+        return b.finalize(_walk(b, e, f, budget, True))
+    except _Fallback:
+        b = Builder()
+        return b.finalize(_route(b, e, f, budget))

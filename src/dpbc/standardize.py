@@ -224,20 +224,34 @@ def _d5(b: Builder, e: Expr, f: Expr, avoid=()) -> int:
     return total
 
 
-def _d6(b: Builder, e: Expr, avoid=()) -> int:
-    """loop(loop(e)) = loop(e)."""
-    p = loop(e)
-    l0 = loop(p)
-    total = b.refl(l0)
-    d1 = _d1(b, p)
-    total = _app(b, total, ["rec", "sumr"], d1)
-    # pad the loop body with an empty summand
-    pad = b.trans(b.symm(b.axiom("S4", {"E": e})), b.axiom("S1", {"E": e, "F": NIL}))
-    total = _app(b, total, ["rec", "sumr", "suml", "prefix", "rec", "sumr"], pad)
-    total = b.trans(total, _d5(b, NIL, e, avoid=avoid))
-    total = _app(b, total, ["suml", "prefix", "rec", "sumr"], b.symm(pad))
-    total = b.trans(total, b.symm(d1))
-    return total
+def _loop_form(e: Expr) -> bool:
+    """e is rec x.(tau.x + E): a loop in constructor form, but that x may
+    occur in E."""
+    return (isinstance(e, Rec) and isinstance(e.body, Sum)
+            and e.body.left == Prefix(TAU, Var(e.binder)))
+
+
+def is_loop_of_loop(e: Expr) -> bool:
+    """e is rec x.(tau.x + rec y.(tau.y + E)) and x is not free in the
+    inner recursion: the left-hand side of D6."""
+    return (_loop_form(e) and _loop_form(e.body.right)
+            and e.binder not in free_vars(e.body.right))
+
+
+def _d6(b: Builder, lp: Expr) -> int:
+    """lp = its inner loop, for a loop of a loop (`is_loop_of_loop`):
+    R0 renames the outer binder when it clashes with the inner one, R7
+    drops the outer silent self-step and R1 the outer recursion, whose
+    binder the inner loop does not mention."""
+    x, inner = lp.binder, lp.body.right
+    steps = []
+    if x == inner.binder:
+        z = fresh_name(free_vars(inner) | {x})
+        steps.append(b.axiom("R0", {"E": lp.body}, {"X": x, "Y": z}))
+        x = z
+    steps.append(b.axiom("R7", {"E": inner.body.right}, {"X": x, "Y": inner.binder}))
+    steps.append(b.axiom("R1", {"E": inner}, {"X": x}))
+    return b.chain(*steps)
 
 
 # each rule takes exactly its operands; `avoid` stays internal
@@ -247,7 +261,7 @@ _DERIVED_RULES = {
     3: lambda b, x, e, f: _d3(b, x, e, f),
     4: lambda b, x, e, f, g: _d4(b, x, e, f, g),
     5: lambda b, e, f: _d5(b, e, f),
-    6: lambda b, e: _d6(b, e),
+    6: lambda b, e: _d6(b, loop(loop(e))),
 }
 
 

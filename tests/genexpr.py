@@ -124,3 +124,29 @@ def random_ses_equations(rng: random.Random, max_formals: int = 4):
         else:
             rhs[x] = body
     return formals, rhs
+
+
+def subterm_paths(e: Expr, path=()):
+    """The path to every subterm of e, e itself first: each step names
+    the child taken ("body", "left" or "right")."""
+    yield path
+    if isinstance(e, (Prefix, Rec)):
+        yield from subterm_paths(e.body, path + ("body",))
+    elif isinstance(e, Sum):
+        yield from subterm_paths(e.left, path + ("left",))
+        yield from subterm_paths(e.right, path + ("right",))
+
+
+def replace_at(e: Expr, path, new: Expr) -> Expr:
+    """e with the subterm at `path` replaced by `new`; the binders above
+    it capture the free names of `new`."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(e, Prefix):
+        return Prefix(e.act, replace_at(e.body, rest, new))
+    if isinstance(e, Rec):
+        return Rec(e.binder, replace_at(e.body, rest, new))
+    if head == "left":
+        return Sum(replace_at(e.left, rest, new), e.right)
+    return Sum(e.left, replace_at(e.right, rest, new))

@@ -18,7 +18,9 @@ from dpbc.kernel import (
     instantiate_axiom,
     parse_derivation,
 )
-from dpbc.proof import derive_T1
+from dpbc.proof import Builder, derive_T1
+from dpbc.semantics import DEFAULT_BUDGET
+from dpbc.ses import _route
 from dpbc.syntax import Action, Sum, parse
 
 _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
@@ -29,10 +31,18 @@ def _pin(name: str) -> str:
         return fh.read()
 
 
-# T1 over b.0 (axioms S4 and B, symm, trans, cong prefix) and a pin with
-# R2 premises and rec and sum contexts
+def _root_route(left: str, right: str) -> str:
+    """The certificate that the root route of `prove_congruent` writes."""
+    b = Builder()
+    return format_derivation(
+        b.finalize(_route(b, parse(left), parse(right), DEFAULT_BUDGET)))
+
+
+# T1 over b.0 (axioms S4 and B, symm, trans, cong prefix) and, with R2
+# premises and rec and sum contexts, the root route's proof of the pair
+# of the taupad pin (the pin itself is one T1 inside the recursion)
 _T1 = format_derivation(derive_T1(Action("a"), parse("b.0")))
-_TAUPAD = _pin("taupad.cert")
+_TAUPAD = _root_route("rec X. a.X", "rec X. a.tau.X")
 
 
 def _on_lines(kind: str, edit):

@@ -22,7 +22,7 @@ from dpbc.syntax import (
     parse,
     pretty,
 )
-from dpbc.semantics import exposes, step
+from dpbc.semantics import DEFAULT_BUDGET, exposes, step
 from dpbc.proof import (
     AxiomStep,
     Builder,
@@ -51,7 +51,7 @@ from dpbc.proof import (
     subst_step,
 )
 from dpbc.equiv import rooted_check
-from dpbc.ses import prove_congruent
+from dpbc.ses import _route, prove_congruent
 from dpbc.standardize import derive_D
 
 import dpbc
@@ -605,23 +605,29 @@ step 1 @0 = @1 by symm 0
 }
 
 
-# Longer pins, one file each under tests/pinned/, written the same way:
-# a loop of a loop and one silent step padded in under a prefix.  They
-# drive substitution lifts, uniqueness of solutions (R2) and T1.  The
-# others each reach a branch of the prover that no shorter pin does:
-# standardization exposing a recursion variable in a sum whose right
-# half is unguarded or guarded, behind a loop, in two silent summands
-# that are folded together, or as a bare summand; and equation systems
-# read off a recursion whose unfolding steps into a loop, off a loop of
-# a loop under a prefix, and off a loop whose body unfolds a recursion,
-# each loop state proved through the head normal form of its body.
-# Two pins standardize a single side, for a sum whose halves both
-# expose the variable (`b.rec Z. tau.(Z + Z)`) and one whose right half
-# is guarded (`tau.rec X. tau.(X + 0)`): the pairs they came from are
-# equal by S1-S4 alone, which `prove_congruent` proves by S3 and a
-# symmetry or by S4, so their certificates no longer show that.  A third
-# standardizes a recursion whose silent summand reaches its binder
-# through a recursion that is not a loop, which exposure unfolds in place.
+# Longer pins, one file each under tests/pinned/, written the same way.
+# `prove_congruent` walks down both sides to where they differ, so each
+# pair pins one branch of it:
+# - looploop: the walk closes the pair at the root by D6 (R0, R7, R1);
+# - looploopprefix: D6 under a prefix;
+# - taupad: T1 inside a recursion body;
+# - extractloops: T1 on the longer side, then S4 inside a recursion;
+# - bridgeloop: S4 in a loop body inside a recursion and a prefix;
+# - exposeunguarded and exposeguarded: S1-S4 alone at the root, by S3
+#   and a symmetry or by S4;
+# - exposeloop and selfsummand: the root route, for sides that differ at
+#   the root, standardizing a recursion whose variable a loop exposes
+#   and one with its own variable as a bare summand (R3);
+# - foldsummands: the walk renames the recursion (R0), meets summands
+#   that are not rooted-equivalent, and falls back to the root route,
+#   whose standardization folds two silent summands together (D4).
+# Three pins standardize a single side: a sum whose halves both expose
+# the variable (`b.rec Z. tau.(Z + Z)`), one whose right half is guarded
+# (`tau.rec X. tau.(X + 0)`), and a recursion whose silent summand
+# reaches its binder through a recursion that is not a loop, which
+# exposure unfolds in place.  The root route on its own is tested on
+# every pinned pair in test_ses.py, which keeps uniqueness of solutions
+# (R2), the quotient and the substitution lifts under test.
 _PINNED_FILES = {
     ("tau* tau* 0", "tau* 0"): "looploop.cert",
     ("rec X. a.X", "rec X. a.tau.X"): "taupad.cert",
@@ -663,9 +669,14 @@ def test_certificate_texts_are_pinned():
 
 def test_checker_runs_no_transition_function(monkeypatch):
     # the side conditions of R2, R4 and R5 are syntactic: with every
-    # function of the operational semantics disabled, each pin still
-    # checks and an R4 or R5 step whose X is guarded in E still fails
+    # function of the operational semantics disabled, each pin and a
+    # root-route proof with R2 premises still check, and an R4 or R5
+    # step whose X is guarded in E still fails
     from dpbc import proof, semantics
+
+    b = Builder()
+    route = b.finalize(_route(b, parse("rec X. a.X"), parse("rec X. a.tau.X"), DEFAULT_BUDGET))
+    assert any(st.just.axiom == "R2" for st in route.steps if isinstance(st.just, AxiomStep))
 
     def disabled(*args, **kwargs):
         raise AssertionError("the checker ran the operational semantics")
@@ -680,6 +691,7 @@ def test_checker_runs_no_transition_function(monkeypatch):
     for name in sorted(os.listdir(pinned)):
         with open(os.path.join(pinned, name), encoding="utf-8") as fh:
             assert check(parse_derivation(fh.read())) is None, name
+    assert check(parse_derivation(format_derivation(route))) is None
     guarded = parse("a.X")
     r4 = ProofStep(parse("rec X.(tau.(tau.a.X + b.0) + 0)"),
                    parse("rec X.(tau.(a.X + b.0) + 0)"),

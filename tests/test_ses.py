@@ -7,19 +7,22 @@ import pytest
 import dpbc.ses as ses
 from dpbc.syntax import (
     Action,
+    Expr,
     NIL,
     Prefix,
     Rec,
     Sum,
     TAU,
     Var,
+    compose_sum,
     free_vars,
     loop,
     parse,
     pretty,
     substitute,
 )
-from dpbc.proof import AxiomStep, check, format_derivation, parse_derivation
+from dpbc.proof import (
+    SCHEMA_PARAMS, AxiomStep, Builder, check, format_derivation, parse_derivation)
 from dpbc.standardize import NotGuarded
 from dpbc.ses import (
     EqSystem,
@@ -37,9 +40,11 @@ from dpbc.ses import (
     _live,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
-from dpbc.semantics import build_lts, exposes, step
+from dpbc.semantics import DEFAULT_BUDGET, build_lts, exposes, step
 
-from genexpr import all_terms, random_expr, random_guarded_expr, random_ses_equations
+from genexpr import (
+    ACTIONS, all_terms, random_expr, random_guarded_expr, random_ses_equations,
+    replace_at, subterm_paths)
 
 
 def _check_family(system, sols, ders):
@@ -552,3 +557,148 @@ def test_completeness_on_every_small_term(max_nodes, leaves, free):
         assert rooted_check(lhs, rhs).equal, (pretty(lhs), pretty(rhs))
     for (first, *_), (other, *_) in permutations(classes, 2):
         assert isinstance(prove_congruent(first, other), RootedCheck)
+
+
+# --- the walk to where the sides differ, and the root route ------------------------
+
+
+def _round_trip(d, e, f):
+    again = parse_derivation(format_derivation(d))
+    assert check(again) is None, (pretty(e), pretty(f))
+    assert again.conclusion == (e, f)
+    return again
+
+
+# pairs shaped like those of perfbench/gen.py `prove_ops`, by congruent
+# family, and one that the walk leaves to the root route
+_BENCHMARK_SHAPED = [
+    ("(rec X0. a.tau.(tau.0 + ((0 + X0) + c.0)))",
+     "(rec X0. a.tau.tau.(tau.0 + ((0 + X0) + c.0)))"),  # taupad
+    ("c.((rec X0. b.X0) + (b.(0 + 0) + 0))",
+     "c.((rec X0. b.X0) + (b.tau.(0 + 0) + 0))"),  # taupad
+    ("b.tau.(c.0 + tau* a.0)", "b.(c.0 + tau* a.0)"),  # atau
+    ("(a.0 + tau.b.0) + (a.0 + tau.b.0)", "a.0 + tau.b.0"),  # idem
+    ("tau* b.0 + 0", "tau* b.0"),  # zero
+    ("tau* tau* (b.0 + (rec X0. a.X0))", "tau* (b.0 + (rec X0. a.X0))"),  # looploop
+    ("rec X. a.X", "rec X. a.a.X"),
+]
+
+
+def test_root_route_proves_the_pinned_and_benchmark_pairs():
+    # `_route` is what the walk falls back to, and what it runs where the
+    # sides differ.  Run on its own on these pairs, it reaches every
+    # axiom schema, uniqueness of solutions (R2), equality (3) of the
+    # quotient, D3-D5 and the substitution lifts
+    from test_proof import _PINNED, _PINNED_FILES
+
+    pairs = [p for p in (*_PINNED, *_PINNED_FILES) if len(p) == 2]
+    reached = set()
+    for left, right in pairs + _BENCHMARK_SHAPED:
+        e, f = parse(left), parse(right)
+        b = Builder()
+        d = _round_trip(b.finalize(ses._route(b, e, f, DEFAULT_BUDGET)), e, f)
+        reached.update(st.just.axiom for st in d.steps if isinstance(st.just, AxiomStep))
+    assert reached == set(SCHEMA_PARAMS)
+
+
+def _rooted_failures(monkeypatch):
+    """The pairs on which `ses.rooted_check` fails, from now on."""
+    failed = []
+    real = ses.rooted_check
+
+    def counted(e, f, budget=DEFAULT_BUDGET):
+        rc = real(e, f, budget)
+        if not rc.equal:
+            failed.append((e, f))
+        return rc
+
+    monkeypatch.setattr(ses, "rooted_check", counted)
+    return failed
+
+
+def _variant_pair(rng, e):
+    """Two sides built from e: congruent by one law, or drawn apart."""
+    a = rng.choice(ACTIONS)
+    pairs = [(e, Sum(e, e)), (Sum(e, NIL), e), (loop(loop(e)), loop(e)),
+             (Prefix(a, Prefix(TAU, e)), Prefix(a, e)),
+             (Prefix(a, Prefix(TAU, Prefix(TAU, e))), Prefix(a, e)),
+             (e, loop(e)), (e, random_expr(rng, rng.randint(1, 4), ["X", "Y"]))]
+    left, right = rng.choice(pairs)
+    return (left, right) if rng.random() < 0.5 else (right, left)
+
+
+def test_walk_proves_exactly_the_rooted_pairs(monkeypatch):
+    # C[E] against C[F] for small E and F, in contexts that may sit
+    # under a recursion binding a free name of E, or under two that
+    # differ only in their binder: `prove_congruent` proves exactly the
+    # rooted pairs, and at most one rooted check fails per proof
+    failed = _rooted_failures(monkeypatch)
+    rng = random.Random(61)
+    proved = fell_back = 0
+    for _ in range(400):
+        e, f = _variant_pair(rng, random_expr(rng, rng.randint(1, 4), ["X", "Y"]))
+        c = random_expr(rng, rng.randint(1, 6), ["X", "Y"])
+        path = rng.choice(list(subterm_paths(c)))
+        left, right = replace_at(c, path, e), replace_at(c, path, f)
+        roll = rng.random()
+        if roll < 0.3:
+            left, right = Rec("X", left), Rec("X", right)
+        elif roll < 0.6 and "Z" not in free_vars(right):
+            left, right = Rec("X", left), Rec("Z", substitute(right, {"X": Var("Z")}))
+        del failed[:]
+        result = prove_congruent(left, right)
+        assert len(failed) <= 1, [(pretty(l), pretty(r)) for l, r in failed]
+        rooted = rooted_check(left, right).equal
+        assert isinstance(result, RootedCheck) != rooted, (pretty(left), pretty(right))
+        if rooted:
+            _round_trip(result, left, right)
+            proved += 1
+            fell_back += bool(failed)
+    # both the walk and the fallback to the root route were taken
+    assert proved > 150 and 0 < fell_back < proved / 4
+
+
+def _tree(n: int, seed: int, binder: str, pad=None) -> Expr:
+    """A rooted tree of n nodes, a binary heap, over visible actions,
+    with a visible back edge from about a third of the nodes to an
+    ancestor; the recursion of node i binds binder + str(i).  `pad`
+    puts a silent step on the edge into that node."""
+    rng = random.Random(seed)
+    acts = [Action(rng.choice("abc")) for _ in range(n)]
+    back = {}
+    for i in range(n):
+        if rng.random() < 0.35:
+            anc = [i]
+            while anc[-1] > 0:
+                anc.append((anc[-1] - 1) // 2)
+            back[i] = (Action(rng.choice("abc")), rng.choice(anc))
+    referenced = {j for _, j in back.values()}
+
+    def node(i):
+        items = []
+        for c in (2 * i + 1, 2 * i + 2):
+            if c < n:
+                body = node(c)
+                items.append(Prefix(acts[c], Prefix(TAU, body) if c == pad else body))
+        if i in back:
+            items.append(Prefix(back[i][0], Var(f"{binder}{back[i][1]}")))
+        t = compose_sum(items) if items else NIL
+        return Rec(f"{binder}{i}", t) if i in referenced else t
+
+    return node(0)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_walk_proves_a_large_tree_in_few_steps(monkeypatch, seed):
+    # a 200-node tree against the same tree with one silent step padded
+    # in deep down, and against its alpha-variant: the walk goes down to
+    # the padded edge and closes it by T1, and renames each recursion by
+    # R0, without a failing rooted check; the root route would take
+    # tens of thousands of steps
+    failed = _rooted_failures(monkeypatch)
+    base = _tree(200, seed, "X")
+    for variant, most in ((_tree(200, seed, "X", pad=150), 40),
+                          (_tree(200, seed, "Y"), 400)):
+        d = _round_trip(prove_congruent(base, variant), base, variant)
+        assert len(d.steps) <= most
+    assert failed == []

@@ -7,6 +7,7 @@ from dpbc.syntax import (
     Action,
     NIL,
     Prefix,
+    Rec,
     Sum,
     TAU,
     Var,
@@ -20,11 +21,14 @@ from dpbc.syntax import (
     parse,
     pretty,
 )
-from dpbc.proof import SideCondition, check
+from dpbc.proof import (
+    AxiomStep, Builder, SideCondition, check, format_derivation, parse_derivation)
 from dpbc.standardize import (
     NotGuarded,
+    _d6,
     derive_D,
     expose_to_summand,
+    is_loop_of_loop,
     standardize,
 )
 from dpbc.equiv import rooted_check
@@ -44,6 +48,24 @@ def test_d6_instance():
     assert check(d) is None
     lp = loop(parse("a.0"))
     assert d.conclusion == (loop(lp), lp)
+
+
+@pytest.mark.parametrize("text", ["0", "a._g0", "a.0 + tau._g1", "tau* b.X"])
+def test_d6_is_r0_r7_r1(text):
+    # both loops of loop(loop E) take the lowest name not free in E, so
+    # their binders clash and R0 renames the outer one before R7 and R1
+    e = parse(text)
+    d = parse_derivation(format_derivation(derive_D(6, (e,))))
+    assert check(d) is None
+    assert d.conclusion == (loop(loop(e)), loop(e))
+    axioms = [st.just.axiom for st in d.steps if isinstance(st.just, AxiomStep)]
+    assert axioms == ["R0", "R7", "R1"] and len(d.steps) == 5
+    # outer binder distinct from the inner one: R7 and R1 alone
+    lp = Rec("Z", Sum(Prefix(TAU, Var("Z")), loop(e)))
+    assert is_loop_of_loop(lp)
+    b = Builder()
+    d = b.finalize(_d6(b, lp))
+    assert check(d) is None and d.conclusion == (lp, loop(e)) and len(d.steps) == 3
 
 
 def test_all_derived_rules_random_operands():
