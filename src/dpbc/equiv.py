@@ -3,22 +3,24 @@
 The functionals on pair relations are transcribed literally from their
 clause definitions; they are the specification.  `bisimilarity`
 computes the coarsest symmetric post-fixpoint of a functional by
-signature refinement over blocks (Blom & Orzan, STTT 2005), with a
-divergence bit per state for the divergence-preserving relation (van
-Glabbeek, Luttik & Trcka, Fundam. Inform. 2009).  The test suite
-cross-checks it against the pair-level fixpoint iteration
-R <- sym(R & F(R)) and against a brute-force oracle.
+worklist signature refinement over blocks (Blom & Orzan, STTT 2005),
+on the system with labels and exposures coded as integers: a pass
+recomputes only the signatures of the states that the last split
+touched.  A divergence bit per state gives the divergence-preserving
+relation (van Glabbeek, Luttik & Trcka, Fundam. Inform. 2009).  The
+test suite cross-checks it against the round-based refinement it
+replaced, the pair-level fixpoint iteration R <- sym(R & F(R)) and a
+brute-force oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from .semantics import (
     DEFAULT_BUDGET, Lts, build_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
-from .syntax import Expr
+from .syntax import TAU_NAME, Expr
 
 KINDS = ("strong", "branching", "dpbb")
 
@@ -55,24 +57,6 @@ class Partition:
     def same(self, i: int, j: int) -> bool:
         return self.class_of[i] == self.class_of[j]
 
-    def pairs(self) -> PairRelation:
-        ps = {
-            (i, j)
-            for i in range(len(self.class_of))
-            for j in range(len(self.class_of))
-            if self.class_of[i] == self.class_of[j]
-        }
-        return PairRelation(self.lts, frozenset(ps))
-
-
-def full_relation(lts: Lts) -> PairRelation:
-    n = lts.n_states
-    return PairRelation(lts, frozenset((i, j) for i in range(n) for j in range(n)))
-
-
-def identity_relation(lts: Lts) -> PairRelation:
-    return PairRelation(lts, frozenset((i, i) for i in range(lts.n_states)))
-
 
 # --- literal functionals -----------------------------------------------------
 
@@ -87,7 +71,7 @@ def _strong_ok(lts: Lts, pairs, i: int, j: int) -> bool:
     return True
 
 
-def _branching_ok(lts: Lts, pairs, i: int, j: int, progressing: bool) -> bool:
+def _branching_ok(lts: Lts, pairs, i: int, j: int, progressing: bool = False) -> bool:
     for a, ip in lts.succ(i):
         ok = False
         if a.is_tau:
@@ -140,16 +124,12 @@ def functional_S(rel: PairRelation) -> PairRelation:
 
 
 def functional_B(rel: PairRelation) -> PairRelation:
-    return _image(rel, partial(_branching_ok, progressing=False))
-
-
-def functional_Bp(rel: PairRelation) -> PairRelation:
-    return _image(rel, partial(_branching_ok, progressing=True))
+    return _image(rel, _branching_ok)
 
 
 def functional_Bd(rel: PairRelation) -> PairRelation:
     return _image(rel, lambda lts, pairs, i, j: _branching_ok(
-        lts, pairs, i, j, progressing=False) and _divergence_ok(lts, pairs, i, j))
+        lts, pairs, i, j) and _divergence_ok(lts, pairs, i, j))
 
 
 FUNCTIONALS = {
@@ -162,68 +142,116 @@ FUNCTIONALS = {
 # --- signature refinement ----------------------------------------------------
 
 
-def _signatures(lts: Lts, block, kind: str):
-    """One key per state: its block, its divergence bit and its signature
-    against the partition `block` (a list of class ids per state)."""
-    if kind == "strong":
-        return [
-            (block[s], False,
-             frozenset((a, block[t]) for a, t in lts.succ(s)) | lts.exposure[s])
-            for s in range(lts.n_states)
-        ]
-    # A silent step is inert when both ends share a block.  Components of
-    # the inert graph come sinks first, so a component's signature is its
-    # own non-inert moves and exposures plus those of the components its
-    # inert steps enter; likewise it diverges inside its block when it is
-    # an inert cycle or enters a component that diverges.  A block without
-    # inert steps has its single states as components, in any order.
-    members = {}
-    for s, c in enumerate(block):
-        members.setdefault(c, []).append(s)
-    sig = [None] * lts.n_states
-    div = [False] * lts.n_states
-    inert = {block[s] for s, a, t in lts.transitions if block[s] == block[t] and a.is_tau}
-    for c, states in members.items():
-        for comp in _tau_sccs(lts, states) if c in inert else [[s] for s in states]:
-            own = set()
-            cyclic = len(comp) > 1
-            for s in comp:
-                own |= lts.exposure[s]
-                for a, t in lts.succ(s):
-                    if not a.is_tau or block[t] != block[s]:
-                        own.add((a, block[t]))
-                    elif t == s:
-                        cyclic = True
-                    elif sig[t] is not None:
-                        own |= sig[t]
-                        cyclic |= div[t]
-            frozen = frozenset(own)
-            for s in comp:
-                sig[s] = frozen
-                div[s] = cyclic and kind == "dpbb"
-    return [(block[s], div[s], sig[s]) for s in range(lts.n_states)]
+def _block_signatures(code, block, c, states, sig, div, kind):
+    """Store in `sig` and `div` the signature and divergence bit of
+    `states`, touched members of block c, against the partition `block`.
+    A signature holds label * n + block for each move, and the exposures.
+    A silent step is inert when both its ends are in c.  Components of
+    inert steps come sinks first, so a component's signature is its own
+    non-inert moves and exposures plus the signatures of the states its
+    inert steps enter; it diverges when it is an inert cycle or enters a
+    state that does."""
+    moves, tau, expo = code
+    inert = {}
+    for s in states:
+        steps = kind != "strong" and [t for t in tau[s] if block[t] == c]
+        if steps:
+            inert[s] = steps
+            sig[s] = None
+        else:
+            sig[s] = frozenset([label + block[t] for label, t in moves[s]]) | expo[s]
+            div[s] = False
+    for comp in _tau_sccs(inert):  # a step to an untouched state is left out
+        own = set()
+        cyclic = len(comp) > 1
+        for s in comp:
+            own |= expo[s]
+            for label, t in moves[s]:
+                if label or block[t] != c:
+                    own.add(label + block[t])
+                elif t == s:
+                    cyclic = True
+                elif sig[t] is not None:  # t is not in this component
+                    own |= sig[t]
+                    cyclic = cyclic or div[t]
+        frozen = frozenset(own)
+        for s in comp:
+            sig[s] = frozen
+            div[s] = cyclic and kind == "dpbb"
 
 
 def bisimilarity(lts: Lts, kind: str) -> Partition:
     """The coarsest symmetric post-fixpoint of the selected functional,
     as a partition of the states.
 
-    Signature refinement: starting from one block, every round splits
-    each block by divergence bit and signature, until no block splits.
+    Worklist signature refinement: a pass recomputes the signatures of
+    the touched states and splits their blocks by divergence bit and
+    signature.  A block's untouched members keep its id, as does the
+    largest group of a block that is touched whole.  The states that
+    change block touch themselves, their predecessors and, under the
+    weak relations, the states that reach these by silent steps inside
+    their block.  A block of one state cannot split and computes nothing.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
-    block = [0] * lts.n_states
-    count = min(1, lts.n_states)
-    while True:
-        ids = {}
-        block = [ids.setdefault(key, len(ids)) for key in _signatures(lts, block, kind)]
-        if len(ids) == count:
-            # the keys were taken against this same partition, so their
-            # divergence bits are those of the final classes
-            diverging = frozenset(c for key, c in ids.items() if key[1])
-            return Partition(lts, tuple(block), diverging)
-        count = len(ids)
+    n = lts.n_states
+    # per state: moves as (label * n, target), the silent label being 0,
+    # predecessors, silent successors and predecessors, exposures < 0
+    labels, names = {TAU_NAME: 0}, {}
+    moves, preds, tau, tau_preds = ([[] for _ in range(n)] for _ in range(4))
+    for s, a, t in lts.transitions:
+        label = labels.setdefault(a.name, len(labels))
+        moves[s].append((label * n, t))
+        preds[t].append(s)
+        if not label:
+            tau[s].append(t)
+            tau_preds[t].append(s)
+    expo = [xs and frozenset([-names.setdefault(x, len(names) + 1) for x in xs])
+            for xs in lts.exposure]
+    code = moves, tau, expo
+    if not any(tau):  # then the weak signatures are the strong ones
+        kind = "strong"
+    block = [0] * n
+    members = [set(range(n))]
+    keys = [None]  # the divergence bit and signature a block's members share
+    sig, div = [None] * n, [False] * n
+    touched = range(n)
+    while touched:
+        by_block = {}
+        for s in touched:
+            if len(members[block[s]]) > 1:
+                by_block.setdefault(block[s], []).append(s)
+            else:
+                div[s] = kind == "dpbb" and s in tau[s]
+        moved = []
+        for c, states in by_block.items():
+            _block_signatures(code, block, c, states, sig, div, kind)
+            groups = {}
+            for s in states:
+                groups.setdefault((div[s], sig[s]), []).append(s)
+            if len(states) == len(members[c]):
+                keys[c] = max(groups, key=lambda key: len(groups[key]))
+            groups.pop(keys[c], None)
+            for key, group in groups.items():
+                members[c].difference_update(group)
+                for s in group:
+                    block[s] = len(members)
+                members.append(set(group))
+                keys.append(key)
+                moved += group
+        touched = set(moved)
+        for s in moved:
+            touched.update(preds[s])
+        stack = list(touched) if kind != "strong" else []
+        while stack:
+            t = stack.pop()
+            for s in tau_preds[t]:
+                if s not in touched and block[s] == block[t]:
+                    touched.add(s)
+                    stack.append(s)
+    ids = {}
+    class_of = tuple([ids.setdefault(c, len(ids)) for c in block])
+    return Partition(lts, class_of, frozenset(class_of[s] for s in range(n) if div[s]))
 
 
 # --- rooted congruence --------------------------------------------------------
@@ -255,24 +283,14 @@ def rooted_check(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> RootedCheck:
     """Check the three root clauses over the joint dpbb partition."""
     joint, part, re_, rf = _joint(e, f, "dpbb", budget)
 
-    def find_match(a, tgt, other_root):
-        for a2, tgt2 in joint.succ(other_root):
-            if a2 == a and part.same(tgt, tgt2):
-                return tgt2
-        return None
-
-    for a, tgt in joint.succ(re_):
-        if find_match(a, tgt, rf) is None:
-            return RootedCheck(
-                False, "forth",
-                f"left move {a}.{joint.states[tgt][1]} has no matching right move",
-                joint, part, re_, rf)
-    for a, tgt in joint.succ(rf):
-        if find_match(a, tgt, re_) is None:
-            return RootedCheck(
-                False, "back",
-                f"right move {a}.{joint.states[tgt][1]} has no matching left move",
-                joint, part, re_, rf)
+    sides = (("forth", "left", "right", re_, rf), ("back", "right", "left", rf, re_))
+    for clause, mine, other, root, other_root in sides:
+        for a, tgt in joint.succ(root):
+            if not any(a2 == a and part.same(tgt, t2) for a2, t2 in joint.succ(other_root)):
+                return RootedCheck(
+                    False, clause,
+                    f"{mine} move {a}.{joint.states[tgt][1]} has no matching {other} move",
+                    joint, part, re_, rf)
     if joint.exposure[re_] != joint.exposure[rf]:
         diff = joint.exposure[re_] ^ joint.exposure[rf]
         return RootedCheck(

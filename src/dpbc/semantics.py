@@ -18,6 +18,18 @@ class BudgetExceeded(Exception):
     """Raised when a state-space construction passes its state budget."""
 
 
+def _summands(e: Sum, fn):
+    """The summands of the sum e, but a sub-sum whose fn is memoized
+    stays whole; a stack walks the spine, so a sum may be of any width."""
+    stack = [e.right, e.left]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Sum) and (cur._memo is None or fn not in cur._memo):
+            stack += (cur.right, cur.left)
+        else:
+            yield cur
+
+
 @_per_node
 def step(e: Expr):
     """All derivatives of e, sorted by (action, expression) order."""
@@ -25,8 +37,8 @@ def step(e: Expr):
     if isinstance(e, Prefix):
         out.add((e.act, e.body))
     elif isinstance(e, Sum):
-        out.update(step(e.left))
-        out.update(step(e.right))
+        for part in _summands(e, step):
+            out.update(step(part))
     elif isinstance(e, Rec):
         for act, deriv in step(e.body):
             out.add((act, substitute(deriv, {e.binder: e})))
@@ -39,7 +51,7 @@ def exposes(e: Expr) -> frozenset:
     if isinstance(e, Var):
         return frozenset((e.name,))
     if isinstance(e, Sum):
-        return exposes(e.left) | exposes(e.right)
+        return frozenset().union(*map(exposes, _summands(e, exposes)))
     if isinstance(e, Rec):
         return exposes(e.body) - {e.binder}
     return frozenset()
@@ -158,88 +170,57 @@ def build_lts(e: Expr, budget: int = DEFAULT_BUDGET) -> Lts:
         transitions, key=lambda t: (t[0], t[1].key(), t[2]))), exposure, 0)
 
 
-def _tau_sccs(lts: Lts, allowed=None):
-    """Strongly connected components of the silent-step subgraph
-    (iterative Tarjan), restricted to `allowed` states when given."""
-    if allowed is None:
-        allowed = range(lts.n_states)
-    allowed = set(allowed)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    for start in sorted(allowed):
-        if start in index:
+def _tau_sccs(succ):
+    """Strongly connected components of the graph whose nodes are the
+    keys of `succ`, each mapped to its successors, sinks first
+    (iterative Tarjan).  A successor that is not a key is left out.  A
+    node whose component is done gets an index past every other, so it
+    lowers no low-link."""
+    index, low = {}, {}
+    stack, sccs = [], []
+    for root in succ:
+        if root in index:
             continue
-        work = [(start, iter([t for t in lts.tau_succ(start) if t in allowed]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                if nxt in index:
+                    if index[nxt] < low[node]:
+                        low[node] = index[nxt]
+                elif nxt in succ:
+                    index[nxt] = low[nxt] = len(index)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter([t for t in lts.tau_succ(nxt) if t in allowed])))
-                    advanced = True
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = len(succ)
+                        comp.append(w)
+                        if w == node:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
 def _can_reach_tau_cycle(lts: Lts, sources, allowed=None) -> frozenset:
     """States among `sources` that can silently reach a silent cycle,
     moving only through `allowed` states."""
-    if allowed is None:
-        allowed = set(range(lts.n_states))
-    else:
-        allowed = set(allowed)
-    cyclic = set()
-    for comp in _tau_sccs(lts, allowed):
-        if len(comp) > 1:
-            cyclic.update(comp)
-        else:
-            s = comp[0]
-            if s in [t for t in lts.tau_succ(s) if t in allowed]:
-                cyclic.add(s)
-    # backward closure over silent edges within the allowed set
-    rev = {s: [] for s in allowed}
-    for src, act, dst in lts.transitions:
-        if act.is_tau and src in allowed and dst in allowed:
-            rev[dst].append(src)
-    seen = set(cyclic)
-    frontier = list(cyclic)
-    while frontier:
-        cur = frontier.pop()
-        for prev in rev[cur]:
-            if prev not in seen:
-                seen.add(prev)
-                frontier.append(prev)
-    return frozenset(s for s in sources if s in seen)
+    allowed = set(range(lts.n_states) if allowed is None else allowed)
+    succ = {s: lts.tau_succ(s) for s in allowed}
+    reach = set()
+    for comp in _tau_sccs(succ):  # sinks first
+        if len(comp) > 1 or any(t == s or t in reach for s in comp for t in succ[s]):
+            reach.update(comp)
+    return frozenset(s for s in sources if s in reach)
 
 
 def divergent(lts: Lts) -> frozenset:

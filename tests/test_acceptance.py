@@ -24,7 +24,6 @@ from dpbc.equiv import (
     equivalent,
     functional_B,
     functional_Bd,
-    functional_Bp,
     functional_S,
     rooted_check,
 )
@@ -33,6 +32,7 @@ from dpbc.standardize import derive_D, standardize
 from dpbc.ses import SesSystem, extract_ses, prove_congruent, solve_system
 
 from genexpr import random_expr, random_guarded_expr, random_lts
+from oracles import functional_Bp
 
 
 def _report(name: str, ok: bool, detail: str = ""):

@@ -1,24 +1,26 @@
+import importlib.util
+import os
 import random
 
 import pytest
 
-from dpbc.syntax import Prefix, Sum, TAU, parse
-from dpbc.semantics import build_lts, union_lts, _can_reach_tau_cycle
+from dpbc import equiv
+from dpbc.syntax import Action, Prefix, Sum, TAU, parse
+from dpbc.semantics import Lts, build_lts, union_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
     PairRelation,
     bisimilarity,
     brute_oracle,
     equivalent,
-    full_relation,
     functional_B,
     functional_Bd,
-    functional_Bp,
     functional_S,
-    identity_relation,
     rooted_check,
 )
 
 from genexpr import random_expr, random_lts, silently_exposes
+from oracles import (
+    full_relation, functional_Bp, identity_relation, pairs, round_bisimilarity)
 
 DIVERGENT_PAIR = (parse("rec X.(tau.X + a.0)"), parse("tau.a.0"))
 
@@ -180,7 +182,7 @@ def test_engine_matches_literal_greatest_fixpoint():
             ("branching", functional_B),
             ("dpbb", functional_Bd),
         ):
-            got = bisimilarity(lts, kind).pairs().pairs
+            got = pairs(bisimilarity(lts, kind)).pairs
             assert got == _literal_greatest_fixpoint(lts, func), kind
 
 
@@ -194,7 +196,110 @@ def test_partition_is_stable_post_fixpoint():
             ("dpbb", functional_Bd),
         ):
             part = bisimilarity(lts, kind)
-            r = part.pairs()
+            r = pairs(part)
             image = func(r).pairs
             stable = {(i, j) for (i, j) in (r.pairs & image) if (j, i) in r.pairs}
             assert stable == r.pairs
+
+
+# --- the worklist engine against the round-based reference ------------------------
+
+
+def _gen():
+    """perfbench/gen.py, which builds the benchmark's inputs from a seed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _agree(lts, kind):
+    got, want = bisimilarity(lts, kind), round_bisimilarity(lts, kind)
+    assert got.class_of == want.class_of, kind
+    assert got.diverging == want.diverging, kind
+
+
+def test_engine_matches_rounds_on_decide_trees():
+    # the joint systems of the decide benchmark: trees of about 40 states
+    # a side with back edges, a silent pad, a silent loop or an exit
+    gen = _gen()
+    for seed in (1, 7, 11):
+        for op in gen.decide_ops(seed, 4)[::4]:  # each base and variant once
+            joint, _, _ = union_lts(build_lts(parse(op["left"])), build_lts(parse(op["right"])))
+            for kind in ("strong", "branching", "dpbb"):
+                _agree(joint, kind)
+
+
+def _random_cyclic_lts(rng, n):
+    """n states, with silent cycles, silent self-loops and exposures."""
+    acts = [TAU, TAU, Action("a"), Action("b")]
+    trans = {(rng.randrange(n), rng.choice(acts), rng.randrange(n)) for _ in range(2 * n)}
+    for _ in range(rng.randint(1, 4)):
+        cycle = rng.sample(range(n), rng.randint(1, min(n, 5)))
+        trans.update((s, TAU, t) for s, t in zip(cycle, cycle[1:] + cycle[:1]))
+    exposure = tuple(frozenset(rng.sample(["X", "Y"], rng.choice((0, 0, 0, 1, 2))))
+                     for _ in range(n))
+    return Lts(tuple(range(n)), tuple(sorted(
+        trans, key=lambda t: (t[0], t[1].key(), t[2]))), exposure, 0)
+
+
+def test_engine_matches_rounds_on_random_cyclic_systems():
+    # 20-200 states, past the sizes of the literal fixpoint test
+    rng = random.Random(30)
+    for _ in range(40):
+        lts = _random_cyclic_lts(rng, rng.randint(20, 200))
+        for kind in ("strong", "branching", "dpbb"):
+            _agree(lts, kind)
+
+
+def _chain(n, label):
+    """States 0..n-1, each stepping to the next by label(i)."""
+    return Lts(tuple(range(n)), tuple((i, label(i), i + 1) for i in range(n - 1)),
+               (frozenset(),) * n, 0)
+
+
+def _ladder(n):
+    """Two rails of visible steps, u_i = 2i and v_i = 2i + 1, joined by
+    silent rungs u_i -> v_i; under the weak relations u_i is v_i."""
+    a = Action("a")
+    trans = [(2 * i, TAU, 2 * i + 1) for i in range(n // 2)]
+    trans += [(s, a, s + 2) for s in range(n - 2)]
+    return Lts(tuple(range(n)), tuple(sorted(
+        trans, key=lambda t: (t[0], t[1].key(), t[2]))), (frozenset(),) * n, 0)
+
+
+_A = Action("a")
+_CHAINS = {
+    # name: (system of n states, classes under strong, branching and dpbb)
+    "a/tau chain": (lambda n: _chain(n, lambda i: TAU if i % 2 else _A),
+                    lambda n: (n, n // 2 + 1, n // 2 + 1)),
+    "a-chain": (lambda n: _chain(n, lambda i: _A), lambda n: (n, n, n)),
+    "tau-ladder": (_ladder, lambda n: (n, n // 2, n // 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CHAINS))
+def test_chains_refine_in_linear_signatures(name, monkeypatch):
+    # each pass recomputes only the states a split touches, so a chain
+    # of 10^4 states costs a few signatures per state, not one per state
+    # and pass; on 40 states the round-based reference agrees
+    build, classes = _CHAINS[name]
+    computed = []
+    inner = equiv._block_signatures
+
+    def counting(code, block, c, states, *rest):
+        computed.append(len(states))
+        return inner(code, block, c, states, *rest)
+
+    monkeypatch.setattr(equiv, "_block_signatures", counting)
+    for n in (40, 10_000):
+        lts = build(n)
+        for kind, want in zip(("strong", "branching", "dpbb"), classes(n)):
+            computed.clear()
+            part = bisimilarity(lts, kind)
+            assert part.n_classes == want, (kind, n)
+            assert sum(computed) <= 5 * n, (kind, n)
+            if n == 40:
+                _agree(lts, kind)

@@ -113,6 +113,26 @@ def test_step_respects_sum():
         assert set(step(Sum(e, f))) == set(step(e)) | set(step(f))
 
 
+def test_step_and_exposes_walk_wide_sums():
+    # a sum's spine is walked with a stack, at any width and either
+    # association; a sub-sum whose result is memoized is taken whole
+    leaves = [Prefix(Action("abc"[i % 3]), NIL) for i in range(5000)] + [Var("X")]
+    left = leaves[0]
+    for leaf in leaves[1:]:
+        left = Sum(left, leaf)
+    right = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        right = Sum(leaf, right)
+    half = left
+    for _ in range(2500):
+        half = half.left
+    moves = {(Action(x), NIL) for x in "abc"}
+    assert set(step(half)) == moves and exposes(half) == frozenset()
+    for e in (left, right, Sum(left, right)):
+        assert set(step(e)) == moves
+        assert exposes(e) == {"X"}
+
+
 def test_build_lts_deterministic():
     rng = random.Random(13)
     for _ in range(30):
