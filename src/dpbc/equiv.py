@@ -15,29 +15,29 @@ brute-force oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .semantics import (
     DEFAULT_BUDGET, Lts, build_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
-from .syntax import TAU_NAME, Expr
+from .syntax import TAU_NAME, Expr, Value, _set
 
 KINDS = ("strong", "branching", "dpbb")
 
 
-@dataclass(frozen=True)
-class PairRelation:
+class PairRelation(Value):
     """A set of state pairs over a finite transition system."""
 
-    lts: Lts
-    pairs: frozenset
+    __slots__ = _fields = ("lts", "pairs")
+
+    def __init__(self, lts: Lts, pairs: frozenset):
+        _set(self, "lts", lts)
+        _set(self, "pairs", pairs)
 
     def __contains__(self, pair):
         return pair in self.pairs
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Equivalence classes over the states of a transition system.
 
     Class ids are dense from 0, assigned by first occurrence, so equal
@@ -46,9 +46,13 @@ class Partition:
     class; `bisimilarity` fills it for dpbb only.
     """
 
-    lts: Lts
-    class_of: tuple
-    diverging: frozenset = field(default=frozenset(), compare=False)
+    _fields = ("lts", "class_of")  # `diverging` stays out of the comparison
+    __slots__ = _fields + ("diverging",)
+
+    def __init__(self, lts: Lts, class_of: tuple, diverging: frozenset = frozenset()):
+        _set(self, "lts", lts)
+        _set(self, "class_of", class_of)
+        _set(self, "diverging", diverging)
 
     @property
     def n_classes(self) -> int:
@@ -257,20 +261,40 @@ def bisimilarity(lts: Lts, kind: str) -> Partition:
 # --- rooted congruence --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootedCheck:
-    """Outcome of a rooted-congruence check, with a witness on failure."""
+class RootedCheck(Value):
+    """Outcome of a rooted-congruence check, with a witness on failure.
 
-    equal: bool
-    clause: Optional[str] = None  # 'forth' | 'back' | 'exposure'
-    detail: str = ""
-    lts: Optional[Lts] = None
-    partition: Optional[Partition] = None
-    root_left: int = -1
-    root_right: int = -1
+    The witness of a 'forth' or 'back' failure is the unmatched move
+    (action, target state of `lts`); of an 'exposure' failure, the
+    identifiers that only one root exposes.  `detail` puts it in words
+    when it is read."""
+
+    __slots__ = _fields = (
+        "equal", "clause", "witness", "lts", "partition", "root_left", "root_right")
+
+    def __init__(self, equal: bool, clause: Optional[str] = None, witness=None,
+                 lts: Optional[Lts] = None, partition: Optional[Partition] = None,
+                 root_left: int = -1, root_right: int = -1):
+        _set(self, "equal", equal)
+        _set(self, "clause", clause)  # 'forth' | 'back' | 'exposure'
+        _set(self, "witness", witness)
+        _set(self, "lts", lts)
+        _set(self, "partition", partition)
+        _set(self, "root_left", root_left)
+        _set(self, "root_right", root_right)
 
     def __bool__(self):
         return self.equal
+
+    @property
+    def detail(self) -> str:
+        if self.clause is None:
+            return ""
+        if self.clause == "exposure":
+            return f"exposure sets differ on {sorted(self.witness)}"
+        mine, other = ("left", "right") if self.clause == "forth" else ("right", "left")
+        a, tgt = self.witness
+        return f"{mine} move {a}.{self.lts.states[tgt][1]} has no matching {other} move"
 
 
 def _joint(e: Expr, f: Expr, kind: str, budget: int):
@@ -283,21 +307,14 @@ def rooted_check(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> RootedCheck:
     """Check the three root clauses over the joint dpbb partition."""
     joint, part, re_, rf = _joint(e, f, "dpbb", budget)
 
-    sides = (("forth", "left", "right", re_, rf), ("back", "right", "left", rf, re_))
-    for clause, mine, other, root, other_root in sides:
+    for clause, root, other_root in (("forth", re_, rf), ("back", rf, re_)):
         for a, tgt in joint.succ(root):
             if not any(a2 == a and part.same(tgt, t2) for a2, t2 in joint.succ(other_root)):
-                return RootedCheck(
-                    False, clause,
-                    f"{mine} move {a}.{joint.states[tgt][1]} has no matching {other} move",
-                    joint, part, re_, rf)
+                return RootedCheck(False, clause, (a, tgt), joint, part, re_, rf)
     if joint.exposure[re_] != joint.exposure[rf]:
         diff = joint.exposure[re_] ^ joint.exposure[rf]
-        return RootedCheck(
-            False, "exposure",
-            f"exposure sets differ on {sorted(diff)}",
-            joint, part, re_, rf)
-    return RootedCheck(True, None, "", joint, part, re_, rf)
+        return RootedCheck(False, "exposure", diff, joint, part, re_, rf)
+    return RootedCheck(True, None, None, joint, part, re_, rf)
 
 
 def equivalent(e: Expr, f: Expr, kind: str, budget: int = DEFAULT_BUDGET) -> bool:

@@ -12,7 +12,6 @@ decision procedures or of the prover (`proof`, `standardize`, `ses`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 from .syntax import (
@@ -23,7 +22,9 @@ from .syntax import (
     Rec,
     Sum,
     TAU,
+    Value,
     Var,
+    _set,
     free_vars,
     is_guarded_in,
     pretty,
@@ -154,8 +155,9 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
 # makes a copy whose step indices go through a map (`renumber`).
 
 
-@dataclass(frozen=True, slots=True)
-class Refl:
+class Refl(Value):
+    __slots__ = ()
+
     def refs(self) -> tuple:
         return ()
 
@@ -163,9 +165,11 @@ class Refl:
         return self
 
 
-@dataclass(frozen=True, slots=True)
-class Symm:
-    of: int
+class Symm(Value):
+    __slots__ = _fields = ("of",)
+
+    def __init__(self, of: int):
+        _set(self, "of", of)
 
     def refs(self) -> tuple:
         return (self.of,)
@@ -174,10 +178,12 @@ class Symm:
         return Symm(remap[self.of])
 
 
-@dataclass(frozen=True, slots=True)
-class Trans:
-    first: int
-    second: int
+class Trans(Value):
+    __slots__ = _fields = ("first", "second")
+
+    def __init__(self, first: int, second: int):
+        _set(self, "first", first)
+        _set(self, "second", second)
 
     def refs(self) -> tuple:
         return (self.first, self.second)
@@ -186,12 +192,15 @@ class Trans:
         return Trans(remap[self.first], remap[self.second])
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomStep:
-    axiom: str
-    meta: tuple  # ((name, Expr), ...)
-    extra: tuple  # ((name, str | Action), ...)
-    premise: Optional[int] = None
+class AxiomStep(Value):
+    __slots__ = _fields = ("axiom", "meta", "extra", "premise")
+
+    def __init__(self, axiom: str, meta: tuple, extra: tuple,
+                 premise: Optional[int] = None):
+        _set(self, "axiom", axiom)
+        _set(self, "meta", meta)  # ((name, Expr), ...)
+        _set(self, "extra", extra)  # ((name, str | Action), ...)
+        _set(self, "premise", premise)
 
     def refs(self) -> tuple:
         return () if self.premise is None else (self.premise,)
@@ -202,11 +211,13 @@ class AxiomStep:
         return AxiomStep(self.axiom, self.meta, self.extra, remap[self.premise])
 
 
-@dataclass(frozen=True, slots=True)
-class Cong:
-    pos: str  # a key of POSITIONS
-    inner: int
-    context: object  # of type POSITIONS[pos].kind
+class Cong(Value):
+    __slots__ = _fields = ("pos", "inner", "context")
+
+    def __init__(self, pos: str, inner: int, context):
+        _set(self, "pos", pos)  # a key of POSITIONS
+        _set(self, "inner", inner)
+        _set(self, "context", context)  # of type POSITIONS[pos].kind
 
     def refs(self) -> tuple:
         return (self.inner,)
@@ -221,15 +232,17 @@ Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
 HOLE = "◻"  # white medium square
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
+class Position(Value):
     """A congruence position: the type of its context, the certificate
     text around the context's value, and how the context wraps a term."""
 
-    kind: type
-    before: str
-    after: str
-    wrap: Callable
+    __slots__ = _fields = ("kind", "before", "after", "wrap")
+
+    def __init__(self, kind: type, before: str, after: str, wrap: Callable):
+        _set(self, "kind", kind)
+        _set(self, "before", before)
+        _set(self, "after", after)
+        _set(self, "wrap", wrap)
 
 
 POSITIONS = {
@@ -245,16 +258,20 @@ def plug(pos: str, context, e: Expr) -> Expr:
     return POSITIONS[pos].wrap(context, e)
 
 
-@dataclass(frozen=True, slots=True)
-class ProofStep:
-    lhs: Expr
-    rhs: Expr
-    just: Just
+class ProofStep(Value):
+    __slots__ = _fields = ("lhs", "rhs", "just")
+
+    def __init__(self, lhs: Expr, rhs: Expr, just: Just):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "just", just)
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
-    steps: tuple
+class Derivation(Value):
+    __slots__ = _fields = ("steps",)
+
+    def __init__(self, steps: tuple):
+        _set(self, "steps", steps)
 
     @property
     def conclusion(self):
@@ -265,10 +282,12 @@ class Derivation:
         return len(self.steps)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckFailure:
-    index: int
-    reason: str
+class CheckFailure(Value):
+    __slots__ = _fields = ("index", "reason")
+
+    def __init__(self, index: int, reason: str):
+        _set(self, "index", index)
+        _set(self, "reason", reason)
 
     def __str__(self):
         return f"step {self.index}: {self.reason}"

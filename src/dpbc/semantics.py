@@ -7,11 +7,11 @@ reachable closure finite for this calculus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Var, _per_node, expr_key, substitute)
+    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, Var, _per_node, _set, expr_key,
+    substitute)
 
 
 class BudgetExceeded(Exception):
@@ -77,14 +77,21 @@ def _tau_reachable(e: Expr, budget: int, parent: Optional[dict] = None):
                 queue.append(nxt)
 
 
-@dataclass(frozen=True)
-class Lts:
+class Lts(Value):
     """A finite labelled transition system with per-state exposure sets."""
 
-    states: tuple
-    transitions: tuple  # (src, Action, dst), sorted
-    exposure: tuple  # frozenset of identifiers per state
-    root: Optional[int]
+    _fields = ("states", "transitions", "exposure", "root")
+    # `_adj` and `_tauclos` cache the adjacency lists and silent closures
+    __slots__ = _fields + ("_adj", "_tauclos")
+
+    def __init__(self, states: tuple, transitions: tuple, exposure: tuple,
+                 root: Optional[int]):
+        _set(self, "states", states)
+        _set(self, "transitions", transitions)  # (src, Action, dst), sorted
+        _set(self, "exposure", exposure)  # frozenset of identifiers per state
+        _set(self, "root", root)
+        _set(self, "_adj", None)
+        _set(self, "_tauclos", None)
 
     @property
     def n_states(self) -> int:
@@ -97,20 +104,20 @@ class Lts:
         return [t for a, t in self._adjacency()[s] if a.is_tau]
 
     def _adjacency(self):
-        adj = getattr(self, "_adj", None)
+        adj = self._adj
         if adj is None:
             adj = [[] for _ in self.states]
             for src, act, dst in self.transitions:
                 adj[src].append((act, dst))
-            object.__setattr__(self, "_adj", adj)
+            _set(self, "_adj", adj)
         return adj
 
     def tau_closure(self, s: int) -> frozenset:
         """States reachable from s by zero or more silent steps."""
-        memo = getattr(self, "_tauclos", None)
+        memo = self._tauclos
         if memo is None:
             memo = {}
-            object.__setattr__(self, "_tauclos", memo)
+            _set(self, "_tauclos", memo)
         if s not in memo:
             seen = {s}
             stack = [s]

@@ -8,7 +8,6 @@ drives the silent-prefix promotion step and the congruence prover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import count
@@ -21,7 +20,9 @@ from .syntax import (
     Rec,
     Sum,
     TAU,
+    Value,
     Var,
+    _set,
     all_vars,
     canon_leaves,
     compose_sum,
@@ -62,20 +63,22 @@ class NotEquivalent(ProofError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class EqSystem:
+class EqSystem(Value):
     """A finite recursive equation system over distinct formal variables.
 
     `rhs` is not changed after construction."""
 
-    formals: tuple
-    rhs: dict
+    _fields = ("formals", "rhs")
+    # `__dict__` holds the values of the cached properties
+    __slots__ = _fields + ("__dict__",)
 
-    def __post_init__(self):
-        if len(set(self.formals)) != len(self.formals):
-            raise ValueError(f"duplicate formal variables in {self.formals}")
-        if set(self.formals) != set(self.rhs):
+    def __init__(self, formals: tuple, rhs: dict):
+        if len(set(formals)) != len(formals):
+            raise ValueError(f"duplicate formal variables in {formals}")
+        if set(formals) != set(rhs):
             raise ValueError("the formal variables and the equations differ")
+        _set(self, "formals", formals)
+        _set(self, "rhs", rhs)
 
     @cached_property
     def _successors(self) -> dict:
@@ -97,7 +100,6 @@ class EqSystem:
         return True
 
 
-@dataclass(frozen=True)
 class SesSystem(EqSystem):
     """An equation system in standard form: every right-hand side is a
     sum of prefixes over formals plus non-formal variables, optionally
@@ -108,7 +110,12 @@ class SesSystem(EqSystem):
     when the equation is a loop, and it exposes the equation's
     non-formal variables."""
 
-    lts: Lts
+    __slots__ = ("lts",)
+    _fields = EqSystem._fields + ("lts",)
+
+    def __init__(self, formals: tuple, rhs: dict, lts: Lts):
+        super().__init__(formals, rhs)
+        _set(self, "lts", lts)
 
     @staticmethod
     def from_equations(formals, rhs) -> "SesSystem":

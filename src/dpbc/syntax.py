@@ -10,7 +10,6 @@ table of nodes holds them weakly; a term nothing uses leaves it.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import wraps
 from typing import Iterable, Mapping, Optional
 
@@ -22,11 +21,54 @@ TAU_NAME = "tau"
 DEFAULT_BUDGET = 100000
 
 
-@dataclass(frozen=True, slots=True)
-class Action:
+# the `__init__` of a `Value` subclass fills its slots through this,
+# past the `__setattr__` that keeps the value immutable
+_set = object.__setattr__
+
+
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass declares its `__slots__` and names in `_fields` the slots
+    that make up its value: two instances of the same class are equal,
+    and hash alike, when those slots are.  Assigning or deleting an
+    attribute raises `AttributeError`; `__init__` fills the slots with
+    `_set`.  Defining a subclass generates and compiles no code, so
+    loading a module costs nothing per value class.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Action(Value):
     """A transition label: a visible action name or the silent move."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     @property
     def is_tau(self) -> bool:

@@ -44,6 +44,22 @@ def test_check_divergence_pair(tmp_path):
     assert _run(["check", "--rel", "rooted", p, q]).exit_code == 1
 
 
+@pytest.mark.parametrize("left, right, head, detail", [
+    ("a.b.0 + c.0", "a.tau.c.0 + c.0", "forth (0,3)",
+     "left move a.b.0 has no matching right move"),
+    ("a.0", "a.0 + tau.(b.0 + X)", "back (0,2)",
+     "right move tau.b.0 + X has no matching left move"),
+    ("a.0 + X", "a.0 + Y", "exposure (0,2)", "exposure sets differ on ['X', 'Y']"),
+], ids=["forth", "back", "exposure"])
+def test_rooted_failure_lines(tmp_path, left, right, head, detail):
+    # `check --rel rooted` and `prove` word the failing root clause alike
+    p, q = _write(tmp_path, "p.proc", left), _write(tmp_path, "q.proc", right)
+    clause, states = head.split()
+    assert _run(["check", "--rel", "rooted", p, q]) == (
+        1, "", f"not rooted-equivalent: {clause} at states {states}: {detail}\n")
+    assert _run(["prove", p, q]) == (1, "", f"INEQ {head}\n{detail}\n")
+
+
 def test_prove_refuses_the_divergence_pair(tmp_path):
     # branching-equivalent, but only the left side can diverge after its
     # a move: the axiom the paper drops would equate them, so nothing proves
@@ -490,15 +506,17 @@ _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
 
 def _loaded_modules(*args):
     """Run `python -X importtime <args>`; the dpbc submodules it loads
-    (the module that `-m` runs is not imported), and the result."""
+    (the module that `-m` runs is not imported), every module it loads,
+    and the result."""
     res = _python("-X", "importtime", *args)
     names = {line.rpartition("|")[2].strip() for line in res.stderr.splitlines()
              if line.startswith("import time:")}
-    return {n[len("dpbc."):] for n in names if n.startswith("dpbc.")} - {"cli"}, res
+    layers = {n[len("dpbc."):] for n in names if n.startswith("dpbc.")} - {"cli"}
+    return layers, names, res
 
 
 def test_import_dpbc_loads_no_submodule():
-    loaded, res = _loaded_modules("-c", "import dpbc")
+    loaded, _, res = _loaded_modules("-c", "import dpbc")
     assert res.returncode == 0, res.stderr[-300:]
     assert loaded == set()
 
@@ -547,9 +565,11 @@ def test_each_command_loads_only_its_layers(tmp_path, args, code, layers):
     _write(tmp_path, "tampered.cert", "step 0 a.0 = b.0 by refl\n")
     paths = {"pinned": os.path.join(_PINNED, "taupad.cert")}
     argv = [paths.get(a) or (str(tmp_path / a) if "." in a else a) for a in args]
-    loaded, res = _loaded_modules("-m", "dpbc.cli", *argv)
+    loaded, names, res = _loaded_modules("-m", "dpbc.cli", *argv)
     assert res.returncode == code, res.stderr[-300:]
     assert loaded == layers
+    # no command pays at start-up for a code generator and what it loads
+    assert not {"dataclasses", "inspect"} & names
 
 
 def test_pins_verify_with_only_the_kernel():

@@ -9,6 +9,8 @@ from dpbc.syntax import Action, Prefix, Sum, TAU, parse
 from dpbc.semantics import Lts, build_lts, union_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
     PairRelation,
+    Partition,
+    RootedCheck,
     bisimilarity,
     brute_oracle,
     equivalent,
@@ -303,3 +305,77 @@ def test_chains_refine_in_linear_signatures(name, monkeypatch):
             assert sum(computed) <= 5 * n, (kind, n)
             if n == 40:
                 _agree(lts, kind)
+
+
+def _rejects_assignment(value, fields):
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+def test_engine_values_compare_by_fields_and_reject_assignment():
+    e = parse("a.b.0 + tau.c.0")
+    one, two = build_lts(e), build_lts(e)
+    assert one is not two and one == two and hash(one) == hash(two)
+    # the caches stay out of the value
+    one.succ(0)
+    one.tau_closure(0)
+    assert one == two and hash(one) == hash(two)
+    assert one != build_lts(parse("a.b.0"))
+    _rejects_assignment(one, ("states", "transitions", "exposure", "root", "_adj", "_tauclos"))
+
+    rel = PairRelation(one, frozenset({(0, 1)}))
+    assert rel == PairRelation(two, frozenset({(0, 1)})) and (0, 1) in rel
+    assert hash(rel) == hash(PairRelation(two, frozenset({(0, 1)})))
+    assert rel != PairRelation(one, frozenset())
+    _rejects_assignment(rel, ("lts", "pairs"))
+
+    part = bisimilarity(one, "dpbb")
+    assert part == bisimilarity(two, "dpbb") and hash(part) == hash(bisimilarity(two, "dpbb"))
+    _rejects_assignment(part, ("lts", "class_of", "diverging"))
+
+
+def test_partition_equality_ignores_divergence():
+    lts = build_lts(parse("a.0"))
+    plain, diverging = Partition(lts, (0, 1)), Partition(lts, (0, 1), frozenset({1}))
+    assert plain.diverging == frozenset() and diverging.diverging == {1}
+    assert plain == diverging and hash(plain) == hash(diverging)
+    assert plain != Partition(lts, (0, 0))
+
+
+def test_rooted_check_defaults_and_value():
+    r = RootedCheck(True)
+    assert r and (r.clause, r.witness, r.detail, r.lts, r.partition) == (None, None, "", None, None)
+    assert (r.root_left, r.root_right) == (-1, -1)
+    assert not RootedCheck(False)
+    e, f = parse("a.b.0 + c.0"), parse("a.tau.c.0 + c.0")
+    one, two = rooted_check(e, f), rooted_check(e, f)
+    assert not one and one.clause == "forth" and one.witness == (Action("a"), 1)
+    assert one == two and hash(one) == hash(two)
+    assert one.detail == "left move a.b.0 has no matching right move"
+    assert one != rooted_check(e, e)
+    _rejects_assignment(one, RootedCheck.__slots__ + ("detail",))
+
+
+def test_equation_systems_validate_and_compare_by_fields():
+    from dpbc.ses import EqSystem, SesSystem
+
+    rhs = {"X": parse("a.Y"), "Y": parse("b.X + tau.Y")}
+    one, two = EqSystem(("X", "Y"), rhs), EqSystem(("X", "Y"), dict(rhs))
+    assert one == two and one != EqSystem(("Y", "X"), rhs)
+    assert one.unguarded_successors("Y") == ("Y",) and not one.is_guarded()
+    assert one._successors is one._successors  # computed once
+    _rejects_assignment(one, ("formals", "rhs", "_successors"))
+    with pytest.raises(ValueError, match="duplicate formal"):
+        EqSystem(("X", "X"), {"X": parse("0")})
+    with pytest.raises(ValueError, match="differ"):
+        EqSystem(("X",), rhs)
+
+    std = {"X": parse("a.Y + Z"), "Y": parse("b.X")}
+    ses = SesSystem.from_equations(("X", "Y"), std)
+    assert ses == SesSystem.from_equations(("X", "Y"), std)
+    assert ses != EqSystem(("X", "Y"), std)
+    assert ses.lts.exposure == (frozenset({"Z"}), frozenset())
+    _rejects_assignment(ses, ("formals", "rhs", "lts"))
+    with pytest.raises(ValueError, match="duplicate formal"):
+        SesSystem(("X", "X"), {"X": parse("0")}, ses.lts)

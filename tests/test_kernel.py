@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpbc.kernel import (
+    POSITIONS,
+    AxiomStep,
     CertificateError,
     CheckFailure,
+    Cong,
     Derivation,
+    Position,
     ProofStep,
+    Refl,
+    Symm,
     Trans,
     check,
     format_derivation,
@@ -21,7 +27,7 @@ from dpbc.kernel import (
 from dpbc.proof import Builder, derive_T1
 from dpbc.semantics import DEFAULT_BUDGET
 from dpbc.ses import _route
-from dpbc.syntax import Action, Sum, parse
+from dpbc.syntax import Action, Rec, Sum, parse
 
 _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
 
@@ -166,3 +172,57 @@ def test_a_wide_regrouping_writes_and_reads_back():
     assert len(d.steps) == 3995 and check(d) is None
     back = parse_derivation(format_derivation(d))
     assert back.conclusion == (right_nested, cur) and check(back) is None
+
+
+_A0 = parse("a.0")
+# each value class, built twice from the same fields; `Position` holds a
+# callable, compared as the same object
+_VALUES = {
+    "Action": lambda: Action("a"),
+    "Refl": lambda: Refl(),
+    "Symm": lambda: Symm(3),
+    "Trans": lambda: Trans(1, 2),
+    "AxiomStep": lambda: AxiomStep("S4", (("E", _A0),), ()),
+    "AxiomStep-premise": lambda: AxiomStep("R2", (("E", _A0), ("F", _A0)), (("X", "X"),), 4),
+    "Cong": lambda: Cong("prefix", 0, Action("a")),
+    "Position": lambda: Position(str, "rec ", ". ◻", Rec),
+    "ProofStep": lambda: ProofStep(_A0, _A0, Refl()),
+    "Derivation": lambda: Derivation((ProofStep(_A0, _A0, Symm(0)),)),
+    "CheckFailure": lambda: CheckFailure(2, "refl endpoints differ"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_classes_compare_by_fields_and_reject_assignment(name):
+    one, two = _VALUES[name](), _VALUES[name]()
+    assert one is not two and one == two and not one != two
+    assert hash(one) == hash(two)
+    for field in type(one).__slots__ or ("anything",):
+        with pytest.raises(AttributeError):
+            setattr(one, field, None)
+        with pytest.raises(AttributeError):
+            delattr(one, field)
+    assert one == two
+
+
+def test_value_classes_differ_by_any_field_and_by_class():
+    assert Symm(3) != Symm(4) and Trans(1, 2) != Trans(2, 1)
+    assert Refl() != Symm(0) and Symm(0) != Trans(0, 0)
+    assert AxiomStep("S4", (("E", _A0),), ()) != AxiomStep("S4", (("E", _A0),), (), 0)
+    assert ProofStep(_A0, _A0, Refl()) != ProofStep(_A0, _A0, Symm(0))
+    assert CheckFailure(2, "x") != CheckFailure(3, "x")
+    assert POSITIONS["prefix"] != POSITIONS["sumr"]
+    assert len({Symm(3), Symm(3), Symm(4), Trans(3, 4)}) == 3
+
+
+def test_value_defaults_and_hashes_are_kept():
+    step = AxiomStep("S4", (("E", _A0),), ())
+    assert step.premise is None and step.refs() == ()
+    assert step.renumber({}) is step
+    assert AxiomStep("R2", (), (), 1).renumber({1: 5}).refs() == (5,)
+    # a prefix term's hash is built from its action's, which must hash
+    # as the tuple of its fields, as before
+    assert hash(Action("a")) == hash(("a",)) and hash(Refl()) == hash(())
+    assert hash(Trans(1, 2)) == hash((1, 2))
+    assert str(CheckFailure(2, "x")) == "step 2: x"
+    assert repr(Trans(1, 2)) == "Trans(first=1, second=2)"
