@@ -4,6 +4,13 @@ Decides strong, branching and divergence-preserving branching
 bisimilarity plus rooted congruence, and emits machine-checkable
 equational proof certificates for congruent pairs.
 
+The prover has two ways in: `prove_congruent` proves two rooted-congruent
+expressions equal, and `standardize` proves an expression equal to its
+standard sum.  The steps of the completeness proof (standard equation
+systems, the quotient, promotion, the derived rules D0-D6) are internal
+routines of `ses`, `standardize` and `proof` that build into one
+`proof.Builder`; `check` replays what they build.
+
 The package loads its modules lazily (PEP 562): `import dpbc` loads
 none of them, and each name below loads its own module on first use,
 so a command that only checks a certificate never loads the prover.
@@ -21,20 +28,16 @@ _EXPORTS = {
         "loop_body", "is_guarded_in", "is_guarded_expr", "is_standard_sum",
     ),
     "semantics": (
-        "BudgetExceeded", "Lts", "build_lts", "divergent", "exposes",
-        "format_aut", "step",
+        "BudgetExceeded", "Lts", "build_lts", "exposes", "format_aut", "step",
     ),
     "equiv": ("Partition", "RootedCheck", "bisimilarity", "equivalent", "rooted_check"),
     "kernel": (
         "Derivation", "CheckFailure", "check", "format_derivation",
         "instantiate_axiom", "parse_derivation",
     ),
-    "proof": ("derive_D0", "derive_T1", "derive_summand_absorption"),
-    "standardize": ("derive_D", "expose_to_summand", "standardize"),
-    "ses": (
-        "EqSystem", "SesSystem", "NotEquivalent", "extract_ses", "promote",
-        "prove_congruent", "quotient", "solve_system", "tau_transform",
-    ),
+    "proof": (),
+    "standardize": ("standardize",),
+    "ses": ("SesSystem", "prove_congruent"),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -663,12 +663,6 @@ def _t1(b: Builder, a: Action, e: Expr) -> int:
     return b.trans(i5, i6)
 
 
-def derive_T1(a: Action, e: Expr) -> Derivation:
-    """a.tau.e = a.e."""
-    b = Builder()
-    return b.finalize(_t1(b, a, e))
-
-
 @_derived
 def _hnf(b: Builder, e: Expr) -> int:
     """e = a sum of its moves a.e', its exposed variables and 0s, along
@@ -705,13 +699,6 @@ def _absorb_summand(b: Builder, e: Expr, leaf: Expr) -> int:
         raise MoveNotPresent(
             f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
     return _absorb_along(b, hnf, leaf)
-
-
-def derive_summand_absorption(e: Expr, move) -> Derivation:
-    """e = e + a.e' for a move of e, or e = e + X for an exposed variable."""
-    leaf = Var(move) if isinstance(move, str) else Prefix(*move)
-    b = Builder()
-    return b.finalize(_absorb_summand(b, e, leaf))
 
 
 def _tau_path_to_exposure(e: Expr, x: str):
@@ -769,9 +756,3 @@ def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
             total, prove_sum_eq(b, Sum(Prefix(TAU, ei), rest), Sum(rest, Prefix(TAU, ei))))
         total = lift(total, b.symm(_absorb_summand(b, rest, Prefix(TAU, ei))))
     return total
-
-
-def derive_D0(e: Expr, f: Expr, x: str) -> Derivation:
-    """rec x.(tau.e + f) = rec x.(tau.(x + e) + f)."""
-    b = Builder()
-    return b.finalize(_d0(b, e, f, x))

@@ -218,22 +218,15 @@ def _tau_sccs(succ):
     return sccs
 
 
-def _can_reach_tau_cycle(lts: Lts, sources, allowed=None) -> frozenset:
+def _can_reach_tau_cycle(lts: Lts, sources, allowed) -> frozenset:
     """States among `sources` that can silently reach a silent cycle,
     moving only through `allowed` states."""
-    allowed = set(range(lts.n_states) if allowed is None else allowed)
     succ = {s: lts.tau_succ(s) for s in allowed}
     reach = set()
     for comp in _tau_sccs(succ):  # sinks first
         if len(comp) > 1 or any(t == s or t in reach for s in comp for t in succ[s]):
             reach.update(comp)
     return frozenset(s for s in sources if s in reach)
-
-
-def divergent(lts: Lts) -> frozenset:
-    """States admitting an infinite silent run: those that can silently
-    reach a silent cycle."""
-    return _can_reach_tau_cycle(lts, range(lts.n_states))
 
 
 def format_aut(lts: Lts) -> str:

@@ -8,7 +8,6 @@ drives the silent-prefix promotion step and the congruence prover.
 
 from __future__ import annotations
 
-from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 from itertools import count
 from typing import Optional
@@ -29,7 +28,6 @@ from .syntax import (
     flatten_sum,
     free_vars,
     fresh_name,
-    is_guarded_expr,
     is_guarded_in,
     is_loop,
     loop,
@@ -39,8 +37,8 @@ from .syntax import (
 )
 from .semantics import DEFAULT_BUDGET, Lts, exposes
 from .semantics import step as sos_step
-from .equiv import Partition, bisimilarity, equivalent, rooted_check, RootedCheck
-from .kernel import Derivation, ProofError
+from .equiv import Partition, bisimilarity, equivalent, rooted_check
+from .kernel import ProofError
 from .proof import (
     Builder,
     align,
@@ -57,35 +55,32 @@ from .standardize import (
     prove_loop_canonical)
 
 
-class NotEquivalent(ProofError):
-    def __init__(self, witness: RootedCheck):
-        super().__init__("expressions are not equivalent")
-        self.witness = witness
+class SesSystem(Value):
+    """A standard equation system over distinct formal variables:
+    `from_equations` checks that every right-hand side is a sum of
+    prefixes over formals plus non-formal variables, optionally inside a
+    loop, and that the system is guarded.
 
+    `lts` is the system as a transition system: state i is formal i,
+    its moves are the prefixes of its equation plus a silent self-step
+    when the equation is a loop, and it exposes the equation's
+    non-formal variables.  `rhs` is not changed after construction."""
 
-class EqSystem(Value):
-    """A finite recursive equation system over distinct formal variables.
+    _fields = ("formals", "rhs", "lts")
+    __slots__ = _fields + ("_successors",)
 
-    `rhs` is not changed after construction."""
-
-    _fields = ("formals", "rhs")
-    # `__dict__` holds the values of the cached properties
-    __slots__ = _fields + ("__dict__",)
-
-    def __init__(self, formals: tuple, rhs: dict):
+    def __init__(self, formals: tuple, rhs: dict, lts: Lts):
         if len(set(formals)) != len(formals):
             raise ValueError(f"duplicate formal variables in {formals}")
         if set(formals) != set(rhs):
             raise ValueError("the formal variables and the equations differ")
         _set(self, "formals", formals)
         _set(self, "rhs", rhs)
-
-    @cached_property
-    def _successors(self) -> dict:
-        rhs = self.rhs
-        return {x: tuple(sorted(y for y in free_vars(rhs[x])
-                                if y in rhs and not is_guarded_in(y, rhs[x])))
-                for x in self.formals}
+        _set(self, "lts", lts)
+        _set(self, "_successors", {
+            x: tuple(sorted(y for y in free_vars(rhs[x])
+                            if y in rhs and not is_guarded_in(y, rhs[x])))
+            for x in formals})
 
     def unguarded_successors(self, x: str) -> tuple:
         """Formal variables occurring unguarded in the rhs of x."""
@@ -98,24 +93,6 @@ class EqSystem(Value):
         except CycleError:
             return False
         return True
-
-
-class SesSystem(EqSystem):
-    """An equation system in standard form: every right-hand side is a
-    sum of prefixes over formals plus non-formal variables, optionally
-    inside a loop, and the system is guarded.
-
-    `lts` is the system as a transition system: state i is formal i,
-    its moves are the prefixes of its equation plus a silent self-step
-    when the equation is a loop, and it exposes the equation's
-    non-formal variables."""
-
-    __slots__ = ("lts",)
-    _fields = EqSystem._fields + ("lts",)
-
-    def __init__(self, formals: tuple, rhs: dict, lts: Lts):
-        super().__init__(formals, rhs)
-        _set(self, "lts", lts)
 
     @staticmethod
     def from_equations(formals, rhs) -> "SesSystem":
@@ -193,17 +170,6 @@ def _extract_into(b: Builder, roots):
     return list(sols), rhs, sols, ders
 
 
-def extract_ses(e: Expr):
-    """(system, root formal, solutions, per-equation derivations) such
-    that the input provably solves the system for the root."""
-    if not is_guarded_expr(e):
-        raise NotGuarded(f"{pretty(e)} is not a guarded expression")
-    b = Builder()
-    order, rhs, sols, ders = _extract_into(b, (e,))
-    system = SesSystem.from_equations(order, rhs)
-    return system, order[0], sols, {x: b.finalize(ders[x]) for x in order}
-
-
 # --- solving --------------------------------------------------------------------
 
 
@@ -245,26 +211,6 @@ def _solve_any(b: Builder, order, rhs):
     # bridge each unfolding to the original equation, now that every
     # solution is known
     return sols, {x: align(b, ders[x], substitute(rhs[x], sols)) for x in order}
-
-
-def solve_system(s: EqSystem, x: str):
-    """(solution for x, per-equation derivations); the system must be
-    guarded so that the solution is unique up to provability."""
-    if x not in s.formals:
-        raise ValueError(f"{x} is not a formal variable")
-    if not s.is_guarded():
-        raise NotGuarded("equation system has an unguarded cycle")
-    b = Builder()
-    sols, ders = _solve_any(b, s.formals, s.rhs)
-    return sols[x], {f: b.finalize(ders[f]) for f in s.formals}
-
-
-def tau_transform(s: EqSystem) -> EqSystem:
-    """Prefix every right-hand side with a silent step."""
-    out = EqSystem(s.formals, {x: Prefix(TAU, s.rhs[x]) for x in s.formals})
-    if isinstance(s, SesSystem) and not out.is_guarded():
-        raise ProofError("silent prefixing broke guardedness")
-    return out
 
 
 # --- classes of formals ---------------------------------------------------------------
@@ -318,9 +264,9 @@ def derivatives(s: SesSystem, classes: Partition, x: str):
 class _Quotient:
     """Carrier for the quotient computation on one system."""
 
-    def __init__(self, s: SesSystem, b: Optional[Builder] = None):
+    def __init__(self, s: SesSystem, b: Builder):
         self.s = s
-        self.b = b if b is not None else Builder()
+        self.b = b
         self.classes = formal_classes(s)
         self.cls = _class_of(s, self.classes)
         self.bottoms = bottom_variables(s, self.classes)
@@ -333,7 +279,6 @@ class _Quotient:
         for c in class_ids:
             self.zvar[c] = fresh_name(avoid, "_q")
             avoid.add(self.zvar[c])
-        self.iota = {x: self.bottoms[self.cls[x]] for x in s.formals}
         zmap = {y: Var(self.zvar[self.cls[y]]) for y in s.formals}
         self.quot_formals = tuple(self.zvar[c] for c in class_ids)
         self.quot_rhs = {
@@ -503,21 +448,6 @@ def _pad_tau(b: Builder, template: Expr, sigma1: dict, sigma2: dict) -> int:
     raise ProofError("template contains a formal variable in a bare position")
 
 
-def quotient(s: SesSystem):
-    """(quotient system, designated-bottom map, common solutions).
-
-    The common solutions provably solve the silent-prefixed system; the
-    per-formal derivations are returned alongside each solution.
-    """
-    q = _Quotient(s)
-    sols = q.common_solutions()
-    quot = EqSystem(q.quot_formals, q.quot_rhs)
-    b = q.b
-    return quot, dict(q.iota), {
-        x: (sol, b.finalize(idx)) for x, (sol, idx) in sols.items()
-    }
-
-
 # --- uniqueness of solutions ---------------------------------------------------------
 
 
@@ -582,12 +512,13 @@ def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
     r1, r2 = order[:2]
     q = _Quotient(SesSystem.from_equations(order, rhs), b)
     if q.cls[r1] != q.cls[r2]:
-        raise NotEquivalent(rooted_check(Prefix(TAU, e), Prefix(TAU, f), budget))
+        raise ProofError("expressions are not equivalent")
     common = q.common_solutions()
-    # the silent-prefixed inputs solve the silent-prefixed system
+    # the silent-prefixed inputs solve the silent-prefixed system, which
+    # is guarded as the system is: a silent prefix guards no occurrence
     taus = {x: Prefix(TAU, sols[x]) for x in order}
     taumap = dict(taus)
-    tau_rhs = tau_transform(q.s).rhs
+    tau_rhs = {x: Prefix(TAU, rhs[x]) for x in order}
     tau_ders = {}
     for x in order:
         idx = b.cong("prefix", ders[x], TAU)
@@ -602,17 +533,6 @@ def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
     if com_fam[r1] != com_fam[r2]:
         raise ProofError("common solutions differ inside one class")
     return b.trans(left, b.symm(right))
-
-
-def promote(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> Derivation:
-    """tau.e = tau.f, for guarded expressions with equivalent behaviour."""
-    for g in (e, f):
-        if not is_guarded_expr(g):
-            raise NotGuarded(f"{pretty(g)} is not a guarded expression")
-    if e != f and not equivalent(e, f, "dpbb", budget):
-        raise NotEquivalent(rooted_check(e, f, budget))
-    b = Builder()
-    return b.finalize(_promote(b, e, f, budget))
 
 
 def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
@@ -657,8 +577,6 @@ def _route(b: Builder, e: Expr, f: Expr, budget: int) -> int:
     """e = f for rooted-equivalent e and f, proved at their roots: by
     S1-S4 alone when their sums have the same summands, otherwise by
     absorbing each side into the other (`_absorb_into`)."""
-    if e == f:
-        return b.refl(e)
     if _same_summands(e, f):
         return prove_sum_eq(b, e, f)
     fwd = _absorb_into(b, e, f, budget)  # e + f = f

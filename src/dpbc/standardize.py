@@ -28,7 +28,7 @@ from .syntax import (
     loop_body,
     pretty,
 )
-from .kernel import Derivation, ProofError, SideCondition
+from .kernel import ProofError, SideCondition
 from .proof import (
     Builder,
     _absorb_along,
@@ -254,29 +254,6 @@ def _d6(b: Builder, lp: Expr) -> int:
     return b.chain(*steps)
 
 
-# each rule takes exactly its operands; `avoid` stays internal
-_DERIVED_RULES = {
-    1: lambda b, e: _d1(b, loop(e)),
-    2: lambda b, e: _d2(b, loop(e)),
-    3: lambda b, x, e, f: _d3(b, x, e, f),
-    4: lambda b, x, e, f, g: _d4(b, x, e, f, g),
-    5: lambda b, e, f: _d5(b, e, f),
-    6: lambda b, e: _d6(b, loop(loop(e))),
-}
-
-
-def derive_D(k: int, operands) -> Derivation:
-    """The derived loop rules, replayed as checkable derivations.
-
-    operands: D1/D2/D6 take (E,); D3 takes (x, E, F); D4 takes
-    (x, E, F, G); D5 takes (E, F).
-    """
-    if k not in _DERIVED_RULES:
-        raise ValueError(f"no derived rule D{k}")
-    b = Builder()
-    return b.finalize(_DERIVED_RULES[k](b, *operands))
-
-
 # --- exposure as a summand -----------------------------------------------------
 
 
@@ -290,7 +267,7 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
         return NIL, b.rewrite_at(host, ["rec", "suml", "prefix"], s4)
     if isinstance(e, Prefix):
         if not e.act.is_tau:
-            raise SideCondition("expose_to_summand", f"{x} is guarded in {pretty(e)}")
+            raise SideCondition("exposure", f"{x} is guarded in {pretty(e)}")
         t1 = _t1(b, TAU, e.body)
         host = Rec(x, Sum(Prefix(TAU, e), f))
         total = b.rewrite_at(host, ["rec", "suml"], t1)
@@ -354,20 +331,7 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
                      b.axiom("R1", {"E": body}, {"X": cl.binder}))
         e1, d = _expose(b, x, body, f)
         return e1, b.trans(total, d)
-    raise SideCondition("expose_to_summand", f"{x} is not reachable unguarded in {pretty(e)}")
-
-
-def expose_to_summand(x: str, e: Expr, f: Expr):
-    """(e1, derivation of rec x.(tau.e+f) = rec x.(tau.(x+e1)+f))."""
-    if not is_guarded_expr(e):
-        raise NotGuarded(f"{pretty(e)} is not a guarded expression")
-    if is_guarded_in(x, e):
-        raise SideCondition("expose_to_summand", f"{x} is guarded in {pretty(e)}")
-    b = Builder()
-    e1, idx = _expose(b, x, e, f)
-    if not is_guarded_in(x, e1):
-        raise ProofError("exposure left the variable unguarded")
-    return e1, b.finalize(idx)
+    raise SideCondition("exposure", f"{x} is not reachable unguarded in {pretty(e)}")
 
 
 # --- standardization -----------------------------------------------------------
@@ -441,10 +405,18 @@ def _standardize(b: Builder, e: Expr):
         sb, d = _standardize(b, e.body)
         return Prefix(e.act, sb), b.cong("prefix", d, e.act)
     if isinstance(e, Sum):
-        sl, dl = _standardize(b, e.left)
-        sr, dr = _standardize(b, e.right)
-        out, d3 = prove_canon(b, Sum(sl, sr))
-        return out, b.trans(b.sum_cong(dl, dr), d3)
+        # down the left spine by a loop, so a wide sum costs no stack;
+        # the steps come in the order a recursion would emit them
+        rights = []
+        while isinstance(e, Sum):
+            rights.append(e.right)
+            e = e.left
+        out, d = _standardize(b, e)
+        for right in reversed(rights):
+            sr, dr = _standardize(b, right)
+            out, d3 = prove_canon(b, Sum(out, sr))
+            d = b.trans(b.sum_cong(d, dr), d3)
+        return out, d
     # recursion: standardize the body, guard the binder if it is not,
     # then unfold once into the head normal form
     sf, df = _standardize(b, e.body)

@@ -1,4 +1,5 @@
-"""Random generators shared by the test modules."""
+"""Random generators, and one way to run a prover routine, shared by the
+test modules."""
 
 import random
 
@@ -15,6 +16,7 @@ from dpbc.syntax import (
     loop,
 )
 from dpbc.semantics import DEFAULT_BUDGET, Lts, _tau_reachable, exposes
+from dpbc.proof import Builder, Derivation
 
 ACTIONS = [TAU, Action("a"), Action("b"), Action("c")]
 VARS = ["X", "Y", "Z", "W"]
@@ -150,3 +152,10 @@ def replace_at(e: Expr, path, new: Expr) -> Expr:
     if head == "left":
         return Sum(replace_at(e.left, rest, new), e.right)
     return Sum(e.left, replace_at(e.right, rest, new))
+
+
+def derive(routine, *args) -> Derivation:
+    """The derivation of the step that `routine(b, *args)` returns, for a
+    prover routine run on a fresh Builder `b`."""
+    b = Builder()
+    return b.finalize(routine(b, *args))

@@ -13,6 +13,7 @@ from dpbc.syntax import (
     TAU,
     Var,
     is_standard_sum,
+    loop,
     parse,
 )
 from dpbc.semantics import build_lts, _can_reach_tau_cycle
@@ -27,11 +28,11 @@ from dpbc.equiv import (
     functional_S,
     rooted_check,
 )
-from dpbc.proof import Builder, check, derive_D0, derive_T1
-from dpbc.standardize import derive_D, standardize
-from dpbc.ses import SesSystem, extract_ses, prove_congruent, solve_system
+from dpbc.proof import Builder, check, _d0, _t1
+from dpbc.standardize import _d1, _d2, _d3, _d4, _d5, _d6, standardize
+from dpbc.ses import SesSystem, prove_congruent, _extract_into, _solve_any
 
-from genexpr import random_expr, random_guarded_expr, random_lts
+from genexpr import derive, random_expr, random_guarded_expr, random_lts
 from oracles import functional_Bp
 
 
@@ -159,14 +160,14 @@ def test_criterion_5_derived_rule_replay():
         exposed = rng.choice(
             [Var("X"), Sum(Prefix(TAU, Var("X")), e), Prefix(TAU, Var("X"))])
         derivations = [
-            derive_T1(a, e),
-            derive_D0(exposed, f, "X"),
-            derive_D(1, (e,)),
-            derive_D(2, (e,)),
-            derive_D(3, ("X", e, f)),
-            derive_D(4, ("X", e, f, g)),
-            derive_D(5, (e, f)),
-            derive_D(6, (e,)),
+            derive(_t1, a, e),
+            derive(_d0, exposed, f, "X"),
+            derive(_d1, loop(e)),
+            derive(_d2, loop(e)),
+            derive(_d3, "X", e, f),
+            derive(_d4, "X", e, f, g),
+            derive(_d5, e, f),
+            derive(_d6, loop(loop(e))),
         ]
         for d in derivations:
             if check(d) is not None or not rooted_check(*d.conclusion).equal:
@@ -196,17 +197,22 @@ def test_criterion_7_ses_round_trip():
     ok = True
     for _ in range(200):
         e = random_guarded_expr(rng, rng.randint(1, 12))
-        system, root, sols, ders = extract_ses(e)
-        for d in ders.values():
-            if check(d) is not None:
+        b = Builder()
+        order, rhs, _, ders = _extract_into(b, (e,))
+        system = SesSystem.from_equations(order, rhs)
+        for idx in ders.values():
+            if check(b.finalize(idx)) is not None:
                 ok = False
-        sol1, sd1 = solve_system(system, root)
-        for d in sd1.values():
-            if check(d) is not None:
+        root = order[0]
+        b = Builder()
+        sols, sd1 = _solve_any(b, system.formals, system.rhs)
+        for idx in sd1.values():
+            if check(b.finalize(idx)) is not None:
                 ok = False
         reordered = SesSystem.from_equations(
             tuple(reversed(system.formals)), system.rhs)
-        sol2, _ = solve_system(reordered, root)
+        sol1 = sols[root]
+        sol2 = _solve_any(Builder(), reordered.formals, reordered.rhs)[0][root]
         proof = prove_congruent(sol1, sol2)
         if isinstance(proof, RootedCheck) or check(proof) is not None:
             ok = False

@@ -24,10 +24,12 @@ from dpbc.kernel import (
     instantiate_axiom,
     parse_derivation,
 )
-from dpbc.proof import Builder, derive_T1
+from dpbc.proof import Builder, _t1
 from dpbc.semantics import DEFAULT_BUDGET
 from dpbc.ses import _route
 from dpbc.syntax import Action, Rec, Sum, parse
+
+from genexpr import derive
 
 _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
 
@@ -47,7 +49,7 @@ def _root_route(left: str, right: str) -> str:
 # T1 over b.0 (axioms S4 and B, symm, trans, cong prefix) and, with R2
 # premises and rec and sum contexts, the root route's proof of the pair
 # of the taupad pin (the pin itself is one T1 inside the recursion)
-_T1 = format_derivation(derive_T1(Action("a"), parse("b.0")))
+_T1 = format_derivation(derive(_t1, Action("a"), parse("b.0")))
 _TAUPAD = _root_route("rec X. a.X", "rec X. a.tau.X")
 
 

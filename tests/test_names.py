@@ -17,13 +17,13 @@ from dpbc.syntax import (
     parse,
     pretty,
 )
-from dpbc.proof import check, format_derivation, parse_derivation
+from dpbc.proof import Builder, check, format_derivation, parse_derivation
 from dpbc.standardize import standardize
-from dpbc.ses import extract_ses, promote, prove_congruent, solve_system
+from dpbc.ses import SesSystem, prove_congruent, _extract_into, _promote, _solve_any
 from dpbc.equiv import RootedCheck, rooted_check
 
 import genexpr
-from genexpr import random_expr, random_guarded_expr
+from genexpr import derive, random_expr, random_guarded_expr
 
 HOSTILE = ["_g0", "_g1", "_X0", "_q0", "X", "Z'"]
 
@@ -48,11 +48,11 @@ def test_alpha_variant_loops_are_provably_equal():
 
 def test_extraction_avoids_user_reserved_names():
     e = parse("a._X0 + b._q0")
-    system, root, sols, ders = extract_ses(e)
-    assert "_X0" not in system.formals
-    assert "_q0" not in system.formals
-    sol, _ = solve_system(system, root)
-    assert rooted_check(sol, e).equal
+    order, rhs, _, _ = _extract_into(Builder(), (e,))
+    assert "_X0" not in order
+    assert "_q0" not in order
+    sols, _ = _solve_any(Builder(), order, rhs)
+    assert rooted_check(sols[order[0]], e).equal
 
 
 def test_shadowed_binders():
@@ -63,7 +63,7 @@ def test_shadowed_binders():
 
 
 def test_promote_with_quotient_namespace_variable():
-    d = promote(parse("a._q0"), parse("a._q0 + a._q0"))
+    d = derive(_promote, parse("a._q0"), parse("a._q0 + a._q0"))
     assert check(d) is None
 
 
@@ -76,11 +76,13 @@ def test_randomized_hostile_names():
         assert rooted_check(e, d.conclusion[1]).equal, pretty(e)
     for _ in range(30):
         e = random_guarded_expr(rng, rng.randint(1, 10), HOSTILE)
-        system, root, sols, ders = extract_ses(e)
-        for dd in ders.values():
-            assert check(dd) is None, pretty(e)
-        sol, sd = solve_system(system, root)
-        assert rooted_check(sol, e).equal, pretty(e)
+        b = Builder()
+        order, rhs, _, ders = _extract_into(b, (e,))
+        SesSystem.from_equations(order, rhs)
+        for idx in ders.values():
+            assert check(b.finalize(idx)) is None, pretty(e)
+        sols, _ = _solve_any(Builder(), order, rhs)
+        assert rooted_check(sols[order[0]], e).equal, pretty(e)
     for _ in range(30):
         e = random_expr(rng, rng.randint(1, 10), HOSTILE)
         f = Sum(e, e) if rng.random() < 0.5 else random_expr(rng, rng.randint(1, 10), HOSTILE)

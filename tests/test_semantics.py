@@ -6,11 +6,11 @@ from dpbc.syntax import Action, NIL, Prefix, Sum, TAU, Var, parse, substitute
 from dpbc.semantics import (
     BudgetExceeded,
     build_lts,
-    divergent,
     exposes,
     format_aut,
     step,
     union_lts,
+    _can_reach_tau_cycle,
     _tau_reachable,
 )
 
@@ -64,12 +64,11 @@ def test_build_lts_examples():
 
 
 def test_divergent_examples():
-    l1 = build_lts(parse("rec X.(tau.X + a.0)"))
-    assert divergent(l1) == {0}
-    l2 = build_lts(parse("tau.a.0"))
-    assert divergent(l2) == frozenset()
-    l3 = build_lts(parse("a.b.0"))
-    assert divergent(l3) == frozenset()
+    # the states that can silently reach a silent cycle
+    for text, want in (("rec X.(tau.X + a.0)", {0}), ("tau.a.0", set()), ("a.b.0", set())):
+        lts = build_lts(parse(text))
+        states = range(lts.n_states)
+        assert _can_reach_tau_cycle(lts, states, states) == want
 
 
 def test_budget_overflow():

@@ -22,28 +22,26 @@ from dpbc.syntax import (
     substitute,
 )
 from dpbc.proof import (
-    SCHEMA_PARAMS, AxiomStep, Builder, check, format_derivation, parse_derivation)
+    SCHEMA_PARAMS, AxiomStep, Builder, ProofError, check, format_derivation,
+    parse_derivation)
 from dpbc.standardize import NotGuarded
 from dpbc.ses import (
-    EqSystem,
-    NotEquivalent,
     SesSystem,
     bottom_variables,
     derivatives,
-    extract_ses,
     formal_classes,
     prove_congruent,
-    promote,
-    quotient,
-    solve_system,
-    tau_transform,
+    _extract_into,
     _live,
+    _promote,
+    _Quotient,
+    _solve_any,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
 from dpbc.semantics import DEFAULT_BUDGET, build_lts, exposes, step
 
 from genexpr import (
-    ACTIONS, all_terms, random_expr, random_guarded_expr, random_ses_equations,
+    ACTIONS, all_terms, derive, random_expr, random_guarded_expr, random_ses_equations,
     replace_at, subterm_paths)
 
 
@@ -66,59 +64,61 @@ def _check_family(system, sols, ders):
 
 
 def test_extract_prefix_chain():
-    s, root, sols, ders = extract_ses(parse("a.b.0"))
+    b = Builder()
+    order, rhs, sols, ders = _extract_into(b, (parse("a.b.0"),))
+    s = SesSystem.from_equations(order, rhs)
     assert len(s.formals) == 3
     shapes = [pretty(s.rhs[x]) for x in s.formals]
     assert shapes == ["a._X1", "b._X2", "0"]
-    assert root == "_X0"
-    assert sols[root] == parse("a.b.0")
-    _check_family(s, sols, ders)
+    assert order[0] == "_X0"
+    assert sols[order[0]] == parse("a.b.0")
+    _check_family(s, sols, {x: b.finalize(ders[x]) for x in order})
 
 
 def test_extract_loop():
-    s, root, sols, ders = extract_ses(parse("tau* a.0"))
-    assert s.rhs[root] == loop(parse(f"a.{s.formals[1]}"))
+    b = Builder()
+    order, rhs, sols, ders = _extract_into(b, (parse("tau* a.0"),))
+    s = SesSystem.from_equations(order, rhs)
+    assert s.rhs[order[0]] == loop(parse(f"a.{order[1]}"))
     assert s.lts.transitions == ((0, TAU, 0), (0, Action("a"), 1))
-    _check_family(s, sols, ders)
+    _check_family(s, sols, {x: b.finalize(ders[x]) for x in order})
 
 
 def test_extract_nil():
-    s, root, sols, ders = extract_ses(NIL)
+    b = Builder()
+    order, rhs, sols, ders = _extract_into(b, (NIL,))
+    s = SesSystem.from_equations(order, rhs)
     assert [pretty(s.rhs[x]) for x in s.formals] == ["0"]
-    _check_family(s, sols, ders)
+    _check_family(s, sols, {x: b.finalize(ders[x]) for x in order})
 
 
 def test_extract_requires_guarded():
-    with pytest.raises(NotGuarded):
-        extract_ses(parse("rec X. tau.X"))
+    # the state steps silently to itself, and it is no loop
+    with pytest.raises(ProofError, match="no loop"):
+        _extract_into(Builder(), (parse("rec X. tau.X"),))
 
 
 def test_solve_two_state_system():
-    sys = EqSystem(("X", "Y"), {"X": parse("a.Y"), "Y": parse("b.X")})
-    sol, ders = solve_system(sys, "X")
-    lts = build_lts(sol)
+    b = Builder()
+    sols, ders = _solve_any(b, ("X", "Y"), {"X": parse("a.Y"), "Y": parse("b.X")})
+    lts = build_lts(sols["X"])
     assert lts.n_states == 2
     assert [(a.name) for _, a, _ in lts.transitions] == ["a", "b"]
-    for d in ders.values():
-        assert check(d) is None
+    for idx in ders.values():
+        assert check(b.finalize(idx)) is None
 
 
 def test_solve_trivial():
-    sol, _ = solve_system(EqSystem(("X",), {"X": NIL}), "X")
-    assert sol == Rec("X", NIL)
-
-
-def test_solve_rejects_unguarded():
-    with pytest.raises(NotGuarded):
-        solve_system(EqSystem(("X",), {"X": parse("tau.X")}), "X")
+    sols, _ = _solve_any(Builder(), ("X",), {"X": NIL})
+    assert sols["X"] == Rec("X", NIL)
 
 
 def test_eq_system_rejects_malformed_formals():
     # real exceptions, not asserts: `python -O` must not let these through
     with pytest.raises(ValueError, match="duplicate"):
-        EqSystem(("X", "X"), {"X": NIL})
-    with pytest.raises(ValueError):
-        EqSystem(("X",), {"X": NIL, "Y": NIL})
+        SesSystem.from_equations(("X", "X"), {"X": NIL})
+    with pytest.raises(ValueError, match="differ"):
+        SesSystem.from_equations(("X",), {"X": NIL, "Y": NIL})
 
 
 def test_ses_system_rejects_non_standard_equations():
@@ -131,27 +131,19 @@ def test_ses_system_rejects_non_standard_equations():
         SesSystem.from_equations(("X",), {"X": loop(parse("tau.X"))})
 
 
-def test_tau_transform():
-    s = tau_transform(EqSystem(("X",), {"X": parse("a.X")}))
-    assert s.rhs["X"] == parse("tau.a.X")
-    ses = SesSystem.from_equations(("X",), {"X": parse("a.X")})
-    t = tau_transform(ses)
-    assert t.is_guarded()
-    empty = tau_transform(EqSystem((), {}))
-    assert empty.formals == ()
-
-
 def test_eq_system_guardedness_needs_no_recursion():
     # a 3,000-formal silent chain, open and then closed into a cycle
     n = 3000
     formals = tuple(f"X{i}" for i in range(n))
     rhs = {x: Prefix(TAU, Var(y)) for x, y in zip(formals, formals[1:])}
     rhs[formals[-1]] = NIL
-    assert EqSystem(formals, rhs).is_guarded()
+    assert SesSystem.from_equations(formals, rhs).is_guarded()
     rhs[formals[-1]] = Prefix(TAU, Var(formals[0]))
-    assert not EqSystem(formals, rhs).is_guarded()
-    assert not EqSystem(("X",), {"X": parse("tau.X")}).is_guarded()
-    assert EqSystem(("X",), {"X": parse("a.X")}).is_guarded()
+    with pytest.raises(NotGuarded):
+        SesSystem.from_equations(formals, rhs)
+    with pytest.raises(NotGuarded):
+        SesSystem.from_equations(("X",), {"X": parse("tau.X")})
+    assert SesSystem.from_equations(("X",), {"X": parse("a.X")}).is_guarded()
 
 
 def test_ses_semantics_and_classes():
@@ -176,11 +168,10 @@ def test_ses_semantics_against_solutions():
             continue
         part = formal_classes(s)
         assert s.lts.states == tuple(formals)
+        sols, _ = _solve_any(Builder(), s.formals, s.rhs)
         for i, x in enumerate(formals):
             for j, y in enumerate(formals):
-                solx, _ = solve_system(s, x)
-                soly, _ = solve_system(s, y)
-                assert part.same(i, j) == equivalent(solx, soly, "dpbb")
+                assert part.same(i, j) == equivalent(sols[x], sols[y], "dpbb")
 
 
 def test_bottoms_spec_example():
@@ -227,32 +218,35 @@ def test_derivatives_examples():
 def test_quotient_two_equal_loops():
     s = SesSystem.from_equations(
         ("X", "Y"), {"X": parse("a.X"), "Y": parse("a.Y")})
-    quot, iota, common = quotient(s)
-    assert len(quot.formals) == 1
-    assert iota == {"X": "X", "Y": "X"}
+    q = _Quotient(s, Builder())
+    common = q.common_solutions()
+    assert len(q.quot_formals) == 1
+    assert {x: q.bottoms[q.cls[x]] for x in s.formals} == {"X": "X", "Y": "X"}
     assert common["X"][0] == common["Y"][0]
-    for sol, d in common.values():
-        assert check(d) is None
+    for sol, idx in common.values():
+        assert check(q.b.finalize(idx)) is None
 
 
 def test_quotient_loop_class():
     s = SesSystem.from_equations(
         ("X", "Y"),
         {"X": loop(parse("a.X")), "Y": loop(parse("a.Y"))})
-    quot, iota, common = quotient(s)
+    q = _Quotient(s, Builder())
+    common = q.common_solutions()
     assert common["X"][0] == common["Y"][0]
-    for sol, d in common.values():
-        assert check(d) is None
+    for sol, idx in common.values():
+        assert check(q.b.finalize(idx)) is None
 
 
 def test_quotient_singleton_classes():
     s = SesSystem.from_equations(
         ("X", "Y"), {"X": parse("a.Y"), "Y": parse("b.X")})
-    quot, iota, common = quotient(s)
-    assert len(quot.formals) == 2
-    assert iota == {"X": "X", "Y": "Y"}
-    for sol, d in common.values():
-        assert check(d) is None
+    q = _Quotient(s, Builder())
+    common = q.common_solutions()
+    assert len(q.quot_formals) == 2
+    assert {x: q.bottoms[q.cls[x]] for x in s.formals} == {"X": "X", "Y": "Y"}
+    for sol, idx in common.values():
+        assert check(q.b.finalize(idx)) is None
 
 
 def test_quotient_random_contract():
@@ -263,9 +257,11 @@ def test_quotient_random_contract():
             s = SesSystem.from_equations(formals, rhs)
         except (ValueError, NotGuarded):
             continue
-        quot, iota, common = quotient(s)
+        q = _Quotient(s, Builder())
+        common = q.common_solutions()
         for x in formals:
-            sol, d = common[x]
+            sol, idx = common[x]
+            d = q.b.finalize(idx)
             assert check(d) is None
             assert d.conclusion[0] == sol
             # the conclusion closes the silently-prefixed equation
@@ -273,7 +269,7 @@ def test_quotient_random_contract():
             assert d.conclusion[1] == substitute(Prefix(TAU, s.rhs[x]), taus)
         for x in formals:
             for y in formals:
-                if iota[x] == iota[y]:
+                if q.cls[x] == q.cls[y]:
                     assert common[x][0] == common[y][0]
 
 
@@ -298,8 +294,6 @@ def test_derivative_splits_rebuild_equation():
 def test_derivative_clause_derivations_check():
     # the split / stutter-collapse / self-absorption equations used by the
     # quotient are themselves checkable derivations
-    from dpbc.ses import _Quotient
-
     rng = random.Random(57)
     checked = 0
     while checked < 20:
@@ -308,7 +302,7 @@ def test_derivative_clause_derivations_check():
             s = SesSystem.from_equations(formals, rhs)
         except (ValueError, NotGuarded):
             continue
-        q = _Quotient(s)
+        q = _Quotient(s, Builder())
         for x in formals:
             d = q.b.finalize(q.clause_split(x))
             assert check(d) is None
@@ -328,7 +322,6 @@ def test_bottom_variable_summand_subset():
     # for a bottom variable, the filled non-stuttering summands of any
     # equivalent formal are already among its own
     from dpbc.syntax import canon_leaves, flatten_sum
-    from dpbc.ses import quotient, _Quotient
 
     rng = random.Random(56)
     checked = 0
@@ -338,9 +331,9 @@ def test_bottom_variable_summand_subset():
             s = SesSystem.from_equations(formals, rhs)
         except (ValueError, NotGuarded):
             continue
-        q = _Quotient(s)
+        q = _Quotient(s, Builder())
         for x in formals:
-            xi = q.iota[x]
+            xi = q.bottoms[q.cls[x]]
             if x == xi:
                 continue
             _, f1x = q.filled(x)
@@ -352,13 +345,14 @@ def test_bottom_variable_summand_subset():
 
 
 def test_promote_examples():
-    d = promote(parse("a.0"), parse("a.0 + a.0"))
+    d = derive(_promote, parse("a.0"), parse("a.0 + a.0"))
     assert check(d) is None
     assert d.conclusion == (parse("tau.a.0"), parse("tau.(a.0 + a.0)"))
-    d2 = promote(parse("a.0"), parse("a.0"))
+    d2 = derive(_promote, parse("a.0"), parse("a.0"))
     assert check(d2) is None
-    with pytest.raises(NotEquivalent):
-        promote(parse("rec X. a.X"), parse("b.0"))
+    # the two roots fall into different classes of the joint system
+    with pytest.raises(ProofError, match="not equivalent"):
+        _promote(Builder(), parse("rec X. a.X"), parse("b.0"))
 
 
 def test_live_formals_follow_the_free_formals():
@@ -402,7 +396,7 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
         return out
 
     class SpyQuotient(ses._Quotient):
-        def __init__(self, s, b=None):
+        def __init__(self, s, b):
             quotiented.append(s)
             super().__init__(s, b)
 
@@ -426,7 +420,7 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
     monkeypatch.setattr(ses, "_extract_into", spy_extract)
     monkeypatch.setattr(ses, "_Quotient", SpyQuotient)
     monkeypatch.setattr(ses, "_prove_unique", spy_unique)
-    d = promote(e, f)
+    d = derive(ses._promote, e, f)
 
     ((roots, (order, rhs, sols, _)),) = extracted
     assert roots == (e, f)
@@ -443,11 +437,6 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
     again = parse_derivation(format_derivation(d))
     assert check(again) is None
     assert again.conclusion == (Prefix(TAU, e), Prefix(TAU, f))
-
-
-def test_promote_requires_guarded():
-    with pytest.raises(NotGuarded):
-        promote(parse("rec X. tau.X"), parse("a.0"))
 
 
 def test_prove_congruent_examples():
@@ -496,13 +485,15 @@ def test_roundtrip_solutions_unique_up_to_provability():
     done = 0
     while done < 15:
         e = random_guarded_expr(rng, rng.randint(2, 8))
-        s, root, sols, ders = extract_ses(e)
+        order, rhs, _, _ = _extract_into(Builder(), (e,))
+        s = SesSystem.from_equations(order, rhs)
         if len(s.formals) < 2:
             continue
-        sol1, _ = solve_system(s, root)
+        root = order[0]
+        sol1 = _solve_any(Builder(), s.formals, s.rhs)[0][root]
         reordered = SesSystem.from_equations(
             tuple(reversed(s.formals)), s.rhs)
-        sol2, _ = solve_system(reordered, root)
+        sol2 = _solve_any(Builder(), reordered.formals, reordered.rhs)[0][root]
         d = prove_congruent(sol1, sol2)
         assert not isinstance(d, RootedCheck)
         assert check(d) is None
@@ -582,6 +573,14 @@ _BENCHMARK_SHAPED = [
     ("tau* tau* (b.0 + (rec X0. a.X0))", "tau* (b.0 + (rec X0. a.X0))"),  # looploop
     ("rec X. a.X", "rec X. a.a.X"),
 ]
+
+
+def test_root_route_meets_a_side_with_itself_in_one_step():
+    # S1-S4 prove e = e by reflexivity alone
+    for text in ("a.0", "a.0 + b.0", "rec X. a.X + tau.X", "tau* (X + 0)"):
+        e = parse(text)
+        d = derive(ses._route, e, e, DEFAULT_BUDGET)
+        assert d.conclusion == (e, e) and len(d.steps) == 1 and check(d) is None
 
 
 def test_root_route_proves_the_pinned_and_benchmark_pairs():

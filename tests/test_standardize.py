@@ -22,31 +22,36 @@ from dpbc.syntax import (
     pretty,
 )
 from dpbc.proof import (
-    AxiomStep, Builder, SideCondition, check, format_derivation, parse_derivation)
+    AxiomStep, Builder, SideCondition, check, format_derivation, parse_derivation,
+    prove_canon)
 from dpbc.standardize import (
-    NotGuarded,
+    _d1,
+    _d2,
+    _d3,
+    _d4,
+    _d5,
     _d6,
-    derive_D,
-    expose_to_summand,
+    _expose,
+    _standardize,
     is_loop_of_loop,
     standardize,
 )
 from dpbc.equiv import rooted_check
 
-from genexpr import random_expr, random_guarded_expr, silently_exposes
+from genexpr import derive, random_expr, random_guarded_expr, silently_exposes
 
 
 def test_d1_instance():
-    d = derive_D(1, (parse("a.0"),))
-    assert check(d) is None
     lp = loop(parse("a.0"))
+    d = derive(_d1, lp)
+    assert check(d) is None
     assert d.conclusion == (lp, Sum(Prefix(TAU, lp), parse("a.0")))
 
 
 def test_d6_instance():
-    d = derive_D(6, (parse("a.0"),))
-    assert check(d) is None
     lp = loop(parse("a.0"))
+    d = derive(_d6, loop(lp))
+    assert check(d) is None
     assert d.conclusion == (loop(lp), lp)
 
 
@@ -55,7 +60,7 @@ def test_d6_is_r0_r7_r1(text):
     # both loops of loop(loop E) take the lowest name not free in E, so
     # their binders clash and R0 renames the outer one before R7 and R1
     e = parse(text)
-    d = parse_derivation(format_derivation(derive_D(6, (e,))))
+    d = parse_derivation(format_derivation(derive(_d6, loop(loop(e)))))
     assert check(d) is None
     assert d.conclusion == (loop(loop(e)), loop(e))
     axioms = [st.just.axiom for st in d.steps if isinstance(st.just, AxiomStep)]
@@ -63,8 +68,7 @@ def test_d6_is_r0_r7_r1(text):
     # outer binder distinct from the inner one: R7 and R1 alone
     lp = Rec("Z", Sum(Prefix(TAU, Var("Z")), loop(e)))
     assert is_loop_of_loop(lp)
-    b = Builder()
-    d = b.finalize(_d6(b, lp))
+    d = derive(_d6, lp)
     assert check(d) is None and d.conclusion == (lp, loop(e)) and len(d.steps) == 3
 
 
@@ -74,21 +78,23 @@ def test_all_derived_rules_random_operands():
         e = random_expr(rng, rng.randint(1, 5))
         f = random_expr(rng, rng.randint(1, 4))
         g = random_expr(rng, rng.randint(1, 3))
-        for k, ops in [
-            (1, (e,)),
-            (2, (e,)),
-            (3, ("X", e, f)),
-            (4, ("X", e, f, g)),
-            (5, (e, f)),
-            (6, (e,)),
+        for rule, ops in [
+            (_d1, (loop(e),)),
+            (_d2, (loop(e),)),
+            (_d3, ("X", e, f)),
+            (_d4, ("X", e, f, g)),
+            (_d5, (e, f)),
+            (_d6, (loop(loop(e)),)),
         ]:
-            d = derive_D(k, ops)
-            assert check(d) is None, (k, check(d))
-            assert rooted_check(*d.conclusion).equal, (k, pretty(d.conclusion[0]))
+            d = derive(rule, *ops)
+            assert check(d) is None, (rule.__name__, check(d))
+            assert rooted_check(*d.conclusion).equal, (rule.__name__, pretty(d.conclusion[0]))
 
 
 def test_expose_variable_case():
-    e1, d = expose_to_summand("X", Var("X"), NIL)
+    b = Builder()
+    e1, idx = _expose(b, "X", Var("X"), NIL)
+    d = b.finalize(idx)
     assert e1 == NIL
     assert check(d) is None
     assert d.conclusion == (
@@ -98,7 +104,9 @@ def test_expose_variable_case():
 
 
 def test_expose_prefix_case():
-    e1, d = expose_to_summand("X", parse("tau.X"), parse("a.0"))
+    b = Builder()
+    e1, idx = _expose(b, "X", parse("tau.X"), parse("a.0"))
+    d = b.finalize(idx)
     assert check(d) is None
     assert is_guarded_in("X", e1)
     assert rooted_check(*d.conclusion).equal
@@ -108,7 +116,9 @@ def test_expose_through_a_recursion_that_is_not_a_loop():
     # the paper's example: the recursion is unfolded in place, and its
     # copies land under the visible prefix a
     e = parse("tau.rec Y.(tau.X + a.Y)")
-    e1, d = expose_to_summand("X", e, NIL)
+    b = Builder()
+    e1, idx = _expose(b, "X", e, NIL)
+    d = b.finalize(idx)
     assert check(d) is None
     assert is_guarded_in("X", e1)
     assert d.conclusion[0] == parse("rec X.(tau.tau.(rec Y.(tau.X + a.Y)) + 0)")
@@ -117,10 +127,7 @@ def test_expose_through_a_recursion_that_is_not_a_loop():
 
 def test_expose_requires_exposure():
     with pytest.raises(SideCondition):
-        expose_to_summand("X", parse("a.X"), NIL)
-    # an unguarded recursion would unfold forever
-    with pytest.raises(NotGuarded):
-        expose_to_summand("X", parse("rec Y. tau.(Y + X)"), NIL)
+        _expose(Builder(), "X", parse("a.X"), NIL)
 
 
 def test_expose_random_contract():
@@ -131,7 +138,9 @@ def test_expose_random_contract():
         if not silently_exposes("X", e):
             continue
         f = random_expr(rng, rng.randint(1, 4))
-        e1, d = expose_to_summand("X", e, f)
+        b = Builder()
+        e1, idx = _expose(b, "X", e, f)
+        d = b.finalize(idx)
         assert check(d) is None
         assert is_guarded_in("X", e1)
         assert rooted_check(*d.conclusion).equal
@@ -201,3 +210,35 @@ def test_standardize_idempotent_on_standard_sums():
         se = d.conclusion[1]
         _, d2 = standardize(se)
         assert d2.conclusion[1] == se
+
+
+def _by_halves(b, e):
+    """Standardize a sum by recursing into both halves: the order of
+    steps that the walk down the left spine keeps."""
+    if not isinstance(e, Sum):
+        return _standardize(b, e)
+    sl, dl = _by_halves(b, e.left)
+    sr, dr = _by_halves(b, e.right)
+    out, d3 = prove_canon(b, Sum(sl, sr))
+    return out, b.trans(b.sum_cong(dl, dr), d3)
+
+
+def test_standardize_walks_a_wide_sum_with_a_loop():
+    # random sums of random summands get the steps, in the order, that
+    # the recursion over both halves emits
+    rng = random.Random(46)
+    for _ in range(40):
+        e = compose_sum(random_expr(rng, rng.randint(1, 6)) for _ in range(rng.randint(2, 8)))
+        b1, b2 = Builder(), Builder()
+        (out1, i1), (out2, i2) = _standardize(b1, e), _by_halves(b2, e)
+        assert out1 == out2 and b1.finalize(i1) == b2.finalize(i2), pretty(e)
+    # 3000 summands at the interpreter's default recursion limit
+    wide = compose_sum(parse(f"{'abc'[i % 3]}.0") for i in range(3000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out, d = standardize(wide)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == parse("a.0 + b.0 + c.0") and d.conclusion == (wide, out)
+    assert check(d) is None
