@@ -27,11 +27,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_expr(path: str):
-    text = _read_text(path)
-    try:
-        return parse(text)
-    except RecursionError:
-        raise ParseError(f"{path}: input nested too deeply to parse") from None
+    return parse(_read_text(path))
 
 
 def _check(args) -> int:
@@ -142,7 +138,7 @@ def _minimize(args) -> int:
     exposure = [frozenset()] * part.n_classes
     for s, c in enumerate(part.class_of):
         exposure[c] |= lts.exposure[s]
-    moves = tuple(sorted(moves, key=lambda t: (t[0], t[1].key(), t[2])))
+    moves = tuple(sorted(moves, key=lambda t: (t[0], t[1].key, t[2])))
     quotient = Lts(tuple(range(part.n_classes)), moves, tuple(exposure),
                    part.class_of[lts.root])
     sys.stdout.write(format_aut(quotient))
@@ -195,8 +191,7 @@ _EXPECTED = {"builtins.OSError", "dpbc.syntax.ParseError", "dpbc.semantics.Budge
 
 def _describe(exc: Exception, command: str) -> str:
     if isinstance(exc, RecursionError):
-        # a wide sum or the prover's own deep terms; the parser's depth
-        # is a ParseError that names the file
+        # a walk after parsing that recurses once per level of a deep term
         return f"recursion limit reached in {command} ({exc})"
     if any(f"{c.__module__}.{c.__qualname__}" in _EXPECTED for c in type(exc).__mro__):
         return str(exc)

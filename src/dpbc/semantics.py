@@ -7,10 +7,11 @@ reachable closure finite for this calculus.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Optional
 
 from .syntax import (
-    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, Var, _per_node, _set, expr_key,
+    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, Var, _compare, _per_node, _set,
     substitute)
 
 
@@ -31,18 +32,27 @@ def _summands(e: Sum, fn):
 
 
 @_per_node
+def _moves(e: Expr):
+    """The moves of e as (action, derivative) pairs, in no order."""
+    if isinstance(e, Prefix):
+        return ((e.act, e.body),)
+    if isinstance(e, Sum):
+        return set().union(*map(_moves, _summands(e, _moves)))
+    if isinstance(e, Rec):
+        return {(act, substitute(deriv, {e.binder: e})) for act, deriv in _moves(e.body)}
+    return ()
+
+
+def _compare_moves(p, q) -> int:
+    """Moves sort by action, then by derivative."""
+    a, b = p[0].key, q[0].key
+    return (a > b) - (a < b) or _compare(p[1], q[1])
+
+
+@_per_node
 def step(e: Expr):
     """All derivatives of e, sorted by (action, expression) order."""
-    out = set()
-    if isinstance(e, Prefix):
-        out.add((e.act, e.body))
-    elif isinstance(e, Sum):
-        for part in _summands(e, step):
-            out.update(step(part))
-    elif isinstance(e, Rec):
-        for act, deriv in step(e.body):
-            out.add((act, substitute(deriv, {e.binder: e})))
-    return tuple(sorted(out, key=lambda p: (p[0].key(), expr_key(p[1]))))
+    return tuple(sorted(_moves(e), key=cmp_to_key(_compare_moves)))
 
 
 @_per_node
@@ -158,23 +168,18 @@ def build_lts(e: Expr, budget: int = DEFAULT_BUDGET) -> Lts:
     index = {e: 0}
     states = [e]
     transitions = []
-    queue = [e]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        src = index[cur]
+    for src, cur in enumerate(states):  # the loop also visits what it appends
         for act, nxt in step(cur):
-            if nxt not in index:
+            dst = index.get(nxt)
+            if dst is None:
                 if len(states) >= budget:
                     raise BudgetExceeded(f"state budget {budget} exceeded")
-                index[nxt] = len(states)
+                dst = index[nxt] = len(states)
                 states.append(nxt)
-                queue.append(nxt)
-            transitions.append((src, act, index[nxt]))
+            transitions.append((src, act, dst))
     exposure = tuple(exposes(s) for s in states)
     return Lts(tuple(states), tuple(sorted(
-        transitions, key=lambda t: (t[0], t[1].key(), t[2]))), exposure, 0)
+        transitions, key=lambda t: (t[0], t[1].key, t[2]))), exposure, 0)
 
 
 def _tau_sccs(succ):

@@ -116,7 +116,7 @@ class SesSystem(Value):
                     raise ValueError(
                         f"{x} has a non-standard right-hand side: {pretty(rhs[x])}")
             exposure.append(frozenset(exposed))
-        transitions = tuple(sorted(transitions, key=lambda t: (t[0], t[1].key(), t[2])))
+        transitions = tuple(sorted(transitions, key=lambda t: (t[0], t[1].key, t[2])))
         lts = Lts(fs, transitions, tuple(exposure), 0 if fs else None)
         sys = SesSystem(fs, dict(rhs), lts)
         if not sys.is_guarded():

@@ -9,8 +9,9 @@ table of nodes holds them weakly; a term nothing uses leaves it.
 
 from __future__ import annotations
 
+import re
 import weakref
-from functools import wraps
+from functools import cmp_to_key, partial, reduce, wraps
 from typing import Iterable, Mapping, Optional
 
 TAU_NAME = "tau"
@@ -63,20 +64,20 @@ class Value:
 
 
 class Action(Value):
-    """A transition label: a visible action name or the silent move."""
+    """A transition label: a visible action name or the silent move.  Its
+    `is_tau`, sort `key` (silent first, then by name) and hash are set once."""
 
-    __slots__ = _fields = ("name",)
+    __slots__ = ("name", "is_tau", "key", "_hash")
+    _fields = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
+        _set(self, "is_tau", name == TAU_NAME)
+        _set(self, "key", (0,) if name == TAU_NAME else (1, name))
+        _set(self, "_hash", hash((name,)))
 
-    @property
-    def is_tau(self) -> bool:
-        return self.name == TAU_NAME
-
-    def key(self):
-        # the silent move sorts before every visible action
-        return (0,) if self.is_tau else (1, self.name)
+    def __hash__(self):
+        return self._hash
 
     def __str__(self) -> str:
         return self.name
@@ -227,29 +228,44 @@ def _per_node(fn):
 # --- orders ---------------------------------------------------------------
 
 
-@_per_node
-def expr_key(e: Expr):
-    """Total order on expressions: constructor tag, then recursively."""
-    if isinstance(e, Nil):
-        return (0,)
-    if isinstance(e, Var):
-        return (1, e.name)
-    if isinstance(e, Prefix):
-        return (2, e.act.key(), expr_key(e.body))
-    if isinstance(e, Sum):
-        return (3, expr_key(e.left), expr_key(e.right))
-    return (4, e.binder, expr_key(e.body))
+_TAG = {Nil: 0, Var: 1, Prefix: 2, Sum: 3, Rec: 4}
+# the order of a standard sum's summands: prefixes, then variables, sums
+# and recursions, 0 last
+_SUMMAND_RANK = {Prefix: 0, Var: 1, Sum: 2, Rec: 3, Nil: 4}
 
 
-def summand_key(e: Expr):
-    """Order used when normalizing sums: prefixes, then variables, rest last."""
-    if isinstance(e, Prefix):
-        return (0, e.act.key(), expr_key(e.body))
-    if isinstance(e, Var):
-        return (1, e.name)
-    if isinstance(e, Nil):
-        return (3,)
-    return (2, expr_key(e))
+def _compare(x: Expr, y: Expr, rank: dict = _TAG) -> int:
+    """-1, 0 or 1 as x sorts before, with or after y: by constructor
+    (ranked by `rank` at the top, by `_TAG` below), then by name, action
+    `key` or binder, then by the children from the left.  Equal terms
+    are the same node, so the walk stops at the first difference."""
+    todo = []
+    while True:
+        if x is not y:
+            tx = type(x)
+            if tx is not type(y):
+                return -1 if rank[tx] < rank[type(y)] else 1
+            rank = _TAG
+            if tx is Sum:
+                todo.append((x.right, y.right))
+                x, y = x.left, y.left
+                continue
+            if tx is Var:
+                return -1 if x.name < y.name else 1
+            if tx is Prefix:
+                if x.act.key != y.act.key:
+                    return -1 if x.act.key < y.act.key else 1
+            elif x.binder != y.binder:
+                return -1 if x.binder < y.binder else 1
+            x, y = x.body, y.body
+        elif todo:
+            x, y = todo.pop()
+        else:
+            return 0
+
+
+expr_key = cmp_to_key(_compare)
+summand_key = cmp_to_key(partial(_compare, rank=_SUMMAND_RANK))
 
 
 # --- variables -------------------------------------------------------------
@@ -349,11 +365,7 @@ def _split_left(body: Sum):
     while isinstance(node, Sum):
         rights.append(node.right)
         node = node.left
-    rights.reverse()
-    rest = rights[0]
-    for r in rights[1:]:
-        rest = Sum(rest, r)
-    return node, rest
+    return node, compose_sum(reversed(rights))
 
 
 def is_loop(e: Expr) -> bool:
@@ -433,25 +445,13 @@ def flatten_sum(e: Expr) -> list:
 
 def canon_leaves(leaves: Iterable[Expr]) -> list:
     """Sort by summand order, remove duplicates and empty summands."""
-    out = []
-    for leaf in sorted(leaves, key=summand_key):
-        if isinstance(leaf, Nil):
-            continue
-        if out and out[-1] == leaf:
-            continue
-        out.append(leaf)
-    return out
+    return sorted(set(leaves) - {NIL}, key=summand_key)
 
 
 def compose_sum(leaves: Iterable[Expr]) -> Expr:
     """Left-nested sum of the given summands; empty list gives 0."""
     leaves = list(leaves)
-    if not leaves:
-        return NIL
-    acc = leaves[0]
-    for leaf in leaves[1:]:
-        acc = Sum(acc, leaf)
-    return acc
+    return reduce(Sum, leaves) if leaves else NIL
 
 
 def is_standard_sum(e: Expr) -> bool:
@@ -477,125 +477,117 @@ class ParseError(ValueError):
     pass
 
 
-_KEYWORDS = {"rec", "0"}
-
-
-def _tokenize(text: str):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in ".+()*":
-            toks.append((c, c, i))
-            i += 1
-            continue
-        if c == "0":
-            toks.append(("0", "0", i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            toks.append(("rec" if word == "rec" else "ident", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r} at offset {i}")
-    toks.append(("eof", "", n))
-    return toks
+# A token, after any whitespace and comments: an identifier (a word
+# character but no decimal digit, then word characters and primes), any
+# other character, or "" at the end.  `_word` reads an identifier.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*([^\W\d][\w']*|.|\Z)", re.S)
+_REC, _OTHER = object(), object()
 
 
 def _is_var_name(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
 
 
+def _word(tok: str):
+    """What a token reads as: `_REC`, a variable, an action, or `_OTHER`
+    when it is no identifier (a word character need not be a letter)."""
+    if not (tok[:1].isalpha() or tok[:1] == "_"):
+        return _OTHER
+    if tok == "rec":
+        return _REC
+    return Var(tok) if _is_var_name(tok) else Action(tok)
+
+
 def _is_identifier(word: str) -> bool:
     """`word` reads as exactly one identifier token (not the keyword `rec`)."""
-    try:
-        toks = _tokenize(word)
-    except ParseError:
-        return False
-    return len(toks) == 2 and toks[0][0] == "ident" and toks[0][1] == word
+    return (_TOKEN.match(word)[1] == word and word != "rec"
+            and (word[:1].isalpha() or word[:1] == "_"))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r} at offset {tok[2]}")
-        return tok
-
-    def parse_expr(self) -> Expr:
-        e = self.parse_term()
-        while self.peek()[0] == "+":
-            self.next()
-            e = Sum(e, self.parse_term())
-        return e
-
-    def parse_term(self) -> Expr:
-        kind, word, off = self.peek()
-        if kind == "rec":
-            self.next()
-            tok = self.expect("ident")
-            if not _is_var_name(tok[1]):
-                raise ParseError(f"recursion binder {tok[1]!r} is not a variable name")
-            self.expect(".")
-            return Rec(tok[1], self.parse_expr())
-        if kind == "ident" and word == TAU_NAME and self.toks[self.pos + 1][0] == "*":
-            self.next()
-            self.next()
-            return loop(self.parse_term())
-        if kind == "ident" and not _is_var_name(word) and self.toks[self.pos + 1][0] == ".":
-            self.next()
-            self.next()
-            return Prefix(Action(word), self.parse_term())
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        kind, word, off = self.next()
-        if kind == "0":
-            return NIL
-        if kind == "(":
-            e = self.parse_expr()
-            self.expect(")")
-            return e
-        if kind == "ident":
-            if _is_var_name(word):
-                return Var(word)
-            raise ParseError(f"action {word!r} must be followed by '.' at offset {off}")
-        if kind == "eof":
-            raise ParseError(f"unexpected end of input at offset {off}")
-        raise ParseError(f"unexpected token {word!r} at offset {off}")
+def _error(text: str, k: int, message: str) -> ParseError:
+    """`message` formatted with the text and the offset of token k, unless
+    some token is no identifier and no punctuation: the first such one is
+    the error then, wherever it stands."""
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        tok = m[1]
+        if tok and not (tok[0].isalpha() or tok[0] == "_") and tok not in ".+()*0":
+            return ParseError(f"unexpected character {tok[0]!r} at offset {m.start(1)}")
+        if j == k:
+            word, offset = tok, m.start(1)
+    return ParseError(message.format(word, offset))
 
 
 def parse(text: str) -> Expr:
-    """Parse one expression; trailing whitespace and comments are ignored."""
-    p = _Parser(text)
-    e = p.parse_expr()
-    tok = p.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r} at offset {tok[2]}")
-    return e
+    """Parse one expression; trailing whitespace and comments are ignored.
+
+    Iterative, so a term of any depth parses.  `stack` holds what the
+    term being read completes, innermost last: an `Action` (a prefix),
+    `"*"` (the loop sugar), an expression (the left operand of a `+`),
+    `"("`, a binder (a recursion's body, which extends as far right as
+    it can) or, at the bottom, `""` (the whole text)."""
+    toks = _TOKEN.findall(text)
+    words = {"0": NIL, "(": "("}  # token -> what it reads as, once per call
+    stack = [""]
+    i = 0
+    while True:
+        tok = toks[i]
+        w = words.get(tok) or words.setdefault(tok, _word(tok))
+        i += 1
+        if type(w) is Action:
+            if toks[i] == ".":
+                stack.append(w)
+            elif toks[i] == "*" and tok == TAU_NAME:
+                stack.append("*")
+            else:
+                raise _error(text, i - 1, "action {!r} must be followed by '.' at offset {}")
+            i += 1
+            continue
+        if w is _REC:
+            b = words.get(toks[i]) or words.setdefault(toks[i], _word(toks[i]))
+            if type(b) is not Var:
+                raise _error(text, i, "recursion binder {!r} is not a variable name"
+                             if type(b) is Action else "expected 'ident', found {!r} at offset {}")
+            if toks[i + 1] != ".":
+                raise _error(text, i + 1, "expected '.', found {!r} at offset {}")
+            stack.append(b.name)
+            i += 2
+            continue
+        if w == "(":
+            stack.append(w)
+            continue
+        if w is _OTHER:
+            raise _error(text, i - 1, "unexpected token {!r} at offset {}" if tok
+                         else "unexpected end of input at offset {1}")
+        e = w
+        # e is a whole term: complete what it completes, and so on out
+        while True:
+            f = stack[-1]
+            if type(f) is Action:
+                e = Prefix(stack.pop(), e)
+                continue
+            if f == "*":
+                stack.pop()
+                e = loop(e)
+                continue
+            if type(f) is not str:
+                e = Sum(stack.pop(), e)
+                f = stack[-1]
+            tok = toks[i]
+            if tok == "+":
+                stack.append(e)
+                i += 1
+                break
+            if f == "(":
+                if tok != ")":
+                    raise _error(text, i, "expected ')', found {!r} at offset {}")
+                stack.pop()
+                i += 1
+            elif f:
+                e = Rec(stack.pop(), e)
+            elif tok:
+                raise _error(text, i, "trailing input {!r} at offset {}")
+            else:
+                return e
 
 
 def _loop_sugar(e: Expr) -> Optional[Expr]:

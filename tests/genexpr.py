@@ -1,6 +1,8 @@
-"""Random generators, and one way to run a prover routine, shared by the
-test modules."""
+"""Random generators, the benchmark's input generator, and one way to
+run a prover routine, shared by the test modules."""
 
+import importlib.util
+import os
 import random
 
 from dpbc.syntax import (
@@ -20,6 +22,16 @@ from dpbc.proof import Builder, Derivation
 
 ACTIONS = [TAU, Action("a"), Action("b"), Action("c")]
 VARS = ["X", "Y", "Z", "W"]
+
+
+def benchmark_gen():
+    """perfbench/gen.py, which builds the benchmark's inputs from a seed."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "gen.py")
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_expr(rng: random.Random, size: int, free_pool=VARS) -> Expr:
@@ -93,7 +105,7 @@ def random_lts(rng: random.Random, max_states: int = 6) -> Lts:
     )
     return Lts(
         tuple(range(n)),
-        tuple(sorted(trans, key=lambda t: (t[0], t[1].key(), t[2]))),
+        tuple(sorted(trans, key=lambda t: (t[0], t[1].key, t[2]))),
         exposure,
         0,
     )

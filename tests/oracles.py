@@ -5,12 +5,20 @@
 every state against the whole partition (Blom & Orzan, STTT 2005).  It
 is slow on long chains but plain, so it serves as an oracle past the
 sizes that the literal fixpoint and `brute_oracle` reach.
+
+`reference_parse` is the recursive-descent parser that the iterative
+`syntax.parse` replaced: a tokenizer, then one method per grammar rule.
+Its recursion limits the depth of what it reads, which the tests keep
+small.  `tuple_expr_key` and `tuple_summand_key` are the nested-tuple
+sort keys that `syntax._compare` replaced.
 """
 
 from functools import partial
 
 from dpbc.equiv import Partition, PairRelation, _branching_ok, _image
 from dpbc.semantics import Lts, _tau_sccs
+from dpbc.syntax import (
+    NIL, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Var, _is_var_name, loop)
 
 
 def full_relation(lts: Lts) -> PairRelation:
@@ -91,3 +99,145 @@ def round_bisimilarity(lts: Lts, kind: str) -> Partition:
             diverging = frozenset(c for key, c in ids.items() if key[1])
             return Partition(lts, tuple(block), diverging)
         count = len(ids)
+
+
+# --- the recursive parser -----------------------------------------------------------
+
+
+def _tokenize(text: str):
+    toks = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c in ".+()*":
+            toks.append((c, c, i))
+            i += 1
+            continue
+        if c == "0":
+            toks.append(("0", "0", i))
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            toks.append(("rec" if word == "rec" else "ident", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r} at offset {i}")
+    toks.append(("eof", "", n))
+    return toks
+
+
+def reference_is_identifier(word: str) -> bool:
+    try:
+        toks = _tokenize(word)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0][0] == "ident" and toks[0][1] == word
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r} at offset {tok[2]}")
+        return tok
+
+    def parse_expr(self):
+        e = self.parse_term()
+        while self.peek()[0] == "+":
+            self.next()
+            e = Sum(e, self.parse_term())
+        return e
+
+    def parse_term(self):
+        kind, word, off = self.peek()
+        if kind == "rec":
+            self.next()
+            tok = self.expect("ident")
+            if not _is_var_name(tok[1]):
+                raise ParseError(f"recursion binder {tok[1]!r} is not a variable name")
+            self.expect(".")
+            return Rec(tok[1], self.parse_expr())
+        if kind == "ident" and word == TAU_NAME and self.toks[self.pos + 1][0] == "*":
+            self.next()
+            self.next()
+            return loop(self.parse_term())
+        if kind == "ident" and not _is_var_name(word) and self.toks[self.pos + 1][0] == ".":
+            self.next()
+            self.next()
+            return Prefix(Action(word), self.parse_term())
+        return self.parse_atom()
+
+    def parse_atom(self):
+        kind, word, off = self.next()
+        if kind == "0":
+            return NIL
+        if kind == "(":
+            e = self.parse_expr()
+            self.expect(")")
+            return e
+        if kind == "ident":
+            if _is_var_name(word):
+                return Var(word)
+            raise ParseError(f"action {word!r} must be followed by '.' at offset {off}")
+        if kind == "eof":
+            raise ParseError(f"unexpected end of input at offset {off}")
+        raise ParseError(f"unexpected token {word!r} at offset {off}")
+
+
+def reference_parse(text: str):
+    p = _Parser(text)
+    e = p.parse_expr()
+    tok = p.peek()
+    if tok[0] != "eof":
+        raise ParseError(f"trailing input {tok[1]!r} at offset {tok[2]}")
+    return e
+
+
+# --- the tuple orders ----------------------------------------------------------------
+
+
+def tuple_expr_key(e):
+    """Total order on expressions: constructor tag, then recursively."""
+    if isinstance(e, Nil):
+        return (0,)
+    if isinstance(e, Var):
+        return (1, e.name)
+    if isinstance(e, Prefix):
+        return (2, e.act.key, tuple_expr_key(e.body))
+    if isinstance(e, Sum):
+        return (3, tuple_expr_key(e.left), tuple_expr_key(e.right))
+    return (4, e.binder, tuple_expr_key(e.body))
+
+
+def tuple_summand_key(e):
+    """Order used when normalizing sums: prefixes, then variables, rest last."""
+    if isinstance(e, Prefix):
+        return (0, e.act.key, tuple_expr_key(e.body))
+    if isinstance(e, Var):
+        return (1, e.name)
+    if isinstance(e, Nil):
+        return (3,)
+    return (2, tuple_expr_key(e))

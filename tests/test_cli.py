@@ -408,8 +408,8 @@ def _python(*args):
 
 
 def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
-    # a 400-deep `rec` exhausts the parser's recursion; it may not read
-    # as a verdict
+    # a 400-deep `rec` parses, but unfolding it substitutes into a term of
+    # that depth by one recursion per level; it may not read as a verdict
     text = "0"
     for i in reversed(range(400)):
         text = f"rec X{i}. a.({text} + b.X0)"
@@ -424,7 +424,40 @@ def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
         assert "Traceback" not in res.stderr, args
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), args
-        assert "input nested too deeply to parse" in lines[0], lines
+        assert lines[0].startswith(f"error: recursion limit reached in dpbc {args[0]} ("), lines
+
+
+def test_deep_chains_are_decided(tmp_path):
+    # the parser keeps its own stack, so `a.` nested 10^4 times parses at
+    # the default recursion limit, and every relation decides the pair
+    chain = "a." * 10_000
+    deep = _write(tmp_path, "deep.proc", chain + "0")
+    padded = _write(tmp_path, "padded.proc", chain + "(0 + 0)")
+    for rel in ("strong", "branching", "dpbb", "rooted"):
+        res = _python("-m", "dpbc.cli", "check", "--rel", rel, deep, padded)
+        assert (res.returncode, res.stderr) == (0, ""), (rel, res.stderr[-300:])
+    res = _python("-m", "dpbc.cli", "lts", deep)
+    assert res.returncode == 0 and res.stdout.startswith("des (0, 10000, 10001)\n"), res.stderr
+    # a known limit: the prover recurses once per level of the chain
+    res = _python("-m", "dpbc.cli", "prove", deep, padded)
+    lines = res.stderr.strip().splitlines()
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr[-300:]
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: recursion limit reached in dpbc prove ("), lines
+    # a sum of 3000 summands nested to the right is decided as well;
+    # standardizing it still recurses down its right spine
+    text = "a.0"
+    for i in range(1, 3000):
+        text = f"{'abc'[i % 3]}.0 + ({text})"
+    wide = _write(tmp_path, "wide.proc", text)
+    res = _python("-m", "dpbc.cli", "check", "--rel", "strong", wide,
+                  _write(tmp_path, "wide0.proc", text + " + 0"))
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
+    res = _python("-m", "dpbc.cli", "std", "--cert", str(tmp_path / "wide.cert"), wide)
+    lines = res.stderr.strip().splitlines()
+    assert (res.returncode, res.stdout) == (2, "") and "Traceback" not in res.stderr
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: recursion limit reached in dpbc std ("), lines
 
 
 def test_wide_sums_are_decided(tmp_path):

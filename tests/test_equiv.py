@@ -1,5 +1,3 @@
-import importlib.util
-import os
 import random
 
 import pytest
@@ -20,7 +18,7 @@ from dpbc.equiv import (
     rooted_check,
 )
 
-from genexpr import random_expr, random_lts, silently_exposes
+from genexpr import benchmark_gen, random_expr, random_lts, silently_exposes
 from oracles import (
     full_relation, functional_Bp, identity_relation, pairs, round_bisimilarity)
 
@@ -207,16 +205,6 @@ def test_partition_is_stable_post_fixpoint():
 # --- the worklist engine against the round-based reference ------------------------
 
 
-def _gen():
-    """perfbench/gen.py, which builds the benchmark's inputs from a seed."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "gen.py")
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _agree(lts, kind):
     got, want = bisimilarity(lts, kind), round_bisimilarity(lts, kind)
     assert got.class_of == want.class_of, kind
@@ -226,7 +214,7 @@ def _agree(lts, kind):
 def test_engine_matches_rounds_on_decide_trees():
     # the joint systems of the decide benchmark: trees of about 40 states
     # a side with back edges, a silent pad, a silent loop or an exit
-    gen = _gen()
+    gen = benchmark_gen()
     for seed in (1, 7, 11):
         for op in gen.decide_ops(seed, 4)[::4]:  # each base and variant once
             joint, _, _ = union_lts(build_lts(parse(op["left"])), build_lts(parse(op["right"])))
@@ -244,7 +232,7 @@ def _random_cyclic_lts(rng, n):
     exposure = tuple(frozenset(rng.sample(["X", "Y"], rng.choice((0, 0, 0, 1, 2))))
                      for _ in range(n))
     return Lts(tuple(range(n)), tuple(sorted(
-        trans, key=lambda t: (t[0], t[1].key(), t[2]))), exposure, 0)
+        trans, key=lambda t: (t[0], t[1].key, t[2]))), exposure, 0)
 
 
 def test_engine_matches_rounds_on_random_cyclic_systems():
@@ -269,7 +257,7 @@ def _ladder(n):
     trans = [(2 * i, TAU, 2 * i + 1) for i in range(n // 2)]
     trans += [(s, a, s + 2) for s in range(n - 2)]
     return Lts(tuple(range(n)), tuple(sorted(
-        trans, key=lambda t: (t[0], t[1].key(), t[2]))), (frozenset(),) * n, 0)
+        trans, key=lambda t: (t[0], t[1].key, t[2]))), (frozenset(),) * n, 0)
 
 
 _A = Action("a")

@@ -18,6 +18,7 @@ from dpbc.syntax import (
     TAU,
     Var,
     compose_sum,
+    expr_key,
     flatten_sum,
     free_vars,
     is_guarded_expr,
@@ -29,13 +30,16 @@ from dpbc.syntax import (
     parse,
     pretty,
     substitute,
+    summand_key,
     ParseError,
 )
-from dpbc.semantics import step
+from dpbc.semantics import build_lts, step
 
 import dpbc
 import genexpr
-from genexpr import all_terms, random_expr, silently_exposes
+from genexpr import all_terms, benchmark_gen, random_expr, silently_exposes
+from oracles import (
+    reference_is_identifier, reference_parse, tuple_expr_key, tuple_summand_key)
 
 
 def test_free_vars():
@@ -243,6 +247,101 @@ def exprs(draw, depth=4):
 @given(exprs())
 def test_parse_print_roundtrip(e):
     assert parse(pretty(e)) == e
+
+
+# --- the parser and the orders against their references ------------------------
+#
+# `oracles.reference_parse` is the recursive-descent parser, and
+# `oracles.tuple_expr_key` the nested-tuple order, that the iterative
+# parser and the lazy comparison replaced.
+
+# pieces of garbled input; `\w` holds characters that are no letter
+# (`²`, `½`, `٣`), and `Ⓐ` is upper case but no letter
+_PIECES = ["a", "b", "tau", "X", "Y'", "_g0", "rec", "0", "00", ".", "+", "(", ")", "*",
+           " ", "\n", "\t", "\r", "#", "é", "²", "½", "٣", "1", "'", "Ⓐ", "\x0c",
+           "x²", "Zé", "a٣"]
+
+
+def _outcome(parse_fn, text):
+    """The term that parse_fn reads from text, or its error message."""
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_parser_matches_the_recursive_reference():
+    gen = benchmark_gen()
+    texts = []
+    for seed in (1, 7, 11):
+        for op in gen.decide_ops(seed, 4) + gen.prove_ops(seed, 4):
+            texts += (op["left"], op["right"])
+    rng = random.Random(25)
+    small = [pretty(random_expr(rng, rng.randint(1, 20))) for _ in range(2000)]
+    texts += small
+    for _ in range(12_000):
+        texts.append("".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 12))))
+    for _ in range(12_000):  # a well-formed text with a few pieces put in or taken out
+        chars = list(rng.choice(small))
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randrange(len(chars) + 1)
+            if rng.random() < 0.5:
+                chars.insert(k, rng.choice(_PIECES))
+            elif k < len(chars):
+                chars[k] = rng.choice(["", *_PIECES])
+        texts.append("".join(chars))
+    errors = 0
+    for text in texts:
+        got, want = _outcome(parse, text), _outcome(reference_parse, text)
+        assert got is want or (type(got) is str and got == want), (text, got, want)
+        errors += type(got) is str
+    assert 12_000 < errors < len(texts) - 2000  # both outcomes are well covered
+
+
+def test_is_identifier_matches_the_reference():
+    rng = random.Random(25)
+    chars = [chr(c) for c in range(0x800)]
+    chars += [chr(rng.randrange(0x800, 0x110000)) for _ in range(20_000)]
+    words = ["", "rec", "recs", "tau", "a'", "_", "X1", " a", "a ", "a#", "a\n", *_PIECES]
+    for c in chars:
+        words += (c, "a" + c, c + "a", "X" + c)
+    for word in words:
+        assert syntax._is_identifier(word) == reference_is_identifier(word), repr(word)
+
+
+def _graft(rng, e, z):
+    """e with the subterm at the end of a random path replaced by z."""
+    if rng.random() < 0.3 or type(e) in (Nil, Var):
+        return z
+    if type(e) is Prefix:
+        return Prefix(e.act, _graft(rng, e.body, z))
+    if type(e) is Rec:
+        return Rec(e.binder, _graft(rng, e.body, z))
+    if rng.random() < 0.5:
+        return Sum(_graft(rng, e.left, z), e.right)
+    return Sum(e.left, _graft(rng, e.right, z))
+
+
+def test_order_matches_the_tuple_reference():
+    rng = random.Random(25)
+    terms = [random_expr(rng, rng.randint(1, 12)) for _ in range(500)]
+    pairs = [(rng.choice(terms), rng.choice(terms)) for _ in range(10_000)]
+    # pairs that differ only at the end of a path, so the walk goes deep
+    for _ in range(10_000):
+        x = rng.choice(terms)
+        pairs.append((x, _graft(rng, x, rng.choice(terms))))
+    for x, y in pairs:
+        for key, reference in ((expr_key, tuple_expr_key), (summand_key, tuple_summand_key)):
+            kx, ky, rx, ry = key(x), key(y), reference(x), reference(y)
+            assert (kx > ky) - (kx < ky) == (rx > ry) - (rx < ry), (pretty(x), pretty(y))
+
+
+def test_step_lists_moves_in_the_tuple_order():
+    texts = {text for op in benchmark_gen().decide_ops(1, 4) for text in (op["left"], op["right"])}
+    for text in texts:
+        for state in build_lts(parse(text)).states:
+            moves = step(state)
+            assert moves == tuple(sorted(moves, key=lambda m: (m[0].key, tuple_expr_key(m[1]))))
 
 
 # --- hash-consing ---------------------------------------------------------------
