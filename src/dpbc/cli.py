@@ -145,6 +145,17 @@ def _minimize(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    """A state budget: an integer of at least 1, since the root is a state."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return n
+
+
 def _parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=prog, description="Equivalence prover for finite-state process expressions.")
@@ -159,7 +170,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
         return sub
 
     def budget(sub):
-        sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        sub.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET,
                          help="state budget for transition systems (default: %(default)s)")
 
     sub = command(_check, "file1", "file2")

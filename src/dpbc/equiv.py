@@ -19,7 +19,7 @@ from typing import Optional
 
 from .semantics import (
     DEFAULT_BUDGET, Lts, build_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
-from .syntax import TAU_NAME, Expr, Value, _set
+from .syntax import TAU_NAME, Expr, Prefix, Value, _set, pretty
 
 KINDS = ("strong", "branching", "dpbb")
 
@@ -294,7 +294,8 @@ class RootedCheck(Value):
             return f"exposure sets differ on {sorted(self.witness)}"
         mine, other = ("left", "right") if self.clause == "forth" else ("right", "left")
         a, tgt = self.witness
-        return f"{mine} move {a}.{self.lts.states[tgt][1]} has no matching {other} move"
+        move = pretty(Prefix(a, self.lts.states[tgt][1]))
+        return f"{mine} move {move} has no matching {other} move"
 
 
 def _joint(e: Expr, f: Expr, kind: str, budget: int):

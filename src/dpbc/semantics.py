@@ -37,7 +37,14 @@ def _moves(e: Expr):
     if isinstance(e, Prefix):
         return ((e.act, e.body),)
     if isinstance(e, Sum):
-        return set().union(*map(_moves, _summands(e, _moves)))
+        # a prefix summand's one move is added here, leaving no memo on it
+        out = set()
+        for s in _summands(e, _moves):
+            if type(s) is Prefix:
+                out.add((s.act, s.body))
+            else:
+                out.update(_moves(s))
+        return out
     if isinstance(e, Rec):
         return {(act, substitute(deriv, {e.binder: e})) for act, deriv in _moves(e.body)}
     return ()
@@ -177,7 +184,8 @@ def build_lts(e: Expr, budget: int = DEFAULT_BUDGET) -> Lts:
                 dst = index[nxt] = len(states)
                 states.append(nxt)
             transitions.append((src, act, dst))
-    exposure = tuple(exposes(s) for s in states)
+    # only a free variable can be exposed, so a closed state exposes none
+    exposure = tuple([exposes(s) if s._free else frozenset() for s in states])
     return Lts(tuple(states), tuple(sorted(
         transitions, key=lambda t: (t[0], t[1].key, t[2]))), exposure, 0)
 

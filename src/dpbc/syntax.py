@@ -309,30 +309,29 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
     rel = {}
     for x in free_vars(e):
         f = bindings.get(x)
-        if f is not None and f is not Var(x):
+        if f is not None and (type(f) is not Var or f.name != x):
             rel[x] = f
     if not rel:
         return e
     return _subst(e, rel)
 
 
-def _restrict(sub: dict, e: Expr) -> dict:
-    return {x: sub[x] for x in free_vars(e) if x in sub}
-
-
 def _subst(e: Expr, sub: dict) -> Expr:
-    """`substitute` for a non-empty `sub` over free variables of e only."""
+    """`substitute` for a `sub` that binds some free variable of e; its
+    other bindings are passed down until a recursion drops them."""
     if type(e) is Var:
         return sub[e.name]
     if type(e) is Prefix:
         return Prefix(e.act, _subst(e.body, sub))
     if type(e) is Sum:
-        left = _restrict(sub, e.left)
-        right = _restrict(sub, e.right)
-        return Sum(_subst(e.left, left) if left else e.left,
-                   _subst(e.right, right) if right else e.right)
-    # recursion: the binder is not free in e, so not in sub; rename it
-    # first if some value would capture it
+        left, right = e.left, e.right
+        keys = sub.keys()
+        return Sum(left if keys.isdisjoint(left._free) else _subst(left, sub),
+                   right if keys.isdisjoint(right._free) else _subst(right, sub))
+    # recursion: keep only the bindings of its free variables, so that the
+    # binder, which is not free in e, is not bound, and rename it first if
+    # one of the values kept would capture it
+    sub = {x: sub[x] for x in free_vars(e) if x in sub}
     if any(e.binder in free_vars(f) for f in sub.values()):
         avoid = set(all_vars(e.body)) | set(sub)
         for f in sub.values():

@@ -48,9 +48,11 @@ def test_check_divergence_pair(tmp_path):
     ("a.b.0 + c.0", "a.tau.c.0 + c.0", "forth (0,3)",
      "left move a.b.0 has no matching right move"),
     ("a.0", "a.0 + tau.(b.0 + X)", "back (0,2)",
-     "right move tau.b.0 + X has no matching left move"),
+     "right move tau.(b.0 + X) has no matching left move"),
+    ("a.(b.0 + c.0)", "a.b.0", "forth (0,3)",
+     "left move a.(b.0 + c.0) has no matching right move"),
     ("a.0 + X", "a.0 + Y", "exposure (0,2)", "exposure sets differ on ['X', 'Y']"),
-], ids=["forth", "back", "exposure"])
+], ids=["forth", "back", "sum-target", "exposure"])
 def test_rooted_failure_lines(tmp_path, left, right, head, detail):
     # `check --rel rooted` and `prove` word the failing root clause alike
     p, q = _write(tmp_path, "p.proc", left), _write(tmp_path, "q.proc", right)
@@ -326,9 +328,11 @@ def test_error_line_names_the_command_or_the_unexpected_type(tmp_path, monkeypat
 
 @pytest.mark.parametrize("args", [
     [], ["nope"], ["check", "--rel", "nope", "ok.proc", "ok.proc"],
-    ["check", "--budget", "x", "ok.proc", "ok.proc"], ["check", "ok.proc"], ["verify"],
-], ids=["no-command", "unknown-command", "bad-rel", "bad-budget", "missing-file2",
-        "missing-file"])
+    ["check", "--budget", "x", "ok.proc", "ok.proc"],
+    ["check", "--budget", "0", "ok.proc", "ok.proc"],
+    ["lts", "--budget", "-5", "ok.proc"], ["check", "ok.proc"], ["verify"],
+], ids=["no-command", "unknown-command", "bad-rel", "bad-budget", "zero-budget",
+        "negative-budget", "missing-file2", "missing-file"])
 def test_argument_errors_exit_2(tmp_path, args):
     _write(tmp_path, "ok.proc", "a.0")
     res = _run([str(tmp_path / a) if "." in a else a for a in args])
@@ -631,7 +635,8 @@ def test_pins_verify_with_only_the_kernel():
         "    else:",
         "        raise AssertionError(path)",
     ])
-    pins = sorted(os.path.join(_PINNED, name) for name in os.listdir(_PINNED))
+    pins = sorted(os.path.join(_PINNED, name) for name in os.listdir(_PINNED)
+                  if name.endswith(".cert"))
     res = _python("-c", code, *pins)
     assert res.returncode == 0, res.stderr[-500:]
     assert res.stdout.count("verified: ") == len(pins) > 0

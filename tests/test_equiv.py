@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from dpbc import equiv
 from dpbc.syntax import Action, Prefix, Sum, TAU, parse
-from dpbc.semantics import Lts, build_lts, union_lts, _can_reach_tau_cycle
+from dpbc.semantics import Lts, build_lts, format_aut, union_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
     PairRelation,
     Partition,
@@ -220,6 +221,29 @@ def test_engine_matches_rounds_on_decide_trees():
             joint, _, _ = union_lts(build_lts(parse(op["left"])), build_lts(parse(op["right"])))
             for kind in ("strong", "branching", "dpbb"):
                 _agree(joint, kind)
+
+
+# SHA-256 of what the decide benchmark builds and checks for seeds 1 and 7
+# (below), taken before `_subst` dropped its per-sum binding dicts and
+# `build_lts` its exposure walk of closed states
+_DECIDE_DIGEST = "08d3690dea75b28636ba9c6ca78421b092b9ef0e7f9bb923fbe30ec27dfe5c8c"
+
+
+def test_decide_outputs_are_pinned():
+    # both sides' systems in Aldebaran text, and the rooted check's clause,
+    # witness and roots; none depends on how strings hash
+    gen = benchmark_gen()
+    digest = hashlib.sha256()
+    for seed in (1, 7):
+        for op in gen.decide_ops(seed, 4):
+            e, f = parse(op["left"]), parse(op["right"])
+            digest.update(format_aut(build_lts(e)).encode())
+            digest.update(format_aut(build_lts(f)).encode())
+            rc = rooted_check(e, f)
+            w = rc.witness
+            w = sorted(w) if rc.clause == "exposure" else w and (w[0].name, w[1])
+            digest.update(repr((rc.clause, w, rc.root_left, rc.root_right)).encode())
+    assert digest.hexdigest() == _DECIDE_DIGEST
 
 
 def _random_cyclic_lts(rng, n):

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import os
 import random
 import re
@@ -56,7 +57,7 @@ from dpbc.ses import _route, prove_congruent
 from dpbc.standardize import _d1, _d2, _d3, _d4, _d5, _d6
 
 import dpbc
-from genexpr import derive, random_expr
+from genexpr import benchmark_gen, derive, random_expr
 
 
 def test_instantiate_branching_axiom():
@@ -668,6 +669,40 @@ def test_certificate_texts_are_pinned():
         assert check(parse_derivation(want)) is None
 
 
+def test_benchmark_certificates_check_and_do_not_grow():
+    # the certificates of the prove benchmark, seeds 1/7/11, written under
+    # PYTHONHASHSEED=0: each passes the checker after a text round trip,
+    # proves the op's pair, and has at most the steps pinned in
+    # pinned/prove_steps.json (null: the pair is not congruent)
+    code = ("import json; from genexpr import benchmark_gen; "
+            "from dpbc import parse, prove_congruent; from dpbc.equiv import RootedCheck; "
+            "from dpbc.proof import format_derivation; "
+            "results = [prove_congruent(parse(op['left']), parse(op['right'])) "
+            "for seed in (1, 7, 11) for op in benchmark_gen().prove_ops(seed, 4)]; "
+            "print(json.dumps([None if isinstance(r, RootedCheck) else format_derivation(r) "
+            "for r in results]))")
+    here = os.path.dirname(__file__)
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, encoding="utf-8")
+    assert res.returncode == 0, res.stderr
+    texts = json.loads(res.stdout)
+    with open(os.path.join(here, "pinned", "prove_steps.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    ops = [op for seed in (1, 7, 11) for op in benchmark_gen().prove_ops(seed, 4)]
+    limits = pinned["1"] + pinned["7"] + pinned["11"]
+    assert len(texts) == len(ops) == len(limits)
+    for op, text, limit in zip(ops, texts, limits):
+        assert (text is None) == (limit is None) == (not op["expect"]), op
+        if text is not None:
+            derivation = parse_derivation(text)
+            assert check(derivation) is None, op
+            assert derivation.conclusion == (parse(op["left"]), parse(op["right"]))
+            assert len(derivation.steps) <= limit, op
+
+
 def test_checker_runs_no_transition_function(monkeypatch):
     # the side conditions of R2, R4 and R5 are syntactic: with every
     # function of the operational semantics disabled, each pin and a
@@ -689,7 +724,7 @@ def test_checker_runs_no_transition_function(monkeypatch):
                 monkeypatch.setattr(module, name, disabled)
     assert proof.exposes is disabled and proof._tau_reachable is disabled
     pinned = os.path.join(os.path.dirname(__file__), "pinned")
-    for name in sorted(os.listdir(pinned)):
+    for name in sorted(n for n in os.listdir(pinned) if n.endswith(".cert")):
         with open(os.path.join(pinned, name), encoding="utf-8") as fh:
             assert check(parse_derivation(fh.read())) is None, name
     assert check(parse_derivation(format_derivation(route))) is None

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpbc.syntax import Action, NIL, Prefix, Sum, TAU, Var, parse, substitute
+from dpbc.syntax import Action, NIL, Prefix, Sum, TAU, Var, free_vars, parse, substitute
 from dpbc.semantics import (
     BudgetExceeded,
     build_lts,
@@ -140,6 +141,25 @@ def test_build_lts_deterministic():
         l2 = build_lts(e)
         assert l1.states == l2.states
         assert l1.transitions == l2.transitions
+
+
+# random terms of genexpr.random_expr, most of them open, by seed and size
+open_terms = st.builds(lambda seed, size: random_expr(random.Random(seed), size),
+                       st.integers(0, 2**32 - 1), st.integers(1, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(open_terms)
+def test_only_free_variables_are_exposed(e):
+    # so a closed state exposes nothing, which `build_lts` takes as given
+    assert exposes(e) <= free_vars(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(open_terms)
+def test_build_lts_exposure_is_each_states_exposure(e):
+    lts = build_lts(e)
+    assert lts.exposure == tuple(exposes(s) for s in lts.states)
 
 
 def test_union_lts():

@@ -484,6 +484,8 @@ _CAPTURE = parse("rec Y.(a.X + rec _g0. b.(X + _g0))")
 @example(parse("rec Y. a.X"), {"X": parse("b.Y")}, False)
 @example(_CAPTURE, {"X": parse("Y + _g0")}, True)
 @example(_CAPTURE, {"X": parse("_g1"), "Y": parse("a.Y")}, False)
+# a binding of a variable free only outside a recursion renames no binder
+@example(parse("a.X + rec Y. b.Z"), {"X": parse("a.Y"), "Z": parse("c.0")}, False)
 def test_substitute_matches_naive_reference(e, bindings, warm):
     if warm:
         # results memoised on shared subterms by other substitutions first
