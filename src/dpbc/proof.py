@@ -31,8 +31,6 @@ from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
 # re-exported for callers of the prover
 from .kernel import (  # noqa: F401
     POSITIONS,
-    SCHEMA_PARAMS,
-    AxiomStep,
     CertificateError,
     Cong,
     Derivation,
@@ -86,12 +84,12 @@ class Builder:
     and a symmetry of a symmetry, or a transitivity with a reflexivity,
     comes back as the step that already proves its equation.
 
-    Derived results (canonical sums, substitution lifts, T1 and axiom
-    steps) are memoised per Builder.  This is exact: each producer is a
-    pure function of its arguments and of the steps it reads, and steps
-    never change once emitted, so a repeated call would get back the
-    steps it got the first time, and the step list is the same with or
-    without the memo.
+    Derived results (canonical sums, equations lifted into a context,
+    head normal forms, T1 and axiom steps) are memoised per Builder.
+    This is exact: each producer is a pure function of its arguments
+    and of the steps it reads, and steps never change once emitted, so
+    a repeated call would get back the steps it got the first time, and
+    the step list is the same with or without the memo.
     """
 
     def __init__(self):
@@ -542,110 +540,6 @@ def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
                     lambda body, *_: prove_subst_cong(b, body, hole, inner))
 
 
-# --- substitution through derivations --------------------------------------------
-
-
-def _sigma_key(sigma: dict):
-    return tuple(sorted(sigma.items(), key=lambda kv: kv[0]))
-
-
-def subst_step(b: Builder, i: int, sigma: dict) -> int:
-    """Transform a proven equation under a simultaneous substitution:
-    returns a step proving lhs{sigma} = rhs{sigma}."""
-    st = b.steps[i]
-    relevant = set(sigma) & (free_vars(st.lhs) | free_vars(st.rhs))
-    sigma = {k: v for k, v in sigma.items() if k in relevant and v != Var(k)}
-    if not sigma:
-        return i
-    return _subst_step(b, i, _sigma_key(sigma))
-
-
-@_derived
-def _subst_step(b: Builder, i: int, sigma_key: tuple) -> int:
-    st = b.steps[i]
-    sigma = dict(sigma_key)
-    res = _subst_step_raw(b, i, sigma)
-    tl, tr = substitute(st.lhs, sigma), substitute(st.rhs, sigma)
-    got = b.endpoints(res)
-    if got != (tl, tr):
-        raise ProofError(
-            f"substitution transform drifted: {pretty(got[0])} = {pretty(got[1])}"
-            f" wanted {pretty(tl)} = {pretty(tr)}")
-    return res
-
-
-def _subst_step_raw(b: Builder, i: int, sigma: dict) -> int:
-    st = b.steps[i]
-    j = st.just
-    tl = substitute(st.lhs, sigma)
-    tr = substitute(st.rhs, sigma)
-    if isinstance(j, Refl):
-        return b.refl(tl)
-    if isinstance(j, Symm):
-        return b.symm(subst_step(b, j.of, sigma))
-    if isinstance(j, Trans):
-        return b.trans(
-            subst_step(b, j.first, sigma),
-            subst_step(b, j.second, sigma),
-        )
-    if isinstance(j, Cong):
-        if not isinstance(j.context, str):
-            ctx = substitute(j.context, sigma) if isinstance(j.context, Expr) else j.context
-            return b.cong(j.pos, subst_step(b, j.inner, sigma), ctx)
-        # a binder: it may need renaming away from the substitution
-        y = z = j.context
-        inner_st = b.steps[j.inner]
-        sigma2 = {k: v for k, v in sigma.items() if k != y}
-        if any(y in free_vars(v) for v in sigma2.values()):
-            avoid = (
-                all_vars(inner_st.lhs) | all_vars(inner_st.rhs) | set(sigma2) | {y})
-            for v in sigma2.values():
-                avoid |= free_vars(v)
-            z = fresh_name(avoid)
-            sigma2[y] = Var(z)
-        out = b.cong(j.pos, subst_step(b, j.inner, sigma2), z)
-        return _align_both(b, out, tl, tr)
-    if isinstance(j, AxiomStep):
-        return _subst_axiom(b, st, sigma)
-    raise ProofError(f"unknown justification {j!r}")
-
-
-def _subst_axiom(b: Builder, st: ProofStep, sigma: dict) -> int:
-    j = st.just
-    meta = dict(j.meta)
-    extra = dict(j.extra)
-    tl = substitute(st.lhs, sigma)
-    tr = substitute(st.rhs, sigma)
-    metas, extras = SCHEMA_PARAMS[j.axiom]
-    binders = [x for x in extras if x != "a"]
-    if not binders:
-        meta2 = {m: substitute(v, sigma) for m, v in meta.items()}
-        return b.axiom(j.axiom, meta2, extra)
-    # rename schema binders to names untouched by the substitution
-    avoid = set(sigma) | {extra[x] for x in binders}
-    for v in sigma.values():
-        avoid |= free_vars(v)
-    for v in meta.values():
-        avoid |= all_vars(v)
-    ren = {}
-    extra2 = dict(extra)
-    for x in binders:
-        z = fresh_name(avoid)
-        avoid.add(z)
-        ren[extra[x]] = Var(z)
-        extra2[x] = z
-    composed = {k: v for k, v in sigma.items() if k not in ren}
-    composed.update(ren)
-    meta2 = {m: substitute(v, composed) for m, v in meta.items()}
-    premise2 = None
-    if j.axiom == "R2":
-        # align the premise with the renamed instance if needed
-        premise2 = align(b, subst_step(b, j.premise, sigma),
-                         substitute(meta2["E"], {extra2["X"]: tl}))
-        meta2["F"] = tl
-    return _align_both(b, b.axiom(j.axiom, meta2, extra2, premise2), tl, tr)
-
-
 # --- derived rules ----------------------------------------------------------------
 
 
@@ -663,18 +557,37 @@ def _t1(b: Builder, a: Action, e: Expr) -> int:
     return b.trans(i5, i6)
 
 
+def _unfold(b: Builder, p: Expr, t: Expr) -> int:
+    """t = a sum of its unguarded summands, walking down p, a term as
+    written, and t, its instance under the unfoldings above, together: a
+    sum goes by both halves, a recursion of p is unfolded in t by R1 and
+    the walk goes on with p's body, anything else is a summand."""
+    if isinstance(p, Sum):
+        return b.sum_cong(_unfold(b, p.left, t.left), _unfold(b, p.right, t.right))
+    if isinstance(p, Rec):
+        r1 = b.axiom("R1", {"E": t.body}, {"X": t.binder})
+        return b.trans(r1, _unfold(b, p.body, b.rhs_after(r1)))
+    return b.refl(t)
+
+
+def _hnf_term(e: Expr) -> Expr:
+    """e's moves a.e', exposed variables and 0s, summed as e's sums are,
+    with the derivatives as `semantics.step` substitutes them."""
+    if isinstance(e, Sum):
+        return Sum(_hnf_term(e.left), _hnf_term(e.right))
+    if isinstance(e, Rec):
+        return substitute(_hnf_term(e.body), {e.binder: e})
+    return e
+
+
 @_derived
 def _hnf(b: Builder, e: Expr) -> int:
     """e = a sum of its moves a.e', its exposed variables and 0s, along
-    the rules of `semantics.step` and `exposes`: a sum by both sides, a
-    recursion by unfolding it (R1) and lifting its body's sum, any other
-    term as it is.  The moves come out as `step`'s own terms."""
-    if isinstance(e, Sum):
-        return b.sum_cong(_hnf(b, e.left), _hnf(b, e.right))
-    if isinstance(e, Rec):
-        unfold = b.axiom("R1", {"E": e.body}, {"X": e.binder})
-        return b.trans(unfold, subst_step(b, _hnf(b, e.body), {e.binder: e}))
-    return b.refl(e)
+    the rules of `semantics.step` and `exposes`: R1 on each recursion
+    met unguarded, then the unfolded body, aligned to `step`'s terms
+    (the body's head normal form substituted inner first), which differ
+    only where a substitution renamed a binder to avoid capture."""
+    return align(b, _unfold(b, e, e), _hnf_term(e))
 
 
 def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:

@@ -397,29 +397,40 @@ def _guard_binder(b: Builder, total: int, y: str, sf: Expr) -> int:
 
 def _standardize(b: Builder, e: Expr):
     """(standard-sum expression, idx proving e = it)."""
+    # a stack of `_standardize_node` generators stands in for recursion,
+    # so a sum of any width, nested either way, costs no stack, and the
+    # steps come in the order a recursion would emit them
+    stack, result = [_standardize_node(b, e)], None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(_standardize_node(b, sub))
+            result = None
+    return result
+
+
+def _standardize_node(b: Builder, e: Expr):
+    """`_standardize` of e, as a generator that yields each subterm it
+    needs standardized and is sent back the result."""
     if isinstance(e, (Nil, Var)):
         return e, b.refl(e)
     if isinstance(e, Prefix):
         if is_guarded_expr(e.body):
             return e, b.refl(e)
-        sb, d = _standardize(b, e.body)
+        sb, d = yield e.body
         return Prefix(e.act, sb), b.cong("prefix", d, e.act)
     if isinstance(e, Sum):
-        # down the left spine by a loop, so a wide sum costs no stack;
-        # the steps come in the order a recursion would emit them
-        rights = []
-        while isinstance(e, Sum):
-            rights.append(e.right)
-            e = e.left
-        out, d = _standardize(b, e)
-        for right in reversed(rights):
-            sr, dr = _standardize(b, right)
-            out, d3 = prove_canon(b, Sum(out, sr))
-            d = b.trans(b.sum_cong(d, dr), d3)
-        return out, d
+        sl, dl = yield e.left
+        sr, dr = yield e.right
+        out, d3 = prove_canon(b, Sum(sl, sr))
+        return out, b.trans(b.sum_cong(dl, dr), d3)
     # recursion: standardize the body, guard the binder if it is not,
     # then unfold once into the head normal form
-    sf, df = _standardize(b, e.body)
+    sf, df = yield e.body
     total = b.cong("recbody", df, e.binder)
     if not is_guarded_expr(Rec(e.binder, sf)):
         total = _guard_binder(b, total, e.binder, sf)

@@ -21,9 +21,9 @@ from dpbc.syntax import (
     pretty,
     substitute,
 )
+from dpbc.kernel import SCHEMA_PARAMS, AxiomStep
 from dpbc.proof import (
-    SCHEMA_PARAMS, AxiomStep, Builder, ProofError, check, format_derivation,
-    parse_derivation)
+    Builder, ProofError, check, format_derivation, parse_derivation)
 from dpbc.standardize import NotGuarded
 from dpbc.ses import (
     SesSystem,

@@ -21,9 +21,9 @@ from dpbc.syntax import (
     parse,
     pretty,
 )
+from dpbc.kernel import AxiomStep
 from dpbc.proof import (
-    AxiomStep, Builder, SideCondition, check, format_derivation, parse_derivation,
-    prove_canon)
+    Builder, SideCondition, check, format_derivation, parse_derivation, prove_canon)
 from dpbc.standardize import (
     _d1,
     _d2,
@@ -214,7 +214,7 @@ def test_standardize_idempotent_on_standard_sums():
 
 def _by_halves(b, e):
     """Standardize a sum by recursing into both halves: the order of
-    steps that the walk down the left spine keeps."""
+    steps that the stack of `_standardize` keeps."""
     if not isinstance(e, Sum):
         return _standardize(b, e)
     sl, dl = _by_halves(b, e.left)
@@ -223,22 +223,31 @@ def _by_halves(b, e):
     return out, b.trans(b.sum_cong(dl, dr), d3)
 
 
+def _right_nested(summands):
+    e = summands[-1]
+    for s in reversed(summands[:-1]):
+        e = Sum(s, e)
+    return e
+
+
 def test_standardize_walks_a_wide_sum_with_a_loop():
-    # random sums of random summands get the steps, in the order, that
-    # the recursion over both halves emits
+    # random sums of random summands, nested to the left or to the right,
+    # get the steps, in the order, that the recursion over both halves emits
     rng = random.Random(46)
     for _ in range(40):
-        e = compose_sum(random_expr(rng, rng.randint(1, 6)) for _ in range(rng.randint(2, 8)))
-        b1, b2 = Builder(), Builder()
-        (out1, i1), (out2, i2) = _standardize(b1, e), _by_halves(b2, e)
-        assert out1 == out2 and b1.finalize(i1) == b2.finalize(i2), pretty(e)
-    # 3000 summands at the interpreter's default recursion limit
-    wide = compose_sum(parse(f"{'abc'[i % 3]}.0") for i in range(3000))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        out, d = standardize(wide)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert out == parse("a.0 + b.0 + c.0") and d.conclusion == (wide, out)
-    assert check(d) is None
+        summands = [random_expr(rng, rng.randint(1, 6)) for _ in range(rng.randint(2, 8))]
+        for e in (compose_sum(summands), _right_nested(summands)):
+            b1, b2 = Builder(), Builder()
+            (out1, i1), (out2, i2) = _standardize(b1, e), _by_halves(b2, e)
+            assert out1 == out2 and b1.finalize(i1) == b2.finalize(i2), pretty(e)
+    # 3000 summands, either way, at the interpreter's default recursion limit
+    summands = [parse(f"{'abc'[i % 3]}.0") for i in range(3000)]
+    for wide in (compose_sum(summands), _right_nested(summands)):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            out, d = standardize(wide)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out == parse("a.0 + b.0 + c.0") and d.conclusion == (wide, out)
+        assert check(d) is None
