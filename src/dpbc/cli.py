@@ -1,8 +1,12 @@
 """Command-line front end, on the standard library's `argparse`.
 
-Each command loads only the layers it runs: `check`, `lts` and
-`minimize` the decision side (`semantics`, `equiv`), `verify` the
-kernel alone, `prove` and `std` the prover as well.  A command returns
+Each command loads only the layers it runs, and only once its inputs
+have been read and parsed, so an input that does not parse loads
+`syntax` alone.  `check`, `lts` and `minimize` load the decision side
+(`semantics`, `equiv`), `verify` the kernel alone and `std` the
+prover.  `prove` decides rooted congruence first and loads the prover
+(`kernel`, `proof`, `standardize`, `ses`) only when the check passes:
+a pair that is not congruent has no proof to build.  A command returns
 its exit code: 0 and 1 are verdicts, such as "congruent" and "not
 congruent", and 2 says that nothing was decided.
 """
@@ -10,6 +14,7 @@ congruent", and 2 says that nothing was decided.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 
 from .syntax import DEFAULT_BUDGET, ParseError, TAU, parse, pretty
@@ -19,23 +24,32 @@ RELATIONS = ("strong", "branching", "dpbb", "rooted")
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # a byte-order mark, as some editors write one, is not text
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
+        start = exc.start
+        with open(path, "rb") as fh:
+            if fh.read(3) == codecs.BOM_UTF8:
+                start += 3  # the decoder counts from after the mark
         raise ParseError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            f"{path}: not UTF-8 text ({exc.reason} at byte {start})") from None
 
 
 def _read_expr(path: str):
-    return parse(_read_text(path))
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _check(args) -> int:
     """Decide whether two expressions are related (exit 0) or not (exit 1)."""
-    from .equiv import equivalent, rooted_check
-
     e = _read_expr(args.file1)
     f = _read_expr(args.file2)
+    from .equiv import equivalent, rooted_check
+
     if args.rel == "rooted":
         rc = rooted_check(e, f, args.budget)
         if rc.equal:
@@ -52,17 +66,20 @@ def _check(args) -> int:
 
 def _prove(args) -> int:
     """Prove two expressions congruent; emit a checkable certificate."""
-    from .equiv import RootedCheck
+    e = _read_expr(args.file1)
+    f = _read_expr(args.file2)
+    from .equiv import rooted_check
+
+    rc = rooted_check(e, f, args.budget)
+    if not rc.equal:
+        print(f"INEQ {rc.clause} ({rc.root_left},{rc.root_right})", file=sys.stderr)
+        print(rc.detail, file=sys.stderr)
+        return 1
+    # looked up here, so that a rebound `ses.prove_congruent` is the one run
     from .kernel import format_derivation
     from .ses import prove_congruent
 
-    result = prove_congruent(_read_expr(args.file1), _read_expr(args.file2), args.budget)
-    if isinstance(result, RootedCheck):
-        print(f"INEQ {result.clause} ({result.root_left},{result.root_right})",
-              file=sys.stderr)
-        print(result.detail, file=sys.stderr)
-        return 1
-    text = format_derivation(result)
+    text = format_derivation(prove_congruent(e, f, args.budget, rc))
     if args.cert:
         with open(args.cert, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -87,10 +104,11 @@ def _verify(args) -> int:
 
 def _std(args) -> int:
     """Rewrite an expression into a standard sum, with a certificate."""
+    e = _read_expr(args.file)
     from .kernel import format_derivation
     from .standardize import standardize
 
-    out, derivation = standardize(_read_expr(args.file))
+    out, derivation = standardize(e)
     # the sum is printed only once its certificate is written
     with open(args.cert or f"{args.file}.cert", "w", encoding="utf-8") as fh:
         fh.write(format_derivation(derivation))
@@ -111,9 +129,10 @@ def _format_text(lts) -> str:
 
 def _lts(args) -> int:
     """Print the reachable transition system of an expression."""
+    e = _read_expr(args.file)
     from .semantics import build_lts, format_aut
 
-    lts = build_lts(_read_expr(args.file), args.budget)
+    lts = build_lts(e, args.budget)
     sys.stdout.write(format_aut(lts) if args.format == "aut" else _format_text(lts))
     return 0
 
@@ -125,10 +144,11 @@ def _minimize(args) -> int:
     an internal divergence; silent moves inside one class are dropped;
     each class exposes the variables its members expose.
     """
+    e = _read_expr(args.file)
     from .equiv import bisimilarity
     from .semantics import Lts, build_lts, format_aut
 
-    lts = build_lts(_read_expr(args.file), args.budget)
+    lts = build_lts(e, args.budget)
     part = bisimilarity(lts, "dpbb")
     moves = {(c, TAU, c) for c in part.diverging}
     for src, act, dst in lts.transitions:

@@ -37,7 +37,7 @@ from .syntax import (
 )
 from .semantics import DEFAULT_BUDGET, Lts, exposes
 from .semantics import step as sos_step
-from .equiv import Partition, bisimilarity, equivalent, rooted_check
+from .equiv import Partition, RootedCheck, bisimilarity, equivalent, rooted_check
 from .kernel import ProofError
 from .proof import (
     Builder,
@@ -659,16 +659,20 @@ def _walk(b: Builder, e: Expr, f: Expr, budget: int, known: bool) -> int:
     return _route(b, e, f, budget)
 
 
-def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET):
+def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET,
+                    rc: Optional[RootedCheck] = None):
     """A checkable derivation of e = f when they are rooted-equivalent,
-    otherwise the failing rooted check.
+    otherwise the failing rooted check.  `rc`, when given, is
+    `rooted_check(e, f, budget)` made by the caller, and is not made
+    again.
 
     Rooted equivalence is a congruence, so the proof goes down both
     sides to where they differ (`_walk`) and lifts what it proves there
     through one congruence step per level.  When a pair down there is
     not rooted-equivalent, the walk is dropped, and the pair is proved
     at its root (`_route`)."""
-    rc = rooted_check(e, f, budget)
+    if rc is None:
+        rc = rooted_check(e, f, budget)
     if not rc.equal:
         return rc
     b = Builder()

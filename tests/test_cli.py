@@ -1,3 +1,4 @@
+import codecs
 import io
 import os
 import re
@@ -13,7 +14,7 @@ import dpbc
 from dpbc.cli import main
 from dpbc.semantics import BudgetExceeded
 from dpbc.syntax import parse, pretty
-from dpbc.proof import MoveNotPresent, ProofError, parse_derivation, check
+from dpbc.proof import MoveNotPresent, ProofError, check, format_derivation, parse_derivation
 
 
 def _write(tmp_path, name, text):
@@ -75,6 +76,65 @@ def test_prove_refuses_the_divergence_pair(tmp_path):
     res = _run(["prove", p, q])
     assert res.exit_code == 1, res.stderr
     assert res.stderr.startswith("INEQ ")
+
+
+# the pairs that CI proves and verifies next to the README example
+_CI_PAIRS = [
+    ("a.tau.b.0", "a.b.0"),
+    ("tau* c._g0", "tau* c._g0 + 0"),
+    ("rec W. rec X. c.((rec W. b.X) + W)", "rec W. rec X. c.((rec W. b.X) + W) + 0"),
+    ("(rec X0. (rec X1. 0 + (a.(c.(0 + 0) + tau.X1) + a.a.(a.(c.tau.X0 + tau* b.X1)"
+     " + ((X1 + 0) + (b.X1 + 0))))) + tau.a.((X0 + tau* 0) + b.a.(X0 + X0)))",
+     "(rec X0. (rec X1. 0 + (a.(c.(0 + 0) + tau.X1) + a.a.(a.(c.tau.X0 + tau* b.X1)"
+     " + ((X1 + 0) + (b.X1 + 0))))) + tau.a.((X0 + tau* 0) + b.a.tau.(X0 + X0)))"),
+    ("tau* tau* (((tau.0 + (0 + c.0)) + b.(0 + (0 + 0))) + 0)",
+     "tau* (((tau.0 + (0 + c.0)) + b.(0 + (0 + 0))) + 0)"),
+    ("rec X. a.X", "rec Y. a.a.Y"),
+    ("rec X. tau.(X + a.0)", "tau.tau* a.0"),
+]
+
+
+def test_prove_hands_its_check_to_the_prover(tmp_path, monkeypatch):
+    # `prove` decides rooted congruence itself and hands the passing check
+    # on: the certificate is the library's, and the pair is checked once
+    import dpbc.equiv
+    import dpbc.ses
+    from dpbc.ses import prove_congruent
+    pairs = list(_CI_PAIRS)
+    for name in sorted(os.listdir(_PINNED)):
+        if name.endswith(".cert"):
+            with open(os.path.join(_PINNED, name), encoding="utf-8") as fh:
+                pairs.append(tuple(map(pretty, parse_derivation(fh.read()).conclusion)))
+    at_root = []
+    for module in (dpbc.equiv, dpbc.ses):
+        def counted(e, f, *args, _check=module.rooted_check):
+            at_root.append((e, f) == root)
+            return _check(e, f, *args)
+        monkeypatch.setattr(module, "rooted_check", counted)
+    for left, right in pairs:
+        root = parse(left), parse(right)
+        p, q = _write(tmp_path, "p.proc", left), _write(tmp_path, "q.proc", right)
+        at_root.clear()
+        res = _run(["prove", p, q])
+        assert (res.exit_code, res.stderr) == (0, ""), (left, right, res.stderr)
+        assert at_root.count(True) == 1, (left, right)
+        assert res.stdout == format_derivation(prove_congruent(*root)), (left, right)
+
+
+def test_prover_handed_a_failing_check_builds_nothing(monkeypatch):
+    import dpbc.ses
+    from dpbc.equiv import rooted_check
+    from dpbc.ses import prove_congruent
+    e, f = parse("a.rec X.(tau.X + b.0)"), parse("a.tau.b.0")
+    rc = rooted_check(e, f)
+    assert not rc.equal
+
+    def fail(*args):
+        raise AssertionError("built or checked again")
+
+    for name in ("rooted_check", "Builder", "_walk", "_route"):
+        monkeypatch.setattr(dpbc.ses, name, fail)
+    assert prove_congruent(e, f, 100, rc) is rc
 
 
 def test_check_strong(tmp_path):
@@ -274,12 +334,43 @@ def test_minimize(tmp_path):
     ]
 
 
-def test_parse_error_exit_code(tmp_path):
-    p = _write(tmp_path, "bad.proc", "a. + b")
-    q = _write(tmp_path, "ok.proc", "0")
-    res = _run(["check", p, q])
-    assert res.exit_code == 2
-    assert res.stderr.startswith("error:")
+@pytest.mark.parametrize("command, files", [
+    ("check", ["bad.proc", "ok.proc"]), ("check", ["ok.proc", "bad.proc"]),
+    ("prove", ["bad.proc", "ok.proc"]), ("prove", ["ok.proc", "bad.proc"]),
+    ("std", ["bad.proc"]), ("lts", ["bad.proc"]), ("minimize", ["bad.proc"]),
+], ids=["check-left", "check-right", "prove-left", "prove-right", "std", "lts", "minimize"])
+def test_parse_error_names_its_file(tmp_path, command, files):
+    # of two inputs, the line says which one does not parse
+    bad = _write(tmp_path, "bad.proc", "a. + b")
+    _write(tmp_path, "ok.proc", "0")
+    res = _run([command, *(str(tmp_path / name) for name in files)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {bad}: unexpected token '+' at offset 3\n"
+
+
+@pytest.mark.parametrize("command, out", [
+    ("check", ""), ("prove", "step 0 @0 = @0 by refl\n"), ("std", "a.0\n"),
+    ("lts", 'des (0, 1, 2)\n(0,"a",1)\n'), ("minimize", 'des (0, 1, 2)\n(0,"a",1)\n'),
+], ids=["check", "prove", "std", "lts", "minimize"])
+def test_byte_order_mark_is_not_text(tmp_path, command, out):
+    # some editors start a UTF-8 file with a byte-order mark
+    bom = tmp_path / "bom.proc"
+    bom.write_bytes(codecs.BOM_UTF8 + b"a.0")
+    files = [str(bom), str(bom)] if command in ("check", "prove") else [str(bom)]
+    res = _run([command, *files])
+    assert (res.exit_code, res.stderr) == (0, ""), res.stderr
+    assert res.stdout.endswith(out)
+
+
+def test_byte_order_mark_before_a_certificate(tmp_path):
+    cert = tmp_path / "p.cert"
+    cert.write_bytes(codecs.BOM_UTF8 + b"step 0 a.0 = a.0 by refl\n")
+    assert _run(["verify", str(cert)]) == (0, "verified: a.0 = a.0\n", "")
+    # an undecodable byte after the mark is counted from the file's start
+    cert.write_bytes(codecs.BOM_UTF8 + b"step \xff")
+    res = _run(["verify", str(cert)])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == f"error: {cert}: not UTF-8 text (invalid start byte at byte 8)\n"
 
 
 @pytest.mark.parametrize("exc", [ProofError("stuck"), MoveNotPresent("a.0 has no b move to 0"),
@@ -594,7 +685,7 @@ def test_package_exports_resolve_lazily():
 @pytest.mark.parametrize("args, code, layers", [
     (["check", "--rel", "strong", "l.proc", "r.proc"], 1, {"syntax", "semantics", "equiv"}),
     (["check", "--rel", "rooted", "l.proc", "l.proc"], 0, {"syntax", "semantics", "equiv"}),
-    (["check", "bad.proc", "r.proc"], 2, {"syntax", "semantics", "equiv"}),
+    (["check", "bad.proc", "r.proc"], 2, {"syntax"}),
     (["check", "--budget", "1", "l.proc", "r.proc"], 2, {"syntax", "semantics", "equiv"}),
     (["lts", "l.proc"], 0, {"syntax", "semantics"}),
     (["minimize", "l.proc"], 0, {"syntax", "semantics", "equiv"}),
@@ -605,10 +696,19 @@ def test_package_exports_resolve_lazily():
     (["verify", "pinned"], 0, {"syntax", "kernel"}),
     (["verify", "tampered.cert"], 1, {"syntax", "kernel"}),
     (["verify", "bad.proc"], 2, {"syntax", "kernel"}),
+    # a pair that is not congruent has no proof to build
+    (["prove", "l.proc", "n.proc"], 1, {"syntax", "semantics", "equiv"}),
+    (["prove", "--budget", "1", "l.proc", "r.proc"], 2, {"syntax", "semantics", "equiv"}),
+    # an input that does not parse loads nothing beyond the parser
+    (["prove", "l.proc", "bad.proc"], 2, {"syntax"}),
+    (["std", "bad.proc"], 2, {"syntax"}),
+    (["lts", "bad.proc"], 2, {"syntax"}),
+    (["minimize", "bad.proc"], 2, {"syntax"}),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, args, code, layers):
     _write(tmp_path, "l.proc", "a.tau.b.0")
     _write(tmp_path, "r.proc", "a.b.0")
+    _write(tmp_path, "n.proc", "a.rec X.(tau.X + b.0)")
     _write(tmp_path, "bad.proc", "a. + b")
     _write(tmp_path, "tampered.cert", "step 0 a.0 = b.0 by refl\n")
     paths = {"pinned": os.path.join(_PINNED, "taupad.cert")}
