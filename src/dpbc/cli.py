@@ -90,9 +90,12 @@ def _prove(args) -> int:
 
 def _verify(args) -> int:
     """Check a certificate; exit 0 when every step is justified."""
-    from .kernel import check, parse_derivation
+    from .kernel import CertificateError, check, parse_derivation
 
-    derivation = parse_derivation(_read_text(args.file))
+    try:
+        derivation = parse_derivation(_read_text(args.file))
+    except CertificateError as exc:
+        raise CertificateError(f"{args.file}: {exc}") from None
     failure = check(derivation)
     if failure is not None:
         print(f"invalid certificate: {failure}", file=sys.stderr)

@@ -11,43 +11,46 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .syntax import (
-    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, Var, _compare, _per_node, _set,
-    substitute)
+    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, _compare, _set, substitute)
 
 
 class BudgetExceeded(Exception):
     """Raised when a state-space construction passes its state budget."""
 
 
-def _summands(e: Sum, fn):
-    """The summands of the sum e, but a sub-sum whose fn is memoized
+def _summands(e: Sum):
+    """The summands of the sum e, but a sub-sum whose moves are known
     stays whole; a stack walks the spine, so a sum may be of any width."""
     stack = [e.right, e.left]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Sum) and (cur._memo is None or fn not in cur._memo):
+        if type(cur) is Sum and cur._moves is None:
             stack += (cur.right, cur.left)
         else:
             yield cur
 
 
-@_per_node
 def _moves(e: Expr):
     """The moves of e as (action, derivative) pairs, in no order."""
+    out = e._moves
+    if out is not None:
+        return out
     if isinstance(e, Prefix):
-        return ((e.act, e.body),)
-    if isinstance(e, Sum):
-        # a prefix summand's one move is added here, leaving no memo on it
+        out = ((e.act, e.body),)
+    elif isinstance(e, Sum):
+        # a prefix summand's one move is added here, leaving its slot empty
         out = set()
-        for s in _summands(e, _moves):
+        for s in _summands(e):
             if type(s) is Prefix:
                 out.add((s.act, s.body))
             else:
                 out.update(_moves(s))
-        return out
-    if isinstance(e, Rec):
-        return {(act, substitute(deriv, {e.binder: e})) for act, deriv in _moves(e.body)}
-    return ()
+    elif isinstance(e, Rec):
+        out = {(act, substitute(deriv, {e.binder: e})) for act, deriv in _moves(e.body)}
+    else:
+        out = ()
+    e._moves = out
+    return out
 
 
 def _compare_moves(p, q) -> int:
@@ -56,22 +59,17 @@ def _compare_moves(p, q) -> int:
     return (a > b) - (a < b) or _compare(p[1], q[1])
 
 
-@_per_node
 def step(e: Expr):
     """All derivatives of e, sorted by (action, expression) order."""
-    return tuple(sorted(_moves(e), key=cmp_to_key(_compare_moves)))
+    out = e._step
+    if out is None:
+        out = e._step = tuple(sorted(_moves(e), key=cmp_to_key(_compare_moves)))
+    return out
 
 
-@_per_node
 def exposes(e: Expr) -> frozenset:
     """The variables e exposes as immediate unguarded summands."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Sum):
-        return frozenset().union(*map(exposes, _summands(e, exposes)))
-    if isinstance(e, Rec):
-        return exposes(e.body) - {e.binder}
-    return frozenset()
+    return e._exposed
 
 
 def _tau_reachable(e: Expr, budget: int, parent: Optional[dict] = None):
@@ -184,10 +182,9 @@ def build_lts(e: Expr, budget: int = DEFAULT_BUDGET) -> Lts:
                 dst = index[nxt] = len(states)
                 states.append(nxt)
             transitions.append((src, act, dst))
-    # only a free variable can be exposed, so a closed state exposes none
-    exposure = tuple([exposes(s) if s._free else frozenset() for s in states])
     return Lts(tuple(states), tuple(sorted(
-        transitions, key=lambda t: (t[0], t[1].key, t[2]))), exposure, 0)
+        transitions, key=lambda t: (t[0], t[1].key, t[2]))),
+        tuple([s._exposed for s in states]), 0)
 
 
 def _tau_sccs(succ):

@@ -141,7 +141,8 @@ def _extract_into(b: Builder, roots):
             if t not in seen:
                 seen.add(t)
                 states.append(t)
-    used = set().union(*map(all_vars, states))
+    # one walk over the states' shared subterms
+    used = all_vars(compose_sum(states))
     names = (x for x in map("_X{}".format, count()) if x not in used)
     formal = {s: next(names) for s in states}
     sols = {x: s for s, x in formal.items()}
@@ -504,7 +505,7 @@ def _prove_unique(b: Builder, order, rhs, fam_d, fam_e, der_d, der_e, target) ->
 # --- promotion and congruence ----------------------------------------------------------
 
 
-def _promote(b: Builder, e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> int:
+def _promote(b: Builder, e: Expr, f: Expr) -> int:
     """tau.e = tau.f for equivalent guarded expressions."""
     if e == f:
         return b.refl(Prefix(TAU, e))
@@ -558,7 +559,7 @@ def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
         if w is None:
             raise ProofError(f"{pretty(leaf)} has no matching summand in {pretty(sf)}")
         return b.chain(b.symm(_t1(b, a, leaf.body)),
-                       b.cong("prefix", _promote(b, leaf.body, w, budget), a),
+                       b.cong("prefix", _promote(b, leaf.body, w), a),
                        _t1(b, a, w))
 
     mine = b.trans(de, meet(se))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from functools import cmp_to_key, partial, reduce, wraps
+from functools import cmp_to_key, partial, reduce
 from typing import Iterable, Mapping, Optional
 
 TAU_NAME = "tau"
@@ -106,15 +106,23 @@ def _forget(ref, table=_TABLE):
         del table[ref.key]
 
 
-def _make(cls, key, h, free):
+def _make(cls, key, h, free, unguarded, exposed, guarded):
     node = object.__new__(cls)
     node._hash = h
     node._free = free
-    node._memo = None
+    node._unguarded = unguarded
+    node._exposed = exposed
+    node._guarded = guarded
+    node._moves = node._step = None
     ref = _Ref(node, _forget)
     ref.key = key
     _TABLE[key] = ref
     return node
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, but one of the two itself when it holds the other."""
+    return a if b <= a else b if a <= b else a | b
 
 
 class Expr:
@@ -122,14 +130,17 @@ class Expr:
 
     Hash-consed: each constructor returns the one live node with its tag,
     label and children, so equal terms are the same object and `==` is
-    identity.  `_free` holds the free variables, worked out from the
-    children when the node is built, so that no walk over a term of any
-    depth is needed for them.  `_memo` holds the results of the
-    functions marked `_per_node`, so they live exactly as long as the
-    node.
+    identity.  The facts that side conditions and the standard form ask
+    about are worked out from the children when the node is built, so no
+    walk over a term of any depth is needed for them: `_free` (see
+    `free_vars`), `_unguarded` (`is_guarded_in`), `_exposed`
+    (`semantics.exposes`) and `_guarded` (`is_guarded_expr`).
+    `_moves` and `_step` keep the node's moves, in no order and sorted,
+    once `semantics` has worked them out.
     """
 
-    __slots__ = ("_hash", "_free", "_memo", "__weakref__")
+    __slots__ = ("_hash", "_free", "_unguarded", "_exposed", "_guarded", "_moves", "_step",
+                 "__weakref__")
 
     def __hash__(self):
         return self._hash
@@ -156,7 +167,8 @@ class Var(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(key), frozenset((name,)))
+            names = frozenset((name,))
+            node = _make(cls, key, hash(key), names, names, names, True)
             node.name = name
         return node
 
@@ -169,7 +181,9 @@ class Prefix(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            node = _make(cls, key, hash(("pre", act, body)), body._free)
+            # a visible prefix guards every occurrence below it
+            node = _make(cls, key, hash(("pre", act, body)), body._free,
+                         body._unguarded if act.is_tau else _NONE, _NONE, body._guarded)
             node.act = act
             node.body = body
         return node
@@ -183,9 +197,11 @@ class Sum(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            lf, rf = left._free, right._free
-            free = lf if rf <= lf else rf if lf <= rf else lf | rf
-            node = _make(cls, key, hash(("sum", left, right)), free)
+            node = _make(cls, key, hash(("sum", left, right)),
+                         _union(left._free, right._free),
+                         _union(left._unguarded, right._unguarded),
+                         _union(left._exposed, right._exposed),
+                         left._guarded and right._guarded)
             node.left = left
             node.right = right
         return node
@@ -199,30 +215,24 @@ class Rec(Expr):
         ref = _TABLE.get(key)
         node = ref() if ref is not None else None
         if node is None:
-            free = body._free - {binder} if binder in body._free else body._free
-            node = _make(cls, key, hash(("rec", binder, body)), free)
+            free, unguarded, exposed = body._free, body._unguarded, body._exposed
+            # exposed <= unguarded <= free
+            if binder in free:
+                free = free - {binder}
+                if binder in unguarded:
+                    unguarded, exposed = unguarded - {binder}, exposed - {binder}
+            node = _make(cls, key, hash(("rec", binder, body)), free, unguarded, exposed,
+                         body._guarded)
             node.binder = binder
             node.body = body
+            # a recursion that leaves its binder unguarded must be a loop
+            if node._guarded and binder in body._unguarded:
+                node._guarded = is_loop(node)
         return node
 
 
-NIL = _make(Nil, ("nil",), hash(("nil",)), frozenset())
-
-
-def _per_node(fn):
-    """Keep fn's result for a term in the term's `_memo`, under fn."""
-
-    @wraps(fn)
-    def cached(e):
-        memo = e._memo
-        if memo is None:
-            memo = e._memo = {}
-        elif cached in memo:
-            return memo[cached]
-        out = memo[cached] = fn(e)
-        return out
-
-    return cached
+_NONE = frozenset()
+NIL = _make(Nil, ("nil",), hash(("nil",)), _NONE, _NONE, _NONE, True)
 
 
 # --- orders ---------------------------------------------------------------
@@ -264,7 +274,6 @@ def _compare(x: Expr, y: Expr, rank: dict = _TAG) -> int:
             return 0
 
 
-expr_key = cmp_to_key(_compare)
 summand_key = cmp_to_key(partial(_compare, rank=_SUMMAND_RANK))
 
 
@@ -276,18 +285,24 @@ def free_vars(e: Expr) -> frozenset:
     return e._free
 
 
-@_per_node
 def all_vars(e: Expr) -> frozenset:
-    """Every identifier occurring in e, free or bound."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Prefix):
-        return all_vars(e.body)
-    if isinstance(e, Sum):
-        return all_vars(e.left) | all_vars(e.right)
-    if isinstance(e, Rec):
-        return all_vars(e.body) | {e.binder}
-    return frozenset()
+    """Every identifier occurring in e, free or bound: its free variables
+    and the binders of its recursions.  A stack walks e, each shared
+    subterm once.  (A set per node would grow with the number of
+    binders nested below it.)"""
+    names, seen, todo = set(e._free), set(), [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            if type(n) is Sum:
+                todo += (n.left, n.right)
+            elif type(n) is Rec:
+                names.add(n.binder)
+                todo.append(n.body)
+            elif type(n) is Prefix:
+                todo.append(n.body)
+    return frozenset(names)
 
 
 def fresh_name(avoid: Iterable[str], prefix: str = "_g") -> str:
@@ -370,13 +385,17 @@ def _split_left(body: Sum):
 def is_loop(e: Expr) -> bool:
     """Recognize the loop shape: a recursion whose body, after flattening
     nested sums on the left spine, starts with a silent self-step and
-    whose remaining summands do not mention the binder."""
-    if not isinstance(e, Rec) or not isinstance(e.body, Sum):
+    whose remaining summands do not mention the binder.  It walks the
+    left spine and builds no term."""
+    if type(e) is not Rec or type(e.body) is not Sum:
         return False
-    first, rest = _split_left(e.body)
-    if first != Prefix(TAU, Var(e.binder)):
-        return False
-    return e.binder not in free_vars(rest)
+    node = e.body
+    while type(node) is Sum:
+        if e.binder in node.right._free:
+            return False
+        node = node.left
+    return (type(node) is Prefix and node.act.is_tau
+            and type(node.body) is Var and node.body.name == e.binder)
 
 
 def loop_body(e: Expr) -> Expr:
@@ -389,20 +408,6 @@ def loop_body(e: Expr) -> Expr:
 # --- syntactic predicates ---------------------------------------------------
 
 
-@_per_node
-def _unguarded(e: Expr) -> frozenset:
-    """The free variables of e with an occurrence under no visible prefix."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Prefix):
-        return _unguarded(e.body) if e.act.is_tau else frozenset()
-    if isinstance(e, Sum):
-        return _unguarded(e.left) | _unguarded(e.right)
-    if isinstance(e, Rec):
-        return _unguarded(e.body) - {e.binder}
-    return frozenset()
-
-
 def is_guarded_in(x: str, e: Expr) -> bool:
     """True iff every free occurrence of x in e lies under a visible prefix.
 
@@ -410,21 +415,12 @@ def is_guarded_in(x: str, e: Expr) -> bool:
     the silent steps fire the silent prefixes above an unguarded
     occurrence, and unfolding a recursion copies only occurrences that
     are guarded in it."""
-    return x not in _unguarded(e)
+    return x not in e._unguarded
 
 
-@_per_node
 def is_guarded_expr(e: Expr) -> bool:
     """True iff every recursion subterm is a loop or has its binder guarded."""
-    if isinstance(e, Prefix):
-        return is_guarded_expr(e.body)
-    if isinstance(e, Sum):
-        return is_guarded_expr(e.left) and is_guarded_expr(e.right)
-    if isinstance(e, Rec):
-        if not (is_loop(e) or is_guarded_in(e.binder, e.body)):
-            return False
-        return is_guarded_expr(e.body)
-    return True
+    return e._guarded
 
 
 # --- sums -------------------------------------------------------------------
@@ -591,7 +587,7 @@ def parse(text: str) -> Expr:
 
 def _loop_sugar(e: Expr) -> Optional[Expr]:
     """The loop body when e prints back identically via the sugar."""
-    if isinstance(e, Rec) and is_loop(e):
+    if is_loop(e):
         body = loop_body(e)
         if loop(body) == e:
             return body

@@ -11,6 +11,14 @@ sizes that the literal fixpoint and `brute_oracle` reach.
 Its recursion limits the depth of what it reads, which the tests keep
 small.  `tuple_expr_key` and `tuple_summand_key` are the nested-tuple
 sort keys that `syntax._compare` replaced.
+
+`reference_unguarded`, `reference_exposes` and
+`reference_is_guarded_expr` are the recursive definitions of the
+syntactic facts that each node now gets from its children when it is
+built (`Expr._unguarded`, `_exposed`, `_guarded`); `reference_all_vars`
+and `reference_is_loop` are those of `syntax.all_vars`, which walks a
+term with a stack, and of the loop shape that `syntax.is_loop`
+recognizes without building a term.
 """
 
 from functools import partial
@@ -18,7 +26,8 @@ from functools import partial
 from dpbc.equiv import Partition, PairRelation, _branching_ok, _image
 from dpbc.semantics import Lts, _tau_sccs
 from dpbc.syntax import (
-    NIL, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Var, _is_var_name, loop)
+    NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Var, _is_var_name,
+    _split_left, free_vars, loop)
 
 
 def full_relation(lts: Lts) -> PairRelation:
@@ -241,3 +250,68 @@ def tuple_summand_key(e):
     if isinstance(e, Nil):
         return (3,)
     return (2, tuple_expr_key(e))
+
+
+# --- the syntactic facts ---------------------------------------------------------------
+
+
+def reference_all_vars(e) -> frozenset:
+    """Every identifier occurring in e, free or bound."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Prefix):
+        return reference_all_vars(e.body)
+    if isinstance(e, Sum):
+        return reference_all_vars(e.left) | reference_all_vars(e.right)
+    if isinstance(e, Rec):
+        return reference_all_vars(e.body) | {e.binder}
+    return frozenset()
+
+
+def reference_unguarded(e) -> frozenset:
+    """The free variables of e with an occurrence under no visible prefix."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Prefix):
+        return reference_unguarded(e.body) if e.act.is_tau else frozenset()
+    if isinstance(e, Sum):
+        return reference_unguarded(e.left) | reference_unguarded(e.right)
+    if isinstance(e, Rec):
+        return reference_unguarded(e.body) - {e.binder}
+    return frozenset()
+
+
+def reference_exposes(e) -> frozenset:
+    """The variables e exposes as immediate unguarded summands."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Sum):
+        return reference_exposes(e.left) | reference_exposes(e.right)
+    if isinstance(e, Rec):
+        return reference_exposes(e.body) - {e.binder}
+    return frozenset()
+
+
+def reference_is_loop(e) -> bool:
+    """A recursion whose body, split at the leftmost summand, starts with
+    a silent self-step and whose other summands do not mention the
+    binder."""
+    if not isinstance(e, Rec) or not isinstance(e.body, Sum):
+        return False
+    first, rest = _split_left(e.body)
+    if first != Prefix(TAU, Var(e.binder)):
+        return False
+    return e.binder not in free_vars(rest)
+
+
+def reference_is_guarded_expr(e) -> bool:
+    """Every recursion subterm is a loop or has its binder guarded."""
+    if isinstance(e, Prefix):
+        return reference_is_guarded_expr(e.body)
+    if isinstance(e, Sum):
+        return reference_is_guarded_expr(e.left) and reference_is_guarded_expr(e.right)
+    if isinstance(e, Rec):
+        if not (reference_is_loop(e) or e.binder not in reference_unguarded(e.body)):
+            return False
+        return reference_is_guarded_expr(e.body)
+    return True

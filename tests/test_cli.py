@@ -239,9 +239,10 @@ def test_verify_stray_action_binding_exit_2(tmp_path):
     # only axiom B takes an action; S1 with `a:=zz` is malformed
     text = ("term 0 a.0\nterm 1 @0 + @0\n"
             "step 0 @1 = @1 by axiom S1 {E:=@0, F:=@0, a:=zz}\n")
-    res = _python("-m", "dpbc.cli", "verify", _write(tmp_path, "stray.cert", text))
+    cert = _write(tmp_path, "stray.cert", text)
+    res = _python("-m", "dpbc.cli", "verify", cert)
     assert res.returncode == 2, res.stderr
-    assert res.stderr.strip() == "error: S1 takes no parameter 'a'"
+    assert res.stderr.strip() == f"error: {cert}: S1 takes no parameter 'a'"
 
 
 def test_verify_unwritable_names_exit_2(tmp_path):
@@ -334,18 +335,30 @@ def test_minimize(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("command, files", [
-    ("check", ["bad.proc", "ok.proc"]), ("check", ["ok.proc", "bad.proc"]),
-    ("prove", ["bad.proc", "ok.proc"]), ("prove", ["ok.proc", "bad.proc"]),
-    ("std", ["bad.proc"]), ("lts", ["bad.proc"]), ("minimize", ["bad.proc"]),
-], ids=["check-left", "check-right", "prove-left", "prove-right", "std", "lts", "minimize"])
-def test_parse_error_names_its_file(tmp_path, command, files):
-    # of two inputs, the line says which one does not parse
-    bad = _write(tmp_path, "bad.proc", "a. + b")
+_PARSE_ERROR = "unexpected token '+' at offset 3"
+
+
+@pytest.mark.parametrize("command, files, message", [
+    ("check", ["bad.proc", "ok.proc"], _PARSE_ERROR),
+    ("check", ["ok.proc", "bad.proc"], _PARSE_ERROR),
+    ("prove", ["bad.proc", "ok.proc"], _PARSE_ERROR),
+    ("prove", ["ok.proc", "bad.proc"], _PARSE_ERROR),
+    ("std", ["bad.proc"], _PARSE_ERROR), ("lts", ["bad.proc"], _PARSE_ERROR),
+    ("minimize", ["bad.proc"], _PARSE_ERROR),
+    ("verify", ["bad.proc"], "unexpected line 'a. + b'"),
+    ("verify", ["bad.cert"], "step 0 is not an equation"),
+], ids=["check-left", "check-right", "prove-left", "prove-right", "std", "lts", "minimize",
+        "verify-line", "verify-step"])
+def test_parse_error_names_its_file(tmp_path, command, files, message):
+    # of two inputs, the line says which one does not parse; a
+    # certificate that does not read is named as well
+    _write(tmp_path, "bad.proc", "a. + b")
+    _write(tmp_path, "bad.cert", "step 0 a.0 by refl\n")
     _write(tmp_path, "ok.proc", "0")
     res = _run([command, *(str(tmp_path / name) for name in files)])
+    bad = str(tmp_path / next(name for name in files if name.startswith("bad")))
     assert (res.exit_code, res.stdout) == (2, "")
-    assert res.stderr == f"error: {bad}: unexpected token '+' at offset 3\n"
+    assert res.stderr == f"error: {bad}: {message}\n"
 
 
 @pytest.mark.parametrize("command, out", [
@@ -533,6 +546,14 @@ def test_deep_chains_are_decided(tmp_path):
         assert (res.returncode, res.stderr) == (0, ""), (rel, res.stderr[-300:])
     res = _python("-m", "dpbc.cli", "lts", deep)
     assert res.returncode == 0 and res.stdout.startswith("des (0, 10000, 10001)\n"), res.stderr
+    # the guardedness of each node is set when it is built, so `std`
+    # standardizes the chain, by a certificate that verifies
+    cert = str(tmp_path / "deep.cert")
+    res = _python("-m", "dpbc.cli", "std", "--cert", cert, deep)
+    assert (res.returncode, res.stdout, res.stderr) == (0, chain + "0\n", ""), res.stderr[-300:]
+    res = _python("-m", "dpbc.cli", "verify", cert)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
+    assert res.stdout == f"verified: {chain}0 = {chain}0\n"
     # a known limit: the prover recurses once per level of the chain
     res = _python("-m", "dpbc.cli", "prove", deep, padded)
     lines = res.stderr.strip().splitlines()

@@ -77,6 +77,17 @@ def test_rooted_examples():
     assert rooted_check(parse("a.tau.b.0"), parse("a.b.0")).equal
 
 
+def test_equivalent_decides_rooted_congruence_too():
+    assert equivalent(parse("a.tau.b.0"), parse("a.b.0"), "rooted")
+    assert not equivalent(parse("a.0"), parse("tau.a.0"), "rooted")
+
+
+@pytest.mark.parametrize("engine", [bisimilarity, brute_oracle])
+def test_unknown_relation_kind_is_refused(engine):
+    with pytest.raises(ValueError, match="^unknown relation kind 'rooted'$"):
+        engine(build_lts(parse("a.0")), "rooted")
+
+
 def test_rooted_exposure_clause():
     rc = rooted_check(parse("X + a.0"), parse("a.0"))
     assert not rc.equal and rc.clause == "exposure"

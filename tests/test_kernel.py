@@ -3,10 +3,13 @@ and mutated certificates that neither it nor the checker may raise on."""
 
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dpbc
 from dpbc.kernel import (
     POSITIONS,
     AxiomStep,
@@ -15,6 +18,7 @@ from dpbc.kernel import (
     Cong,
     Derivation,
     Position,
+    ProofError,
     ProofStep,
     Refl,
     Symm,
@@ -27,7 +31,7 @@ from dpbc.kernel import (
 from dpbc.proof import Builder, _t1
 from dpbc.semantics import DEFAULT_BUDGET
 from dpbc.ses import _route
-from dpbc.syntax import Action, Rec, Sum, parse
+from dpbc.syntax import NIL, TAU, Action, Prefix, Rec, Sum, Var, parse
 
 from genexpr import derive
 
@@ -228,3 +232,104 @@ def test_value_defaults_and_hashes_are_kept():
     assert hash(Trans(1, 2)) == hash((1, 2))
     assert str(CheckFailure(2, "x")) == "step 2: x"
     assert repr(Trans(1, 2)) == "Trans(first=1, second=2)"
+
+
+# --- the checker's refusals ------------------------------------------------------------
+
+
+_BODY = parse("a.X")
+_REC = parse("rec X. a.X")
+_UNFOLD = ProofStep(_REC, Prefix(Action("a"), _REC),
+                    AxiomStep("R1", (("E", _BODY),), (("X", "X"),)))
+
+
+def _r2(premise):
+    """rec X. a.X = rec X. a.X by R2 over the body a.X."""
+    return ProofStep(_REC, _REC, AxiomStep(
+        "R2", (("E", _BODY), ("F", _REC)), (("X", "X"),), premise))
+
+
+def _checked(*steps) -> str:
+    return str(check(Derivation(steps)))
+
+
+def _read(text: str) -> str:
+    with pytest.raises(CertificateError) as exc:
+        parse_derivation(text)
+    return str(exc.value)
+
+
+_REFL = ProofStep(_A0, _A0, Refl())
+_REFUSALS = {
+    "missing-extra": (lambda: _checked(ProofStep(
+        _A0, _A0, AxiomStep("R1", (("E", _A0),), ()))), "step 0: R1 needs X"),
+    "B-non-action": (lambda: _checked(ProofStep(_A0, _A0, AxiomStep(
+        "B", (("E", _A0), ("F", _A0)), (("a", "X"),)))), "step 0: B needs an action for a"),
+    "R5-equal-binders": (lambda: _checked(ProofStep(_A0, _A0, AxiomStep(
+        "R5", (("E", _A0), ("F", _A0)), (("X", "X"), ("Y", "X"))))),
+        "step 0: R5: binders must be distinct"),
+    "R7-equal-binders": (lambda: _checked(ProofStep(_A0, _A0, AxiomStep(
+        "R7", (("E", _A0),), (("X", "Y"), ("Y", "Y"))))),
+        "step 0: R7: binders must be distinct"),
+    "R8-equal-binders": (lambda: _checked(ProofStep(_A0, _A0, AxiomStep(
+        "R8", (("E", _A0), ("F", _A0)), (("X", "X"), ("Y", "X"))))),
+        "step 0: R8: binders must be distinct"),
+    "symm-not-mirrored": (lambda: _checked(_REFL, ProofStep(_A0, NIL, Symm(0))),
+                          "step 1: symm endpoints do not mirror the referenced step"),
+    "trans-out-of-range": (lambda: _checked(_REFL, ProofStep(_A0, _A0, Trans(0, 1))),
+                           "step 1: trans reference out of range"),
+    "cong-out-of-range": (lambda: _checked(ProofStep(_A0, _A0, Cong("prefix", 0, Action("a")))),
+                          "step 0: cong reference out of range"),
+    "R2-no-premise": (lambda: _checked(_r2(None)), "step 0: R2 needs an earlier premise step"),
+    "R2-later-premise": (lambda: _checked(_UNFOLD, _r2(1)),
+                         "step 1: R2 needs an earlier premise step"),
+    "R2-other-left-side": (lambda: _checked(_REFL, _r2(0)),
+                           "step 1: R2 premise must share the left-hand side"),
+    "R2-no-unfolding": (lambda: _checked(ProofStep(_REC, _REC, Refl()), _r2(0)),
+                        "step 1: R2 premise does not unfold the recursion body"),
+    "premise-on-S4": (lambda: _checked(_REFL, ProofStep(Sum(_A0, NIL), _A0, AxiomStep(
+        "S4", (("E", _A0),), (), 0))), "step 1: S4 takes no premise"),
+    "unknown-justification": (lambda: _checked(ProofStep(_A0, _A0, None)),
+                              "step 0: unknown justification None"),
+    "unformattable-justification": (
+        lambda: str(pytest.raises(ProofError, format_derivation,
+                                  Derivation((ProofStep(_A0, _A0, None),))).value),
+        "cannot format None"),
+    "empty-derivation": (lambda: _checked(), "step 0: empty derivation"),
+    "unknown-position": (lambda: _read("step 0 a.0 = a.0 by cong middle 0 in a.\u25fb\n"),
+                         "unknown congruence position 'middle'"),
+    "missing-brace": (lambda: _read("step 0 a.0 + 0 = a.0 by axiom S4 E:=a.0\n"),
+                      "missing bindings for S4"),
+    "binding-without-assignment": (lambda: _read("step 0 a.0 + 0 = a.0 by axiom S4 {E=a.0}\n"),
+                                   "bad binding 'E=a.0'"),
+    "no-steps": (lambda: _read("# proves: nothing\nterm 0 a.0\n"), "certificate has no steps"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_checker_and_reader_refusals_are_exact(name):
+    # the R2 premise rules sit beside the guardedness test that R2, R4
+    # and R5 share; each refusal of the trusted base keeps its reason
+    refuse, reason = _REFUSALS[name]
+    assert refuse() == reason
+    # the premise and the valid R2 step that the refusals are built from
+    assert check(Derivation((_UNFOLD, _r2(0)))) is None
+
+
+def test_deep_R4_step_verifies(tmp_path):
+    # X is unguarded under 10^4 silent prefixes: the side condition reads
+    # the set each node got when it was built, so no walk is made, and
+    # `verify` checks the step at the default recursion limit
+    e = Var("X")
+    for _ in range(10_000):
+        e = Prefix(TAU, e)
+    step = instantiate_axiom("R4", {"E": e, "F": NIL, "G": _A0}, {"X": "X"})
+    cert = tmp_path / "r4.cert"
+    cert.write_text(format_derivation(Derivation((step,))), encoding="utf-8")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "dpbc.cli", "verify", str(cert)],
+                         capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
+    assert res.stdout.startswith("verified: rec X. tau.(tau.tau.")

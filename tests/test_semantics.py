@@ -114,8 +114,9 @@ def test_step_respects_sum():
 
 
 def test_step_and_exposes_walk_wide_sums():
-    # a sum's spine is walked with a stack, at any width and either
-    # association; a sub-sum whose result is memoized is taken whole
+    # a sum's moves are gathered with a stack, at any width and either
+    # association, and a sub-sum whose moves are known is taken whole;
+    # exposure is set when each node is built
     leaves = [Prefix(Action("abc"[i % 3]), NIL) for i in range(5000)] + [Var("X")]
     left = leaves[0]
     for leaf in leaves[1:]:
@@ -151,8 +152,9 @@ open_terms = st.builds(lambda seed, size: random_expr(random.Random(seed), size)
 @settings(max_examples=300, deadline=None)
 @given(open_terms)
 def test_only_free_variables_are_exposed(e):
-    # so a closed state exposes nothing, which `build_lts` takes as given
-    assert exposes(e) <= free_vars(e)
+    # an exposed variable is unguarded, and an unguarded one free: the
+    # rule for a recursion counts on both
+    assert exposes(e) <= e._unguarded <= free_vars(e)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,8 +18,9 @@ from dpbc.syntax import (
     Sum,
     TAU,
     Var,
+    _compare,
+    all_vars,
     compose_sum,
-    expr_key,
     flatten_sum,
     free_vars,
     is_guarded_expr,
@@ -39,7 +41,8 @@ import dpbc
 import genexpr
 from genexpr import all_terms, benchmark_gen, random_expr, silently_exposes
 from oracles import (
-    reference_is_identifier, reference_parse, tuple_expr_key, tuple_summand_key)
+    reference_all_vars, reference_exposes, reference_is_guarded_expr, reference_is_identifier,
+    reference_is_loop, reference_parse, reference_unguarded, tuple_expr_key, tuple_summand_key)
 
 
 def test_free_vars():
@@ -183,6 +186,29 @@ def test_guardedness_agrees_with_silent_exposure():
     for e in terms:
         for x in ["X", "Y"]:
             assert is_guarded_in(x, e) == (not silently_exposes(x, e)), (x, pretty(e))
+
+
+def test_node_facts_match_their_references():
+    # each node gets its facts from its children when it is built; the
+    # recursive definitions in `oracles` say what they mean
+    terms = all_terms(5, (NIL, Var("X"), Var("Y")))
+    rng = random.Random(31)
+    for _ in range(2000):
+        e = random_expr(rng, rng.randint(1, 20))
+        # a loop, and the loop shape over a body that may mention its binder
+        terms += (e, loop(e), Rec("X", Sum(Sum(Prefix(TAU, Var("X")), e), e)))
+    gen = benchmark_gen()
+    for seed in (1, 7, 11):
+        for op in gen.decide_ops(seed, 4) + gen.prove_ops(seed, 4):
+            terms += (parse(op["left"]), parse(op["right"]))
+    subterms = {s for e in set(terms) for s in _subterms(e)}
+    assert sum(map(is_loop, subterms)) > 2000
+    for e in subterms:
+        assert all_vars(e) == reference_all_vars(e), pretty(e)
+        assert e._unguarded == reference_unguarded(e), pretty(e)
+        assert e._exposed == reference_exposes(e), pretty(e)
+        assert e._guarded == reference_is_guarded_expr(e), pretty(e)
+        assert is_loop(e) == reference_is_loop(e), pretty(e)
 
 
 def test_parse_basics():
@@ -330,6 +356,7 @@ def test_order_matches_the_tuple_reference():
     for _ in range(10_000):
         x = rng.choice(terms)
         pairs.append((x, _graft(rng, x, rng.choice(terms))))
+    expr_key = cmp_to_key(_compare)
     for x, y in pairs:
         for key, reference in ((expr_key, tuple_expr_key), (summand_key, tuple_summand_key)):
             kx, ky, rx, ry = key(x), key(y), reference(x), reference(y)
