@@ -19,9 +19,13 @@ built (`Expr._unguarded`, `_exposed`, `_guarded`); `reference_all_vars`
 and `reference_is_loop` are those of `syntax.all_vars`, which walks a
 term with a stack, and of the loop shape that `syntax.is_loop`
 recognizes without building a term.
+
+`reference_is_guarded` is the cycle check that `SesSystem.is_guarded`
+made with `graphlib` before it read the engine's Tarjan routine.
 """
 
 from functools import partial
+from graphlib import CycleError, TopologicalSorter
 
 from dpbc.equiv import Partition, PairRelation, _branching_ok, _image
 from dpbc.semantics import Lts, _tau_sccs
@@ -314,4 +318,17 @@ def reference_is_guarded_expr(e) -> bool:
         if not (reference_is_loop(e) or e.binder not in reference_unguarded(e.body)):
             return False
         return reference_is_guarded_expr(e.body)
+    return True
+
+
+# --- guardedness of equation systems -----------------------------------------------------
+
+
+def reference_is_guarded(successors) -> bool:
+    """The graph that maps each formal to its unguarded successors has no
+    cycle, a formal that is its own successor included."""
+    try:
+        TopologicalSorter(successors).prepare()
+    except CycleError:
+        return False
     return True

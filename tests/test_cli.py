@@ -1,3 +1,4 @@
+import ast
 import codecs
 import io
 import os
@@ -642,6 +643,45 @@ def test_cli_imports_nothing_beyond_the_stdlib():
             "sys.exit(sorted(added - set(sys.stdlib_module_names) - {'dpbc'}) or None)")
     res = _python("-c", code)
     assert res.returncode == 0, res.stderr
+
+
+def _unused_imports(path):
+    """The names that a module imports at its top level and never uses,
+    as (line, name); an import marked `# noqa: F401` is a re-export."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_every_module_level_import_is_used():
+    # a fold that moves a job leaves its imports behind; each module of
+    # the package uses every name it imports at its top level
+    package = os.path.dirname(dpbc.__file__)
+    found = {name: _unused_imports(os.path.join(package, name))
+             for name in sorted(os.listdir(package)) if name.endswith(".py")}
+    assert len(found) > 1
+    assert {name: unused for name, unused in found.items() if unused} == {}
 
 
 def test_prove_and_verify_leave_stderr_empty(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -637,7 +638,11 @@ step 1 @0 = @1 by symm 0
 #   and one with its own variable as a bare summand (R3);
 # - foldsummands: the walk renames the recursion (R0), meets summands
 #   that are not rooted-equivalent, and falls back to the root route,
-#   whose standardization folds two silent summands together (D4).
+#   whose standardization folds two silent summands together (D4);
+# - loopstutter: the root route promotes a loop state that steps
+#   silently into an equivalent loop, so the quotient's loop equation
+#   (equality (3)) merges two loops by D5 and absorbs along D2; no
+#   other pin and no benchmark pair reaches that path.
 # Three pins standardize a single side: a sum whose halves both expose
 # the variable (`b.rec Z. tau.(Z + Z)`), one whose right half is guarded
 # (`tau.rec X. tau.(X + 0)`), and a recursion whose silent summand
@@ -657,6 +662,7 @@ _PINNED_FILES = {
     ("a.rec X. (tau* 0 + 0)", "a.tau.rec X. tau* 0"): "extractloops.cert",
     ("a.tau* tau* 0", "a.tau* 0"): "looploopprefix.cert",
     ("rec X. a.tau* (X + b.0)", "rec X. a.(tau* (X + b.0) + 0)"): "bridgeloop.cert",
+    ("a.tau* (b.0 + tau.tau* b.0)", "a.tau* b.0"): "loopstutter.cert",
     ("b.rec Z. tau.(Z + Z)",): "stdexposeunguarded.cert",
     ("tau.rec X. tau.(X + 0)",): "stdexposeguarded.cert",
     ("rec X. tau.tau.rec Y.(tau.X + a.Y)",): "exposerec.cert",
@@ -684,11 +690,18 @@ def test_certificate_texts_are_pinned():
         assert check(parse_derivation(want)) is None
 
 
+_BENCHMARK_CERTIFICATES_SHA256 = (
+    "ffa9ad27c24777e209b70fc4f172c0812ddf848f262c65aecded7b4f6b4b3453")
+
+
 def test_benchmark_certificates_check_and_do_not_grow():
     # the certificates of the prove benchmark, seeds 1/7/11, written under
     # PYTHONHASHSEED=0: each passes the checker after a text round trip,
     # proves the op's pair, and has at most the steps pinned in
-    # pinned/prove_steps.json (null: the pair is not congruent)
+    # pinned/prove_steps.json (null: the pair is not congruent).  Their
+    # texts, concatenated in op order, are pinned byte for byte by their
+    # SHA-256 (1,086 steps, 3,041 lines, 77,721 bytes); a change that
+    # alters a certificate updates the digest and states the new sizes
     code = ("import json; from genexpr import benchmark_gen; "
             "from dpbc import parse, prove_congruent; from dpbc.equiv import RootedCheck; "
             "from dpbc.proof import format_derivation; "
@@ -709,6 +722,8 @@ def test_benchmark_certificates_check_and_do_not_grow():
     ops = [op for seed in (1, 7, 11) for op in benchmark_gen().prove_ops(seed, 4)]
     limits = pinned["1"] + pinned["7"] + pinned["11"]
     assert len(texts) == len(ops) == len(limits)
+    joined = "".join(text for text in texts if text is not None).encode("utf-8")
+    assert hashlib.sha256(joined).hexdigest() == _BENCHMARK_CERTIFICATES_SHA256
     for op, text, limit in zip(ops, texts, limits):
         assert (text is None) == (limit is None) == (not op["expect"]), op
         if text is not None:

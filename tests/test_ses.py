@@ -38,7 +38,7 @@ from dpbc.ses import (
     _solve_any,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
-from dpbc.semantics import DEFAULT_BUDGET, build_lts, exposes, step
+from dpbc.semantics import DEFAULT_BUDGET, Lts, build_lts, exposes, step
 
 from genexpr import (
     ACTIONS, all_terms, derive, random_expr, random_guarded_expr, random_ses_equations,
@@ -144,6 +144,49 @@ def test_eq_system_guardedness_needs_no_recursion():
     with pytest.raises(NotGuarded):
         SesSystem.from_equations(("X",), {"X": parse("tau.X")})
     assert SesSystem.from_equations(("X",), {"X": parse("a.X")}).is_guarded()
+
+
+def _random_cyclic_equations(rng: random.Random, max_formals: int = 4):
+    """Formals and right-hand sides drawn as `random_ses_equations` draws
+    them, but a silent move may point to any formal, its own included,
+    so many of the systems have an unguarded cycle."""
+    n = rng.randint(1, max_formals)
+    formals = [f"_S{i}" for i in range(n)]
+    rhs = {}
+    for x in formals:
+        leaves = [Prefix(rng.choice(ACTIONS), Var(rng.choice(formals)))
+                  for _ in range(rng.randint(0, 3))]
+        leaves += [Var(rng.choice(["V", "W"])) for _ in range(rng.randint(0, 1))]
+        body = compose_sum(leaves) if leaves else NIL
+        rhs[x] = loop(body) if rng.random() < 0.4 else body
+    return tuple(formals), rhs
+
+
+def test_guardedness_matches_the_reference_cycle_check():
+    # `is_guarded` reads the strongly connected components of the
+    # unguarded-successor graph; the reference asks graphlib for a
+    # topological order.  Self-loops (tau.X in X's own equation) and loop
+    # equations are among the draws
+    from oracles import reference_is_guarded
+
+    rng = random.Random(32)
+    seen = {True: 0, False: 0}
+    self_loops = loops = longer = 0
+    for _ in range(2000):
+        formals, rhs = _random_cyclic_equations(rng)
+        lts = Lts(formals, (), (frozenset(),) * len(formals), 0)
+        system = SesSystem(formals, rhs, lts)  # the constructor checks no guardedness
+        successors = {x: system.unguarded_successors(x) for x in formals}
+        got = system.is_guarded()
+        assert got == reference_is_guarded(successors), rhs
+        seen[got] += 1
+        own = any(x in successors[x] for x in formals)
+        self_loops += own
+        longer += not (got or own)  # a cycle through two or more formals
+        loops += any(isinstance(e, Rec) for e in rhs.values())
+    assert min(seen.values()) > 400 and self_loops > 200 and loops > 400, (
+        seen, self_loops, loops)
+    assert longer > 20, longer
 
 
 def test_ses_semantics_and_classes():
