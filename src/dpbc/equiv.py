@@ -1,16 +1,19 @@
 """Decision procedures for the bisimilarities and rooted congruence.
 
-The functionals on pair relations are transcribed literally from their
-clause definitions; they are the specification.  `bisimilarity`
-computes the coarsest symmetric post-fixpoint of a functional by
-worklist signature refinement over blocks (Blom & Orzan, STTT 2005),
-on the system with labels and exposures coded as integers: a pass
-recomputes only the signatures of the states that the last split
-touched.  A divergence bit per state gives the divergence-preserving
-relation (van Glabbeek, Luttik & Trcka, Fundam. Inform. 2009).  The
-test suite cross-checks it against the round-based refinement it
-replaced, the pair-level fixpoint iteration R <- sym(R & F(R)) and a
-brute-force oracle.
+The clause predicates `_strong_ok`, `_branching_ok` and `_divergence_ok`
+are transcribed literally from the clause definitions; they are the
+specification: a relation's functional maps a pair relation to the pairs
+that satisfy its clauses (`CLAUSES`).  `bisimilarity` computes the
+coarsest symmetric post-fixpoint of a functional by worklist signature
+refinement over blocks (Blom & Orzan, STTT 2005), on the system with
+labels and exposures coded as integers: a pass recomputes only the
+signatures of the states that the last split touched.  A divergence
+bit per state gives the divergence-preserving relation (van Glabbeek,
+Luttik & Trcka, Fundam. Inform. 2009).  The test suite cross-checks it
+against the round-based refinement it replaced, the pair-level fixpoint
+iteration R <- sym(R & F(R)) over the functionals of `tests/oracles.py`
+and the brute-force oracle `brute_oracle`, which stays here because
+`perfbench/selfcheck.py` imports it.
 """
 
 from __future__ import annotations
@@ -22,19 +25,6 @@ from .semantics import (
 from .syntax import TAU_NAME, Expr, Prefix, Value, _set, pretty
 
 KINDS = ("strong", "branching", "dpbb")
-
-
-class PairRelation(Value):
-    """A set of state pairs over a finite transition system."""
-
-    __slots__ = _fields = ("lts", "pairs")
-
-    def __init__(self, lts: Lts, pairs: frozenset):
-        _set(self, "lts", lts)
-        _set(self, "pairs", pairs)
-
-    def __contains__(self, pair):
-        return pair in self.pairs
 
 
 class Partition(Value):
@@ -62,7 +52,7 @@ class Partition(Value):
         return self.class_of[i] == self.class_of[j]
 
 
-# --- literal functionals -----------------------------------------------------
+# --- the clauses ----------------------------------------------------------------
 
 
 def _strong_ok(lts: Lts, pairs, i: int, j: int) -> bool:
@@ -115,31 +105,12 @@ def _divergence_ok(lts: Lts, pairs, i: int, j: int) -> bool:
     return i not in _can_reach_tau_cycle(lts, [i], allowed)
 
 
-def _image(rel: PairRelation, ok) -> PairRelation:
-    """The pairs (i, j) of states for which ok(lts, pairs, i, j) holds."""
-    lts = rel.lts
-    n = lts.n_states
-    return PairRelation(lts, frozenset(
-        (i, j) for i in range(n) for j in range(n) if ok(lts, rel.pairs, i, j)))
-
-
-def functional_S(rel: PairRelation) -> PairRelation:
-    return _image(rel, _strong_ok)
-
-
-def functional_B(rel: PairRelation) -> PairRelation:
-    return _image(rel, _branching_ok)
-
-
-def functional_Bd(rel: PairRelation) -> PairRelation:
-    return _image(rel, lambda lts, pairs, i, j: _branching_ok(
-        lts, pairs, i, j) and _divergence_ok(lts, pairs, i, j))
-
-
-FUNCTIONALS = {
-    "strong": functional_S,
-    "branching": functional_B,
-    "dpbb": functional_Bd,
+# the clauses a pair (i, j) of a relation's post-fixpoint satisfies
+CLAUSES = {
+    "strong": _strong_ok,
+    "branching": _branching_ok,
+    "dpbb": lambda lts, pairs, i, j: (
+        _branching_ok(lts, pairs, i, j) and _divergence_ok(lts, pairs, i, j)),
 }
 
 
@@ -354,14 +325,13 @@ def brute_oracle(lts: Lts, kind: str) -> Partition:
         raise ValueError("brute_oracle accepts at most 8 states")
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
-    func = FUNCTIONALS[kind]
+    ok = CLAUSES[kind]
     union = set()
     for blocks in _set_partitions(list(range(n))):
         pairs = frozenset(
             (i, j) for block in blocks for i in block for j in block
         )
-        image = func(PairRelation(lts, pairs))
-        if pairs <= image.pairs:
+        if all(ok(lts, pairs, i, j) for i, j in pairs):  # pairs <= F(pairs)
             union |= pairs
     # union of post-fixpoints; build the partition by closure
     parent = list(range(n))

@@ -26,7 +26,7 @@ from .syntax import (
     substitute,
     summand_key,
 )
-from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
+from .semantics import DEFAULT_BUDGET, _reach, _tau_reachable, exposes
 # `check`, the certificate reader and writer and the errors are
 # re-exported for callers of the prover
 from .kernel import (  # noqa: F401
@@ -186,14 +186,7 @@ class Builder:
     def finalize(self, conclusion: int) -> Derivation:
         """Extract the reachable part of the derivation ending at the
         conclusion step."""
-        needed = set()
-        stack = [conclusion]
-        while stack:
-            i = stack.pop()
-            if i not in needed:
-                needed.add(i)
-                stack.extend(self.steps[i].just.refs())
-        order = sorted(needed)
+        order = sorted(_reach((conclusion,), lambda i: self.steps[i].just.refs()))
         remap = {old: new for new, old in enumerate(order)}
         out = []
         for old in order:
@@ -239,6 +232,15 @@ def _prove_lassoc(b: Builder, e: Expr, keep):
     return xs, d
 
 
+def _move_left(b: Builder, init: Expr, last: Expr, x: Expr) -> int:
+    """(init + last) + x = (init + x) + last: S2 to init + (last + x), S1
+    inside to init + (x + last), S2 back."""
+    i1 = b.symm(b.axiom("S2", {"E": init, "F": last, "G": x}))
+    i2 = b.cong("sumr", b.axiom("S1", {"E": last, "F": x}), init)
+    i3 = b.axiom("S2", {"E": init, "F": x, "G": last})
+    return b.chain(i1, i2, i3)
+
+
 def _prove_insert(b: Builder, ys: list, pre: list, x: Expr, key) -> int:
     """Insert x into the summands ys, sorted by `key`, whose left-nested
     prefix sums are pre, updating both; proves pre[-1] + x = the new
@@ -247,12 +249,8 @@ def _prove_insert(b: Builder, ys: list, pre: list, x: Expr, key) -> int:
     levels = []  # the chain that moves x left past ys[j], and ys[j]
     j = len(ys) - 1
     while j > 0 and kx < key(ys[j]):
-        # (init + last) + x = init + (last + x) = init + (x + last) = (init + x) + last
-        init, last = pre[j - 1], ys[j]
-        i1 = b.symm(b.axiom("S2", {"E": init, "F": last, "G": x}))
-        i2 = b.cong("sumr", b.axiom("S1", {"E": last, "F": x}), init)
-        i3 = b.axiom("S2", {"E": init, "F": x, "G": last})
-        levels.append((b.chain(i1, i2, i3), last))
+        last = ys[j]
+        levels.append((_move_left(b, pre[j - 1], last, x), last))
         j -= 1
     if j == 0 and kx < key(ys[0]):
         d, at = b.axiom("S1", {"E": ys[0], "F": x}), 0
@@ -407,15 +405,11 @@ def _absorb_copy(b: Builder, host: Expr, x: Expr):
     levels = []
     for n, side in reversed(path):
         l, r = n.left, n.right
-        # (l + r) + x = l + (r + x)
-        i1 = b.symm(b.axiom("S2", {"E": l, "F": r, "G": x}))
         if side == "r":
-            levels.append((i1, "sumr", l))
-            continue
-        # = l + (x + r) = (l + x) + r
-        i2 = b.cong("sumr", b.axiom("S1", {"E": r, "F": x}), l)
-        i3 = b.axiom("S2", {"E": l, "F": x, "G": r})
-        levels.append((b.chain(i1, i2, i3), "suml", r))
+            # (l + r) + x = l + (r + x)
+            levels.append((b.symm(b.axiom("S2", {"E": l, "F": r, "G": x})), "sumr", l))
+        else:
+            levels.append((_move_left(b, l, r, x), "suml", r))
     d = b.axiom("S3", {"E": x})
     for chain, pos, other in reversed(levels):
         d = b.trans(chain, b.cong(pos, d, other))
@@ -590,16 +584,31 @@ def _hnf(b: Builder, e: Expr) -> int:
     return align(b, _unfold(b, e, e), _hnf_term(e))
 
 
-def _absorb_along(b: Builder, d: int, extra: Expr, grow=None) -> int:
-    """X = X + extra from d: X = Y and Y = Y + extra, which `grow(Y, extra)`
-    proves (by default a sum rearrangement: extra's summands are in Y).
+def _absorb_along(b: Builder, d: int, extra: Expr) -> int:
+    """X = X + extra from d: X = Y and Y = Y + extra.  A sum Y holds
+    extra's summands and absorbs them by rearrangement; a loop in
+    constructor form holds them in its body and absorbs them along D2.
     When extra is 0 or a node of X's own sum tree, X absorbs it directly."""
     direct = _absorb_copy(b, b.endpoints(d)[0], extra)
     if direct is not None:
         return b.symm(direct)
     mid = b.rhs_after(d)
-    g = prove_sum_eq(b, mid, Sum(mid, extra)) if grow is None else grow(mid, extra)
+    if isinstance(mid, Rec):
+        g = _absorb_along(b, _d2(b, mid), extra)
+    else:
+        g = prove_sum_eq(b, mid, Sum(mid, extra))
     return _app(b, b.trans(d, g), ["suml"], b.symm(d))
+
+
+def _d1(b: Builder, lp: Expr) -> int:
+    """lp = tau.lp + body, for any constructor-shaped loop."""
+    z, body = lp.binder, lp.body.right
+    return b.axiom("R1", {"E": Sum(Prefix(TAU, Var(z)), body)}, {"X": z})
+
+
+def _d2(b: Builder, lp: Expr) -> int:
+    """lp = lp + body, for any constructor-shaped loop."""
+    return _absorb_along(b, _d1(b, lp), lp.body.right)
 
 
 def _absorb_summand(b: Builder, e: Expr, leaf: Expr) -> int:

@@ -92,6 +92,19 @@ def _tau_reachable(e: Expr, budget: int, parent: Optional[dict] = None):
                 queue.append(nxt)
 
 
+def _reach(starts, succ) -> list:
+    """The nodes reachable from `starts` along `succ(node)`, breadth
+    first: the starts in order, then each node once, as first reached."""
+    order = list(dict.fromkeys(starts))
+    seen = set(order)
+    for cur in order:  # the loop also visits what it appends
+        for nxt in succ(cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
 class Lts(Value):
     """A finite labelled transition system with per-state exposure sets."""
 
@@ -134,23 +147,12 @@ class Lts(Value):
             memo = {}
             _set(self, "_tauclos", memo)
         if s not in memo:
-            seen = {s}
-            stack = [s]
-            while stack:
-                cur = stack.pop()
-                for t in self.tau_succ(cur):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            memo[s] = frozenset(seen)
+            memo[s] = frozenset(_reach((s,), self.tau_succ))
         return memo[s]
 
     def tau_closure_plus(self, s: int) -> frozenset:
         """States reachable from s by one or more silent steps."""
-        out = set()
-        for t in self.tau_succ(s):
-            out |= self.tau_closure(t)
-        return frozenset(out)
+        return frozenset(_reach(self.tau_succ(s), self.tau_succ))
 
 
 def union_lts(a: Lts, b: Lts):

@@ -8,7 +8,6 @@ drives the silent-prefix promotion step and the congruence prover.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
 from itertools import count
 from typing import Optional
 
@@ -27,7 +26,6 @@ from .syntax import (
     compose_sum,
     flatten_sum,
     free_vars,
-    fresh_name,
     is_guarded_in,
     is_loop,
     loop,
@@ -35,7 +33,7 @@ from .syntax import (
     pretty,
     substitute,
 )
-from .semantics import DEFAULT_BUDGET, Lts, exposes
+from .semantics import DEFAULT_BUDGET, Lts, _reach, _tau_sccs, exposes
 from .semantics import step as sos_step
 from .equiv import Partition, RootedCheck, bisimilarity, equivalent, rooted_check
 from .kernel import ProofError
@@ -46,12 +44,13 @@ from .proof import (
     prove_sum_eq,
     _absorb_along,
     _app,
+    _d2,
     _hnf,
     _rec_cong,
     _t1,
 )
 from .standardize import (
-    NotGuarded, _d2, _d5, _d6, _meet_loops, _standardize, is_loop_of_loop,
+    NotGuarded, _d5, _d6, _meet_loops, _standardize, is_loop_of_loop,
     prove_loop_canonical)
 
 
@@ -87,12 +86,11 @@ class SesSystem(Value):
         return self._successors[x]
 
     def is_guarded(self) -> bool:
-        """The unguarded-occurrence relation admits no cycle."""
-        try:
-            TopologicalSorter(self._successors).prepare()
-        except CycleError:
-            return False
-        return True
+        """The unguarded-occurrence relation admits no cycle: none of its
+        components holds two formals, and no formal is its own successor."""
+        succ = self._successors
+        return all(len(comp) == 1 and comp[0] not in succ[comp[0]]
+                   for comp in _tau_sccs(succ))
 
     @staticmethod
     def from_equations(formals, rhs) -> "SesSystem":
@@ -134,13 +132,7 @@ def _extract_into(b: Builder, roots):
     variables, inside a loop when the state steps silently to itself; its
     solution is the state, and `ders` holds the steps of `b` that prove
     each solution equal to its filled equation."""
-    states = list(dict.fromkeys(roots))
-    seen = set(states)
-    for s in states:  # the loop also visits what it appends
-        for _, t in sos_step(s):
-            if t not in seen:
-                seen.add(t)
-                states.append(t)
+    states = _reach(roots, lambda s: [t for _, t in sos_step(s)])
     # one walk over the states' shared subterms
     used = all_vars(compose_sum(states))
     names = (x for x in map("_X{}".format, count()) if x not in used)
@@ -179,13 +171,7 @@ def _live(order, rhs, roots) -> list:
     right-hand side, in system order.  The set is closed under that
     dependency, so its equations form a system of their own."""
     formals = set(order)
-    seen = set()
-    stack = list(roots)
-    while stack:
-        x = stack.pop()
-        if x not in seen:
-            seen.add(x)
-            stack.extend(free_vars(rhs[x]) & formals)
+    seen = set(_reach(roots, lambda x: free_vars(rhs[x]) & formals))
     return [x for x in order if x in seen]
 
 
@@ -273,13 +259,10 @@ class _Quotient:
         self.bottoms = bottom_variables(s, self.classes)
         class_ids = sorted({self.cls[x] for x in s.formals})
         self.class_ids = class_ids
-        avoid = set(s.formals)
-        for x in s.formals:
-            avoid |= all_vars(s.rhs[x])
-        self.zvar = {}
-        for c in class_ids:
-            self.zvar[c] = fresh_name(avoid, "_q")
-            avoid.add(self.zvar[c])
+        # one walk over the equations' shared subterms
+        used = all_vars(compose_sum(s.rhs.values())) | set(s.formals)
+        names = (z for z in map("_q{}".format, count()) if z not in used)
+        self.zvar = {c: next(names) for c in class_ids}
         zmap = {y: Var(self.zvar[self.cls[y]]) for y in s.formals}
         self.quot_formals = tuple(self.zvar[c] for c in class_ids)
         self.quot_rhs = {
@@ -324,17 +307,11 @@ class _Quotient:
         f0, _ = self.filled(x)
         return prove_sum_eq(b, f0, Prefix(TAU, self.bsol[self.cls[x]]))
 
-    def subset_absorb(self, lp: Expr, extra: Expr) -> int:
-        """lp = lp + extra, when extra's summands occur in the loop body."""
-        return _absorb_along(self.b, _d2(self.b, lp), extra)
-
     def clause_absorb(self, x: str) -> int:
         """The filled equation absorbs its own non-stuttering summands:
         F{B} = F{B} + F1{B}."""
         _, f1 = self.filled(x)
-        split = self.clause_split(x)
-        grow = self.subset_absorb if isinstance(self.s.rhs[x], Rec) else None
-        return _absorb_along(self.b, split, f1, grow)
+        return _absorb_along(self.b, self.clause_split(x), f1)
 
     def equality3(self, x: str) -> int:
         """tau.(filled equation of x) = tau.(filled designated equation)."""
@@ -398,7 +375,7 @@ class _Quotient:
         total = align(b, total, Prefix(TAU, outer_target))
         total = _app(b, total, ["prefix"], _d5(b, f1i, f1x))
         # duplicate the tail inside the merged loop for the branching axiom
-        dd2 = self.subset_absorb(lp_mid, f1x)
+        dd2 = _absorb_along(b, _d2(b, lp_mid), f1x)
         total = _app(b, total, ["prefix", "suml", "prefix"], dd2)
         total = b.trans(
             total, b.axiom("B", {"E": lp_mid, "F": f1x}, {"a": TAU}))

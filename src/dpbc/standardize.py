@@ -31,9 +31,9 @@ from .syntax import (
 from .kernel import ProofError, SideCondition
 from .proof import (
     Builder,
-    _absorb_along,
     _app,
     _d0,
+    _d2,
     _hnf,
     _t1,
     align,
@@ -59,12 +59,6 @@ def prove_loop_canonical(b: Builder, e: Expr):
     return cl, b.cong("recbody", inner, e.binder)
 
 
-def _d1(b: Builder, lp: Expr) -> int:
-    """lp = tau.lp + body, for any constructor-shaped loop."""
-    z, body = lp.binder, lp.body.right
-    return b.axiom("R1", {"E": Sum(Prefix(TAU, Var(z)), body)}, {"X": z})
-
-
 def _meet_loops(b: Builder, lp: Expr, target: Expr) -> int:
     """lp = target for two constructor-shaped loops whose bodies agree up
     to S1-S4 and renaming: both bodies are brought to their canonical sum
@@ -74,11 +68,6 @@ def _meet_loops(b: Builder, lp: Expr, target: Expr) -> int:
     step = b.rewrite_at(lp, ["rec", "sumr"], dl)
     back = b.rewrite_at(target, ["rec", "sumr"], dt)
     return b.trans(align(b, step, b.rhs_after(back)), b.symm(back))
-
-
-def _d2(b: Builder, lp: Expr) -> int:
-    """lp = lp + body, for any constructor-shaped loop."""
-    return _absorb_along(b, _d1(b, lp), lp.body.right)
 
 
 def _d3(b: Builder, x: str, e: Expr, f: Expr, avoid=()) -> int:

@@ -1,5 +1,13 @@
 """Reference relations and engines that only the tests use.
 
+`PairRelation` is a set of state pairs over a transition system, and
+`functional_S`, `functional_B` and `functional_Bd` are the functionals
+of strong, branching and divergence-preserving branching bisimilarity:
+each maps a relation to the pairs that satisfy the relation's clauses,
+the predicates `equiv.CLAUSES` holds.  `functional_Bp` is the
+progressing branching functional, and `full_relation`,
+`identity_relation` and `pairs` build relations to apply them to.
+
 `round_bisimilarity` is the round-based signature refinement that
 `equiv.bisimilarity` replaced: every round recomputes the signature of
 every state against the whole partition (Blom & Orzan, STTT 2005).  It
@@ -27,11 +35,47 @@ made with `graphlib` before it read the engine's Tarjan routine.
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
 
-from dpbc.equiv import Partition, PairRelation, _branching_ok, _image
+from dpbc.equiv import CLAUSES, Partition, _branching_ok, _strong_ok
 from dpbc.semantics import Lts, _tau_sccs
 from dpbc.syntax import (
-    NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Var, _is_var_name,
-    _split_left, free_vars, loop)
+    NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Value, Var, _is_var_name,
+    _set, _split_left, free_vars, loop)
+
+
+# --- the functionals ----------------------------------------------------------------
+
+
+class PairRelation(Value):
+    """A set of state pairs over a finite transition system."""
+
+    __slots__ = _fields = ("lts", "pairs")
+
+    def __init__(self, lts: Lts, pairs: frozenset):
+        _set(self, "lts", lts)
+        _set(self, "pairs", pairs)
+
+    def __contains__(self, pair):
+        return pair in self.pairs
+
+
+def _image(rel: PairRelation, ok) -> PairRelation:
+    """The pairs (i, j) of states for which ok(lts, pairs, i, j) holds."""
+    lts = rel.lts
+    n = lts.n_states
+    return PairRelation(lts, frozenset(
+        (i, j) for i in range(n) for j in range(n) if ok(lts, rel.pairs, i, j)))
+
+
+def functional_S(rel: PairRelation) -> PairRelation:
+    return _image(rel, _strong_ok)
+
+
+def functional_B(rel: PairRelation) -> PairRelation:
+    return _image(rel, _branching_ok)
+
+
+def functional_Bd(rel: PairRelation) -> PairRelation:
+    return _image(rel, CLAUSES["dpbb"])
 
 
 def full_relation(lts: Lts) -> PairRelation:

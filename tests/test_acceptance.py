@@ -18,22 +18,18 @@ from dpbc.syntax import (
 )
 from dpbc.semantics import build_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
-    PairRelation,
     RootedCheck,
     bisimilarity,
     brute_oracle,
     equivalent,
-    functional_B,
-    functional_Bd,
-    functional_S,
     rooted_check,
 )
-from dpbc.proof import Builder, check, _d0, _t1
-from dpbc.standardize import _d1, _d2, _d3, _d4, _d5, _d6, standardize
+from dpbc.proof import Builder, check, _d0, _d1, _d2, _t1
+from dpbc.standardize import _d3, _d4, _d5, _d6, standardize
 from dpbc.ses import SesSystem, prove_congruent, _extract_into, _solve_any
 
 from genexpr import derive, random_expr, random_guarded_expr, random_lts
-from oracles import functional_Bp
+from oracles import PairRelation, functional_B, functional_Bd, functional_Bp, functional_S
 
 
 def _report(name: str, ok: bool, detail: str = ""):

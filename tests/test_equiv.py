@@ -7,21 +7,18 @@ from dpbc import equiv
 from dpbc.syntax import Action, Prefix, Sum, TAU, parse
 from dpbc.semantics import Lts, build_lts, format_aut, union_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
-    PairRelation,
     Partition,
     RootedCheck,
     bisimilarity,
     brute_oracle,
     equivalent,
-    functional_B,
-    functional_Bd,
-    functional_S,
     rooted_check,
 )
 
 from genexpr import benchmark_gen, random_expr, random_lts, silently_exposes
 from oracles import (
-    full_relation, functional_Bp, identity_relation, pairs, round_bisimilarity)
+    PairRelation, full_relation, functional_B, functional_Bd, functional_Bp, functional_S,
+    identity_relation, pairs, round_bisimilarity)
 
 DIVERGENT_PAIR = (parse("rec X.(tau.X + a.0)"), parse("tau.a.0"))
 

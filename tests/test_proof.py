@@ -50,11 +50,13 @@ from dpbc.proof import (
     _absorb_summand,
     _hnf,
     _d0,
+    _d1,
+    _d2,
     _t1,
 )
 from dpbc.equiv import rooted_check
 from dpbc.ses import _route, prove_congruent
-from dpbc.standardize import _d1, _d2, _d3, _d4, _d5, _d6
+from dpbc.standardize import _d3, _d4, _d5, _d6
 
 import dpbc
 from genexpr import benchmark_gen, derive, random_expr

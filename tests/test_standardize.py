@@ -23,10 +23,8 @@ from dpbc.syntax import (
 )
 from dpbc.kernel import AxiomStep
 from dpbc.proof import (
-    Builder, SideCondition, check, format_derivation, parse_derivation, prove_canon)
+    Builder, SideCondition, _d1, _d2, check, format_derivation, parse_derivation, prove_canon)
 from dpbc.standardize import (
-    _d1,
-    _d2,
     _d3,
     _d4,
     _d5,
