@@ -652,13 +652,7 @@ def _unused_imports(path):
         text = fh.read()
     tree = ast.parse(text)
     lines = text.splitlines()
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in tree.body:
         if not isinstance(node, (ast.Import, ast.ImportFrom)):

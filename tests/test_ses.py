@@ -157,7 +157,7 @@ def _random_cyclic_equations(rng: random.Random, max_formals: int = 4):
         leaves = [Prefix(rng.choice(ACTIONS), Var(rng.choice(formals)))
                   for _ in range(rng.randint(0, 3))]
         leaves += [Var(rng.choice(["V", "W"])) for _ in range(rng.randint(0, 1))]
-        body = compose_sum(leaves) if leaves else NIL
+        body = compose_sum(leaves)
         rhs[x] = loop(body) if rng.random() < 0.4 else body
     return tuple(formals), rhs
 
