@@ -14,6 +14,15 @@ against the round-based refinement it replaced, the pair-level fixpoint
 iteration R <- sym(R & F(R)) over the functionals of `tests/oracles.py`
 and the brute-force oracle `brute_oracle`, which stays here because
 `perfbench/selfcheck.py` imports it.
+
+`equivalent` and `rooted_check` partition one system for both terms,
+whose states are closures (`semantics.closure_lts`): no term is
+substituted, and a state that both sides reach is partitioned once.  A
+verdict does not depend on which closure stands for a term.  What a
+reader sees of a `RootedCheck` does: its witness names a state, so the
+witness, the joint system, its partition and the roots are worked out
+on the terms' own systems (`build_lts`, as before closures) when one
+of them is first read.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .semantics import (
-    DEFAULT_BUDGET, Lts, build_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
+    DEFAULT_BUDGET, Lts, build_lts, closure_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
 from .syntax import TAU_NAME, Expr, Prefix, Value, _set, pretty
 
 KINDS = ("strong", "branching", "dpbb")
@@ -238,24 +247,43 @@ class RootedCheck(Value):
     The witness of a 'forth' or 'back' failure is the unmatched move
     (action, target state of `lts`); of an 'exposure' failure, the
     identifiers that only one root exposes.  `detail` puts it in words
-    when it is read."""
+    when it is read.  `rooted_check` decides on closure states, whose
+    numbers mean nothing to a reader, so it leaves `witness`, `lts`,
+    `partition` and the roots to be worked out on the two terms'
+    systems (`build_lts`) when one of them is first read."""
 
-    __slots__ = _fields = (
-        "equal", "clause", "witness", "lts", "partition", "root_left", "root_right")
+    _fields = ("equal", "clause", "witness", "lts", "partition", "root_left", "root_right")
+    # `_pair` is the (e, f, budget) that `_terms` comes from while it is None
+    __slots__ = ("equal", "clause", "_pair", "_terms")
 
     def __init__(self, equal: bool, clause: Optional[str] = None, witness=None,
                  lts: Optional[Lts] = None, partition: Optional[Partition] = None,
                  root_left: int = -1, root_right: int = -1):
         _set(self, "equal", equal)
         _set(self, "clause", clause)  # 'forth' | 'back' | 'exposure'
-        _set(self, "witness", witness)
-        _set(self, "lts", lts)
-        _set(self, "partition", partition)
-        _set(self, "root_left", root_left)
-        _set(self, "root_right", root_right)
+        _set(self, "_pair", None)
+        _set(self, "_terms", (witness, lts, partition, root_left, root_right))
 
     def __bool__(self):
         return self.equal
+
+    def _on_terms(self) -> tuple:
+        """(witness, lts, partition, root_left, root_right), on terms."""
+        terms = self._terms
+        if terms is None:
+            e, f, budget = self._pair
+            joint, re_, rf = union_lts(build_lts(e, budget), build_lts(f, budget))
+            part = bisimilarity(joint, "dpbb")
+            failure = _root_failure(joint, part, re_, rf)
+            terms = (failure and failure[1], joint, part, re_, rf)
+            _set(self, "_terms", terms)
+        return terms
+
+    witness = property(lambda self: self._on_terms()[0])
+    lts = property(lambda self: self._on_terms()[1])
+    partition = property(lambda self: self._on_terms()[2])
+    root_left = property(lambda self: self._on_terms()[3])
+    root_right = property(lambda self: self._on_terms()[4])
 
     @property
     def detail(self) -> str:
@@ -269,32 +297,36 @@ class RootedCheck(Value):
         return f"{mine} move {move} has no matching {other} move"
 
 
-def _joint(e: Expr, f: Expr, kind: str, budget: int):
-    """(joint LTS of e and f, its partition under `kind`, e's root, f's root)."""
-    joint, re_, rf = union_lts(build_lts(e, budget), build_lts(f, budget))
-    return joint, bisimilarity(joint, kind), re_, rf
+def _root_failure(lts: Lts, part: Partition, re_: int, rf: int):
+    """The first of the three root clauses to fail, as (clause, witness),
+    or None when all three hold."""
+    for clause, root, other_root in (("forth", re_, rf), ("back", rf, re_)):
+        for a, tgt in lts.succ(root):
+            if not any(a2 == a and part.same(tgt, t2) for a2, t2 in lts.succ(other_root)):
+                return clause, (a, tgt)
+    if lts.exposure[re_] != lts.exposure[rf]:
+        return "exposure", lts.exposure[re_] ^ lts.exposure[rf]
+    return None
 
 
 def rooted_check(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> RootedCheck:
-    """Check the three root clauses over the joint dpbb partition."""
-    joint, part, re_, rf = _joint(e, f, "dpbb", budget)
-
-    for clause, root, other_root in (("forth", re_, rf), ("back", rf, re_)):
-        for a, tgt in joint.succ(root):
-            if not any(a2 == a and part.same(tgt, t2) for a2, t2 in joint.succ(other_root)):
-                return RootedCheck(False, clause, (a, tgt), joint, part, re_, rf)
-    if joint.exposure[re_] != joint.exposure[rf]:
-        diff = joint.exposure[re_] ^ joint.exposure[rf]
-        return RootedCheck(False, "exposure", diff, joint, part, re_, rf)
-    return RootedCheck(True, None, None, joint, part, re_, rf)
+    """Check the three root clauses over the dpbb partition of the two
+    roots' closure states (`closure_lts`).  Which clause fails does not
+    depend on the order of the moves, so it is found there too."""
+    lts, (re_, rf) = closure_lts((e, f), budget)
+    failure = _root_failure(lts, bisimilarity(lts, "dpbb"), re_, rf)
+    rc = RootedCheck(failure is None, failure and failure[0])
+    _set(rc, "_pair", (e, f, budget))
+    _set(rc, "_terms", None)
+    return rc
 
 
 def equivalent(e: Expr, f: Expr, kind: str, budget: int = DEFAULT_BUDGET) -> bool:
     """Are the two expressions related by the selected bisimilarity?"""
     if kind == "rooted":
         return rooted_check(e, f, budget).equal
-    _, part, re_, rf = _joint(e, f, kind, budget)
-    return part.same(re_, rf)
+    lts, (re_, rf) = closure_lts((e, f), budget)
+    return bisimilarity(lts, kind).same(re_, rf)
 
 
 # --- brute-force oracle --------------------------------------------------------

@@ -1,8 +1,13 @@
 """Operational semantics: transitions, exposure, finite transition systems.
 
-States of a built LTS are syntactically distinct expressions; recursion
-is stepped by unfolding the body's derivatives, which keeps the
-reachable closure finite for this calculus.
+Two explorations give a term's transition system.  `build_lts` numbers
+the closed terms that a term reaches, in a fixed order: a recursion
+steps by substituting itself into its body's derivatives, which keeps
+the reachable terms finite for this calculus.  `lts`, `minimize` and
+the prover read terms, so they use it.  `closure_lts` reaches the same
+behaviour without building a term: its states are closures, subterms
+whose free variables an environment binds to recursion states (Milner,
+JCSS 1984), and the verdicts of `equiv` are made on them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from functools import cmp_to_key
 from typing import Optional
 
 from .syntax import (
-    DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, _compare, _set, substitute)
+    _NONE, DEFAULT_BUDGET, Expr, Prefix, Rec, Sum, Value, Var, _compare, _set, substitute)
 
 
 class BudgetExceeded(Exception):
@@ -115,7 +120,7 @@ class Lts(Value):
     def __init__(self, states: tuple, transitions: tuple, exposure: tuple,
                  root: Optional[int]):
         _set(self, "states", states)
-        _set(self, "transitions", transitions)  # (src, Action, dst), sorted
+        _set(self, "transitions", transitions)  # (src, Action, dst), by src
         _set(self, "exposure", exposure)  # frozenset of identifiers per state
         _set(self, "root", root)
         _set(self, "_adj", None)
@@ -187,6 +192,100 @@ def build_lts(e: Expr, budget: int = DEFAULT_BUDGET) -> Lts:
     return Lts(tuple(states), tuple(sorted(
         transitions, key=lambda t: (t[0], t[1].key, t[2]))),
         tuple([s._exposed for s in states]), 0)
+
+
+def closure_lts(roots, budget: int = DEFAULT_BUDGET):
+    """One transition system for the terms `roots`, whose states are
+    closures, and the state of each root.
+
+    A closure is a subterm with an environment: the environment maps
+    each free variable of the subterm that an enclosing recursion binds
+    to that recursion's state, and the closure stands for the closed
+    term that putting those recursions in would give.  Every derivative
+    of a term is such a closure (Milner, JCSS 1984), so no term is
+    substituted or built.  The moves are those of `_moves`: a prefix
+    moves to its body's closure (a bound variable there is its
+    recursion's state), a sum has its summands' moves, a recursion binds
+    its binder to its own state and moves as its body, in which that
+    binder has no moves, and a variable the environment binds has its
+    recursion's moves.  A closure exposes what its subterm exposes, with
+    each bound name replaced by what that name's state exposes.
+
+    The roots share one table, so a closure that two roots reach is one
+    state.  Two closures may stand for one term, as in
+    `b.(rec X. a.a.X) + c.a.(rec X. a.a.X)`, so the states are not
+    terms and serve verdicts only; `build_lts` numbers terms.  The
+    closures reachable from each root, counted on their own, may not
+    pass `budget`.  A recursion met on the way to a move gets a state
+    even when no move enters it, since a variable it binds stands for
+    it; such a state is reached from no root and counts for none.
+    """
+    index = {}  # (subterm, the states its environment binds) -> state
+    keys, envs, exposure, moves, transitions = [], [], [], [], []
+
+    def close(node, env):
+        """The state of node under env, new or found."""
+        if env:
+            if type(node) is Var and node.name in env:
+                return env[node.name]
+            # a state binds a name to a state of a recursion with that
+            # binder, so the states alone, in the order of `_free`, give
+            # the environment
+            own = {x: env[x] for x in node._free if x in env}
+            key = (node, tuple(own.values()))
+        else:
+            own, key = env, (node, ())
+        s = index.get(key)
+        if s is None:
+            s = index[key] = len(keys)
+            keys.append(key)
+            envs.append(own)
+            exp = node._exposed
+            if own and not exp.isdisjoint(own):
+                exp = exp.difference(own).union(*[exposure[own[x]] for x in exp if x in own])
+            exposure.append(exp)
+        return s
+
+    def explore(s):
+        """Work out the moves of state s.  It reads the moves of the
+        states its environment binds, which were made, and so explored,
+        before s."""
+        out = set()
+        env0 = envs[s]
+        todo = [(keys[s][0], env0, _NONE)]  # what is left to walk, with the
+        while todo:  # binders met on the way, which have no moves
+            node, env, met = todo.pop()
+            tag = type(node)
+            if tag is Prefix:
+                out.add((node.act, close(node.body, env)))
+            elif tag is Sum:
+                todo += ((node.left, env, met), (node.right, env, met))
+            elif tag is Rec:
+                x = node.binder
+                todo.append((node.body, {**env, x: close(node, env)}, met | {x}))
+            elif tag is Var and node.name not in met and node.name in env0:
+                out.update(moves[env0[node.name]])
+        moves.append(out)
+        transitions.extend([(s, act, t) for act, t in out])
+
+    starts = []
+    for root in roots:
+        start = close(root, {})
+        starts.append(start)
+        reached = {start}
+        queue = [start]
+        for s in queue:  # the loop also visits what it appends
+            while len(moves) <= s:
+                explore(len(moves))
+            for _, t in moves[s]:
+                if t not in reached:
+                    if len(reached) >= budget:
+                        raise BudgetExceeded(f"state budget {budget} exceeded")
+                    reached.add(t)
+                    queue.append(t)
+    while len(moves) < len(keys):  # the states that no root reaches
+        explore(len(moves))
+    return Lts(tuple(keys), tuple(transitions), tuple(exposure), None), starts
 
 
 def _tau_sccs(succ):

@@ -333,29 +333,76 @@ def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:
 
 def _subst(e: Expr, sub: dict) -> Expr:
     """`substitute` for a `sub` that binds some free variable of e; its
-    other bindings are passed down until a recursion drops them."""
-    if type(e) is Var:
-        return sub[e.name]
-    if type(e) is Prefix:
-        return Prefix(e.act, _subst(e.body, sub))
-    if type(e) is Sum:
-        left, right = e.left, e.right
-        keys = sub.keys()
-        return Sum(left if keys.isdisjoint(left._free) else _subst(left, sub),
-                   right if keys.isdisjoint(right._free) else _subst(right, sub))
-    # recursion: keep only the bindings of its free variables, so that the
-    # binder, which is not free in e, is not bound, and rename it first if
-    # one of the values kept would capture it
-    sub = {x: sub[x] for x in free_vars(e) if x in sub}
-    if any(e.binder in free_vars(f) for f in sub.values()):
-        avoid = set(all_vars(e.body)) | set(sub)
-        for f in sub.values():
-            avoid |= free_vars(f)
-        nb = fresh_name(avoid)
-        if e.binder in free_vars(e.body):
-            sub = {e.binder: Var(nb), **sub}
-        return Rec(nb, _subst(e.body, sub))
-    return Rec(e.binder, _subst(e.body, sub))
+    other bindings are passed down until a recursion drops them.
+
+    A stack stands in for recursion, so a term of any depth is
+    substituted.  The walk goes down from e to a variable, leaving on
+    `todo` what is left: a (term, bindings) pair is the right half of a
+    sum, still to walk.  Anything else puts a term back together over
+    its new children, the last ones on `done`: a prefix, the binder of a
+    recursion, or a sum with 1, 2 or 3 as its left, right or both halves
+    change."""
+    done = []
+    todo = []
+    push = todo.append
+    while True:
+        while True:  # down to a variable
+            t = type(e)
+            if t is Prefix:
+                push(e)
+                e = e.body
+            elif t is Var:
+                done.append(sub[e.name])
+                break
+            elif t is Sum:
+                keys = sub.keys()
+                if keys.isdisjoint(e.left._free):
+                    push(2)
+                    push(e)
+                    e = e.right
+                elif keys.isdisjoint(e.right._free):
+                    push(1)
+                    push(e)
+                    e = e.left
+                else:
+                    push(3)
+                    push(e)
+                    push((e.right, sub))
+                    e = e.left
+            else:
+                # recursion: keep only the bindings of its free variables, so
+                # that the binder, which is not free in e, is not bound, and
+                # rename it first if one of the values kept would capture it
+                sub = {x: sub[x] for x in e._free if x in sub}
+                binder = e.binder
+                if any(binder in f._free for f in sub.values()):
+                    avoid = set(all_vars(e.body)) | set(sub)
+                    for f in sub.values():
+                        avoid |= f._free
+                    binder = fresh_name(avoid)
+                    if e.binder in e.body._free:
+                        sub = {e.binder: Var(binder), **sub}
+                push(binder)
+                e = e.body
+        while True:  # up to the next half to walk
+            if not todo:
+                return done[0]
+            x = todo.pop()
+            t = type(x)
+            if t is Prefix:
+                done[-1] = Prefix(x.act, done[-1])
+            elif t is Sum:
+                which = todo.pop()
+                if which == 3:
+                    right = done.pop()
+                    done[-1] = Sum(done[-1], right)
+                else:
+                    done[-1] = Sum(done[-1], x.right) if which == 1 else Sum(x.left, done[-1])
+            elif t is str:
+                done[-1] = Rec(x, done[-1])
+            else:
+                e, sub = x
+                break
 
 
 # --- loops ------------------------------------------------------------------

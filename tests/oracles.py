@@ -30,6 +30,9 @@ recognizes without building a term.
 
 `reference_is_guarded` is the cycle check that `SesSystem.is_guarded`
 made with `graphlib` before it read the engine's Tarjan routine.
+
+`reference_subst` is the recursive `syntax._subst` that the one with a
+stack of its own replaced; it recurses once per level of the term.
 """
 
 from functools import partial
@@ -39,7 +42,7 @@ from dpbc.equiv import CLAUSES, Partition, _branching_ok, _strong_ok
 from dpbc.semantics import Lts, _tau_sccs
 from dpbc.syntax import (
     NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Value, Var, _is_var_name,
-    _set, _split_left, free_vars, loop)
+    _set, _split_left, all_vars, fresh_name, free_vars, loop)
 
 
 # --- the functionals ----------------------------------------------------------------
@@ -301,6 +304,29 @@ def tuple_summand_key(e):
 
 
 # --- the syntactic facts ---------------------------------------------------------------
+
+
+def reference_subst(e, sub: dict):
+    """`syntax._subst`, by one recursive call per subterm it rebuilds."""
+    if type(e) is Var:
+        return sub[e.name]
+    if type(e) is Prefix:
+        return Prefix(e.act, reference_subst(e.body, sub))
+    if type(e) is Sum:
+        left, right = e.left, e.right
+        keys = sub.keys()
+        return Sum(left if keys.isdisjoint(left._free) else reference_subst(left, sub),
+                   right if keys.isdisjoint(right._free) else reference_subst(right, sub))
+    sub = {x: sub[x] for x in free_vars(e) if x in sub}
+    if any(e.binder in free_vars(f) for f in sub.values()):
+        avoid = set(all_vars(e.body)) | set(sub)
+        for f in sub.values():
+            avoid |= free_vars(f)
+        nb = fresh_name(avoid)
+        if e.binder in free_vars(e.body):
+            sub = {e.binder: Var(nb), **sub}
+        return Rec(nb, reference_subst(e.body, sub))
+    return Rec(e.binder, reference_subst(e.body, sub))
 
 
 def reference_all_vars(e) -> frozenset:

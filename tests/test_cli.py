@@ -517,23 +517,44 @@ def _python(*args):
 
 
 def test_deep_and_wide_inputs_exit_2_without_traceback(tmp_path):
-    # a 400-deep `rec` parses, but unfolding it substitutes into a term of
-    # that depth by one recursion per level; it may not read as a verdict
+    # a 400-deep `rec` (`perfbench/gen.py` `deep_rec(400)`) is decided on
+    # closure states, which substitute nothing, and proved equal to itself
+    # by a certificate that verifies; none of it may end in a traceback
     text = "0"
     for i in reversed(range(400)):
         text = f"rec X{i}. a.({text} + b.X0)"
     deep = _write(tmp_path, "deep.proc", text)
+    cert = str(tmp_path / "deep.cert")
     runs = [
         ["check", "--rel", "dpbb", deep, deep],
-        ["prove", deep, deep],
+        ["prove", deep, deep, "--cert", cert],
+        ["verify", cert],
     ]
     for args in runs:
         res = _python("-m", "dpbc.cli", *args)
-        assert res.returncode == 2, (args, res.stderr[-300:])
+        assert res.returncode == 0, (args, res.stderr[-300:])
         assert "Traceback" not in res.stderr, args
-        lines = res.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), args
-        assert lines[0].startswith(f"error: recursion limit reached in dpbc {args[0]} ("), lines
+        assert res.stderr == "", args
+
+
+def test_deep_recursion_is_listed_minimized_and_explained(tmp_path):
+    # the systems of the terms of `deep_rec(400)` are built by a
+    # substitution that keeps a stack of its own: `lts` lists them,
+    # `minimize` quotients them, and a failing rooted check names its
+    # unmatched move in a term
+    text = "0"
+    for i in reversed(range(400)):
+        text = f"rec X{i}. a.({text} + b.X0)"
+    deep = _write(tmp_path, "deep.proc", text)
+    res = _python("-m", "dpbc.cli", "lts", deep)
+    assert res.returncode == 0 and res.stdout.startswith("des (0, 800, 401)\n"), res.stderr[-300:]
+    res = _python("-m", "dpbc.cli", "minimize", deep)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
+    other = _write(tmp_path, "other.proc", "rec X0. a.X0")
+    res = _python("-m", "dpbc.cli", "check", "--rel", "rooted", deep, other)
+    assert res.returncode == 1, res.stderr[-300:]
+    assert res.stderr.startswith("not rooted-equivalent: forth at states (0,"), res.stderr[:300]
+    assert res.stderr.endswith(" has no matching right move\n"), res.stderr[-300:]
 
 
 def test_deep_chains_are_decided(tmp_path):
@@ -606,6 +627,14 @@ def test_wide_sums_are_decided(tmp_path):
     res = _python("-m", "dpbc.cli", "verify", std)
     assert res.returncode == 0, res.stderr[-300:]
     assert res.stdout == f"verified: {text} = a.0 + b.0 + c.0\n"
+    # the same summands under a recursion, against its renaming: R0
+    # substitutes into the whole sum, with a stack of its own
+    rec_x = _write(tmp_path, "recx.proc", f"rec X. ({text.replace('.0', '.X')})")
+    rec_y = _write(tmp_path, "recy.proc", f"rec Y. ({text.replace('.0', '.Y')})")
+    res = _python("-m", "dpbc.cli", "prove", rec_x, rec_y, "--cert", cert)
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
+    res = _python("-m", "dpbc.cli", "verify", cert)
+    assert res.returncode == 0, res.stderr[-300:]
 
 
 def test_verify_prints_a_deep_conclusion(tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dpbc import equiv
-from dpbc.syntax import Action, Prefix, Sum, TAU, parse
+from dpbc.syntax import NIL, Action, Prefix, Sum, TAU, Var, parse, pretty
 from dpbc.semantics import Lts, build_lts, format_aut, union_lts, _can_reach_tau_cycle
 from dpbc.equiv import (
     Partition,
@@ -15,7 +15,7 @@ from dpbc.equiv import (
     rooted_check,
 )
 
-from genexpr import benchmark_gen, random_expr, random_lts, silently_exposes
+from genexpr import all_terms, benchmark_gen, random_expr, random_lts, silently_exposes
 from oracles import (
     PairRelation, full_relation, functional_B, functional_Bd, functional_Bp, functional_S,
     identity_relation, pairs, round_bisimilarity)
@@ -229,6 +229,75 @@ def test_engine_matches_rounds_on_decide_trees():
             joint, _, _ = union_lts(build_lts(parse(op["left"])), build_lts(parse(op["right"])))
             for kind in ("strong", "branching", "dpbb"):
                 _agree(joint, kind)
+
+
+# --- closure states against term states -------------------------------------------
+
+
+def _first_failure(joint, part, re_, rf):
+    """The first root clause to fail on the terms' joint system, in the
+    order of its moves, with its witness; (None, None) when none fails."""
+    for clause, root, other in (("forth", re_, rf), ("back", rf, re_)):
+        for a, t in joint.succ(root):
+            if all(a2 != a or not part.same(t, t2) for a2, t2 in joint.succ(other)):
+                return clause, (a, t)
+    if joint.exposure[re_] != joint.exposure[rf]:
+        return "exposure", joint.exposure[re_] ^ joint.exposure[rf]
+    return None, None
+
+
+def _decides_as_on_terms(e, f):
+    # each verdict against the partition of the two terms' own systems,
+    # and the fields a reader sees against the same systems
+    joint, re_, rf = union_lts(build_lts(e), build_lts(f))
+    for kind in equiv.KINDS:
+        assert equivalent(e, f, kind) == bisimilarity(joint, kind).same(re_, rf), (
+            pretty(e), pretty(f), kind)
+    part = bisimilarity(joint, "dpbb")
+    clause, witness = _first_failure(joint, part, re_, rf)
+    rc = rooted_check(e, f)
+    assert (rc.equal, rc.clause) == (clause is None, clause), (pretty(e), pretty(f))
+    assert (rc.witness, rc.lts, rc.partition, rc.root_left, rc.root_right) == (
+        witness, joint, part, re_, rf)
+
+
+def test_closure_states_decide_as_term_states():
+    rng = random.Random(33)
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    closed = [e for e in all_terms(5, (NIL, x, y)) if not e._free]
+    for _ in range(1500):
+        _decides_as_on_terms(rng.choice(closed), rng.choice(closed))
+    # a free Z, which no recursion binds, and X and Y free or bound
+    small = all_terms(4, (NIL, x, y, z))
+    for _ in range(1000):
+        _decides_as_on_terms(rng.choice(small), rng.choice(small))
+    # shadowed binders, unguarded binders, a bound name exposed below the
+    # root, loops, and two closures of one term (`rec X. a.a.X` under b,
+    # and its derivative under c)
+    texts = ["rec X. X", "rec X. (X + a.0)", "rec W. rec X. c.((rec W. b.X) + W)",
+             "rec W. rec X. c.((rec W. b.X) + W) + 0", "rec X. rec Y. a.(X + Y)",
+             "rec X. (Z + a.(X + b.0))", "rec Y. (Z + a.(Y + b.0 + Z))",
+             "tau* tau* (a.0 + tau* Z)", "tau* a.tau* Z",
+             "b.(rec X. a.a.X) + c.a.(rec X. a.a.X)",
+             "b.(rec Y. a.a.Y) + c.a.a.(rec Y. a.a.Y)"]
+    for left in texts:
+        for right in texts:
+            _decides_as_on_terms(parse(left), parse(right))
+    gen = benchmark_gen()
+    for seed in (1, 7, 11):
+        for op in gen.decide_ops(seed, 4)[::4] + gen.prove_ops(seed, 4):
+            _decides_as_on_terms(parse(op["left"]), parse(op["right"]))
+
+
+def test_closure_states_are_not_terms():
+    # the two copies of `rec X. a.a.X` are four closures but three terms,
+    # and a state that both roots reach is one closure
+    from dpbc.semantics import closure_lts
+    e = parse("b.(rec X. a.a.X) + c.a.(rec X. a.a.X)")
+    assert build_lts(e).n_states == 3
+    lts, roots = closure_lts((e, e))
+    assert lts.n_states == 4 and roots == [0, 0]
+    assert rooted_check(e, parse("b.(rec Y. a.a.Y) + c.a.a.(rec Y. a.a.Y)")).equal
 
 
 # SHA-256 of what the decide benchmark builds and checks for seeds 1 and 7

@@ -42,7 +42,8 @@ import genexpr
 from genexpr import all_terms, benchmark_gen, random_expr, silently_exposes
 from oracles import (
     reference_all_vars, reference_exposes, reference_is_guarded_expr, reference_is_identifier,
-    reference_is_loop, reference_parse, reference_unguarded, tuple_expr_key, tuple_summand_key)
+    reference_is_loop, reference_parse, reference_subst, reference_unguarded, tuple_expr_key,
+    tuple_summand_key)
 
 
 def test_free_vars():
@@ -523,3 +524,29 @@ def test_substitute_matches_naive_reference(e, bindings, warm):
     got = substitute(e, bindings)
     assert _tup(got) == want
     assert substitute(e, bindings) is got
+
+
+def test_subst_matches_the_recursive_reference(monkeypatch):
+    # every substitution that `build_lts` makes on the benchmark's decide
+    # and prove texts and on the small terms gives the very node that
+    # the recursive version gives
+    import dpbc.semantics
+    made = []
+
+    def compared(e, bindings):
+        got = substitute(e, bindings)
+        sub = {x: f for x, f in bindings.items() if x in e._free and f is not Var(x)}
+        assert got is (reference_subst(e, sub) if sub else e), pretty(e)
+        made.append(got is not e)
+        return got
+
+    monkeypatch.setattr(dpbc.semantics, "substitute", compared)
+    gen = benchmark_gen()
+    gc.collect()  # nodes left over from other tests may know their moves
+    for seed in (1, 7, 11):
+        for op in gen.decide_ops(seed, 4) + gen.prove_ops(seed, 4):
+            build_lts(parse(op["left"]))
+            build_lts(parse(op["right"]))
+    for e in all_terms(5, (NIL, Var("X"), Var("Y"))):
+        build_lts(e)
+    assert sum(made) > 1000, sum(made)
