@@ -339,12 +339,12 @@ def _subst(e: Expr, sub: dict) -> Expr:
     substituted.  The walk goes down from e to a variable, leaving on
     `todo` what is left: a (term, bindings) pair is the right half of a
     sum, still to walk.  Anything else puts a term back together over
-    its new children, the last ones on `done`: a prefix, the binder of a
+    `new`, the subterm just finished: a prefix, the binder of a
     recursion, or a sum with 1, 2 or 3 as its left, right or both halves
-    change."""
+    change.  A left half that is done waits on `done` for its right."""
     done = []
     todo = []
-    push = todo.append
+    push, pop = todo.append, todo.pop
     while True:
         while True:  # down to a variable
             t = type(e)
@@ -352,7 +352,7 @@ def _subst(e: Expr, sub: dict) -> Expr:
                 push(e)
                 e = e.body
             elif t is Var:
-                done.append(sub[e.name])
+                new = sub[e.name]
                 break
             elif t is Sum:
                 keys = sub.keys()
@@ -386,21 +386,23 @@ def _subst(e: Expr, sub: dict) -> Expr:
                 e = e.body
         while True:  # up to the next half to walk
             if not todo:
-                return done[0]
-            x = todo.pop()
+                return new
+            x = pop()
             t = type(x)
             if t is Prefix:
-                done[-1] = Prefix(x.act, done[-1])
+                new = Prefix(x.act, new)
             elif t is Sum:
-                which = todo.pop()
-                if which == 3:
-                    right = done.pop()
-                    done[-1] = Sum(done[-1], right)
+                which = pop()
+                if which == 1:
+                    new = Sum(new, x.right)
+                elif which == 2:
+                    new = Sum(x.left, new)
                 else:
-                    done[-1] = Sum(done[-1], x.right) if which == 1 else Sum(x.left, done[-1])
+                    new = Sum(done.pop(), new)
             elif t is str:
-                done[-1] = Rec(x, done[-1])
+                new = Rec(x, new)
             else:
+                done.append(new)
                 e, sub = x
                 break
 
