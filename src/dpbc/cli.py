@@ -54,8 +54,7 @@ def _check(args) -> int:
         rc = rooted_check(e, f, args.budget)
         if rc.equal:
             return 0
-        print(f"not rooted-equivalent: {rc.clause} at states "
-              f"({rc.root_left},{rc.root_right}): {rc.detail}", file=sys.stderr)
+        print(f"not rooted-equivalent: {rc.clause}: {rc.detail}", file=sys.stderr)
         return 1
     if equivalent(e, f, args.rel, args.budget):
         return 0
@@ -72,7 +71,7 @@ def _prove(args) -> int:
 
     rc = rooted_check(e, f, args.budget)
     if not rc.equal:
-        print(f"INEQ {rc.clause} ({rc.root_left},{rc.root_right})", file=sys.stderr)
+        print(f"INEQ {rc.clause}", file=sys.stderr)
         print(rc.detail, file=sys.stderr)
         return 1
     # looked up here, so that a rebound `ses.prove_congruent` is the one run

@@ -17,21 +17,21 @@ and the brute-force oracle `brute_oracle`, which stays here because
 
 `equivalent` and `rooted_check` partition one system for both terms,
 whose states are closures (`semantics.closure_lts`): no term is
-substituted, and a state that both sides reach is partitioned once.  A
-verdict does not depend on which closure stands for a term.  What a
-reader sees of a `RootedCheck` does: its witness names a state, so the
-witness, the joint system, its partition and the roots are worked out
-on the terms' own systems (`build_lts`, as before closures) when one
-of them is first read.
+substituted to explore it, and a state that both sides reach is
+partitioned once.  A verdict does not depend on which closure stands
+for a term.  A failing `rooted_check` names its unmatched move by the
+target's term, which `semantics.closure_terms` builds from the closure
+by one substitution, so it is explained on the system that decided it.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Optional
 
 from .semantics import (
-    DEFAULT_BUDGET, Lts, build_lts, closure_lts, union_lts, _can_reach_tau_cycle, _tau_sccs)
-from .syntax import TAU_NAME, Expr, Prefix, Value, _set, pretty
+    DEFAULT_BUDGET, Lts, closure_lts, closure_terms, _can_reach_tau_cycle, _reach, _tau_sccs)
+from .syntax import TAU_NAME, Expr, Prefix, Value, _compare, _set, pretty
 
 KINDS = ("strong", "branching", "dpbb")
 
@@ -244,46 +244,20 @@ def bisimilarity(lts: Lts, kind: str) -> Partition:
 class RootedCheck(Value):
     """Outcome of a rooted-congruence check, with a witness on failure.
 
-    The witness of a 'forth' or 'back' failure is the unmatched move
-    (action, target state of `lts`); of an 'exposure' failure, the
-    identifiers that only one root exposes.  `detail` puts it in words
-    when it is read.  `rooted_check` decides on closure states, whose
-    numbers mean nothing to a reader, so it leaves `witness`, `lts`,
-    `partition` and the roots to be worked out on the two terms'
-    systems (`build_lts`) when one of them is first read."""
+    The witness of a 'forth' or 'back' failure is the unmatched move, as
+    (action, target term); of an 'exposure' failure, the identifiers
+    that only one root exposes.  `detail` puts it in words."""
 
-    _fields = ("equal", "clause", "witness", "lts", "partition", "root_left", "root_right")
-    # `_pair` is the (e, f, budget) that `_terms` comes from while it is None
-    __slots__ = ("equal", "clause", "_pair", "_terms")
+    _fields = ("equal", "clause", "witness")
+    __slots__ = _fields
 
-    def __init__(self, equal: bool, clause: Optional[str] = None, witness=None,
-                 lts: Optional[Lts] = None, partition: Optional[Partition] = None,
-                 root_left: int = -1, root_right: int = -1):
+    def __init__(self, equal: bool, clause: Optional[str] = None, witness=None):
         _set(self, "equal", equal)
         _set(self, "clause", clause)  # 'forth' | 'back' | 'exposure'
-        _set(self, "_pair", None)
-        _set(self, "_terms", (witness, lts, partition, root_left, root_right))
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.equal
-
-    def _on_terms(self) -> tuple:
-        """(witness, lts, partition, root_left, root_right), on terms."""
-        terms = self._terms
-        if terms is None:
-            e, f, budget = self._pair
-            joint, re_, rf = union_lts(build_lts(e, budget), build_lts(f, budget))
-            part = bisimilarity(joint, "dpbb")
-            failure = _root_failure(joint, part, re_, rf)
-            terms = (failure and failure[1], joint, part, re_, rf)
-            _set(self, "_terms", terms)
-        return terms
-
-    witness = property(lambda self: self._on_terms()[0])
-    lts = property(lambda self: self._on_terms()[1])
-    partition = property(lambda self: self._on_terms()[2])
-    root_left = property(lambda self: self._on_terms()[3])
-    root_right = property(lambda self: self._on_terms()[4])
 
     @property
     def detail(self) -> str:
@@ -292,18 +266,31 @@ class RootedCheck(Value):
         if self.clause == "exposure":
             return f"exposure sets differ on {sorted(self.witness)}"
         mine, other = ("left", "right") if self.clause == "forth" else ("right", "left")
-        a, tgt = self.witness
-        move = pretty(Prefix(a, self.lts.states[tgt][1]))
-        return f"{mine} move {move} has no matching {other} move"
+        return f"{mine} move {pretty(Prefix(*self.witness))} has no matching {other} move"
 
 
 def _root_failure(lts: Lts, part: Partition, re_: int, rf: int):
     """The first of the three root clauses to fail, as (clause, witness),
-    or None when all three hold."""
-    for clause, root, other_root in (("forth", re_, rf), ("back", rf, re_)):
-        for a, tgt in lts.succ(root):
-            if not any(a2 == a and part.same(tgt, t2) for a2, t2 in lts.succ(other_root)):
-                return clause, (a, tgt)
+    or None when all three hold.
+
+    A 'forth' or 'back' witness is the failing root's unmatched move
+    with the least action, as (action, term of its target).  Among that
+    action's targets it takes the one that the root's own transition
+    system (`build_lts`) numbers first: the root itself, else the target
+    that the root enters by the least action, else the least term
+    (`syntax._compare`)."""
+    class_of = part.class_of
+    for clause, root, other in (("forth", re_, rf), ("back", rf, re_)):
+        offered = {(a, class_of[t]) for a, t in lts.succ(other)}
+        unmatched = [(a, t) for a, t in lts.succ(root) if (a, class_of[t]) not in offered]
+        if unmatched:
+            act = min([a for a, _ in unmatched], key=lambda a: a.key)
+            targets = {t for a, t in unmatched if a == act}
+            terms, order = closure_terms(lts, targets), cmp_to_key(_compare)
+            home, moves = lts.states[root][0], lts.succ(root)
+            first = min(targets, key=lambda t: (
+                terms[t] is not home, min([a.key for a, u in moves if u == t]), order(terms[t])))
+            return clause, (act, terms[first])
     if lts.exposure[re_] != lts.exposure[rf]:
         return "exposure", lts.exposure[re_] ^ lts.exposure[rf]
     return None
@@ -311,14 +298,12 @@ def _root_failure(lts: Lts, part: Partition, re_: int, rf: int):
 
 def rooted_check(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET) -> RootedCheck:
     """Check the three root clauses over the dpbb partition of the two
-    roots' closure states (`closure_lts`).  Which clause fails does not
-    depend on the order of the moves, so it is found there too."""
+    roots' closure states (`closure_lts`).  Which clause fails, and the
+    witness's action and term, do not depend on which closure stands for
+    a term, so they are found there too."""
     lts, (re_, rf) = closure_lts((e, f), budget)
     failure = _root_failure(lts, bisimilarity(lts, "dpbb"), re_, rf)
-    rc = RootedCheck(failure is None, failure and failure[0])
-    _set(rc, "_pair", (e, f, budget))
-    _set(rc, "_terms", None)
-    return rc
+    return RootedCheck(failure is None, *(failure or ()))
 
 
 def equivalent(e: Expr, f: Expr, kind: str, budget: int = DEFAULT_BUDGET) -> bool:
@@ -365,25 +350,7 @@ def brute_oracle(lts: Lts, kind: str) -> Partition:
         )
         if all(ok(lts, pairs, i, j) for i, j in pairs):  # pairs <= F(pairs)
             union |= pairs
-    # union of post-fixpoints; build the partition by closure
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in union:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    class_of = [-1] * n
-    nxt = 0
-    for i in range(n):
-        r = find(i)
-        if class_of[r] < 0:
-            class_of[r] = nxt
-            nxt += 1
-        class_of[i] = class_of[r]
-    return Partition(lts, tuple(class_of))
+    # the classes of the union's transitive closure, numbered as first met
+    ids, linked = {}, {i: [j for h, j in union if h == i] for i in range(n)}
+    classes = [frozenset(_reach((i,), linked.__getitem__)) for i in range(n)]
+    return Partition(lts, tuple([ids.setdefault(c, len(ids)) for c in classes]))

@@ -7,7 +7,8 @@ the reachable terms finite for this calculus.  `lts`, `minimize` and
 the prover read terms, so they use it.  `closure_lts` reaches the same
 behaviour without building a term: its states are closures, subterms
 whose free variables an environment binds to recursion states (Milner,
-JCSS 1984), and the verdicts of `equiv` are made on them.
+JCSS 1984), and the verdicts of `equiv` are made on them; a closure's
+term is built only where a reader sees it (`closure_terms`).
 """
 
 from __future__ import annotations
@@ -36,26 +37,40 @@ def _summands(e: Sum):
 
 
 def _moves(e: Expr):
-    """The moves of e as (action, derivative) pairs, in no order."""
-    out = e._moves
-    if out is not None:
-        return out
-    if isinstance(e, Prefix):
-        out = ((e.act, e.body),)
-    elif isinstance(e, Sum):
-        # a prefix summand's one move is added here, leaving its slot empty
-        out = set()
-        for s in _summands(e):
-            if type(s) is Prefix:
-                out.add((s.act, s.body))
+    """The moves of e as (action, derivative) pairs, in no order.  A
+    stack stands in for recursion, so a term of any depth has its moves:
+    a sum or a recursion goes back on it below the summands or body
+    whose moves it waits for."""
+    todo = [e]
+    while todo:
+        node = todo.pop()
+        if node._moves is not None:
+            continue
+        tag = type(node)
+        if tag is Prefix:
+            node._moves = ((node.act, node.body),)
+        elif tag is Sum:
+            parts = list(_summands(node))
+            waiting = [s for s in parts if s._moves is None and type(s) is not Prefix]
+            if waiting:
+                todo += (node, *waiting)
+                continue
+            # a prefix summand's one move is added here, leaving its slot empty
+            node._moves = out = set()
+            for s in parts:
+                if type(s) is Prefix:
+                    out.add((s.act, s.body))
+                else:
+                    out.update(s._moves)
+        elif tag is Rec:
+            if node.body._moves is None:
+                todo += (node, node.body)
             else:
-                out.update(_moves(s))
-    elif isinstance(e, Rec):
-        out = {(act, substitute(deriv, {e.binder: e})) for act, deriv in _moves(e.body)}
-    else:
-        out = ()
-    e._moves = out
-    return out
+                node._moves = {(act, substitute(deriv, {node.binder: node}))
+                               for act, deriv in node.body._moves}
+        else:
+            node._moves = ()
+    return e._moves
 
 
 def _compare_moves(p, q) -> int:
@@ -214,11 +229,12 @@ def closure_lts(roots, budget: int = DEFAULT_BUDGET):
     The roots share one table, so a closure that two roots reach is one
     state.  Two closures may stand for one term, as in
     `b.(rec X. a.a.X) + c.a.(rec X. a.a.X)`, so the states are not
-    terms and serve verdicts only; `build_lts` numbers terms.  The
-    closures reachable from each root, counted on their own, may not
-    pass `budget`.  A recursion met on the way to a move gets a state
-    even when no move enters it, since a variable it binds stands for
-    it; such a state is reached from no root and counts for none.
+    terms: `build_lts` numbers terms, and `closure_terms` builds the
+    term that a state stands for.  The closures reachable from each
+    root, counted on their own, may not pass `budget`.  A recursion
+    whose body uses its binder gets a state when it is met on the way to
+    a move, even when no move enters it, since the binder stands for it;
+    such a state is reached from no root and counts for none.
     """
     index = {}  # (subterm, the states its environment binds) -> state
     keys, envs, exposure, moves, transitions = [], [], [], [], []
@@ -262,7 +278,10 @@ def closure_lts(roots, budget: int = DEFAULT_BUDGET):
                 todo += ((node.left, env, met), (node.right, env, met))
             elif tag is Rec:
                 x = node.binder
-                todo.append((node.body, {**env, x: close(node, env)}, met | {x}))
+                if x in node.body._free:
+                    todo.append((node.body, {**env, x: close(node, env)}, met | {x}))
+                else:  # a binder that its body does not use binds nothing
+                    todo.append((node.body, env, met))
             elif tag is Var and node.name not in met and node.name in env0:
                 out.update(moves[env0[node.name]])
         moves.append(out)
@@ -286,6 +305,20 @@ def closure_lts(roots, budget: int = DEFAULT_BUDGET):
     while len(moves) < len(keys):  # the states that no root reaches
         explore(len(moves))
     return Lts(tuple(keys), tuple(transitions), tuple(exposure), None), starts
+
+
+def closure_terms(lts: Lts, wanted) -> dict:
+    """The terms that the states `wanted` of a `closure_lts`
+    system stand for, by state, with those of the states they bind.  A
+    state's term is its subterm with each name that its environment
+    binds replaced, in one substitution, by the term of that name's
+    recursion state.  A state binds only states made before it, so the
+    states are built in order of number, bound states first."""
+    states, terms = lts.states, {}
+    for s in sorted(_reach(wanted, lambda s: states[s][1])):
+        node, bound = states[s]
+        terms[s] = substitute(node, {states[r][0].binder: terms[r] for r in bound})
+    return terms
 
 
 def _tau_sccs(succ):

@@ -18,7 +18,9 @@ sizes that the literal fixpoint and `brute_oracle` reach.
 `syntax.parse` replaced: a tokenizer, then one method per grammar rule.
 Its recursion limits the depth of what it reads, which the tests keep
 small.  `tuple_expr_key` and `tuple_summand_key` are the nested-tuple
-sort keys that `syntax._compare` replaced.
+sort keys that `syntax._compare` replaced.  `de_bruijn_key` is a key
+that two terms share exactly when they are equal up to the names of
+their binders.
 
 `reference_unguarded`, `reference_exposes` and
 `reference_is_guarded_expr` are the recursive definitions of the
@@ -32,7 +34,8 @@ recognizes without building a term.
 made with `graphlib` before it read the engine's Tarjan routine.
 
 `reference_subst` is the recursive `syntax._subst` that the one with a
-stack of its own replaced; it recurses once per level of the term.
+stack of its own replaced; it recurses once per level of the term, and
+`reference_moves` is the same for `semantics._moves`.
 """
 
 from functools import partial
@@ -42,7 +45,7 @@ from dpbc.equiv import CLAUSES, Partition, _branching_ok, _strong_ok
 from dpbc.semantics import Lts, _tau_sccs
 from dpbc.syntax import (
     NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Value, Var, _is_var_name,
-    _set, _split_left, all_vars, fresh_name, free_vars, loop)
+    _set, _split_left, all_vars, fresh_name, free_vars, loop, substitute)
 
 
 # --- the functionals ----------------------------------------------------------------
@@ -292,6 +295,20 @@ def tuple_expr_key(e):
     return (4, e.binder, tuple_expr_key(e.body))
 
 
+def de_bruijn_key(e, bound=()):
+    """e as nested tuples, with each bound variable written as the number
+    of binders between it and its own: alpha-equal terms share it."""
+    if isinstance(e, Var):
+        return (1, bound.index(e.name)) if e.name in bound else (1, e.name)
+    if isinstance(e, Prefix):
+        return (2, e.act.key, de_bruijn_key(e.body, bound))
+    if isinstance(e, Sum):
+        return (3, de_bruijn_key(e.left, bound), de_bruijn_key(e.right, bound))
+    if isinstance(e, Rec):
+        return (4, de_bruijn_key(e.body, (e.binder,) + bound))
+    return (0,)
+
+
 def tuple_summand_key(e):
     """Order used when normalizing sums: prefixes, then variables, rest last."""
     if isinstance(e, Prefix):
@@ -327,6 +344,18 @@ def reference_subst(e, sub: dict):
             sub = {e.binder: Var(nb), **sub}
         return Rec(nb, reference_subst(e.body, sub))
     return Rec(e.binder, reference_subst(e.body, sub))
+
+
+def reference_moves(e) -> set:
+    """`semantics._moves`, by one recursive call per summand or body and
+    with no memo: a recursion puts itself in for its binder."""
+    if type(e) is Prefix:
+        return {(e.act, e.body)}
+    if type(e) is Sum:
+        return reference_moves(e.left) | reference_moves(e.right)
+    if type(e) is Rec:
+        return {(act, substitute(d, {e.binder: e})) for act, d in reference_moves(e.body)}
+    return set()
 
 
 def reference_all_vars(e) -> frozenset:

@@ -17,8 +17,8 @@ from dpbc.equiv import (
 
 from genexpr import all_terms, benchmark_gen, random_expr, random_lts, silently_exposes
 from oracles import (
-    PairRelation, full_relation, functional_B, functional_Bd, functional_Bp, functional_S,
-    identity_relation, pairs, round_bisimilarity)
+    PairRelation, de_bruijn_key, full_relation, functional_B, functional_Bd, functional_Bp,
+    functional_S, identity_relation, pairs, round_bisimilarity)
 
 DIVERGENT_PAIR = (parse("rec X.(tau.X + a.0)"), parse("tau.a.0"))
 
@@ -248,7 +248,8 @@ def _first_failure(joint, part, re_, rf):
 
 def _decides_as_on_terms(e, f):
     # each verdict against the partition of the two terms' own systems,
-    # and the fields a reader sees against the same systems
+    # and the witness against the first failing move there, whose term
+    # may differ from the closure's in a binder that `build_lts` renamed
     joint, re_, rf = union_lts(build_lts(e), build_lts(f))
     for kind in equiv.KINDS:
         assert equivalent(e, f, kind) == bisimilarity(joint, kind).same(re_, rf), (
@@ -257,8 +258,12 @@ def _decides_as_on_terms(e, f):
     clause, witness = _first_failure(joint, part, re_, rf)
     rc = rooted_check(e, f)
     assert (rc.equal, rc.clause) == (clause is None, clause), (pretty(e), pretty(f))
-    assert (rc.witness, rc.lts, rc.partition, rc.root_left, rc.root_right) == (
-        witness, joint, part, re_, rf)
+    if clause in ("forth", "back"):
+        (a, t), (b, term) = witness, rc.witness
+        assert a == b and de_bruijn_key(term) == de_bruijn_key(joint.states[t][1]), (
+            pretty(e), pretty(f), pretty(term))
+    else:
+        assert rc.witness == witness, (pretty(e), pretty(f))
 
 
 def test_closure_states_decide_as_term_states():
@@ -301,14 +306,14 @@ def test_closure_states_are_not_terms():
 
 
 # SHA-256 of what the decide benchmark builds and checks for seeds 1 and 7
-# (below), taken before `_subst` dropped its per-sum binding dicts and
-# `build_lts` its exposure walk of closed states
-_DECIDE_DIGEST = "08d3690dea75b28636ba9c6ca78421b092b9ef0e7f9bb923fbe30ec27dfe5c8c"
+# (below), taken before the rooted check explained its failures on closure
+# states, from the terms its systems then numbered
+_DECIDE_DIGEST = "f1a8807e832c7d39aee68b7bf98c52d4047145676e68962b97cf6374cd38f3ac"
 
 
 def test_decide_outputs_are_pinned():
-    # both sides' systems in Aldebaran text, and the rooted check's clause,
-    # witness and roots; none depends on how strings hash
+    # both sides' systems in Aldebaran text, and the rooted check's clause
+    # and witness; none depends on how strings hash
     gen = benchmark_gen()
     digest = hashlib.sha256()
     for seed in (1, 7):
@@ -318,8 +323,8 @@ def test_decide_outputs_are_pinned():
             digest.update(format_aut(build_lts(f)).encode())
             rc = rooted_check(e, f)
             w = rc.witness
-            w = sorted(w) if rc.clause == "exposure" else w and (w[0].name, w[1])
-            digest.update(repr((rc.clause, w, rc.root_left, rc.root_right)).encode())
+            w = sorted(w) if rc.clause == "exposure" else w and (w[0].name, pretty(w[1]))
+            digest.update(repr((rc.clause, w)).encode())
     assert digest.hexdigest() == _DECIDE_DIGEST
 
 
@@ -433,17 +438,36 @@ def test_partition_equality_ignores_divergence():
 
 
 def test_rooted_check_defaults_and_value():
+    assert RootedCheck._fields == ("equal", "clause", "witness")
     r = RootedCheck(True)
-    assert r and (r.clause, r.witness, r.detail, r.lts, r.partition) == (None, None, "", None, None)
-    assert (r.root_left, r.root_right) == (-1, -1)
+    assert r and (r.clause, r.witness, r.detail) == (None, None, "")
     assert not RootedCheck(False)
     e, f = parse("a.b.0 + c.0"), parse("a.tau.c.0 + c.0")
     one, two = rooted_check(e, f), rooted_check(e, f)
-    assert not one and one.clause == "forth" and one.witness == (Action("a"), 1)
+    assert not one and one.clause == "forth" and one.witness == (Action("a"), parse("b.0"))
     assert one == two and hash(one) == hash(two)
     assert one.detail == "left move a.b.0 has no matching right move"
     assert one != rooted_check(e, e)
     _rejects_assignment(one, RootedCheck.__slots__ + ("detail",))
+
+
+@pytest.mark.parametrize("left, right, clause", [
+    ("a.b.0 + c.0", "a.tau.c.0 + c.0", "forth"),
+    ("a.0", "a.0 + tau.(b.0 + X)", "back"),
+    ("a.0 + X", "a.0 + Y", "exposure"),
+])
+def test_failing_rooted_check_explores_and_partitions_once(monkeypatch, left, right, clause):
+    # the failure is explained on the closure system that decided it:
+    # one exploration and one partition, also once `detail` is read
+    calls = []
+    for name in ("closure_lts", "bisimilarity"):
+        def counted(*args, _name=name, _real=getattr(equiv, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(equiv, name, counted)
+    rc = rooted_check(parse(left), parse(right))
+    assert (rc.equal, rc.clause) == (False, clause) and rc.detail
+    assert sorted(calls) == ["bisimilarity", "closure_lts"]
 
 
 def test_equation_systems_validate_and_compare_by_fields():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpbc.syntax import Action, NIL, Prefix, Sum, TAU, Var, free_vars, parse, substitute
+from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, free_vars, parse, substitute
 from dpbc.semantics import (
     BudgetExceeded,
     build_lts,
@@ -12,10 +12,12 @@ from dpbc.semantics import (
     step,
     union_lts,
     _can_reach_tau_cycle,
+    _moves,
     _tau_reachable,
 )
 
-from genexpr import random_expr, silently_exposes
+from genexpr import all_terms, random_expr, silently_exposes
+from oracles import reference_moves
 
 
 def test_step_examples():
@@ -49,6 +51,22 @@ def test_tau_reachable_yields_e_before_its_successors():
     assert next(_tau_reachable(e, 1)) is e
     with pytest.raises(BudgetExceeded):
         list(_tau_reachable(e, 1))
+
+
+def test_moves_match_the_recursive_reference():
+    # `_moves` keeps a stack of its own and gives the move set of the
+    # recursion it replaced, on every term of at most 6 nodes and on
+    # random ones
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    rng = random.Random(34)
+    terms = all_terms(6, (NIL, x, y, z)) + [random_expr(rng, 14) for _ in range(300)]
+    for e in terms:
+        assert set(_moves(e)) == reference_moves(e), e
+    # and a recursion nested 2000 deep, past the interpreter's stack
+    deep = parse("a.0")
+    for i in reversed(range(2000)):
+        deep = Rec(f"X{i}", deep)
+    assert set(_moves(deep)) == {(Action("a"), NIL)}
 
 
 def test_build_lts_examples():
