@@ -82,7 +82,9 @@ class Builder:
     it already holds, it returns the first step that proves it, whatever
     the justification offered.  So no two steps prove the same equation,
     and a symmetry of a symmetry, or a transitivity with a reflexivity,
-    comes back as the step that already proves its equation.
+    comes back as the step that already proves its equation.  Terms are
+    hash-consed, so the table is keyed on the ids of the two sides: the
+    steps keep both alive, and a lookup hashes two ints, not two terms.
 
     Derived results (canonical sums, equations lifted into a context,
     head normal forms, T1 and axiom steps) are memoised per Builder.
@@ -98,7 +100,7 @@ class Builder:
         self._derived = {}
 
     def _emit(self, lhs: Expr, rhs: Expr, just: Just) -> int:
-        key = (lhs, rhs)
+        key = (id(lhs), id(rhs))
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.steps)
@@ -108,7 +110,7 @@ class Builder:
 
     def held(self, lhs: Expr, rhs: Expr) -> Optional[int]:
         """The step that proves lhs = rhs, if the builder holds one."""
-        return self._index.get((lhs, rhs))
+        return self._index.get((id(lhs), id(rhs)))
 
     def endpoints(self, i: int):
         st = self.steps[i]

@@ -565,8 +565,9 @@ def _route(b: Builder, e: Expr, f: Expr, budget: int) -> int:
 
 
 class _Fallback(Exception):
-    """A pair the walk met is not rooted-equivalent, so the proof has to
-    be made at the root."""
+    """The walk met a pair that it does not prove here: one that is not
+    rooted-equivalent, or, when it may not route, any pair that the laws
+    of `_close` and S1-S4 leave open."""
 
 
 def _t1_shape(lhs: Expr, rhs: Expr) -> bool:
@@ -575,66 +576,117 @@ def _t1_shape(lhs: Expr, rhs: Expr) -> bool:
             and isinstance(lhs.body, Prefix) and lhs.body.act.is_tau)
 
 
-def _close(b: Builder, e: Expr, f: Expr, budget: int, known: bool) -> Optional[int]:
-    """e = f through one law, when one applies, with either side as its
-    left-hand side: T1 (a.tau.E = a.E) when it meets the other side
-    exactly; otherwise D6 (loop(loop E) = loop E), or T1 against a side
-    a.F whose F is no silent prefix, each followed by the walk from what
-    the law leaves to the other side."""
+def _close(b: Builder, e: Expr, f: Expr):
+    """(d, flip, rest) for the first law that applies to e = f, with
+    either side as its left-hand side (f when `flip`), or None.  T1
+    (a.tau.E = a.E) when it meets the other side exactly: d proves the
+    pair, read from the left-hand side, and `rest` is None.  Otherwise
+    D6 (loop(loop E) = loop E), or T1 against a side a.F whose F is no
+    silent prefix: d proves the law on the left-hand side, and the walk
+    goes on from what it leaves to `rest`, the other side."""
     sides = ((e, f, False), (f, e, True))
     for lhs, rhs, flip in sides:
         if _t1_shape(lhs, rhs) and lhs.body.body == rhs.body:
-            d = _t1(b, lhs.act, rhs.body)
-            return b.symm(d) if flip else d
+            return _t1(b, lhs.act, rhs.body), flip, None
     for lhs, rhs, flip in sides:
         if is_loop_of_loop(lhs) and not is_loop_of_loop(rhs):
-            d = _d6(b, lhs)
-        elif (_t1_shape(lhs, rhs)
-              and not (isinstance(rhs.body, Prefix) and rhs.body.act.is_tau)):
-            d = _t1(b, lhs.act, lhs.body.body)
-        else:
-            continue
-        d = b.trans(d, _walk(b, b.rhs_after(d), rhs, budget, known))
-        return b.symm(d) if flip else d
+            return _d6(b, lhs), flip, rhs
+        if (_t1_shape(lhs, rhs)
+                and not (isinstance(rhs.body, Prefix) and rhs.body.act.is_tau)):
+            return _t1(b, lhs.act, lhs.body.body), flip, rhs
     return None
 
 
-def _walk(b: Builder, e: Expr, f: Expr, budget: int, known: bool) -> int:
+# what a pending lift does with the proof of its sub-pair
+_CONG, _THEN, _RIGHT, _SUM = range(4)
+
+
+def _walk(b: Builder, e: Expr, f: Expr, budget: int, route: bool) -> int:
     """e = f, proved only where the two sides differ.  The walk goes down
     both sides while they share a constructor: a prefix with the same
     action, a sum by both halves, a recursion by its body after R0 when
     only the binders differ.  A pair that one law closes (`_close`) or
-    S1-S4 alone proves stops it.  Any other pair that differs is proved
-    by `_route`; `known` says that e and f are already known to be
-    rooted-equivalent, and otherwise `rooted_check` decides first and
-    raises `_Fallback` when they are not.  A free variable of the pair
-    that a recursion binds higher up counts as an exposure."""
-    if e == f:
-        return b.refl(e)
-    d = _close(b, e, f, budget, known)
-    if d is not None:
-        return d
-    if isinstance(e, Sum) and isinstance(f, Sum):
-        # when the sides share a half, the other half holds what differs,
-        # and the sums are not compared, so a wide sum costs no more than
-        # its depth
-        if e.left != f.left and e.right != f.right and _same_summands(e, f):
-            return prove_sum_eq(b, e, f)
-        return b.sum_cong(_walk(b, e.left, f.left, budget, False),
-                          _walk(b, e.right, f.right, budget, False))
-    if (isinstance(e, Sum) or isinstance(f, Sum)) and _same_summands(e, f):
-        return prove_sum_eq(b, e, f)
-    if isinstance(e, Prefix) and isinstance(f, Prefix) and e.act == f.act:
-        return b.cong("prefix", _walk(b, e.body, f.body, budget, False), e.act)
-    if isinstance(e, Rec) and isinstance(f, Rec):
-        if e.binder == f.binder:
-            return b.cong("recbody", _walk(b, e.body, f.body, budget, False), e.binder)
-        if f.binder not in free_vars(e):
-            ren = b.axiom("R0", {"E": e.body}, {"X": e.binder, "Y": f.binder})
-            return b.trans(ren, _walk(b, b.rhs_after(ren), f, budget, known))
-    if not known and not rooted_check(e, f, budget).equal:
-        raise _Fallback
-    return _route(b, e, f, budget)
+    S1-S4 alone proves stops it.  A free variable of the pair that a
+    recursion binds higher up counts as an exposure.
+
+    Any other pair that differs raises `_Fallback` when `route` is
+    false, so the walk decides nothing.  When `route` is true, e and f
+    are known to be rooted-equivalent, and so is every pair that laws
+    and R0 alone lead to from them: such a pair is proved by `_route`.
+    Any other pair is proved by `_route` once `rooted_check` holds on
+    it, and raises `_Fallback` when the check fails.
+
+    The walk keeps its own stack of pending lifts, innermost last, so a
+    term of any depth costs no interpreter stack: a congruence step, a
+    law to chain in front (then a symmetry when the law was read from
+    f), or a sum whose right halves are still to walk or whose left
+    half is proved.  Steps are emitted in the order of a recursive walk
+    that proves the left half of a sum first."""
+    lifts = []
+    known = True
+    while True:
+        # down from (e, f) to a pair proved outright
+        while True:
+            if e == f:
+                d = b.refl(e)
+                break
+            law = _close(b, e, f)
+            if law is not None:
+                d, flip, rest = law
+                if rest is None:
+                    d = b.symm(d) if flip else d
+                    break
+                lifts.append((_THEN, d, flip))
+                e, f = b.rhs_after(d), rest
+                continue
+            if isinstance(e, Sum) and isinstance(f, Sum):
+                # when the sides share a half, the other half holds what
+                # differs, and the sums are not compared, so a wide sum
+                # costs no more than its depth
+                if e.left != f.left and e.right != f.right and _same_summands(e, f):
+                    d = prove_sum_eq(b, e, f)
+                    break
+                lifts.append((_RIGHT, e.right, f.right))
+                e, f, known = e.left, f.left, False
+                continue
+            if (isinstance(e, Sum) or isinstance(f, Sum)) and _same_summands(e, f):
+                d = prove_sum_eq(b, e, f)
+                break
+            if isinstance(e, Prefix) and isinstance(f, Prefix) and e.act == f.act:
+                lifts.append((_CONG, "prefix", e.act))
+                e, f, known = e.body, f.body, False
+                continue
+            if isinstance(e, Rec) and isinstance(f, Rec):
+                if e.binder == f.binder:
+                    lifts.append((_CONG, "recbody", e.binder))
+                    e, f, known = e.body, f.body, False
+                    continue
+                if f.binder not in free_vars(e):
+                    d = b.axiom("R0", {"E": e.body}, {"X": e.binder, "Y": f.binder})
+                    lifts.append((_THEN, d, False))
+                    e = b.rhs_after(d)
+                    continue
+            if not route or not (known or rooted_check(e, f, budget).equal):
+                raise _Fallback
+            d = _route(b, e, f, budget)
+            break
+        # up through the pending lifts, to the next right halves to walk
+        while lifts:
+            kind, x, y = lifts.pop()
+            if kind is _CONG:
+                d = b.cong(x, d, y)
+            elif kind is _THEN:
+                d = b.trans(x, d)
+                if y:
+                    d = b.symm(d)
+            elif kind is _SUM:
+                d = b.sum_cong(x, d)
+            else:
+                lifts.append((_SUM, d, None))
+                e, f, known = x, y, False
+                break
+        else:
+            return d
 
 
 def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET,
@@ -646,11 +698,21 @@ def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET,
 
     Rooted equivalence is a congruence, so the proof goes down both
     sides to where they differ (`_walk`) and lifts what it proves there
-    through one congruence step per level.  When a pair down there is
-    not rooted-equivalent, the walk is dropped, and the pair is proved
-    at its root (`_route`)."""
+    through one congruence step per level.  Without `rc`, a first walk
+    decides nothing: a certificate that the laws alone close needs no
+    check, since the axioms are sound, and `budget` is not met.  Only
+    when that walk stops at a pair that the laws leave open is the root
+    checked.  A failing check is returned; a passing one starts the walk
+    again on a fresh builder, now proving such pairs by the root route
+    (`_route`).  When a pair down there is not rooted-equivalent, that
+    walk is dropped too, and the whole pair is proved by the root
+    route, so at most one rooted check fails per call."""
     if rc is None:
-        rc = rooted_check(e, f, budget)
+        b = Builder()
+        try:
+            return b.finalize(_walk(b, e, f, budget, False))
+        except _Fallback:
+            rc = rooted_check(e, f, budget)
     if not rc.equal:
         return rc
     b = Builder()

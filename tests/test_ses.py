@@ -38,10 +38,10 @@ from dpbc.ses import (
     _solve_any,
 )
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
-from dpbc.semantics import DEFAULT_BUDGET, Lts, build_lts, exposes, step
+from dpbc.semantics import DEFAULT_BUDGET, BudgetExceeded, Lts, build_lts, exposes, step
 
 from genexpr import (
-    ACTIONS, all_terms, derive, random_expr, random_guarded_expr, random_ses_equations,
+    ACTIONS, all_terms, benchmark_gen, derive, random_expr, random_guarded_expr, random_ses_equations,
     replace_at, subterm_paths)
 
 
@@ -744,3 +744,94 @@ def test_walk_proves_a_large_tree_in_few_steps(monkeypatch, seed):
         d = _round_trip(prove_congruent(base, variant), base, variant)
         assert len(d.steps) <= most
     assert failed == []
+
+
+# --- prove first, and decide only where the walk has to route ----------------------
+
+
+def _rooted_calls(monkeypatch):
+    """(pair, verdict) of each `ses.rooted_check` call, from now on."""
+    calls = []
+    real = ses.rooted_check
+
+    def counted(e, f, budget=DEFAULT_BUDGET):
+        rc = real(e, f, budget)
+        calls.append(((e, f), rc.equal))
+        return rc
+
+    monkeypatch.setattr(ses, "rooted_check", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_prover_checks_only_the_pairs_the_laws_leave_open(monkeypatch, seed):
+    # the axioms are sound, so a pair that the walk closes by its laws
+    # needs no rooted check, and one it cannot close is checked once, at
+    # the root; a check handed in by the caller is not made again, and
+    # the certificate is the same either way
+    ops = benchmark_gen().prove_ops(seed, 4)
+    pairs = [(parse(op["left"]), parse(op["right"]), op["expect"]) for op in ops]
+    assert {expect for _, _, expect in pairs} == {True, False}
+    calls = _rooted_calls(monkeypatch)
+    for e, f, expect in pairs:
+        del calls[:]
+        result = prove_congruent(e, f)
+        if expect:
+            assert calls == [], (pretty(e), pretty(f))
+            handed = rooted_check(e, f)
+            del calls[:]
+            again = prove_congruent(e, f, DEFAULT_BUDGET, handed)
+            assert calls == []
+            assert format_derivation(again) == format_derivation(result)
+        else:
+            assert calls == [((e, f), False)], (pretty(e), pretty(f))
+            assert result == rooted_check(e, f)
+            del calls[:]
+            assert prove_congruent(e, f, DEFAULT_BUDGET, result) is result
+            assert calls == []
+
+
+def test_a_pair_that_takes_the_root_route_is_checked_at_the_root_first(monkeypatch):
+    # the walk meets `Y` against `a.Y`, which no law closes: the root is
+    # checked and holds, then the walk runs again and decides that pair,
+    # which fails, so the whole pair takes the root route
+    e, f = parse("rec X. a.X"), parse("rec Y. a.a.Y")
+    calls = _rooted_calls(monkeypatch)
+    d = _round_trip(prove_congruent(e, f), e, f)
+    inner = (parse("Y"), parse("a.Y"))
+    assert calls == [((e, f), True), (inner, False)]
+    del calls[:]
+    again = prove_congruent(e, f, DEFAULT_BUDGET, rooted_check(e, f))
+    assert calls == [(inner, False)]
+    assert format_derivation(again) == format_derivation(d)
+
+
+def test_budget_bounds_only_the_pairs_that_are_checked():
+    # a pair that T1 closes explores no state, so no budget is met
+    d = prove_congruent(parse("a.tau.b.0"), parse("a.b.0"), budget=1)
+    assert check(d) is None
+    assert d.conclusion == (parse("a.tau.b.0"), parse("a.b.0"))
+    # the root route needs the rooted check, which explores under the
+    # budget; `dpbc prove` checks first, so there `--budget 1` exits 2
+    # even on the first pair (test_cli.py,
+    # test_each_command_loads_only_its_layers)
+    with pytest.raises(BudgetExceeded):
+        prove_congruent(parse("rec X. a.X"), parse("rec Y. a.a.Y"), budget=1)
+
+
+def test_deep_chains_are_walked_at_the_default_recursion_limit():
+    # the walk keeps its own stack: a congruent chain is proved by one
+    # lift per level, and an incongruent one gets the rooted check's value
+    chain = "a." * 3000
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        d = prove_congruent(parse(chain + "0"), parse(chain + "(0 + 0)"))
+        e, f = parse(chain + "b.0"), parse(chain + "c.0")
+        refused = prove_congruent(e, f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.conclusion == (parse(chain + "0"), parse(chain + "(0 + 0)"))
+    assert len(d.steps) == 3002 and check(d) is None
+    assert isinstance(refused, RootedCheck) and not refused.equal
+    assert refused == rooted_check(e, f)
