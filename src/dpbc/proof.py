@@ -557,7 +557,9 @@ def _unfold(b: Builder, p: Expr, t: Expr) -> int:
     """t = a sum of its unguarded summands, walking down p, a term as
     written, and t, its instance under the unfoldings above, together: a
     sum goes by both halves, a recursion of p is unfolded in t by R1 and
-    the walk goes on with p's body, anything else is a summand."""
+    the walk goes on with p's body, anything else is a summand.  R1
+    puts each recursion in outer first, as `semantics.step` does, so
+    t's prefix summands are the moves of `step`."""
     if isinstance(p, Sum):
         return b.sum_cong(_unfold(b, p.left, t.left), _unfold(b, p.right, t.right))
     if isinstance(p, Rec):
@@ -566,24 +568,12 @@ def _unfold(b: Builder, p: Expr, t: Expr) -> int:
     return b.refl(t)
 
 
-def _hnf_term(e: Expr) -> Expr:
-    """e's moves a.e', exposed variables and 0s, summed as e's sums are,
-    with the derivatives as `semantics.step` substitutes them."""
-    if isinstance(e, Sum):
-        return Sum(_hnf_term(e.left), _hnf_term(e.right))
-    if isinstance(e, Rec):
-        return substitute(_hnf_term(e.body), {e.binder: e})
-    return e
-
-
 @_derived
 def _hnf(b: Builder, e: Expr) -> int:
     """e = a sum of its moves a.e', its exposed variables and 0s, along
     the rules of `semantics.step` and `exposes`: R1 on each recursion
-    met unguarded, then the unfolded body, aligned to `step`'s terms
-    (the body's head normal form substituted inner first), which differ
-    only where a substitution renamed a binder to avoid capture."""
-    return align(b, _unfold(b, e, e), _hnf_term(e))
+    met unguarded, then the unfolded body."""
+    return _unfold(b, e, e)
 
 
 def _absorb_along(b: Builder, d: int, extra: Expr) -> int:

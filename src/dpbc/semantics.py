@@ -1,14 +1,16 @@
 """Operational semantics: transitions, exposure, finite transition systems.
 
-Two explorations give a term's transition system.  `build_lts` numbers
-the closed terms that a term reaches, in a fixed order: a recursion
-steps by substituting itself into its body's derivatives, which keeps
-the reachable terms finite for this calculus.  `lts`, `minimize` and
-the prover read terms, so they use it.  `closure_lts` reaches the same
-behaviour without building a term: its states are closures, subterms
-whose free variables an environment binds to recursion states (Milner,
-JCSS 1984), and the verdicts of `equiv` are made on them; a closure's
-term is built only where a reader sees it (`closure_terms`).
+One walk, `_moves`, gives the moves of a term by the rules of the SOS.
+A derivative is a subterm with its enclosing recursions put in for its
+free names (Milner, JCSS 1984), and the walk leaves it to its caller how
+to put them in.  `closure_lts` keeps a derivative as a closure: the
+subterm and an environment that binds those names to recursion states.
+It builds no term, and the verdicts of `equiv` are made on its states;
+a closure's term is built only where a reader sees it (`closure_terms`).
+`step` puts the recursions' terms in by one substitution, outer first,
+as R1 unfolds them, so a derivative is the term of its closure, and
+`build_lts` numbers the terms that a term reaches, in a fixed order.
+`lts`, `minimize` and the prover read terms, so they use it.
 """
 
 from __future__ import annotations
@@ -24,53 +26,37 @@ class BudgetExceeded(Exception):
     """Raised when a state-space construction passes its state budget."""
 
 
-def _summands(e: Sum):
-    """The summands of the sum e, but a sub-sum whose moves are known
-    stays whole; a stack walks the spine, so a sum may be of any width."""
-    stack = [e.right, e.left]
-    while stack:
-        cur = stack.pop()
-        if type(cur) is Sum and cur._moves is None:
-            stack += (cur.right, cur.left)
-        else:
-            yield cur
-
-
-def _moves(e: Expr):
-    """The moves of e as (action, derivative) pairs, in no order.  A
-    stack stands in for recursion, so a term of any depth has its moves:
-    a sum or a recursion goes back on it below the summands or body
-    whose moves it waits for."""
-    todo = [e]
-    while todo:
-        node = todo.pop()
-        if node._moves is not None:
-            continue
+def _moves(node: Expr, env: dict, close, bound) -> set:
+    """The moves of `node` under `env`, as (action, derivative) pairs, in
+    no order: the one walk of the SOS, which `step` and `closure_lts`
+    share.  `env` binds free names of node to what their enclosing
+    recursions stand for, and `close(sub, env)` gives a subterm's
+    derivative under an environment: a closure state, or a term.
+    A prefix moves to its body's derivative, a sum has its summands'
+    moves, a recursion binds its binder to what `close` makes of the
+    recursion and moves as its body, in which that binder has no moves,
+    and a name that
+    `env` binds has the moves `bound[env[name]]` of what it stands for.
+    A stack stands in for recursion, so a term of any depth has its
+    moves."""
+    out = set()
+    todo = [(node, env, _NONE)]  # what is left to walk, with the binders
+    while todo:  # met on the way, which have no moves
+        node, inner, met = todo.pop()
         tag = type(node)
         if tag is Prefix:
-            node._moves = ((node.act, node.body),)
+            out.add((node.act, close(node.body, inner)))
         elif tag is Sum:
-            parts = list(_summands(node))
-            waiting = [s for s in parts if s._moves is None and type(s) is not Prefix]
-            if waiting:
-                todo += (node, *waiting)
-                continue
-            # a prefix summand's one move is added here, leaving its slot empty
-            node._moves = out = set()
-            for s in parts:
-                if type(s) is Prefix:
-                    out.add((s.act, s.body))
-                else:
-                    out.update(s._moves)
+            todo += ((node.left, inner, met), (node.right, inner, met))
         elif tag is Rec:
-            if node.body._moves is None:
-                todo += (node, node.body)
-            else:
-                node._moves = {(act, substitute(deriv, {node.binder: node}))
-                               for act, deriv in node.body._moves}
-        else:
-            node._moves = ()
-    return e._moves
+            x = node.binder
+            if x in node.body._free:
+                todo.append((node.body, {**inner, x: close(node, inner)}, met | {x}))
+            else:  # a binder that its body does not use binds nothing
+                todo.append((node.body, inner, met))
+        elif tag is Var and node.name not in met and node.name in env:
+            out.update(bound[env[node.name]])
+    return out
 
 
 def _compare_moves(p, q) -> int:
@@ -80,10 +66,14 @@ def _compare_moves(p, q) -> int:
 
 
 def step(e: Expr):
-    """All derivatives of e, sorted by (action, expression) order."""
+    """All derivatives of e, sorted by (action, expression) order.  A
+    derivative is the subterm that moves with the terms of its enclosing
+    recursions put in by one substitution, outer first, as R1 unfolds
+    them: the term that `closure_terms` builds for the matching closure."""
     out = e._step
     if out is None:
-        out = e._step = tuple(sorted(_moves(e), key=cmp_to_key(_compare_moves)))
+        out = e._step = tuple(sorted(_moves(e, {}, substitute, ()),
+                                     key=cmp_to_key(_compare_moves)))
     return out
 
 
@@ -218,8 +208,8 @@ def closure_lts(roots, budget: int = DEFAULT_BUDGET):
     to that recursion's state, and the closure stands for the closed
     term that putting those recursions in would give.  Every derivative
     of a term is such a closure (Milner, JCSS 1984), so no term is
-    substituted or built.  The moves are those of `_moves`: a prefix
-    moves to its body's closure (a bound variable there is its
+    substituted or built.  The moves come from `_moves`, the walk that
+    `step` makes on terms: a prefix moves to its body's closure (a bound variable there is its
     recursion's state), a sum has its summands' moves, a recursion binds
     its binder to its own state and moves as its body, in which that
     binder has no moves, and a variable the environment binds has its
@@ -266,24 +256,7 @@ def closure_lts(roots, budget: int = DEFAULT_BUDGET):
         """Work out the moves of state s.  It reads the moves of the
         states its environment binds, which were made, and so explored,
         before s."""
-        out = set()
-        env0 = envs[s]
-        todo = [(keys[s][0], env0, _NONE)]  # what is left to walk, with the
-        while todo:  # binders met on the way, which have no moves
-            node, env, met = todo.pop()
-            tag = type(node)
-            if tag is Prefix:
-                out.add((node.act, close(node.body, env)))
-            elif tag is Sum:
-                todo += ((node.left, env, met), (node.right, env, met))
-            elif tag is Rec:
-                x = node.binder
-                if x in node.body._free:
-                    todo.append((node.body, {**env, x: close(node, env)}, met | {x}))
-                else:  # a binder that its body does not use binds nothing
-                    todo.append((node.body, env, met))
-            elif tag is Var and node.name not in met and node.name in env0:
-                out.update(moves[env0[node.name]])
+        out = _moves(keys[s][0], envs[s], close, moves)
         moves.append(out)
         transitions.extend([(s, act, t) for act, t in out])
 

@@ -113,7 +113,7 @@ def _make(cls, key, h, free, unguarded, exposed, guarded):
     node._unguarded = unguarded
     node._exposed = exposed
     node._guarded = guarded
-    node._moves = node._step = None
+    node._step = None
     ref = _Ref(node, _forget)
     ref.key = key
     _TABLE[key] = ref
@@ -135,11 +135,11 @@ class Expr:
     walk over a term of any depth is needed for them: `_free` (see
     `free_vars`), `_unguarded` (`is_guarded_in`), `_exposed`
     (`semantics.exposes`) and `_guarded` (`is_guarded_expr`).
-    `_moves` and `_step` keep the node's moves, in no order and sorted,
-    once `semantics` has worked them out.
+    `_step` keeps the node's moves, sorted, once `semantics.step` has
+    worked them out.
     """
 
-    __slots__ = ("_hash", "_free", "_unguarded", "_exposed", "_guarded", "_moves", "_step",
+    __slots__ = ("_hash", "_free", "_unguarded", "_exposed", "_guarded", "_step",
                  "__weakref__")
 
     def __hash__(self):

@@ -34,8 +34,12 @@ recognizes without building a term.
 made with `graphlib` before it read the engine's Tarjan routine.
 
 `reference_subst` is the recursive `syntax._subst` that the one with a
-stack of its own replaced; it recurses once per level of the term, and
-`reference_moves` is the same for `semantics._moves`.
+stack of its own replaced; it recurses once per level of the term.
+`reference_moves` is the recursive, inner-first rule that the one walk
+of `semantics._moves` replaced: a recursion puts itself into its body's
+derivatives one layer at a time, so a layer that puts in a term with a
+free outer binder may rename an inner binder of that name.  Its
+derivatives equal `semantics.step`'s up to the names of binders.
 """
 
 from functools import partial
@@ -347,8 +351,9 @@ def reference_subst(e, sub: dict):
 
 
 def reference_moves(e) -> set:
-    """`semantics._moves`, by one recursive call per summand or body and
-    with no memo: a recursion puts itself in for its binder."""
+    """The moves of e, inner first, by one recursive call per summand or
+    body: a recursion puts itself in for its binder in its body's
+    derivatives."""
     if type(e) is Prefix:
         return {(e.act, e.body)}
     if type(e) is Sum:

@@ -9,13 +9,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpbc
 
 from dpbc.cli import main
-from dpbc.semantics import BudgetExceeded
+from dpbc.semantics import BudgetExceeded, build_lts
 from dpbc.syntax import parse, pretty
 from dpbc.proof import MoveNotPresent, ProofError, check, format_derivation, parse_derivation
+from test_syntax import _PIECES, exprs
 
 
 def _write(tmp_path, name, text):
@@ -333,6 +335,29 @@ def test_minimize(tmp_path):
         '(0,"a",1)',
         'exp (0, "X")',
     ]
+
+
+# a term as printed, or garbled pieces of one
+_FUZZ_TEXTS = st.one_of(exprs().map(pretty),
+                        st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["lts", "minimize"]), _FUZZ_TEXTS, st.integers(1, 6))
+def test_lts_and_minimize_fail_closed(tmp_path_factory, command, text, budget):
+    # every run exits 0, 1 or 2, a failure is one `error:` line, and the
+    # system that `lts` lists is the one that `build_lts` numbers
+    path = tmp_path_factory.getbasetemp() / "fuzz.proc"
+    path.write_text(text, encoding="utf-8")
+    res = _run([command, "--budget", str(budget), str(path)])
+    assert res.exit_code in (0, 1, 2), (text, res)
+    assert "Traceback" not in res.stderr, (text, res.stderr)
+    if res.exit_code == 2:
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (text, res.stderr)
+    elif command == "lts":
+        n_states = build_lts(parse(text), budget).n_states
+        assert res.stdout.splitlines()[0].endswith(f", {n_states})"), (text, res.stdout)
 
 
 _PARSE_ERROR = "unexpected token '+' at offset 3"

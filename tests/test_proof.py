@@ -49,6 +49,7 @@ from dpbc.proof import (
     prove_alpha,
     _absorb_summand,
     _hnf,
+    _unfold,
     _d0,
     _d1,
     _d2,
@@ -59,7 +60,7 @@ from dpbc.ses import _route, prove_congruent
 from dpbc.standardize import _d3, _d4, _d5, _d6
 
 import dpbc
-from genexpr import benchmark_gen, derive, random_expr
+from genexpr import all_terms, benchmark_gen, derive, random_expr
 
 
 def test_instantiate_branching_axiom():
@@ -229,7 +230,8 @@ def test_summand_absorption_is_total():
 
 @pytest.mark.parametrize("text", [
     "rec X. rec Z. rec X. Z",  # unfolds back to itself after two R1 steps
-    "rec Y. rec Z. a.c.(c.b.(0 + tau.b.(c.0 + rec Y. Z)) + Y)",  # renames Y to _g0
+    # its derivative holds `rec Y` where an outer recursion binds Y
+    "rec Y. rec Z. a.c.(c.b.(0 + tau.b.(c.0 + rec Y. Z)) + Y)",
     "rec W. rec X. c.((rec W. b.X) + W)",  # an inner binder shadows the outer one
     "tau* c._g0",
 ])
@@ -241,6 +243,23 @@ def test_hnf_sums_the_moves_of_step(text):
     assert lhs == e
     summands = set(flatten_sum(hnf))
     assert all(Prefix(act, target) in summands for act, target in step(e))
+
+
+def test_unfolding_puts_recursions_in_as_step_does():
+    # R1 puts a recursion into its body, outer recursions first, and so
+    # does `step`: the prefix summands that unfolding reaches are exactly
+    # step's moves, with no binder to rename between them.  The sample
+    # holds 3 terms where putting recursions in inner first renames a
+    # binder
+    x, y, z = Var("X"), Var("Y"), Var("Z")
+    rng = random.Random(7)
+    terms = all_terms(6, (NIL, x, y, z)) + [
+        random_expr(rng, rng.randint(3, 16)) for _ in range(10000)]
+    for e in terms:
+        b = Builder()
+        hnf = b.rhs_after(_unfold(b, e, e))
+        prefixes = {s for s in flatten_sum(hnf) if type(s) is Prefix}
+        assert prefixes == {Prefix(act, target) for act, target in step(e)}, pretty(e)
 
 
 def test_d0_immediate_exposure():

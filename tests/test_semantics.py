@@ -7,17 +7,19 @@ from dpbc.syntax import Action, NIL, Prefix, Rec, Sum, TAU, Var, free_vars, pars
 from dpbc.semantics import (
     BudgetExceeded,
     build_lts,
+    closure_lts,
+    closure_terms,
     exposes,
     format_aut,
     step,
     union_lts,
     _can_reach_tau_cycle,
-    _moves,
+    _reach,
     _tau_reachable,
 )
 
 from genexpr import all_terms, random_expr, silently_exposes
-from oracles import reference_moves
+from oracles import de_bruijn_key, reference_moves
 
 
 def test_step_examples():
@@ -53,20 +55,65 @@ def test_tau_reachable_yields_e_before_its_successors():
         list(_tau_reachable(e, 1))
 
 
+# a recursion nested in another whose body holds a recursion of the outer
+# binder's name: substituted inner first, as `reference_moves` does, the
+# derivative's inner `rec Y` is renamed, since the inner recursion's term
+# still has Y free
+_RENAMING = "rec Y. rec Z. Y + a.c.rec Y. Z"
+
+
+def _root_moves_as_terms(e):
+    """The moves of e's closure state, with the terms of their targets."""
+    lts, (root,) = closure_lts((e,))
+    moves = lts.succ(root)
+    terms = closure_terms(lts, [t for _, t in moves])
+    return {(act, terms[t]) for act, t in moves}
+
+
 def test_moves_match_the_recursive_reference():
-    # `_moves` keeps a stack of its own and gives the move set of the
-    # recursion it replaced, on every term of at most 6 nodes and on
-    # random ones
+    # `step` puts the enclosing recursions in outer first, by one walk
+    # with a stack of its own; the recursive reference puts them in inner
+    # first, one recursion at a time, and differs at most in the names
+    # of binders, on every term of at most 6 nodes and on random ones
     x, y, z = Var("X"), Var("Y"), Var("Z")
     rng = random.Random(34)
     terms = all_terms(6, (NIL, x, y, z)) + [random_expr(rng, 14) for _ in range(300)]
-    for e in terms:
-        assert set(_moves(e)) == reference_moves(e), e
+    renaming = parse(_RENAMING)
+    for e in terms + [renaming]:
+        assert ({(act, de_bruijn_key(d)) for act, d in step(e)}
+                == {(act, de_bruijn_key(d)) for act, d in reference_moves(e)}), e
+    # where the two differ by a binder's name, `step`'s derivative is the
+    # term of the closure that the same move reaches
+    assert set(step(renaming)) != reference_moves(renaming)
+    assert set(step(renaming)) == _root_moves_as_terms(renaming)
     # and a recursion nested 2000 deep, past the interpreter's stack
     deep = parse("a.0")
     for i in reversed(range(2000)):
         deep = Rec(f"X{i}", deep)
-    assert set(_moves(deep)) == {(Action("a"), NIL)}
+    assert step(deep) == ((Action("a"), NIL),)
+
+
+def test_build_lts_lists_one_state_per_alpha_class():
+    # a derivative's recursions go in at once, so no state's inner
+    # `rec Y` is renamed and no state is an alpha-variant of another
+    lts = build_lts(parse(f"c.(a.tau.tau.({_RENAMING}) + rec Y. 0)"))
+    assert lts.n_states == 7
+    assert len({de_bruijn_key(s) for s in lts.states}) == 7
+
+
+def test_build_lts_states_are_the_closure_terms():
+    # the terms that `build_lts` numbers are exactly those of the closure
+    # states that the root reaches, and their moves agree; the sample
+    # holds 4 terms where putting recursions in inner first renames a
+    # binder
+    rng = random.Random(5)
+    for _ in range(5000):
+        e = random_expr(rng, rng.randint(3, 14))
+        lts, (root,) = closure_lts((e,))
+        reached = _reach((root,), lambda s: [t for _, t in lts.succ(s)])
+        terms = closure_terms(lts, reached)
+        assert set(build_lts(e).states) == {terms[s] for s in reached}, e
+        assert set(step(e)) == _root_moves_as_terms(e), e
 
 
 def test_build_lts_examples():
