@@ -553,27 +553,31 @@ def _t1(b: Builder, a: Action, e: Expr) -> int:
     return b.trans(i5, i6)
 
 
-def _unfold(b: Builder, p: Expr, t: Expr) -> int:
+def _unfold(b: Builder, p: Expr, t: Expr, env: dict) -> int:
     """t = a sum of its unguarded summands, walking down p, a term as
     written, and t, its instance under the unfoldings above, together: a
     sum goes by both halves, a recursion of p is unfolded in t by R1 and
-    the walk goes on with p's body, anything else is a summand.  R1
-    puts each recursion in outer first, as `semantics.step` does, so
-    t's prefix summands are the moves of `step`."""
+    the walk goes on with p's body, anything else is a summand.  `env`
+    binds each recursion met to its term as `semantics.step` puts it in,
+    all at once, outer first; a summand is brought to p under `env`,
+    which R1's one-at-a-time substitutions reach up to the names of the
+    binders they renamed."""
     if isinstance(p, Sum):
-        return b.sum_cong(_unfold(b, p.left, t.left), _unfold(b, p.right, t.right))
+        return b.sum_cong(_unfold(b, p.left, t.left, env),
+                          _unfold(b, p.right, t.right, env))
     if isinstance(p, Rec):
         r1 = b.axiom("R1", {"E": t.body}, {"X": t.binder})
-        return b.trans(r1, _unfold(b, p.body, b.rhs_after(r1)))
-    return b.refl(t)
+        env = {**env, p.binder: substitute(p, env)}
+        return b.trans(r1, _unfold(b, p.body, b.rhs_after(r1), env))
+    return prove_alpha(b, t, substitute(p, env))
 
 
 @_derived
 def _hnf(b: Builder, e: Expr) -> int:
     """e = a sum of its moves a.e', its exposed variables and 0s, along
     the rules of `semantics.step` and `exposes`: R1 on each recursion
-    met unguarded, then the unfolded body."""
-    return _unfold(b, e, e)
+    met unguarded, then the unfolded body, with step's derivatives."""
+    return _unfold(b, e, e, {})
 
 
 def _absorb_along(b: Builder, d: int, extra: Expr) -> int:

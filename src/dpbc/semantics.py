@@ -8,7 +8,9 @@ subterm and an environment that binds those names to recursion states.
 It builds no term, and the verdicts of `equiv` are made on its states;
 a closure's term is built only where a reader sees it (`closure_terms`).
 `step` puts the recursions' terms in by one substitution, outer first,
-as R1 unfolds them, so a derivative is the term of its closure, and
+in the order R1 unfolds them, so a derivative is the term of its
+closure (R1, one recursion at a time, reaches it up to the names of
+the binders it renames), and
 `build_lts` numbers the terms that a term reaches, in a fixed order.
 `lts`, `minimize` and the prover read terms, so they use it.
 """
@@ -68,8 +70,8 @@ def _compare_moves(p, q) -> int:
 def step(e: Expr):
     """All derivatives of e, sorted by (action, expression) order.  A
     derivative is the subterm that moves with the terms of its enclosing
-    recursions put in by one substitution, outer first, as R1 unfolds
-    them: the term that `closure_terms` builds for the matching closure."""
+    recursions put in by one substitution, outer first: the term that
+    `closure_terms` builds for the matching closure."""
     out = e._step
     if out is None:
         out = e._step = tuple(sorted(_moves(e, {}, substitute, ()),

@@ -23,6 +23,7 @@ from dpbc.syntax import (
     loop,
     parse,
     pretty,
+    substitute,
 )
 from dpbc.semantics import DEFAULT_BUDGET, exposes, step
 from dpbc.kernel import AxiomStep
@@ -61,6 +62,7 @@ from dpbc.standardize import _d3, _d4, _d5, _d6
 
 import dpbc
 from genexpr import all_terms, benchmark_gen, derive, random_expr
+from oracles import de_bruijn_key
 
 
 def test_instantiate_branching_axiom():
@@ -228,12 +230,18 @@ def test_summand_absorption_is_total():
             assert d.conclusion == (e, Sum(e, leaf)), pretty(e)
 
 
+# free Z and W that two nested recursions capture: R1, one recursion at a
+# time, renames W where `step`, substituting once, renames it otherwise
+_CAPTURED = "rec Y. (Z + W + rec Z. a.(Y + rec W. b.(Z + W)))"
+
+
 @pytest.mark.parametrize("text", [
     "rec X. rec Z. rec X. Z",  # unfolds back to itself after two R1 steps
     # its derivative holds `rec Y` where an outer recursion binds Y
     "rec Y. rec Z. a.c.(c.b.(0 + tau.b.(c.0 + rec Y. Z)) + Y)",
     "rec W. rec X. c.((rec W. b.X) + W)",  # an inner binder shadows the outer one
     "tau* c._g0",
+    _CAPTURED,
 ])
 def test_hnf_sums_the_moves_of_step(text):
     e = parse(text)
@@ -247,19 +255,37 @@ def test_hnf_sums_the_moves_of_step(text):
 
 def test_unfolding_puts_recursions_in_as_step_does():
     # R1 puts a recursion into its body, outer recursions first, and so
-    # does `step`: the prefix summands that unfolding reaches are exactly
-    # step's moves, with no binder to rename between them.  The sample
-    # holds 3 terms where putting recursions in inner first renames a
-    # binder
+    # does `step`, all at once: the prefix summands that unfolding
+    # reaches are exactly step's moves.  The sample holds 3 terms where
+    # putting recursions in inner first renames a binder
     x, y, z = Var("X"), Var("Y"), Var("Z")
     rng = random.Random(7)
     terms = all_terms(6, (NIL, x, y, z)) + [
         random_expr(rng, rng.randint(3, 16)) for _ in range(10000)]
-    for e in terms:
+    for e in terms + [parse(_CAPTURED)]:
         b = Builder()
-        hnf = b.rhs_after(_unfold(b, e, e))
+        hnf = b.rhs_after(_unfold(b, e, e, {}))
         prefixes = {s for s in flatten_sum(hnf) if type(s) is Prefix}
         assert prefixes == {Prefix(act, target) for act, target in step(e)}, pretty(e)
+
+
+def test_unfolding_renames_a_binder_apart_from_step():
+    # on _CAPTURED, R1's substitutions one recursion at a time name the
+    # renamed W otherwise than step's one substitution, so `_unfold`
+    # brings the summand to step's term by R0
+    e = parse(_CAPTURED)
+    inner = flatten_sum(substitute(e.body, {"Y": e}))[-1]  # t_Z, R1 on Y
+    by_r1 = substitute(inner.body, {inner.binder: inner})  # R1 on t_Z
+    (act, target), = step(e)
+    assert by_r1 != Prefix(act, target)
+    assert de_bruijn_key(by_r1) == de_bruijn_key(Prefix(act, target))
+    d = derive(_unfold, e, e, {})
+    assert check(d) is None
+    assert any(isinstance(s.just, AxiomStep) and s.just.axiom == "R0" for s in d.steps)
+    # and the prover, which reads a state's equation off step's moves,
+    # proves e equal to e plus its own move
+    d = prove_congruent(e, Sum(e, Prefix(act, target)))
+    assert check(d) is None
 
 
 def test_d0_immediate_exposure():
