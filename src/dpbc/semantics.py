@@ -12,7 +12,8 @@ in the order R1 unfolds them, so a derivative is the term of its
 closure (R1, one recursion at a time, reaches it up to the names of
 the binders it renames), and
 `build_lts` numbers the terms that a term reaches, in a fixed order.
-`lts`, `minimize` and the prover read terms, so they use it.
+`lts` and `minimize` read terms, so they use it; the prover reads
+`step` itself, through `ses._extract_into` and `_tau_reachable`.
 """
 
 from __future__ import annotations

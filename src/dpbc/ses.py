@@ -513,16 +513,16 @@ def _promote(b: Builder, e: Expr, f: Expr) -> int:
     return b.trans(left, b.symm(right))
 
 
-def _absorb_into(b: Builder, e: Expr, f: Expr, budget: int) -> int:
+def _absorb_into(b: Builder, e: tuple, f: tuple, budget: int) -> int:
     """e + f = f, when every move and exposure of e is covered by f.
 
-    Both sides are standardized.  A summand of e's standard sum that is
-    not one of f's meets the first of f's with its action and an
+    e and f are the sides as `_standardize` gives them: a standard sum
+    and the step proving the side equal to it.  A summand of e's sum
+    that is not one of f's meets the first of f's with its action and an
     equivalent body w, as a.body = a.tau.body = a.tau.w = a.w (T1,
     promotion, T1); both bodies are guarded, being the prefix bodies of
     standard sums.  The sums then meet by S1-S4."""
-    se, de = _standardize(b, e)
-    sf, df = _standardize(b, f)
+    (se, de), (sf, df) = e, f
     theirs = flatten_sum(sf)
 
     def meet(leaf: Expr) -> int:
@@ -554,20 +554,21 @@ def _same_summands(e: Expr, f: Expr) -> bool:
 def _route(b: Builder, e: Expr, f: Expr, budget: int) -> int:
     """e = f for rooted-equivalent e and f, proved at their roots: by
     S1-S4 alone when their sums have the same summands, otherwise by
-    absorbing each side into the other (`_absorb_into`)."""
+    standardizing each side once and absorbing it into the other."""
     if _same_summands(e, f):
         return prove_sum_eq(b, e, f)
-    fwd = _absorb_into(b, e, f, budget)  # e + f = f
-    bwd = _absorb_into(b, f, e, budget)  # f + e = e
+    std_e, std_f = _standardize(b, e), _standardize(b, f)
+    fwd = _absorb_into(b, std_e, std_f, budget)  # e + f = f
+    bwd = _absorb_into(b, std_f, std_e, budget)  # f + e = e
     s1 = b.axiom("S1", {"E": e, "F": f})  # e + f = f + e
     left = b.symm(b.trans(s1, bwd))  # e = e + f
     return b.trans(left, fwd)
 
 
 class _Fallback(Exception):
-    """The walk met a pair that it does not prove here: one that is not
-    rooted-equivalent, or, when it may not route, any pair that the laws
-    of `_close` and S1-S4 leave open."""
+    """The walk met a pair that it does not prove here: the root is not
+    rooted-equivalent, or a pair below it is not.  Its one argument is
+    the root's rooted check."""
 
 
 def _t1_shape(lhs: Expr, rhs: Expr) -> bool:
@@ -601,7 +602,7 @@ def _close(b: Builder, e: Expr, f: Expr):
 _CONG, _THEN, _RIGHT, _SUM = range(4)
 
 
-def _walk(b: Builder, e: Expr, f: Expr, budget: int, route: bool) -> int:
+def _walk(b: Builder, e: Expr, f: Expr, budget: int, rc: Optional[RootedCheck]) -> int:
     """e = f, proved only where the two sides differ.  The walk goes down
     both sides while they share a constructor: a prefix with the same
     action, a sum by both halves, a recursion by its body after R0 when
@@ -609,12 +610,12 @@ def _walk(b: Builder, e: Expr, f: Expr, budget: int, route: bool) -> int:
     S1-S4 alone proves stops it.  A free variable of the pair that a
     recursion binds higher up counts as an exposure.
 
-    Any other pair that differs raises `_Fallback` when `route` is
-    false, so the walk decides nothing.  When `route` is true, e and f
-    are known to be rooted-equivalent, and so is every pair that laws
-    and R0 alone lead to from them: such a pair is proved by `_route`.
-    Any other pair is proved by `_route` once `rooted_check` holds on
-    it, and raises `_Fallback` when the check fails.
+    Any other pair needs rooted equivalence, so the walk checks the
+    root the first time it meets one, unless `rc` is that check already:
+    a pair that the laws alone close is never checked.  Pairs that laws
+    and R0 alone lead to from the root are then known to hold, and any
+    other is checked itself.  A pair that holds is proved by `_route`;
+    when the root's check or the pair's fails, `_Fallback(rc)` is raised.
 
     The walk keeps its own stack of pending lifts, innermost last, so a
     term of any depth costs no interpreter stack: a congruence step, a
@@ -623,7 +624,7 @@ def _walk(b: Builder, e: Expr, f: Expr, budget: int, route: bool) -> int:
     half is proved.  Steps are emitted in the order of a recursive walk
     that proves the left half of a sum first."""
     lifts = []
-    known = True
+    root, known = (e, f), True
     while True:
         # down from (e, f) to a pair proved outright
         while True:
@@ -666,8 +667,10 @@ def _walk(b: Builder, e: Expr, f: Expr, budget: int, route: bool) -> int:
                     lifts.append((_THEN, d, False))
                     e = b.rhs_after(d)
                     continue
-            if not route or not (known or rooted_check(e, f, budget).equal):
-                raise _Fallback
+            if rc is None:
+                rc = rooted_check(*root, budget)
+            if not rc.equal or not (known or rooted_check(e, f, budget).equal):
+                raise _Fallback(rc)
             d = _route(b, e, f, budget)
             break
         # up through the pending lifts, to the next right halves to walk
@@ -698,26 +701,21 @@ def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET,
 
     Rooted equivalence is a congruence, so the proof goes down both
     sides to where they differ (`_walk`) and lifts what it proves there
-    through one congruence step per level.  Without `rc`, a first walk
-    decides nothing: a certificate that the laws alone close needs no
-    check, since the axioms are sound, and `budget` is not met.  Only
-    when that walk stops at a pair that the laws leave open is the root
-    checked.  A failing check is returned; a passing one starts the walk
-    again on a fresh builder, now proving such pairs by the root route
-    (`_route`).  When a pair down there is not rooted-equivalent, that
-    walk is dropped too, and the whole pair is proved by the root
-    route, so at most one rooted check fails per call."""
-    if rc is None:
-        b = Builder()
-        try:
-            return b.finalize(_walk(b, e, f, budget, False))
-        except _Fallback:
-            rc = rooted_check(e, f, budget)
-    if not rc.equal:
+    through one congruence step per level.  The walk checks the root
+    only when it stops at a pair that the laws leave open: the axioms
+    are sound, so a certificate that the laws alone close needs no
+    check, and `budget` is not met.  A failing check is returned.  When
+    a pair down there is not rooted-equivalent, the walk is dropped and
+    the root route (`_route`) proves the whole pair on a fresh builder,
+    so at most one rooted check fails per call."""
+    if rc is not None and not rc.equal:
         return rc
     b = Builder()
     try:
-        return b.finalize(_walk(b, e, f, budget, True))
-    except _Fallback:
-        b = Builder()
-        return b.finalize(_route(b, e, f, budget))
+        return b.finalize(_walk(b, e, f, budget, rc))
+    except _Fallback as stop:
+        rc, = stop.args
+        if not rc.equal:
+            return rc
+    b = Builder()
+    return b.finalize(_route(b, e, f, budget))

@@ -305,13 +305,13 @@ def all_vars(e: Expr) -> frozenset:
     return frozenset(names)
 
 
-def fresh_name(avoid: Iterable[str], prefix: str = "_g") -> str:
-    """Lowest-index unused name in the reserved namespace."""
+def fresh_name(avoid: Iterable[str]) -> str:
+    """Lowest-index unused name in the reserved namespace `_g`."""
     avoid = set(avoid)
     i = 0
-    while f"{prefix}{i}" in avoid:
+    while f"_g{i}" in avoid:
         i += 1
-    return f"{prefix}{i}"
+    return f"_g{i}"
 
 
 def substitute(e: Expr, bindings: Mapping[str, Expr]) -> Expr:

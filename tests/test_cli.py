@@ -15,7 +15,7 @@ import dpbc
 
 from dpbc.cli import main
 from dpbc.semantics import BudgetExceeded, build_lts
-from dpbc.syntax import parse, pretty
+from dpbc.syntax import ParseError, parse, pretty
 from dpbc.proof import MoveNotPresent, ProofError, check, format_derivation, parse_derivation
 from test_syntax import _PIECES, exprs
 
@@ -80,6 +80,19 @@ def test_prove_refuses_the_divergence_pair(tmp_path):
     assert res.stderr.startswith("INEQ ")
 
 
+_PINNED = os.path.join(os.path.dirname(__file__), "pinned")
+
+
+def _pinned_certificates():
+    """The text of each pinned certificate, by file name."""
+    texts = {}
+    for name in sorted(os.listdir(_PINNED)):
+        if name.endswith(".cert"):
+            with open(os.path.join(_PINNED, name), encoding="utf-8") as fh:
+                texts[name] = fh.read()
+    return texts
+
+
 # the pairs that CI proves and verifies next to the README example
 _CI_PAIRS = [
     ("a.tau.b.0", "a.b.0"),
@@ -103,10 +116,8 @@ def test_prove_hands_its_check_to_the_prover(tmp_path, monkeypatch):
     import dpbc.ses
     from dpbc.ses import prove_congruent
     pairs = list(_CI_PAIRS)
-    for name in sorted(os.listdir(_PINNED)):
-        if name.endswith(".cert"):
-            with open(os.path.join(_PINNED, name), encoding="utf-8") as fh:
-                pairs.append(tuple(map(pretty, parse_derivation(fh.read()).conclusion)))
+    for text in _pinned_certificates().values():
+        pairs.append(tuple(map(pretty, parse_derivation(text).conclusion)))
     at_root = []
     for module in (dpbc.equiv, dpbc.ses):
         def counted(e, f, *args, _check=module.rooted_check):
@@ -342,22 +353,112 @@ _FUZZ_TEXTS = st.one_of(exprs().map(pretty),
                         st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
 
 
+def _fails_closed(inputs, res):
+    """The run exits 0, 1 or 2, shows no traceback, and a failure is one
+    `error:` line."""
+    assert res.exit_code in (0, 1, 2), (inputs, res)
+    assert "Traceback" not in res.stderr, (inputs, res.stderr)
+    if res.exit_code == 2:
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (inputs, res.stderr)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(["lts", "minimize"]), _FUZZ_TEXTS, st.integers(1, 6))
 def test_lts_and_minimize_fail_closed(tmp_path_factory, command, text, budget):
-    # every run exits 0, 1 or 2, a failure is one `error:` line, and the
-    # system that `lts` lists is the one that `build_lts` numbers
+    # every run fails closed, and the system that `lts` lists is the one
+    # that `build_lts` numbers
     path = tmp_path_factory.getbasetemp() / "fuzz.proc"
     path.write_text(text, encoding="utf-8")
     res = _run([command, "--budget", str(budget), str(path)])
-    assert res.exit_code in (0, 1, 2), (text, res)
-    assert "Traceback" not in res.stderr, (text, res.stderr)
-    if res.exit_code == 2:
-        lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), (text, res.stderr)
-    elif command == "lts":
+    _fails_closed(text, res)
+    if res.exit_code != 2 and command == "lts":
         n_states = build_lts(parse(text), budget).n_states
         assert res.stdout.splitlines()[0].endswith(f", {n_states})"), (text, res.stdout)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(["strong", "branching", "dpbb", "rooted"]), _FUZZ_TEXTS, _FUZZ_TEXTS,
+       st.integers(1, 6))
+def test_check_and_prove_fail_closed(tmp_path_factory, rel, left, right, budget):
+    # every run fails closed; `prove` exits as `check --rel rooted` does,
+    # unless the prover passes the budget on a pair below the root, and
+    # the certificate it writes verifies
+    base = tmp_path_factory.getbasetemp()
+    paths = [str(base / "fuzz-left.proc"), str(base / "fuzz-right.proc")]
+    for path, text in zip(paths, (left, right)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    flags = ["--budget", str(budget)]
+    _fails_closed((left, right), _run(["check", "--rel", rel, *flags, *paths]))
+    rooted = _run(["check", "--rel", "rooted", *flags, *paths])
+    proved = _run(["prove", *flags, *paths])
+    _fails_closed((left, right), proved)
+    if proved.exit_code != rooted.exit_code:
+        assert (rooted.exit_code, proved.stderr) == (
+            0, f"error: state budget {budget} exceeded\n"), (left, right)
+    elif proved.exit_code == 0:
+        d = parse_derivation(proved.stdout)
+        assert check(d) is None and d.conclusion == (parse(left), parse(right))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FUZZ_TEXTS)
+def test_std_fails_closed(tmp_path_factory, text):
+    # a term that parses has a standard form, and the certificate that
+    # `std` writes for it verifies; any other text is one parse error
+    path = tmp_path_factory.getbasetemp() / "fuzz.proc"
+    cert = tmp_path_factory.getbasetemp() / "fuzz.cert"
+    path.write_text(text, encoding="utf-8")
+    cert.unlink(missing_ok=True)
+    res = _run(["std", "--cert", str(cert), str(path)])
+    _fails_closed(text, res)
+    try:
+        e = parse(text)
+    except ParseError:
+        assert res.stderr.startswith(f"error: {path}: ") and not cert.exists(), (text, res)
+        return
+    assert res.exit_code == 0, (text, res)
+    verified = _run(["verify", str(cert)])
+    out = res.stdout.rstrip("\n")
+    assert (verified.exit_code, verified.stdout) == (
+        0, f"verified: {pretty(e)} = {out}\n"), (text, verified)
+
+
+# the shorter pinned certificates, and pieces of the certificate syntax
+# to garble them with
+_CERTS = [text for text in _pinned_certificates().values() if len(text) < 1000]
+_CERT_PIECES = [*_PIECES, "", "@", "@0", "@9", "step ", "term ", " = ", " by ", "axiom ",
+                "S1", "B", "R0", "refl", "symm ", "trans ", "cong ", "prefix ", "recbody ",
+                " in ", "◻", "{", "}", ":=", ", ", "0 ", "2", "3", "12", "-1", "+1", "# "]
+
+
+@st.composite
+def _garbled(draw):
+    """A pinned certificate with one to four slices of it, each of up to
+    one or up to twelve characters, replaced by pieces of its syntax."""
+    text = draw(st.sampled_from(_CERTS))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + draw(st.sampled_from([1, 12])))))
+        text = text[:i] + draw(st.sampled_from(_CERT_PIECES)) + text[j:]
+    return text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_garbled())
+def test_verify_fails_closed_on_garbled_certificates(tmp_path_factory, text):
+    # a garbled certificate is rejected, by its checker (exit 1) or by
+    # its reader, in one line that names the file (exit 2), or still
+    # holds, as the library's checker says
+    path = tmp_path_factory.getbasetemp() / "fuzz.cert"
+    path.write_text(text, encoding="utf-8")
+    res = _run(["verify", str(path)])
+    _fails_closed(text, res)
+    if res.exit_code == 2:
+        assert res.stderr.startswith(f"error: {path}: "), (text, res.stderr)
+    else:
+        assert (check(parse_derivation(text)) is None) == (res.exit_code == 0), text
 
 
 _PARSE_ERROR = "unexpected token '+' at offset 3"
@@ -765,9 +866,6 @@ def test_prove_and_verify_leave_stderr_empty(tmp_path):
         assert res.stderr == "", args
 
 
-_PINNED = os.path.join(os.path.dirname(__file__), "pinned")
-
-
 def _loaded_modules(*args):
     """Run `python -X importtime <args>`; the dpbc submodules it loads
     (the module that `-m` runs is not imported), every module it loads,
@@ -872,3 +970,15 @@ def test_pins_verify_with_only_the_kernel():
     res = _python("-c", code, *pins)
     assert res.returncode == 0, res.stderr[-500:]
     assert res.stdout.count("verified: ") == len(pins) > 0
+
+
+def test_readme_gives_the_size_of_the_trusted_base():
+    # the README counts the lines of `kernel` and `syntax`, the modules a
+    # verified certificate asks its reader to trust, as `wc -l` does
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        stated = re.findall(r"`dpbc[./](kernel|syntax)(?:\.py)?` \((\d+) lines\)", fh.read())
+    assert sorted(name for name, _ in stated) == ["kernel", "syntax"]
+    for name, lines in stated:
+        with open(os.path.join(root, "src", "dpbc", f"{name}.py"), encoding="utf-8") as fh:
+            assert fh.read().count("\n") == int(lines), name

@@ -793,8 +793,8 @@ def test_prover_checks_only_the_pairs_the_laws_leave_open(monkeypatch, seed):
 
 def test_a_pair_that_takes_the_root_route_is_checked_at_the_root_first(monkeypatch):
     # the walk meets `Y` against `a.Y`, which no law closes: the root is
-    # checked and holds, then the walk runs again and decides that pair,
-    # which fails, so the whole pair takes the root route
+    # checked and holds, then the same walk decides that pair, which
+    # fails, so the whole pair takes the root route
     e, f = parse("rec X. a.X"), parse("rec Y. a.a.Y")
     calls = _rooted_calls(monkeypatch)
     d = _round_trip(prove_congruent(e, f), e, f)
@@ -804,6 +804,28 @@ def test_a_pair_that_takes_the_root_route_is_checked_at_the_root_first(monkeypat
     again = prove_congruent(e, f, DEFAULT_BUDGET, rooted_check(e, f))
     assert calls == [(inner, False)]
     assert format_derivation(again) == format_derivation(d)
+
+
+def test_each_proof_walks_once(monkeypatch):
+    # the walk checks the root itself when it first needs the check, so a
+    # pair is walked once, whether the caller hands the check in or not
+    pairs = [(parse(op["left"]), parse(op["right"]))
+             for seed in (1, 7, 11) for op in benchmark_gen().prove_ops(seed, 4)]
+    pairs.append((parse("rec X. a.X"), parse("rec Y. a.a.Y")))
+    walks, real = [], ses._walk
+
+    def counted(b, e, f, *args):
+        walks.append((e, f))
+        return real(b, e, f, *args)
+
+    monkeypatch.setattr(ses, "_walk", counted)
+    for e, f in pairs:
+        for rc in (None, rooted_check(e, f)):
+            if rc is not None and not rc.equal:
+                continue  # a failing check handed in builds nothing
+            del walks[:]
+            prove_congruent(e, f, DEFAULT_BUDGET, rc)
+            assert walks == [(e, f)], (pretty(e), pretty(f), rc)
 
 
 def test_budget_bounds_only_the_pairs_that_are_checked():
