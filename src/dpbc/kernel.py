@@ -12,27 +12,12 @@ decision procedures or of the prover (`proof`, `standardize`, `ses`).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Mapping, Optional, Union
 
 from .syntax import (
-    Action,
-    Expr,
-    NIL,
-    Prefix,
-    Rec,
-    Sum,
-    TAU,
-    Value,
-    Var,
-    _set,
-    free_vars,
-    is_guarded_in,
-    pretty,
-    _is_identifier,
-    _is_var_name,
-    parse,
-    substitute,
-)
+    NIL, TAU, Action, Expr, Prefix, Rec, Sum, Value, Var, _TABLE, _is_identifier, _is_var_name,
+    _set, free_vars, is_guarded_in, parse, pretty, substitute)
 
 
 # metavariables (expressions) and extras (binders / actions) per schema;
@@ -151,79 +136,94 @@ def _axiom_sides(axiom: str, meta: dict, extra: dict):
 # --- steps and derivations ----------------------------------------------------
 
 
+_new = tuple.__new__
+
+
+class Record(tuple, Value):
+    """A `Value` held as the tuple of its fields, in `_fields` order, so
+    that `_new(cls, fields)` builds one without running Python code.  A
+    field is read by an `itemgetter` property or by unpacking.  It equals
+    a record of its class with the same fields, and hashes as the tuple;
+    its length, iteration and truth are the tuple's (`Refl()` is false)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+        return _new(cls, fields)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__
+    __hash__ = tuple.__hash__
+    __repr__ = Value.__repr__
+
+    def _values(self) -> tuple:
+        return tuple(self)
+
+
 # Each justification names the earlier steps it rests on (`refs`) and
 # makes a copy whose step indices go through a map (`renumber`).
 
 
-class Refl(Value):
+class _Indices(Record):
+    """A justification whose fields are all step indices."""
+
     __slots__ = ()
 
     def refs(self) -> tuple:
-        return ()
+        return tuple(self)
 
     def renumber(self, remap):
-        return self
+        return _new(type(self), tuple(map(remap.__getitem__, self)))
 
 
-class Symm(Value):
-    __slots__ = _fields = ("of",)
+class Refl(_Indices):
+    __slots__ = _fields = ()
 
-    def __init__(self, of: int):
-        _set(self, "of", of)
+
+class Symm(_Indices):
+    __slots__ = ()
+    _fields = ("of",)
+
+
+class Trans(_Indices):
+    __slots__ = ()
+    _fields = ("first", "second")
+
+
+class AxiomStep(Record):
+    # meta: ((name, Expr), ...); extra: ((name, str | Action), ...)
+    __slots__ = ()
+    _fields = ("axiom", "meta", "extra", "premise")
+
+    def __new__(cls, axiom: str, meta: tuple, extra: tuple, premise: Optional[int] = None):
+        return _new(cls, (axiom, meta, extra, premise))
 
     def refs(self) -> tuple:
-        return (self.of,)
+        return () if self[3] is None else (self[3],)
 
     def renumber(self, remap):
-        return Symm(remap[self.of])
+        axiom, meta, extra, premise = self
+        return self if premise is None else _new(AxiomStep, (axiom, meta, extra, remap[premise]))
 
 
-class Trans(Value):
-    __slots__ = _fields = ("first", "second")
-
-    def __init__(self, first: int, second: int):
-        _set(self, "first", first)
-        _set(self, "second", second)
+class Cong(Record):
+    # pos: a key of POSITIONS; context: of type POSITIONS[pos].kind
+    __slots__ = ()
+    _fields = ("pos", "inner", "context")
 
     def refs(self) -> tuple:
-        return (self.first, self.second)
+        return (self[1],)
 
     def renumber(self, remap):
-        return Trans(remap[self.first], remap[self.second])
-
-
-class AxiomStep(Value):
-    __slots__ = _fields = ("axiom", "meta", "extra", "premise")
-
-    def __init__(self, axiom: str, meta: tuple, extra: tuple,
-                 premise: Optional[int] = None):
-        _set(self, "axiom", axiom)
-        _set(self, "meta", meta)  # ((name, Expr), ...)
-        _set(self, "extra", extra)  # ((name, str | Action), ...)
-        _set(self, "premise", premise)
-
-    def refs(self) -> tuple:
-        return () if self.premise is None else (self.premise,)
-
-    def renumber(self, remap):
-        if self.premise is None:
-            return self
-        return AxiomStep(self.axiom, self.meta, self.extra, remap[self.premise])
-
-
-class Cong(Value):
-    __slots__ = _fields = ("pos", "inner", "context")
-
-    def __init__(self, pos: str, inner: int, context):
-        _set(self, "pos", pos)  # a key of POSITIONS
-        _set(self, "inner", inner)
-        _set(self, "context", context)  # of type POSITIONS[pos].kind
-
-    def refs(self) -> tuple:
-        return (self.inner,)
-
-    def renumber(self, remap):
-        return Cong(self.pos, remap[self.inner], self.context)
+        return _new(Cong, (self[0], remap[self[1]], self[2]))
 
 
 Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
@@ -232,17 +232,12 @@ Just = Union[Refl, Symm, Trans, AxiomStep, Cong]
 HOLE = "◻"  # white medium square
 
 
-class Position(Value):
+class Position(Record):
     """A congruence position: the type of its context, the certificate
     text around the context's value, and how the context wraps a term."""
 
-    __slots__ = _fields = ("kind", "before", "after", "wrap")
-
-    def __init__(self, kind: type, before: str, after: str, wrap: Callable):
-        _set(self, "kind", kind)
-        _set(self, "before", before)
-        _set(self, "after", after)
-        _set(self, "wrap", wrap)
+    __slots__ = ()
+    _fields = ("kind", "before", "after", "wrap")
 
 
 POSITIONS = {
@@ -258,13 +253,9 @@ def plug(pos: str, context, e: Expr) -> Expr:
     return POSITIONS[pos].wrap(context, e)
 
 
-class ProofStep(Value):
-    __slots__ = _fields = ("lhs", "rhs", "just")
-
-    def __init__(self, lhs: Expr, rhs: Expr, just: Just):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "just", just)
+class ProofStep(Record):
+    __slots__ = ()
+    _fields = ("lhs", "rhs", "just")
 
 
 class Derivation(Value):
@@ -275,19 +266,15 @@ class Derivation(Value):
 
     @property
     def conclusion(self):
-        last = self.steps[-1]
-        return (last.lhs, last.rhs)
+        return self.steps[-1][:2]
 
     def __len__(self):
         return len(self.steps)
 
 
-class CheckFailure(Value):
-    __slots__ = _fields = ("index", "reason")
-
-    def __init__(self, index: int, reason: str):
-        _set(self, "index", index)
-        _set(self, "reason", reason)
+class CheckFailure(Record):
+    __slots__ = ()
+    _fields = ("index", "reason")
 
     def __str__(self):
         return f"step {self.index}: {self.reason}"
@@ -298,68 +285,62 @@ def instantiate_axiom(axiom: str, meta: Mapping, extra: Mapping,
     """A single axiom step; raises on unknown ids, missing bindings or
     violated side conditions."""
     lhs, rhs = _axiom_sides(axiom, dict(meta), dict(extra))
-    just = AxiomStep(
-        axiom,
-        tuple(sorted(meta.items())),
-        tuple(sorted(extra.items())),
-        premise,
-    )
-    return ProofStep(lhs, rhs, just)
+    just = (axiom, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
+    return _new(ProofStep, (lhs, rhs, _new(AxiomStep, just)))
 
 
 def _check_step(steps, i) -> Optional[str]:
-    st = steps[i]
-    j = st.just
-    if isinstance(j, Refl):
-        if st.lhs != st.rhs:
-            return "refl endpoints differ"
-        return None
-    if isinstance(j, Symm):
-        if not 0 <= j.of < i:
+    lhs, rhs, j = steps[i]
+    t = type(j)
+    if t is Refl:
+        return "refl endpoints differ" if lhs != rhs else None
+    if t is Symm:
+        (k,) = j
+        if not 0 <= k < i:
             return "symm reference out of range"
-        prev = steps[j.of]
-        if st.lhs != prev.rhs or st.rhs != prev.lhs:
+        if lhs != steps[k][1] or rhs != steps[k][0]:
             return "symm endpoints do not mirror the referenced step"
         return None
-    if isinstance(j, Trans):
-        if not (0 <= j.first < i and 0 <= j.second < i):
+    if t is Trans:
+        first, second = j
+        if not (0 <= first < i and 0 <= second < i):
             return "trans reference out of range"
-        a, b = steps[j.first], steps[j.second]
-        if a.rhs != b.lhs:
+        a, b = steps[first], steps[second]
+        if a[1] != b[0]:
             return "trans endpoints do not meet"
-        if st.lhs != a.lhs or st.rhs != b.rhs:
+        if lhs != a[0] or rhs != b[1]:
             return "trans endpoints differ from the referenced chain"
         return None
-    if isinstance(j, AxiomStep):
+    if t is AxiomStep:
+        axiom, meta, extra, premise = j
         try:
-            lhs, rhs = _axiom_sides(j.axiom, dict(j.meta), dict(j.extra))
+            sides = _axiom_sides(axiom, dict(meta), dict(extra))
         except ProofError as exc:
             return str(exc)
-        if st.lhs != lhs or st.rhs != rhs:
-            return f"{j.axiom} instance does not match the recorded bindings"
-        if j.axiom == "R2":
-            if j.premise is None or not 0 <= j.premise < i:
+        if lhs != sides[0] or rhs != sides[1]:
+            return f"{axiom} instance does not match the recorded bindings"
+        if axiom == "R2":
+            if premise is None or not 0 <= premise < i:
                 return "R2 needs an earlier premise step"
-            prem = steps[j.premise]
-            meta = dict(j.meta)
-            extra = dict(j.extra)
-            if prem.lhs != st.lhs:
+            prem = steps[premise]
+            if prem[0] != lhs:
                 return "R2 premise must share the left-hand side"
-            expected = substitute(meta["E"], {extra["X"]: st.lhs})
-            if prem.rhs != expected:
+            expected = substitute(dict(meta)["E"], {dict(extra)["X"]: lhs})
+            if prem[1] != expected:
                 return "R2 premise does not unfold the recursion body"
-        elif j.premise is not None:
-            return f"{j.axiom} takes no premise"
+        elif premise is not None:
+            return f"{axiom} takes no premise"
         return None
-    if isinstance(j, Cong):
-        if not 0 <= j.inner < i:
+    if t is Cong:
+        pos, k, context = j
+        if not 0 <= k < i:
             return "cong reference out of range"
-        if j.pos not in POSITIONS:
-            return f"unknown congruence position {j.pos!r}"
-        inner = steps[j.inner]
-        if not (isinstance(j.context, POSITIONS[j.pos].kind)
-                and st.lhs == plug(j.pos, j.context, inner.lhs)
-                and st.rhs == plug(j.pos, j.context, inner.rhs)):
+        if pos not in POSITIONS:
+            return f"unknown congruence position {pos!r}"
+        kind, _, _, wrap = POSITIONS[pos]
+        inner = steps[k]
+        if not (isinstance(context, kind)
+                and lhs == wrap(context, inner[0]) and rhs == wrap(context, inner[1])):
             return "congruence endpoints do not wrap the referenced step"
         return None
     return f"unknown justification {j!r}"
@@ -395,27 +376,28 @@ def check(derivation: Derivation) -> Optional[CheckFailure]:
 
 
 def _write(value, ref) -> str:
-    """A binding or context value: a field for an expression, else the
-    action or binder name."""
+    """A binding or context value: an expression's field, else its name."""
     return ref(value) if isinstance(value, Expr) else str(value)
 
 
 def _format_just(just: Just, ref) -> str:
-    if isinstance(just, Refl):
+    t = type(just)
+    if t is Trans:
+        return f"trans {just[0]} {just[1]}"
+    if t is Cong:
+        pos, inner, context = just
+        p = POSITIONS[pos]
+        return f"cong {pos} {inner} in {p.before}{_write(context, ref)}{p.after}"
+    if t is AxiomStep:
+        axiom, meta, extra, premise = just
+        parts = ", ".join([f"{n}:={_write(v, ref)}" for n, v in meta + extra])
+        if premise is None:
+            return f"axiom {axiom} {{{parts}}}"
+        return f"axiom {axiom} {{{parts}}} premise {premise}"
+    if t is Symm:
+        return f"symm {just[0]}"
+    if t is Refl:
         return "refl"
-    if isinstance(just, Symm):
-        return f"symm {just.of}"
-    if isinstance(just, Trans):
-        return f"trans {just.first} {just.second}"
-    if isinstance(just, AxiomStep):
-        parts = [f"{n}:={_write(v, ref)}" for n, v in just.meta + just.extra]
-        text = f"axiom {just.axiom} {{{', '.join(parts)}}}"
-        if just.premise is not None:
-            text += f" premise {just.premise}"
-        return text
-    if isinstance(just, Cong):
-        p = POSITIONS[just.pos]
-        return f"cong {just.pos} {just.inner} in {p.before}{_write(just.context, ref)}{p.after}"
     raise ProofError(f"cannot format {just!r}")
 
 
@@ -425,12 +407,13 @@ def format_derivation(d: Derivation) -> str:
     # id of each term written so far -> its field; hash-consed terms are
     # equal exactly when they are the same object, and d keeps them alive
     ids = {id(NIL): "0"}
+    get = ids.get
 
     def ref(e: Expr) -> str:
         """The field of e: `0`, a variable's name, or `@n` for a compound
         term, whose `term` line is added on first use, after those of
         its children.  Iterative, so a term of any depth writes."""
-        field = ids.get(id(e))
+        field = get(id(e))
         if field is not None:
             return field
         todo = [e]
@@ -438,11 +421,12 @@ def format_derivation(d: Derivation) -> str:
             n = todo.pop()
             if id(n) in ids:
                 continue
-            if isinstance(n, Var):
+            t = type(n)
+            if t is Var:
                 ids[id(n)] = n.name
                 continue
-            if isinstance(n, Sum):
-                left, right = ids.get(id(n.left)), ids.get(id(n.right))
+            if t is Sum:
+                left, right = get(id(n.left)), get(id(n.right))
                 if left is None or right is None:
                     # back to n once its children have their fields
                     todo.append(n)
@@ -453,19 +437,19 @@ def format_derivation(d: Derivation) -> str:
                     continue
                 body = f"{left} + {right}"
             else:
-                inner = ids.get(id(n.body))
+                inner = get(id(n.body))
                 if inner is None:
                     todo += (n, n.body)
                     continue
-                body = (f"{n.act}.{inner}" if isinstance(n, Prefix)
-                        else f"rec {n.binder}. {inner}")
+                body = f"{n.act.name}.{inner}" if t is Prefix else f"rec {n.binder}. {inner}"
             k = len(lines) - 1
             ids[id(n)] = f"@{k}"
             lines.append(f"term {k} {body}")
         return ids[id(e)]
 
-    steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_format_just(st.just, ref)}"
-             for i, st in enumerate(d.steps)]
+    # a side already written is looked up before `ref` is called
+    steps = [f"step {i} {get(id(l)) or ref(l)} = {get(id(r)) or ref(r)} by {_format_just(j, ref)}"
+             for i, (l, r, j) in enumerate(d.steps)]
     return "\n".join(lines + steps) + "\n"
 
 
@@ -490,15 +474,29 @@ def _numeral(text: str) -> int:
     raise CertificateError(f"bad number {text!r}")
 
 
+class _Names(dict):
+    """Action names (`Action`s) or, in a `_Binders`, binder names, each
+    text validated on its first lookup."""
+
+    variable = False
+
+    def __missing__(self, text: str):
+        name = _name(text, self.variable)
+        value = self[text] = name if self.variable else Action(name)
+        return value
+
+
+class _Binders(_Names):
+    variable = True
+
+
 class _Fields(dict):
     """Field text -> term, for one certificate.  It starts with `0`, gains
     `@n` as term line n is read and each variable once `_name` accepts
     it.  A certificate with term lines (`table`) writes only those in a
     field; one without writes whole expressions, parsed once each."""
 
-    def __init__(self):
-        super().__init__({"0": NIL})
-        self.table = False
+    table = False
 
     def __missing__(self, text: str) -> Expr:
         if not self.table:
@@ -514,61 +512,43 @@ class _Fields(dict):
         return e
 
 
-class _Names(dict):
-    """Action names (`Action`s) or binder names (`variable`), each text
-    validated on its first lookup."""
-
-    def __init__(self, variable: bool):
-        super().__init__()
-        self.variable = variable
-
-    def __missing__(self, text: str):
-        name = _name(text, self.variable)
-        value = self[text] = name if self.variable else Action(name)
-        return value
-
-
 class _Reader:
     """The tables of one certificate: text already read -> its value, so
     that each field, action name and binder name is read once."""
 
     def __init__(self):
-        self.fields = _Fields()
-        self.actions = _Names(variable=False)
-        self.binders = _Names(variable=True)
+        self.fields = _Fields({"0": NIL})
+        self.actions = _Names()
+        self.binders = _Binders()
 
     def term(self, text: str) -> Expr:
-        """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F."""
+        """A `term` body: `F + F`, `a.F` or `rec X. F` over fields F.  A term
+        that lives is looked up (`ref and ref()` is it or None), not built."""
         fields = self.fields
-        # the writer's ` + ` first, so that its fields need no strip
-        left, plus, right = text.partition(" + ")
-        if not plus:
-            left, plus, right = text.partition("+")
-        if plus:
-            return Sum(fields[left], fields[right])
+        if "+" in text:
+            # the writer's ` + ` first, so that its fields need no strip
+            left, plus, right = text.partition(" + ")
+            if not plus:
+                left, plus, right = text.partition("+")
+            left, right = fields[left], fields[right]
+            ref = _TABLE.get(("sum", id(left), id(right)))
+            return (ref and ref()) or Sum(left, right)
         head, dot, body = text.partition(".")
         if dot:
             words = head.split()
             if len(words) == 2 and words[0] == "rec":
-                return Rec(self.binders[words[1]], fields[body])
+                x, body = self.binders[words[1]], fields[body.strip(" \t\r\n")]
+                ref = _TABLE.get(("rec", x, id(body)))
+                return (ref and ref()) or Rec(x, body)
             if len(words) == 1:
-                return Prefix(self.actions[words[0]], fields[body])
+                act, body = self.actions[words[0]], fields[body]
+                ref = _TABLE.get(("pre", act.name, id(body)))
+                return (ref and ref()) or Prefix(act, body)
         raise CertificateError(f"bad term {text!r}")
 
-    def just(self, text: str) -> Just:
-        kind, _, rest = text.strip().partition(" ")
-        if kind == "trans":
-            a, b = rest.split()
-            return Trans(_numeral(a), _numeral(b))
-        if kind == "cong":
-            return self.cong(rest)
-        if kind == "axiom":
-            return self.axiom(rest)
-        if kind == "symm":
-            return Symm(_numeral(rest.strip()))
-        if kind == "refl" and not rest:
-            return Refl()
-        raise CertificateError(f"unknown justification {text!r}")
+    def trans(self, rest: str) -> Trans:
+        a, b = rest.split()
+        return _new(Trans, (_numeral(a), _numeral(b)))
 
     def cong(self, text: str) -> Cong:
         """`<pos> <k> in <context>`, the context written as POSITIONS says."""
@@ -579,20 +559,21 @@ class _Reader:
         if not rest.startswith("in "):
             raise CertificateError("congruence step is missing its context")
         ctx = rest[3:].strip()
-        p = POSITIONS.get(pos)
-        if p is None:
+        if pos not in POSITIONS:
             raise CertificateError(f"unknown congruence position {pos!r}")
-        if not (ctx.startswith(p.before) and ctx.endswith(p.after)):
+        kind, before, after, _ = POSITIONS[pos]
+        if not (ctx.startswith(before) and ctx.endswith(after)):
             raise CertificateError(f"bad {pos} context {ctx!r}")
-        value = ctx[len(p.before) : len(ctx) - len(p.after)]
-        if p.kind is Expr:
-            return Cong(pos, inner, self.fields[value])
-        if p.kind is Action:
-            return Cong(pos, inner, self.actions[value])
-        return Cong(pos, inner, self.binders[value.strip()])
+        value = ctx[len(before) : len(ctx) - len(after)]
+        if kind is Expr:
+            return _new(Cong, (pos, inner, self.fields[value]))
+        if kind is Action:
+            return _new(Cong, (pos, inner, self.actions[value]))
+        return _new(Cong, (pos, inner, self.binders[value.strip()]))
 
     def axiom(self, text: str) -> AxiomStep:
-        """`<ID> {<name>:=<value>, ...} [premise <k>]`."""
+        """`<ID> {<name>:=<value>, ...} [premise <k>]`, each parameter of
+        the axiom bound at most once."""
         name, _, rest = text.strip().partition(" ")
         params = SCHEMA_PARAMS.get(name)
         if params is None:
@@ -615,50 +596,62 @@ class _Reader:
                 if not sep:
                     raise CertificateError(f"bad binding {chunk!r}")
                 key = key.strip()
-                value = value.strip()
                 if key in metas:
-                    meta[key] = self.fields[value]
+                    bound, table = meta, self.fields
                 elif key in extras:
-                    extra[key] = (self.actions if key == "a" else self.binders)[value]
+                    bound, table = extra, self.actions if key == "a" else self.binders
                 else:
                     raise CertificateError(f"{name} takes no parameter {key!r}")
-        return AxiomStep(
-            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
+                if key in bound:
+                    raise CertificateError(f"{name} binds {key} twice")
+                bound[key] = table[value.strip()]
+        return _new(AxiomStep, (
+            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise))
+
+    # each justification's reader, by its first word
+    kinds = {"trans": trans, "cong": cong, "axiom": axiom,
+             "symm": lambda self, rest: _new(Symm, (_numeral(rest.strip()),)),
+             "refl": lambda self, rest: _new(Refl, ())}
 
 
 def parse_derivation(text: str) -> Derivation:
     """Read a certificate.  `term n` and `step n` lines are each numbered
     from 0 in order, and `@k` may name only a term defined above it."""
     reader = _Reader()
-    fields, just = reader.fields, reader.just
+    fields, kinds, term = reader.fields, _Reader.kinds, reader.term
     n_terms, steps = 0, []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         kind, _, rest = line.partition(" ")
-        if kind not in ("term", "step"):
+        if kind != "step" and kind != "term":
             raise CertificateError(f"unexpected line {line!r}")
         num, _, rest = rest.partition(" ")
         try:
-            expected = n_terms if kind == "term" else len(steps)
+            expected = len(steps) if kind == "step" else n_terms
             if num != str(expected):
                 raise CertificateError(
                     f"{kind} numbered {_numeral(num)} but {expected} expected")
-            if kind == "term":
-                if steps:
-                    raise CertificateError(f"term {num} follows a step")
-                fields.table = True
-                fields["@" + num] = reader.term(rest)
-                n_terms += 1
+            if kind == "step":
+                body, sep, just_text = rest.rpartition(" by ")
+                if not sep:
+                    raise CertificateError(f"step {num} has no justification")
+                lhs_text, eq, rhs_text = body.partition(" = ")
+                if not eq:
+                    raise CertificateError(f"step {num} is not an equation")
+                lhs, rhs = fields[lhs_text], fields[rhs_text]
+                how, _, args = just_text.strip().partition(" ")
+                read = kinds.get(how)
+                if read is None or args and how == "refl":
+                    raise CertificateError(f"unknown justification {just_text!r}")
+                steps.append(_new(ProofStep, (lhs, rhs, read(reader, args))))
                 continue
-            body, sep, just_text = rest.rpartition(" by ")
-            if not sep:
-                raise CertificateError(f"step {num} has no justification")
-            lhs_text, eq, rhs_text = body.partition(" = ")
-            if not eq:
-                raise CertificateError(f"step {num} is not an equation")
-            steps.append(ProofStep(fields[lhs_text], fields[rhs_text], just(just_text)))
+            if steps:
+                raise CertificateError(f"term {num} follows a step")
+            fields.table = True
+            fields["@" + num] = term(rest)
+            n_terms += 1
         except ValueError as exc:
             if isinstance(exc, CertificateError):
                 raise

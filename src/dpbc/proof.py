@@ -42,6 +42,7 @@ from .kernel import (  # noqa: F401
     SideCondition,
     Symm,
     Trans,
+    _new,
     check,
     format_derivation,
     instantiate_axiom,
@@ -104,7 +105,7 @@ class Builder:
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.steps)
-            self.steps.append(ProofStep(lhs, rhs, just))
+            self.steps.append(_new(ProofStep, (lhs, rhs, just)))
             self._index[key] = idx
         return idx
 
@@ -113,11 +114,10 @@ class Builder:
         return self._index.get((id(lhs), id(rhs)))
 
     def endpoints(self, i: int):
-        st = self.steps[i]
-        return st.lhs, st.rhs
+        return self.steps[i][:2]
 
     def refl(self, e: Expr) -> int:
-        return self._emit(e, e, Refl())
+        return self._emit(e, e, _new(Refl, ()))
 
     def axiom(self, axiom: str, meta: Mapping, extra: Mapping = (),
               premise: Optional[int] = None) -> int:
@@ -127,19 +127,18 @@ class Builder:
     @_derived
     def _axiom(self, axiom: str, meta: tuple, extra: tuple,
                premise: Optional[int]) -> int:
-        st = instantiate_axiom(axiom, dict(meta), dict(extra), premise)
-        return self._emit(st.lhs, st.rhs, st.just)
+        return self._emit(*instantiate_axiom(axiom, dict(meta), dict(extra), premise))
 
     def symm(self, i: int) -> int:
-        st = self.steps[i]
-        return self._emit(st.rhs, st.lhs, Symm(i))
+        lhs, rhs, _ = self.steps[i]
+        return self._emit(rhs, lhs, _new(Symm, (i,)))
 
     def trans(self, i: int, j: int) -> int:
-        a, b = self.steps[i], self.steps[j]
-        if a.rhs != b.lhs:
-            raise ProofError(
-                f"cannot chain: {pretty(a.rhs)} vs {pretty(b.lhs)}")
-        return self._emit(a.lhs, b.rhs, Trans(i, j))
+        lhs, mid, _ = self.steps[i]
+        other, rhs, _ = self.steps[j]
+        if mid != other:
+            raise ProofError(f"cannot chain: {pretty(mid)} vs {pretty(other)}")
+        return self._emit(lhs, rhs, _new(Trans, (i, j)))
 
     def chain(self, *idxs: int) -> int:
         acc = idxs[0]
@@ -148,13 +147,13 @@ class Builder:
         return acc
 
     def cong(self, pos: str, inner: int, context) -> int:
-        st = self.steps[inner]
+        lhs, rhs, just = self.steps[inner]
         if pos not in POSITIONS:
             raise ProofError(f"unknown congruence position {pos!r}")
-        lhs, rhs = plug(pos, context, st.lhs), plug(pos, context, st.rhs)
-        if isinstance(st.just, Refl):
+        lhs, rhs = plug(pos, context, lhs), plug(pos, context, rhs)
+        if type(just) is Refl:
             return self.refl(lhs)
-        return self._emit(lhs, rhs, Cong(pos, inner, context))
+        return self._emit(lhs, rhs, _new(Cong, (pos, inner, context)))
 
     def sum_cong(self, i: int, j: int) -> int:
         """l + r = l' + r' from step i proving l = l' and step j proving
@@ -183,18 +182,16 @@ class Builder:
         raise ProofError(f"bad path element {head!r}")
 
     def rhs_after(self, i: int) -> Expr:
-        return self.steps[i].rhs
+        return self.steps[i][1]
 
     def finalize(self, conclusion: int) -> Derivation:
         """Extract the reachable part of the derivation ending at the
         conclusion step."""
-        order = sorted(_reach((conclusion,), lambda i: self.steps[i].just.refs()))
+        steps = self.steps
+        order = sorted(_reach((conclusion,), lambda i: steps[i][2].refs()))
         remap = {old: new for new, old in enumerate(order)}
-        out = []
-        for old in order:
-            st = self.steps[old]
-            out.append(ProofStep(st.lhs, st.rhs, st.just.renumber(remap)))
-        return Derivation(tuple(out))
+        return Derivation(tuple([_new(ProofStep, (lhs, rhs, just.renumber(remap)))
+                                 for lhs, rhs, just in map(steps.__getitem__, order)]))
 
 
 # --- sum rearrangement with proof ------------------------------------------------

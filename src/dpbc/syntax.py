@@ -63,29 +63,6 @@ class Value:
         return f"{type(self).__name__}({fields})"
 
 
-class Action(Value):
-    """A transition label: a visible action name or the silent move.  Its
-    `is_tau`, sort `key` (silent first, then by name) and hash are set once."""
-
-    __slots__ = ("name", "is_tau", "key", "_hash")
-    _fields = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "is_tau", name == TAU_NAME)
-        _set(self, "key", (0,) if name == TAU_NAME else (1, name))
-        _set(self, "_hash", hash((name,)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.name
-
-
-TAU = Action(TAU_NAME)
-
-
 class _Ref(weakref.ref):
     """A weak reference to an interned node that carries its table key."""
 
@@ -104,6 +81,36 @@ def _forget(ref, table=_TABLE):
     # have been replaced by a live node built under the same key.
     if table.get(ref.key) is ref:
         del table[ref.key]
+
+
+class Action(Value):
+    """A transition label: a visible action name or the silent move.  As
+    with `Var`, `Action(name)` returns the one action of that name, its
+    `is_tau`, sort `key` (silent first, then by name) and hash set once.
+    Names are few, so `_ACTIONS` keeps every action built."""
+
+    __slots__ = ("name", "is_tau", "key", "_hash")
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        act = _ACTIONS.get(name)
+        if act is None:
+            act = _ACTIONS[name] = object.__new__(cls)
+            _set(act, "name", name)
+            _set(act, "is_tau", name == TAU_NAME)
+            _set(act, "key", (0,) if name == TAU_NAME else (1, name))
+            _set(act, "_hash", hash((name,)))
+        return act
+
+    def __hash__(self):
+        return self._hash
+
+    def __str__(self) -> str:
+        return self.name
+
+
+_ACTIONS: dict = {}
+TAU = Action(TAU_NAME)
 
 
 def _make(cls, key, h, free, unguarded, exposed, guarded):
@@ -420,17 +427,6 @@ def loop(e: Expr) -> Expr:
     return Rec(x, Sum(Prefix(TAU, Var(x)), e))
 
 
-def _split_left(body: Sum):
-    """Leftmost summand of a sum tree, and the remaining summands rebuilt
-    as a left-nested sum (preserving order)."""
-    rights = []
-    node = body
-    while isinstance(node, Sum):
-        rights.append(node.right)
-        node = node.left
-    return node, compose_sum(reversed(rights))
-
-
 def is_loop(e: Expr) -> bool:
     """Recognize the loop shape: a recursion whose body, after flattening
     nested sums on the left spine, starts with a silent self-step and
@@ -448,10 +444,15 @@ def is_loop(e: Expr) -> bool:
 
 
 def loop_body(e: Expr) -> Expr:
+    """The summands of a loop after its silent self-step, as a sum nested
+    to the left, in order."""
     if not is_loop(e):
         raise ValueError(f"not a loop expression: {e}")
-    _, rest = _split_left(e.body)
-    return rest
+    rights, node = [], e.body
+    while type(node) is Sum:
+        rights.append(node.right)
+        node = node.left
+    return compose_sum(reversed(rights))
 
 
 # --- syntactic predicates ---------------------------------------------------
@@ -634,53 +635,58 @@ def parse(text: str) -> Expr:
                 return e
 
 
-def _loop_sugar(e: Expr) -> Optional[Expr]:
-    """The loop body when e prints back identically via the sugar."""
-    if is_loop(e):
-        body = loop_body(e)
-        if loop(body) == e:
-            return body
+def _loop_body(e: Rec) -> Optional[Expr]:
+    """R when e is `loop(R)`, which prints as `tau* R`: read off e's body,
+    `tau.X + R` with X the name that `loop` picks over R's free names."""
+    body = e.body
+    if type(body) is Sum and type(body.left) is Prefix and body.left.act.is_tau:
+        x = body.left.body
+        if type(x) is Var and x.name == e.binder == fresh_name(body.right._free):
+            return body.right
     return None
-
-
-def _nested(e: Expr, rightmost: bool) -> list:
-    # the right child of a sum, a prefix body or a loop body: a sum always
-    # needs parentheses there, a recursion only when something follows
-    # to the right
-    if isinstance(e, Sum):
-        return ["(", (e, True), ")"]
-    return [(e, rightmost)]
 
 
 def pretty(e: Expr) -> str:
     """Print in the concrete grammar; parse(pretty(e)) == e.
 
-    Iterative, so a term of any depth prints: `todo` holds what is left
-    to write, next piece last, as strings and (term, rightmost) pairs,
-    where `rightmost` says that nothing follows the term."""
-    out = []
-    todo = [(e, True)]
-    while todo:
-        piece = todo.pop()
-        if isinstance(piece, str):
-            out.append(piece)
+    Iterative, so a term of any depth prints: the walk writes its way
+    down the leftmost term not yet written, and `todo` holds what follows
+    it, next piece last, as strings and (term, rightmost) pairs, where
+    `rightmost` says that nothing follows the term."""
+    out, todo, rightmost = [], [], True
+    while True:
+        t = type(e)
+        if t is Sum:
+            right = e.right
+            todo += (")", (right, True), " + (") if type(right) is Sum else ((right, rightmost), " + ")
+            e, rightmost = e.left, False
             continue
-        e, rightmost = piece
-        if isinstance(e, Nil):
-            out.append("0")
+        if t is Prefix:
+            out.append(f"{e.act.name}.")
+            e = e.body
+        elif t is Rec and (body := _loop_body(e)) is not None:
+            out.append("tau* ")
+            e = body
+        elif t is Rec:
+            out.append(f"rec {e.binder}. " if rightmost else f"(rec {e.binder}. ")
+            if not rightmost:
+                todo.append(")")
+            e, rightmost = e.body, True
             continue
-        if isinstance(e, Var):
-            out.append(e.name)
-            continue
-        if isinstance(e, Sum):
-            parts = [(e.left, False), " + ", *_nested(e.right, rightmost)]
-        elif (body := _loop_sugar(e)) is not None:
-            parts = ["tau* ", *_nested(body, rightmost)]
-        elif isinstance(e, Prefix):
-            parts = [f"{e.act}.", *_nested(e.body, rightmost)]
-        elif rightmost:
-            parts = [f"rec {e.binder}. ", (e.body, True)]
         else:
-            parts = [f"(rec {e.binder}. ", (e.body, True), ")"]
-        todo.extend(reversed(parts))
-    return "".join(out)
+            out.append("0" if t is Nil else e.name)
+            while todo:
+                piece = todo.pop()
+                if type(piece) is not str:
+                    e, rightmost = piece
+                    break
+                out.append(piece)
+            else:
+                return "".join(out)
+            continue
+        # a sum as a prefix or loop body, or as a sum's right child, is
+        # put in parentheses; a recursion only when something follows
+        if type(e) is Sum:
+            out.append("(")
+            todo.append(")")
+            rightmost = True

@@ -40,16 +40,24 @@ of `semantics._moves` replaced: a recursion puts itself into its body's
 derivatives one layer at a time, so a layer that puts in a term with a
 free outer binder may rename an inner binder of that name.  Its
 derivatives equal `semantics.step`'s up to the names of binders.
+
+`reference_pretty`, `reference_format_derivation` and
+`reference_parse_derivation` are the printer and the certificate writer
+and reader that the lean ones replaced (see their section below).
 """
 
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
 
 from dpbc.equiv import CLAUSES, Partition, _branching_ok, _strong_ok
+from dpbc.kernel import (
+    POSITIONS, SCHEMA_PARAMS, AxiomStep, CertificateError, Cong, Derivation, ProofError,
+    ProofStep, Refl, Symm, Trans)
 from dpbc.semantics import Lts, _tau_sccs
 from dpbc.syntax import (
-    NIL, TAU, TAU_NAME, Action, Nil, ParseError, Prefix, Rec, Sum, Value, Var, _is_var_name,
-    _set, _split_left, all_vars, fresh_name, free_vars, loop, substitute)
+    NIL, TAU, TAU_NAME, Action, Expr, Nil, ParseError, Prefix, Rec, Sum, Value, Var,
+    _is_identifier, _is_var_name, _set, all_vars, fresh_name, free_vars,
+    compose_sum, is_loop, loop, loop_body, parse, substitute)
 
 
 # --- the functionals ----------------------------------------------------------------
@@ -406,7 +414,11 @@ def reference_is_loop(e) -> bool:
     binder."""
     if not isinstance(e, Rec) or not isinstance(e.body, Sum):
         return False
-    first, rest = _split_left(e.body)
+    rights, first = [], e.body
+    while isinstance(first, Sum):
+        rights.append(first.right)
+        first = first.left
+    rest = compose_sum(reversed(rights))
     if first != Prefix(TAU, Var(e.binder)):
         return False
     return e.binder not in free_vars(rest)
@@ -436,3 +448,300 @@ def reference_is_guarded(successors) -> bool:
     except CycleError:
         return False
     return True
+
+
+# --- the text layer -------------------------------------------------------------------
+#
+# `reference_pretty`, `reference_format_derivation` and
+# `reference_parse_derivation` are the printer, certificate writer and
+# certificate reader that `syntax.pretty` and `kernel`'s lean ones
+# replaced.  The printer decides the loop sugar by building the loop it
+# would print and comparing; the writer and reader build each step and
+# justification through its constructor and test its kind with a chain
+# of `isinstance`.  The reader keeps the last of two bindings of one
+# parameter, which the lean reader refuses.
+
+
+def _reference_loop_sugar(e):
+    """The loop body when e prints back identically via the sugar."""
+    if is_loop(e):
+        body = loop_body(e)
+        if loop(body) == e:
+            return body
+    return None
+
+
+def _reference_nested(e, rightmost: bool) -> list:
+    if isinstance(e, Sum):
+        return ["(", (e, True), ")"]
+    return [(e, rightmost)]
+
+
+def reference_pretty(e) -> str:
+    out = []
+    todo = [(e, True)]
+    while todo:
+        piece = todo.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        e, rightmost = piece
+        if isinstance(e, Nil):
+            out.append("0")
+            continue
+        if isinstance(e, Var):
+            out.append(e.name)
+            continue
+        if isinstance(e, Sum):
+            parts = [(e.left, False), " + ", *_reference_nested(e.right, rightmost)]
+        elif (body := _reference_loop_sugar(e)) is not None:
+            parts = ["tau* ", *_reference_nested(body, rightmost)]
+        elif isinstance(e, Prefix):
+            parts = [f"{e.act}.", *_reference_nested(e.body, rightmost)]
+        elif rightmost:
+            parts = [f"rec {e.binder}. ", (e.body, True)]
+        else:
+            parts = [f"(rec {e.binder}. ", (e.body, True), ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
+
+
+def _reference_write(value, ref) -> str:
+    return ref(value) if isinstance(value, Expr) else str(value)
+
+
+def _reference_format_just(just, ref) -> str:
+    if isinstance(just, Refl):
+        return "refl"
+    if isinstance(just, Symm):
+        return f"symm {just.of}"
+    if isinstance(just, Trans):
+        return f"trans {just.first} {just.second}"
+    if isinstance(just, AxiomStep):
+        parts = [f"{n}:={_reference_write(v, ref)}" for n, v in just.meta + just.extra]
+        text = f"axiom {just.axiom} {{{', '.join(parts)}}}"
+        if just.premise is not None:
+            text += f" premise {just.premise}"
+        return text
+    if isinstance(just, Cong):
+        p = POSITIONS[just.pos]
+        return (f"cong {just.pos} {just.inner} in "
+                f"{p.before}{_reference_write(just.context, ref)}{p.after}")
+    raise ProofError(f"cannot format {just!r}")
+
+
+def reference_format_derivation(d) -> str:
+    lhs, rhs = d.conclusion
+    lines = [f"# proves: {reference_pretty(lhs)} = {reference_pretty(rhs)}"]
+    ids = {id(NIL): "0"}
+
+    def ref(e) -> str:
+        field = ids.get(id(e))
+        if field is not None:
+            return field
+        todo = [e]
+        while todo:
+            n = todo.pop()
+            if id(n) in ids:
+                continue
+            if isinstance(n, Var):
+                ids[id(n)] = n.name
+                continue
+            if isinstance(n, Sum):
+                left, right = ids.get(id(n.left)), ids.get(id(n.right))
+                if left is None or right is None:
+                    todo.append(n)
+                    if right is None:
+                        todo.append(n.right)
+                    if left is None:
+                        todo.append(n.left)
+                    continue
+                body = f"{left} + {right}"
+            else:
+                inner = ids.get(id(n.body))
+                if inner is None:
+                    todo += (n, n.body)
+                    continue
+                body = (f"{n.act}.{inner}" if isinstance(n, Prefix)
+                        else f"rec {n.binder}. {inner}")
+            k = len(lines) - 1
+            ids[id(n)] = f"@{k}"
+            lines.append(f"term {k} {body}")
+        return ids[id(e)]
+
+    steps = [f"step {i} {ref(st.lhs)} = {ref(st.rhs)} by {_reference_format_just(st.just, ref)}"
+             for i, st in enumerate(d.steps)]
+    return "\n".join(lines + steps) + "\n"
+
+
+def _reference_name(text: str, variable: bool) -> str:
+    if not _is_identifier(text) or _is_var_name(text) != variable:
+        raise CertificateError(
+            f"bad {'variable' if variable else 'action'} name {text!r}")
+    return text
+
+
+def _reference_numeral(text: str) -> int:
+    if text.isdigit() and text.isascii() and (text[0] != "0" or text == "0"):
+        return int(text)
+    raise CertificateError(f"bad number {text!r}")
+
+
+class _ReferenceFields(dict):
+    def __init__(self):
+        super().__init__({"0": NIL})
+        self.table = False
+
+    def __missing__(self, text: str):
+        if not self.table:
+            e = self[text] = parse(text)
+            return e
+        word = text.strip(" \t\r\n")
+        if word != text:
+            return self[word]
+        if word.startswith("@"):
+            raise CertificateError(f"undefined term @{_reference_numeral(word[1:])}")
+        e = self[word] = Var(_reference_name(word, True))
+        return e
+
+
+class _ReferenceNames(dict):
+    def __init__(self, variable: bool):
+        super().__init__()
+        self.variable = variable
+
+    def __missing__(self, text: str):
+        name = _reference_name(text, self.variable)
+        value = self[text] = name if self.variable else Action(name)
+        return value
+
+
+class _ReferenceReader:
+    def __init__(self):
+        self.fields = _ReferenceFields()
+        self.actions = _ReferenceNames(variable=False)
+        self.binders = _ReferenceNames(variable=True)
+
+    def term(self, text: str):
+        fields = self.fields
+        left, plus, right = text.partition(" + ")
+        if not plus:
+            left, plus, right = text.partition("+")
+        if plus:
+            return Sum(fields[left], fields[right])
+        head, dot, body = text.partition(".")
+        if dot:
+            words = head.split()
+            if len(words) == 2 and words[0] == "rec":
+                return Rec(self.binders[words[1]], fields[body])
+            if len(words) == 1:
+                return Prefix(self.actions[words[0]], fields[body])
+        raise CertificateError(f"bad term {text!r}")
+
+    def just(self, text: str):
+        kind, _, rest = text.strip().partition(" ")
+        if kind == "trans":
+            a, b = rest.split()
+            return Trans(_reference_numeral(a), _reference_numeral(b))
+        if kind == "cong":
+            return self.cong(rest)
+        if kind == "axiom":
+            return self.axiom(rest)
+        if kind == "symm":
+            return Symm(_reference_numeral(rest.strip()))
+        if kind == "refl" and not rest:
+            return Refl()
+        raise CertificateError(f"unknown justification {text!r}")
+
+    def cong(self, text: str):
+        pos, _, rest = text.partition(" ")
+        num, _, rest = rest.strip().partition(" ")
+        inner = _reference_numeral(num)
+        rest = rest.strip()
+        if not rest.startswith("in "):
+            raise CertificateError("congruence step is missing its context")
+        ctx = rest[3:].strip()
+        p = POSITIONS.get(pos)
+        if p is None:
+            raise CertificateError(f"unknown congruence position {pos!r}")
+        if not (ctx.startswith(p.before) and ctx.endswith(p.after)):
+            raise CertificateError(f"bad {pos} context {ctx!r}")
+        value = ctx[len(p.before) : len(ctx) - len(p.after)]
+        if p.kind is Expr:
+            return Cong(pos, inner, self.fields[value])
+        if p.kind is Action:
+            return Cong(pos, inner, self.actions[value])
+        return Cong(pos, inner, self.binders[value.strip()])
+
+    def axiom(self, text: str):
+        name, _, rest = text.strip().partition(" ")
+        params = SCHEMA_PARAMS.get(name)
+        if params is None:
+            raise CertificateError(f"unknown axiom {name!r}")
+        rest = rest.strip()
+        if not rest.startswith("{") or "}" not in rest:
+            raise CertificateError(f"missing bindings for {name}")
+        body, _, tail = rest[1:].partition("}")
+        tail = tail.strip()
+        premise = None
+        if tail:
+            if not tail.startswith("premise "):
+                raise CertificateError(f"unexpected trailer {tail!r}")
+            premise = _reference_numeral(tail[8:].strip())
+        metas, extras = params
+        meta, extra = {}, {}
+        if body.strip():
+            for chunk in body.split(","):
+                key, sep, value = chunk.partition(":=")
+                if not sep:
+                    raise CertificateError(f"bad binding {chunk!r}")
+                key = key.strip()
+                value = value.strip()
+                if key in metas:
+                    meta[key] = self.fields[value]
+                elif key in extras:
+                    extra[key] = (self.actions if key == "a" else self.binders)[value]
+                else:
+                    raise CertificateError(f"{name} takes no parameter {key!r}")
+        return AxiomStep(
+            name, tuple(sorted(meta.items())), tuple(sorted(extra.items())), premise)
+
+
+def reference_parse_derivation(text: str):
+    reader = _ReferenceReader()
+    fields, just = reader.fields, reader.just
+    n_terms, steps = 0, []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind not in ("term", "step"):
+            raise CertificateError(f"unexpected line {line!r}")
+        num, _, rest = rest.partition(" ")
+        try:
+            expected = n_terms if kind == "term" else len(steps)
+            if num != str(expected):
+                raise CertificateError(
+                    f"{kind} numbered {_reference_numeral(num)} but {expected} expected")
+            if kind == "term":
+                if steps:
+                    raise CertificateError(f"term {num} follows a step")
+                fields.table = True
+                fields["@" + num] = reader.term(rest)
+                n_terms += 1
+                continue
+            body, sep, just_text = rest.rpartition(" by ")
+            if not sep:
+                raise CertificateError(f"step {num} has no justification")
+            lhs_text, eq, rhs_text = body.partition(" = ")
+            if not eq:
+                raise CertificateError(f"step {num} is not an equation")
+            steps.append(ProofStep(fields[lhs_text], fields[rhs_text], just(just_text)))
+        except ValueError as exc:
+            if isinstance(exc, CertificateError):
+                raise
+            raise CertificateError(f"malformed {kind} {num!r}: {exc}") from exc
+    if not steps:
+        raise CertificateError("certificate has no steps")
+    return Derivation(tuple(steps))

@@ -258,6 +258,14 @@ def test_verify_stray_action_binding_exit_2(tmp_path):
     assert res.stderr.strip() == f"error: {cert}: S1 takes no parameter 'a'"
 
 
+def test_verify_refuses_a_parameter_bound_twice(tmp_path):
+    # two bindings of one parameter make the text malformed (exit 2); the
+    # reader does not take the last of them
+    cert = _write(tmp_path, "dup.cert", "step 0 0 + 0 = 0 by axiom S3 {E:=a.0, E:=0}\n")
+    res = _run(["verify", cert])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", f"error: {cert}: S3 binds E twice\n")
+
+
 def test_verify_unwritable_names_exit_2(tmp_path):
     # a name the expression grammar cannot write makes the text
     # malformed (exit 2), not a certificate that fails its check (exit 1)
@@ -459,6 +467,62 @@ def test_verify_fails_closed_on_garbled_certificates(tmp_path_factory, text):
         assert res.stderr.startswith(f"error: {path}: "), (text, res.stderr)
     else:
         assert (check(parse_derivation(text)) is None) == (res.exit_code == 0), text
+
+
+def _deep(shape: str, n: int) -> str:
+    """A term `n` deep or wide: a prefix chain, recursions nested in their
+    bodies or directly, sums nested to the left or to the right, a sum
+    of loops, or loops nested in loops (at most 6, as `std` takes time
+    that grows fast with their depth)."""
+    names = [f"{'abc'[i % 3]}.0" for i in range(n)]
+    if shape == "chain":
+        return "a." * n + "0"
+    if shape == "recursions":
+        return "".join(f"rec X{i}. a.(" for i in range(n)) + "0 + b.X0" + ")" * n
+    if shape == "binders":
+        return "".join(f"rec X{i}. " for i in range(n)) + "a.X0"
+    if shape == "left sum":
+        return "(" * (n - 1) + names[0] + "".join(f" + {a})" for a in names[1:])
+    if shape == "right sum":
+        return " + (".join(names) + ")" * (n - 1)
+    if shape == "loops":
+        return " + ".join(f"tau* {a}" for a in names)
+    return "tau* (a.0 + " * min(n, 6) + "b.0" + ")" * min(n, 6)
+
+
+_SHAPES = ["chain", "recursions", "binders", "left sum", "right sum", "loops", "nested loops"]
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from(_SHAPES), st.sampled_from([1, 2, 40, 1000, 3000]),
+       st.sampled_from(_SHAPES), st.booleans(),
+       st.sampled_from(["strong", "branching", "dpbb", "rooted"]))
+def test_deep_and_wide_inputs_fail_closed(tmp_path_factory, shape, n, other, same, rel):
+    # every command, run in this process below pytest's own frames, on
+    # terms up to 3,000 deep or wide: each run fails closed, and each
+    # certificate that `prove` or `std` writes verifies.  The right-hand
+    # term is as deep or wide as the left or of size 1 (`prove` of sums
+    # of different widths grows with the product of the widths)
+    base = tmp_path_factory.getbasetemp()
+    m = n if same else 1
+    left, right = _deep(shape, n), _deep(other, m)
+    paths = [str(base / "deep-left.proc"), str(base / "deep-right.proc")]
+    for path, text in zip(paths, (left, right)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    cert = str(base / "deep.cert")
+    runs = [["check", "--rel", rel, *paths], ["prove", *paths, "--cert", cert],
+            ["verify", cert], ["std", "--cert", cert, paths[0]], ["verify", cert],
+            ["lts", paths[0]], ["minimize", paths[0]]]
+    for args in runs:
+        if args[0] in ("prove", "std") and os.path.exists(cert):
+            os.unlink(cert)
+        if args[0] == "verify" and not os.path.exists(cert):
+            continue
+        res = _run(args)
+        _fails_closed((shape, n, other, m, args[0]), res)
+        if args[0] == "verify":
+            assert res.exit_code == 0, (shape, n, other, m, res.stderr)
 
 
 _PARSE_ERROR = "unexpected token '+' at offset 3"

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dpbc
 from dpbc.kernel import (
@@ -33,7 +33,8 @@ from dpbc.semantics import DEFAULT_BUDGET
 from dpbc.ses import _route
 from dpbc.syntax import NIL, TAU, Action, Prefix, Rec, Sum, Var, parse
 
-from genexpr import derive
+from genexpr import benchmark_gen, derive
+from oracles import reference_format_derivation, reference_parse_derivation
 
 _PINNED = os.path.join(os.path.dirname(__file__), "pinned")
 
@@ -184,7 +185,6 @@ _A0 = parse("a.0")
 # each value class, built twice from the same fields; `Position` holds a
 # callable, compared as the same object
 _VALUES = {
-    "Action": lambda: Action("a"),
     "Refl": lambda: Refl(),
     "Symm": lambda: Symm(3),
     "Trans": lambda: Trans(1, 2),
@@ -209,6 +209,22 @@ def test_value_classes_compare_by_fields_and_reject_assignment(name):
         with pytest.raises(AttributeError):
             delattr(one, field)
     assert one == two
+
+
+def test_action_is_one_instance_per_name():
+    # as with `Var`, `Action(name)` returns the one live action of that
+    # name; it still compares and hashes as the tuple of its name, and
+    # refuses assignment
+    one = Action("a")
+    assert Action("a") is one and Action("tau") is TAU and Action("b") is not one
+    assert one == Action("a") and not one != Action("a") and one != Action("b")
+    assert hash(one) == hash(("a",)) and (one.is_tau, one.key) == (False, (1, "a"))
+    for field in type(one).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(one, field, None)
+        with pytest.raises(AttributeError):
+            delattr(one, field)
+    assert parse("a.0").act is one and parse_derivation("step 0 a.0 = a.0 by refl\n").conclusion[0].act is one
 
 
 def test_value_classes_differ_by_any_field_and_by_class():
@@ -303,6 +319,11 @@ _REFUSALS = {
     "binding-without-assignment": (lambda: _read("step 0 a.0 + 0 = a.0 by axiom S4 {E=a.0}\n"),
                                    "bad binding 'E=a.0'"),
     "no-steps": (lambda: _read("# proves: nothing\nterm 0 a.0\n"), "certificate has no steps"),
+    # a parameter bound twice is refused, not read as its last binding
+    "expression-bound-twice": (lambda: _read("step 0 0 + 0 = 0 by axiom S3 {E:=a.0, E:=0}\n"),
+                               "S3 binds E twice"),
+    "binder-bound-twice": (lambda: _read(
+        "step 0 rec X. 0 = 0 by axiom R1 {E:=0, X:=Y, X:=X}\n"), "R1 binds X twice"),
 }
 
 
@@ -333,3 +354,110 @@ def test_deep_R4_step_verifies(tmp_path):
                          capture_output=True, text=True, env=env)
     assert (res.returncode, res.stderr) == (0, ""), res.stderr[-300:]
     assert res.stdout.startswith("verified: rec X. tau.(tau.tau.")
+
+
+# --- the reader and writer against the reference ones -----------------------------------
+
+
+def _certificates() -> list:
+    """The certificates of the prove benchmark's congruent pairs (seeds 1,
+    7 and 11) and the pinned ones."""
+    from dpbc import prove_congruent
+    from dpbc.equiv import RootedCheck
+    gen = benchmark_gen()
+    texts = []
+    for seed in (1, 7, 11):
+        for op in gen.prove_ops(seed, 4):
+            d = prove_congruent(parse(op["left"]), parse(op["right"]))
+            if not isinstance(d, RootedCheck):
+                texts.append(format_derivation(d))
+    return texts + [_pin(name) for name in sorted(os.listdir(_PINNED)) if name.endswith(".cert")]
+
+
+_CERTIFICATES = _certificates()
+
+
+def test_writer_and_reader_match_the_reference_ones():
+    # every benchmark and pinned certificate reads as the reference reader
+    # reads it, and writes back as the reference writer writes it: the
+    # text it was read from, byte for byte
+    assert len(_CERTIFICATES) == 120 + 14
+    for text in _CERTIFICATES:
+        d = parse_derivation(text)
+        assert d == reference_parse_derivation(text)
+        assert format_derivation(d) == reference_format_derivation(d) == text
+
+
+def _reading(read, text):
+    try:
+        return read(text)
+    except CertificateError as exc:
+        return f"CertificateError: {exc}"
+
+
+# small certificates to garble: those of the benchmark and the pins under 30 kB
+_SMALL = [text for text in _CERTIFICATES if len(text) < 30000]
+_STRAY = ["@", "{", "}", ",", ":", ":=", "=", "#", ".", "+", "◻", "x", "X", "0", "by", "in",
+          " ", "  ", "\t", "\r", "\n", "\u00a0", "\x0b", "premise"]
+
+
+@st.composite
+def _garbled_certificate(draw):
+    """A small certificate with one to three edits, each to a step line
+    half the time: a line dropped, duplicated or moved, or, in the body
+    of a line (most often) or anywhere in it, two fields swapped, a
+    numeral edited, whitespace changed or a stray character put in."""
+    lines = draw(st.sampled_from(_SMALL)).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "duplicate", "move", "swap", "swap", "numeral",
+                                     "numeral", "space", "space", "stray", "stray", "stray"]))
+        steps = [i for i, line in enumerate(lines) if line.startswith("step ")]
+        i = draw(st.sampled_from(steps) if steps and draw(st.booleans())
+                 else st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            del lines[i]
+            continue
+        if edit == "duplicate":
+            lines.insert(i, lines[i])
+            continue
+        if edit == "move":
+            lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+            continue
+        # the edit keeps the line's kind and number three times in four
+        words = lines[i].split(" ")
+        keep = 2 if len(words) > 2 and draw(st.integers(0, 3)) else 0
+        head, line = " ".join(words[:keep] + [""]) if keep else "", " ".join(words[keep:])
+        words = line.split(" ")
+        if edit == "swap" and len(words) > 1:
+            j, k = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, len(words) - 1))
+            words[j], words[k] = words[k], words[j]
+            line = " ".join(words)
+        elif edit == "numeral" and re.search(r"[0-9]+", line):
+            a, b = draw(st.sampled_from([m.span() for m in re.finditer(r"[0-9]+", line)]))
+            line = line[:a] + draw(st.sampled_from(
+                ["0", "1", "2", "7", "00", "01", "+1", "-1", "1_0", "٠", "99999",
+                 str(int(line[a:b]) + 1), ""])) + line[b:]
+        elif edit in ("space", "stray"):
+            k = draw(st.integers(0, len(line)))
+            cut = draw(st.integers(0, 1)) if edit == "space" else 0
+            line = line[:k] + draw(st.sampled_from(_STRAY)) + line[k + cut:]
+        lines[i] = head + line
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_garbled_certificate())
+# whitespace that `str.strip` takes and the field reader keeps, and a
+# reflexivity with an argument
+@example("term 0 a.0\nterm 1 rec X.\u00a0@0\nstep 0 @1 = @1 by refl\n")
+@example("term 0 a.0\nterm 1 rec X.\x0b @0\nstep 0 @1 = @1 by refl\n")
+@example("step 0 0 = 0 by refl 0\n")
+def test_garbled_certificates_read_as_the_reference_reads_them(text):
+    # the same derivation, or the same refusal; the one difference is a
+    # parameter bound twice, which the reference reads as its last binding
+    got, want = _reading(parse_derivation, text), _reading(reference_parse_derivation, text)
+    if isinstance(got, str) and re.fullmatch(r"CertificateError: \S+ binds \S+ twice", got):
+        return
+    assert got == want, text
+    if isinstance(got, Derivation):
+        assert format_derivation(got) == reference_format_derivation(got)
