@@ -8,12 +8,14 @@ The prover has two ways in: `prove_congruent` proves two rooted-congruent
 expressions equal, and `standardize` proves an expression equal to its
 standard sum.  The steps of the completeness proof (standard equation
 systems, the quotient, promotion, the derived rules D0-D6) are internal
-routines of `ses`, `standardize` and `proof` that build into one
-`proof.Builder`; `check` replays what they build.
+routines of `ses`, `route`, `standardize` and `proof` that build into
+one `proof.Builder`; `check` replays what they build.
 
 The package loads its modules lazily (PEP 562): `import dpbc` loads
 none of them, and each name below loads its own module on first use,
 so a command that only checks a certificate never loads the prover.
+Inside the prover, `ses` loads `route`, and with it `standardize`, only
+when a pair needs the root route.
 """
 
 import importlib
@@ -37,7 +39,8 @@ _EXPORTS = {
     ),
     "proof": (),
     "standardize": ("standardize",),
-    "ses": ("SesSystem", "prove_congruent"),
+    "ses": ("prove_congruent",),
+    "route": ("SesSystem",),
 }
 _SUBMODULES = (*_EXPORTS, "cli")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -5,9 +5,10 @@ have been read and parsed, so an input that does not parse loads
 `syntax` alone.  `check` and `minimize` load the decision side
 (`semantics`, `equiv`), `lts` only `semantics`, `verify` the kernel
 alone and `std` the prover up to `standardize`.  `prove` decides
-rooted congruence first and loads the prover (`kernel`, `proof`,
-`standardize`, `ses`) only when the check passes: a pair that is not
-congruent has no proof to build.  A command returns
+rooted congruence first and loads the prover (`kernel`, `proof`, `ses`)
+only when the check passes: a pair that is not congruent has no proof
+to build.  `route` and `standardize` load only for a pair that the
+prover's walk leaves to the root route.  A command returns
 its exit code: 0 and 1 are verdicts, such as "congruent" and "not
 congruent", and 2 says that nothing was decided.
 """

@@ -1,6 +1,9 @@
 """The prover's side of the axiom system: the derivation builder, its
-memo and the derived rules.  What it builds is checked by `kernel`,
-which defines the steps, the checker and the certificate format.
+memo, S1-S4 rearrangement of sums and the derived rules that the walk of
+`ses.prove_congruent` closes pairs with (T1, D6).  What it builds is
+checked by `kernel`, which defines the steps, the checker and the
+certificate format.  The routines that only standardization and the
+root route run are in `standardize`.
 """
 
 from __future__ import annotations
@@ -18,15 +21,12 @@ from .syntax import (
     Sum,
     TAU,
     Var,
-    all_vars,
-    flatten_sum,
     free_vars,
     fresh_name,
     pretty,
-    substitute,
     summand_key,
 )
-from .semantics import DEFAULT_BUDGET, _reach, _tau_reachable, exposes
+from .semantics import _reach
 # `check`, the certificate reader and writer and the errors are
 # re-exported for callers of the prover
 from .kernel import (  # noqa: F401
@@ -49,10 +49,6 @@ from .kernel import (  # noqa: F401
     parse_derivation,
     plug,
 )
-
-
-class MoveNotPresent(ProofError):
-    pass
 
 
 # --- derivation builder ---------------------------------------------------------
@@ -455,84 +451,6 @@ def prove_sum_eq(b: Builder, lhs: Expr, rhs: Expr) -> int:
     return b.trans(dl, b.symm(dr))
 
 
-# --- alpha bridging -----------------------------------------------------------
-
-
-def prove_alpha(b: Builder, lhs: Expr, rhs: Expr) -> int:
-    """Prove two alpha-equivalent expressions equal via explicit renaming
-    steps and congruence."""
-    if lhs == rhs:
-        return b.refl(lhs)
-    if isinstance(lhs, Prefix) and isinstance(rhs, Prefix) and lhs.act == rhs.act:
-        return b.cong("prefix", prove_alpha(b, lhs.body, rhs.body), lhs.act)
-    if isinstance(lhs, Sum) and isinstance(rhs, Sum):
-        return b.sum_cong(prove_alpha(b, lhs.left, rhs.left),
-                          prove_alpha(b, lhs.right, rhs.right))
-    if isinstance(lhs, Rec) and isinstance(rhs, Rec):
-        if lhs.binder == rhs.binder:
-            return b.cong("recbody", prove_alpha(b, lhs.body, rhs.body), lhs.binder)
-        ren = b.axiom("R0", {"E": lhs.body}, {"X": lhs.binder, "Y": rhs.binder})
-        renamed = b.rhs_after(ren)
-        inner = prove_alpha(b, renamed.body, rhs.body)
-        return b.trans(ren, b.cong("recbody", inner, rhs.binder))
-    raise ProofError(
-        f"not alpha-equivalent: {pretty(lhs)} vs {pretty(rhs)}")
-
-
-def align(b: Builder, i: int, want: Expr) -> int:
-    """Extend step i to `want`, an alpha-variant of its right-hand side."""
-    got = b.rhs_after(i)
-    return i if got == want else b.trans(i, prove_alpha(b, got, want))
-
-
-def _align_both(b: Builder, i: int, lhs: Expr, rhs: Expr) -> int:
-    """Step i restated as lhs = rhs, alpha-variants of its two sides."""
-    got = b.endpoints(i)
-    if got == (lhs, rhs):
-        return i
-    return b.chain(prove_alpha(b, lhs, got[0]), i, prove_alpha(b, got[1], rhs))
-
-
-def _app(b: Builder, total: int, path, inner: int) -> int:
-    """Extend a chain by rewriting inside its current right-hand side."""
-    return b.trans(total, b.rewrite_at(b.rhs_after(total), path, inner))
-
-
-def _rec_cong(b: Builder, context: Rec, sigmas: tuple, lift) -> int:
-    """context{sigmas[0]} = context{sigmas[1]} from `lift(body, s0, s1)`,
-    which proves body{s0} = body{s1} for the sigmas without the binder.
-    A binder that would capture a free name of a substituted value is
-    first renamed to a name fresh for the body, the sigmas and the values."""
-    y = context.binder
-    s0, s1 = ({k: v for k, v in s.items() if k != y} for s in sigmas)
-    free = frozenset().union(*map(free_vars, [*s0.values(), *s1.values()]))
-    if y not in free:
-        return b.cong("recbody", lift(context.body, s0, s1), y)
-    z = fresh_name(all_vars(context.body) | free | set(s0) | set(s1) | {y})
-    mid = b.cong("recbody", lift(substitute(context.body, {y: Var(z)}), s0, s1), z)
-    return _align_both(
-        b, mid, substitute(context, sigmas[0]), substitute(context, sigmas[1]))
-
-
-@_derived
-def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
-    """Lift a proven equation into every free occurrence of `hole` in
-    `context`: proves context{lhs/hole} = context{rhs/hole}."""
-    if hole not in free_vars(context):
-        return b.refl(context)
-    if isinstance(context, Var):
-        return inner
-    if isinstance(context, Prefix):
-        return b.cong(
-            "prefix", prove_subst_cong(b, context.body, hole, inner), context.act)
-    if isinstance(context, Sum):
-        return b.sum_cong(prove_subst_cong(b, context.left, hole, inner),
-                          prove_subst_cong(b, context.right, hole, inner))
-    lhs, rhs = b.endpoints(inner)
-    return _rec_cong(b, context, ({hole: lhs}, {hole: rhs}),
-                    lambda body, *_: prove_subst_cong(b, body, hole, inner))
-
-
 # --- derived rules ----------------------------------------------------------------
 
 
@@ -550,124 +468,31 @@ def _t1(b: Builder, a: Action, e: Expr) -> int:
     return b.trans(i5, i6)
 
 
-def _unfold(b: Builder, p: Expr, t: Expr, env: dict) -> int:
-    """t = a sum of its unguarded summands, walking down p, a term as
-    written, and t, its instance under the unfoldings above, together: a
-    sum goes by both halves, a recursion of p is unfolded in t by R1 and
-    the walk goes on with p's body, anything else is a summand.  `env`
-    binds each recursion met to its term as `semantics.step` puts it in,
-    all at once, outer first; a summand is brought to p under `env`,
-    which R1's one-at-a-time substitutions reach up to the names of the
-    binders they renamed."""
-    if isinstance(p, Sum):
-        return b.sum_cong(_unfold(b, p.left, t.left, env),
-                          _unfold(b, p.right, t.right, env))
-    if isinstance(p, Rec):
-        r1 = b.axiom("R1", {"E": t.body}, {"X": t.binder})
-        env = {**env, p.binder: substitute(p, env)}
-        return b.trans(r1, _unfold(b, p.body, b.rhs_after(r1), env))
-    return prove_alpha(b, t, substitute(p, env))
+def _loop_form(e: Expr) -> bool:
+    """e is rec x.(tau.x + E): a loop in constructor form, but that x may
+    occur in E."""
+    return (isinstance(e, Rec) and isinstance(e.body, Sum)
+            and e.body.left == Prefix(TAU, Var(e.binder)))
 
 
-@_derived
-def _hnf(b: Builder, e: Expr) -> int:
-    """e = a sum of its moves a.e', its exposed variables and 0s, along
-    the rules of `semantics.step` and `exposes`: R1 on each recursion
-    met unguarded, then the unfolded body, with step's derivatives."""
-    return _unfold(b, e, e, {})
+def is_loop_of_loop(e: Expr) -> bool:
+    """e is rec x.(tau.x + rec y.(tau.y + E)) and x is not free in the
+    inner recursion: the left-hand side of D6."""
+    return (_loop_form(e) and _loop_form(e.body.right)
+            and e.binder not in free_vars(e.body.right))
 
 
-def _absorb_along(b: Builder, d: int, extra: Expr) -> int:
-    """X = X + extra from d: X = Y and Y = Y + extra.  A sum Y holds
-    extra's summands and absorbs them by rearrangement; a loop in
-    constructor form holds them in its body and absorbs them along D2.
-    When extra is 0 or a node of X's own sum tree, X absorbs it directly."""
-    direct = _absorb_copy(b, b.endpoints(d)[0], extra)
-    if direct is not None:
-        return b.symm(direct)
-    mid = b.rhs_after(d)
-    if isinstance(mid, Rec):
-        g = _absorb_along(b, _d2(b, mid), extra)
-    else:
-        g = prove_sum_eq(b, mid, Sum(mid, extra))
-    return _app(b, b.trans(d, g), ["suml"], b.symm(d))
-
-
-def _d1(b: Builder, lp: Expr) -> int:
-    """lp = tau.lp + body, for any constructor-shaped loop."""
-    z, body = lp.binder, lp.body.right
-    return b.axiom("R1", {"E": Sum(Prefix(TAU, Var(z)), body)}, {"X": z})
-
-
-def _d2(b: Builder, lp: Expr) -> int:
-    """lp = lp + body, for any constructor-shaped loop."""
-    return _absorb_along(b, _d1(b, lp), lp.body.right)
-
-
-def _absorb_summand(b: Builder, e: Expr, leaf: Expr) -> int:
-    """e = e + leaf, for a move a.target or an exposed variable of e: a
-    summand of e's head normal form."""
-    hnf = _hnf(b, e)
-    if leaf not in flatten_sum(b.rhs_after(hnf)):
-        if isinstance(leaf, Var):
-            raise MoveNotPresent(f"{pretty(e)} does not expose {leaf.name}")
-        raise MoveNotPresent(
-            f"{pretty(e)} has no {leaf.act} move to {pretty(leaf.body)}")
-    return _absorb_along(b, hnf, leaf)
-
-
-def _tau_path_to_exposure(e: Expr, x: str):
-    """Shortest silent path from e to an expression exposing x,
-    deterministic by derivative order."""
-    parent = {}
-    for cur in _tau_reachable(e, DEFAULT_BUDGET, parent):
-        if x in exposes(cur):
-            path = [cur]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path[::-1]
-    return None
-
-
-def _d0(b: Builder, e: Expr, f: Expr, x: str) -> int:
-    """rec x.(tau.e + f) = rec x.(tau.(x + e) + f), given that e reaches
-    an exposure of x by silent moves.
-
-    The witnessing silent path e -> e1 -> ... -> en is absorbed summand
-    by summand, the exposed variable is added, and the path is removed
-    again; every tau in front of a path state is eliminated with R4.
-    """
-    path = _tau_path_to_exposure(e, x)
-    if path is None:
-        raise SideCondition("D0", f"{x} is not reachable unguarded from {pretty(e)}")
-
-    def lift(total: int, inner: int) -> int:
-        return _app(b, total, ["rec", "suml", "prefix"], inner)
-
-    total = b.refl(Rec(x, Sum(Prefix(TAU, e), f)))
-    accs = [e]  # accs[i] is e + e1 + ... + ei
-    for i in range(1, len(path)):
-        ei = path[i]
-        acc = accs[-1]
-        total = lift(total, _absorb_summand(b, acc, Prefix(TAU, ei)))
-        total = lift(
-            total, prove_sum_eq(b, Sum(acc, Prefix(TAU, ei)), Sum(Prefix(TAU, ei), acc)))
-        total = b.trans(
-            total, b.axiom("R4", {"E": ei, "F": acc, "G": f}, {"X": x}))
-        total = lift(total, prove_sum_eq(b, Sum(ei, acc), Sum(acc, ei)))
-        accs.append(Sum(acc, ei))
-    # expose the variable and move it to the front
-    acc = accs[-1]
-    total = lift(total, _absorb_summand(b, acc, Var(x)))
-    total = lift(total, prove_sum_eq(b, Sum(acc, Var(x)), Sum(Var(x), acc)))
-    # strip the path states from the back, re-introducing each tau with R4
-    for i in range(len(path) - 1, 0, -1):
-        ei = path[i]
-        rest = Sum(Var(x), accs[i - 1])
-        total = lift(total, prove_sum_eq(b, Sum(Var(x), accs[i]), Sum(ei, rest)))
-        total = b.trans(
-            total, b.symm(b.axiom("R4", {"E": ei, "F": rest, "G": f}, {"X": x})))
-        total = lift(
-            total, prove_sum_eq(b, Sum(Prefix(TAU, ei), rest), Sum(rest, Prefix(TAU, ei))))
-        total = lift(total, b.symm(_absorb_summand(b, rest, Prefix(TAU, ei))))
-    return total
+def _d6(b: Builder, lp: Expr) -> int:
+    """lp = its inner loop, for a loop of a loop (`is_loop_of_loop`):
+    R0 renames the outer binder when it clashes with the inner one, R7
+    drops the outer silent self-step and R1 the outer recursion, whose
+    binder the inner loop does not mention."""
+    x, inner = lp.binder, lp.body.right
+    steps = []
+    if x == inner.binder:
+        z = fresh_name(free_vars(inner) | {x})
+        steps.append(b.axiom("R0", {"E": lp.body}, {"X": x, "Y": z}))
+        x = z
+    steps.append(b.axiom("R7", {"E": inner.body.right}, {"X": x, "Y": inner.binder}))
+    steps.append(b.axiom("R1", {"E": inner}, {"X": x}))
+    return b.chain(*steps)

@@ -24,9 +24,10 @@ from dpbc.equiv import (
     equivalent,
     rooted_check,
 )
-from dpbc.proof import Builder, check, _d0, _d1, _d2, _t1
-from dpbc.standardize import _d3, _d4, _d5, _d6, standardize
-from dpbc.ses import SesSystem, prove_congruent, _extract_into, _solve_any
+from dpbc.proof import Builder, check, _d6, _t1
+from dpbc.standardize import _d0, _d1, _d2, _d3, _d4, _d5, standardize
+from dpbc.route import SesSystem, _extract_into, _solve_any
+from dpbc.ses import prove_congruent
 
 from genexpr import derive, random_expr, random_guarded_expr, random_lts
 from oracles import PairRelation, functional_B, functional_Bd, functional_Bp, functional_S

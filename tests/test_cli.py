@@ -16,7 +16,8 @@ import dpbc
 from dpbc.cli import main
 from dpbc.semantics import BudgetExceeded, build_lts
 from dpbc.syntax import ParseError, parse, pretty
-from dpbc.proof import MoveNotPresent, ProofError, check, format_derivation, parse_derivation
+from dpbc.proof import ProofError, check, format_derivation, parse_derivation
+from dpbc.standardize import MoveNotPresent
 from test_syntax import _PIECES, exprs
 
 
@@ -984,8 +985,8 @@ def test_package_exports_resolve_lazily():
     (["minimize", "l.proc"], 0, {"syntax", "semantics", "equiv"}),
     (["std", "--cert", "l.cert", "l.proc"], 0,
      {"syntax", "semantics", "kernel", "proof", "standardize"}),
-    (["prove", "l.proc", "r.proc"], 0,
-     {"syntax", "semantics", "equiv", "kernel", "proof", "standardize", "ses"}),
+    # a pair that the walk closes (here by T1) loads no root route
+    (["prove", "l.proc", "r.proc"], 0, {"syntax", "semantics", "equiv", "kernel", "proof", "ses"}),
     (["verify", "pinned"], 0, {"syntax", "kernel"}),
     (["verify", "tampered.cert"], 1, {"syntax", "kernel"}),
     (["verify", "bad.proc"], 2, {"syntax", "kernel"}),
@@ -997,11 +998,16 @@ def test_package_exports_resolve_lazily():
     (["std", "bad.proc"], 2, {"syntax"}),
     (["lts", "bad.proc"], 2, {"syntax"}),
     (["minimize", "bad.proc"], 2, {"syntax"}),
+    # a pair that takes the root route loads every layer
+    (["prove", "--cert", "root.cert", "rl.proc", "rr.proc"], 0,
+     {"syntax", "semantics", "equiv", "kernel", "proof", "standardize", "ses", "route"}),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, args, code, layers):
     _write(tmp_path, "l.proc", "a.tau.b.0")
     _write(tmp_path, "r.proc", "a.b.0")
     _write(tmp_path, "n.proc", "a.rec X.(tau.X + b.0)")
+    _write(tmp_path, "rl.proc", "rec X. a.X")
+    _write(tmp_path, "rr.proc", "rec Y. a.a.Y")
     _write(tmp_path, "bad.proc", "a. + b")
     _write(tmp_path, "tampered.cert", "step 0 a.0 = b.0 by refl\n")
     paths = {"pinned": os.path.join(_PINNED, "taupad.cert")}
@@ -1011,12 +1017,15 @@ def test_each_command_loads_only_its_layers(tmp_path, args, code, layers):
     assert loaded == layers
     # no command pays at start-up for a code generator and what it loads
     assert not {"dataclasses", "inspect"} & names
+    if "--cert" in args:
+        assert _run(["verify", argv[args.index("--cert") + 1]]).exit_code == 0
 
 
 def test_pins_verify_with_only_the_kernel():
     # the trusted base is `syntax` and `kernel`: with every other module
     # blocked from loading, `verify` accepts every pinned certificate
-    blocked = ["dpbc.semantics", "dpbc.equiv", "dpbc.ses", "dpbc.standardize", "dpbc.proof"]
+    blocked = ["dpbc.semantics", "dpbc.equiv", "dpbc.ses", "dpbc.route", "dpbc.standardize",
+               "dpbc.proof"]
     code = "\n".join([
         "import sys",
         f"sys.modules.update(dict.fromkeys({blocked!r}))",

@@ -469,7 +469,7 @@ def test_failing_rooted_check_explores_and_partitions_once(monkeypatch, left, ri
 
 
 def test_equation_systems_validate_and_compare_by_fields():
-    from dpbc.ses import SesSystem
+    from dpbc.route import SesSystem
 
     std = {"X": parse("a.Y + Z"), "Y": parse("b.X")}
     ses = SesSystem.from_equations(("X", "Y"), std)

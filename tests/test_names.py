@@ -19,7 +19,8 @@ from dpbc.syntax import (
 )
 from dpbc.proof import Builder, check, format_derivation, parse_derivation
 from dpbc.standardize import standardize
-from dpbc.ses import SesSystem, prove_congruent, _extract_into, _promote, _solve_any
+from dpbc.route import SesSystem, _extract_into, _promote, _solve_any
+from dpbc.ses import prove_congruent
 from dpbc.equiv import RootedCheck, rooted_check
 
 import genexpr

@@ -1,9 +1,14 @@
+import json
+import os
 import random
+import subprocess
 import sys
 from itertools import permutations
 
 import pytest
 
+import dpbc
+import dpbc.route as route
 import dpbc.ses as ses
 from dpbc.syntax import (
     Action,
@@ -25,18 +30,18 @@ from dpbc.kernel import SCHEMA_PARAMS, AxiomStep
 from dpbc.proof import (
     Builder, ProofError, check, format_derivation, parse_derivation)
 from dpbc.standardize import NotGuarded
-from dpbc.ses import (
+from dpbc.route import (
     SesSystem,
     bottom_variables,
     derivatives,
     formal_classes,
-    prove_congruent,
     _extract_into,
     _live,
     _promote,
     _Quotient,
     _solve_any,
 )
+from dpbc.ses import prove_congruent
 from dpbc.equiv import RootedCheck, equivalent, rooted_check
 from dpbc.semantics import DEFAULT_BUDGET, BudgetExceeded, Lts, build_lts, exposes, step
 
@@ -431,19 +436,19 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
     e, f = parse("a.(b.0 + c.0)"), parse("a.(c.0 + b.0)")
     extracted, quotiented, unique = [], [], []
 
-    extract = ses._extract_into
+    extract = route._extract_into
 
     def spy_extract(b, roots):
         out = extract(b, roots)
         extracted.append((roots, out))
         return out
 
-    class SpyQuotient(ses._Quotient):
+    class SpyQuotient(route._Quotient):
         def __init__(self, s, b):
             quotiented.append(s)
             super().__init__(s, b)
 
-    prove_unique = ses._prove_unique
+    prove_unique = route._prove_unique
 
     def spy_unique(b, order, rhs, *rest):
         target, closed = rest[-1], []
@@ -460,10 +465,10 @@ def test_promote_proves_only_the_live_equations(monkeypatch):
         unique.append((target, _reach(rhs, (target,)), set(closed), set(order)))
         return out
 
-    monkeypatch.setattr(ses, "_extract_into", spy_extract)
-    monkeypatch.setattr(ses, "_Quotient", SpyQuotient)
-    monkeypatch.setattr(ses, "_prove_unique", spy_unique)
-    d = derive(ses._promote, e, f)
+    monkeypatch.setattr(route, "_extract_into", spy_extract)
+    monkeypatch.setattr(route, "_Quotient", SpyQuotient)
+    monkeypatch.setattr(route, "_prove_unique", spy_unique)
+    d = derive(route._promote, e, f)
 
     ((roots, (order, rhs, sols, _)),) = extracted
     assert roots == (e, f)
@@ -857,3 +862,36 @@ def test_deep_chains_are_walked_at_the_default_recursion_limit():
     assert len(d.steps) == 3002 and check(d) is None
     assert isinstance(refused, RootedCheck) and not refused.equal
     assert refused == rooted_check(e, f)
+
+
+def test_layer_spans_see_the_root_route():
+    # `perfbench/spans.py` wraps the root route's routines through the
+    # names that `ses` answers to, and `standardize`; proving the pairs
+    # that CI names root, loopstutter and unguarded calls each of them,
+    # so the per-layer metrics still see the root route
+    here = os.path.dirname(os.path.abspath(__file__))
+    code = "\n".join([
+        "import importlib.util, json, sys",
+        "spec = importlib.util.spec_from_file_location('perfbench_spans', sys.argv[1])",
+        "spans = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(spans)",
+        "tracer = spans.Tracer()",
+        "spans.install(tracer)",
+        "from dpbc import check, parse, prove_congruent",
+        "for left, right in zip(sys.argv[2::2], sys.argv[3::2]):",
+        "    assert check(prove_congruent(parse(left), parse(right))) is None, (left, right)",
+        "print(json.dumps({name: row['calls'] for name, row in tracer.summary()['spans'].items()}))",
+    ])
+    pairs = ["rec X. a.X", "rec Y. a.a.Y",
+             "a.tau* (b.0 + tau.tau* b.0)", "a.tau* b.0",
+             "rec X. tau.(X + a.0)", "tau.tau* a.0"]
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(os.path.dirname(here), "perfbench", "spans.py"),
+         *pairs], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr[-500:]
+    calls = json.loads(res.stdout)
+    for name in ("ses.promote", "ses.prove_unique", "ses.extract", "ses.quotient", "ses.absorb",
+                 "standardize.standardize"):
+        assert calls.get(name, 0) >= 1, (name, calls)

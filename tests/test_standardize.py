@@ -23,15 +23,16 @@ from dpbc.syntax import (
 )
 from dpbc.kernel import AxiomStep
 from dpbc.proof import (
-    Builder, SideCondition, _d1, _d2, check, format_derivation, parse_derivation, prove_canon)
+    Builder, SideCondition, _d6, check, format_derivation, is_loop_of_loop, parse_derivation,
+    prove_canon)
 from dpbc.standardize import (
+    _d1,
+    _d2,
     _d3,
     _d4,
     _d5,
-    _d6,
     _expose,
     _standardize,
-    is_loop_of_loop,
     standardize,
 )
 from dpbc.equiv import rooted_check
