@@ -1,9 +1,10 @@
 """The prover's side of the axiom system: the derivation builder, its
-memo, S1-S4 rearrangement of sums and the derived rules that the walk of
-`ses.prove_congruent` closes pairs with (T1, D6).  What it builds is
-checked by `kernel`, which defines the steps, the checker and the
-certificate format.  The routines that only standardization and the
-root route run are in `standardize`.
+memo, S1-S4 rearrangement of sums, the derived rules that the walk of
+`ses.prove_congruent` closes pairs with (T1, D6) and that walk itself
+(`walk`), the one descent down two terms that every lift through a
+context runs on.  What it builds is checked by `kernel`, which defines
+the steps, the checker and the certificate format.  The routines that
+only standardization and the root route run are in `standardize`.
 """
 
 from __future__ import annotations
@@ -496,3 +497,84 @@ def _d6(b: Builder, lp: Expr) -> int:
     steps.append(b.axiom("R7", {"E": inner.body.right}, {"X": x, "Y": inner.binder}))
     steps.append(b.axiom("R1", {"E": inner}, {"X": x}))
     return b.chain(*steps)
+
+
+# --- the walk down two terms ------------------------------------------------------
+
+# what a pending lift does with the proof of its sub-pair
+_CONG, _THEN, _RIGHT, _SUM = range(4)
+
+
+def walk(b: Builder, e: Expr, f: Expr, close, stuck=None) -> int:
+    """e = f, proved where the two sides differ: the prover's one walk
+    down two terms, which `ses._walk`, alpha bridging, the substitution
+    lifts and the root route's summand meet run with closers of their own.
+
+    At each pair, equal or not, `close(b, e, f)` is asked first: None, a
+    step that proves the pair, or a law (d, flip, rest), where d proves
+    a law of one side (f when `flip`) and the walk goes on from what it
+    leaves to `rest`, the other side.  On None the walk goes down both
+    sides while they share a constructor: a prefix with the same action,
+    a sum by both halves, a recursion by its body, after R0 when only
+    the binders differ and R0 applies.  Any other pair is proved by
+    `stuck(e, f, top)`, where `top` says that laws and R0 alone lead to
+    it from the root; without `stuck`, it raises ProofError.
+
+    Pending lifts wait on a stack, innermost last, so a term of any depth
+    costs no interpreter stack: a congruence step, a law to chain in
+    front (then a symmetry when it was read from f), or a sum whose right
+    halves are still to walk or whose left half is proved.  Steps come in
+    the order of a recursive walk that proves a sum's left half first."""
+    lifts = []
+    top = True
+    while True:
+        # down from (e, f) to a pair proved outright
+        while True:
+            d = close(b, e, f)
+            if type(d) is tuple:
+                d, flip, rest = d
+                lifts.append((_THEN, d, flip))
+                e, f = b.rhs_after(d), rest
+                continue
+            if d is not None:
+                break
+            if isinstance(e, Sum) and isinstance(f, Sum):
+                lifts.append((_RIGHT, e.right, f.right))
+                e, f, top = e.left, f.left, False
+                continue
+            # actions are interned: one object per name
+            if isinstance(e, Prefix) and isinstance(f, Prefix) and e.act is f.act:
+                lifts.append((_CONG, "prefix", e.act))
+                e, f, top = e.body, f.body, False
+                continue
+            if isinstance(e, Rec) and isinstance(f, Rec):
+                if e.binder == f.binder:
+                    lifts.append((_CONG, "recbody", e.binder))
+                    e, f, top = e.body, f.body, False
+                    continue
+                if f.binder not in free_vars(e):
+                    d = b.axiom("R0", {"E": e.body}, {"X": e.binder, "Y": f.binder})
+                    lifts.append((_THEN, d, False))
+                    e = b.rhs_after(d)
+                    continue
+            if stuck is None:
+                raise ProofError(f"no step closes {pretty(e)} = {pretty(f)}")
+            d = stuck(e, f, top)
+            break
+        # up through the pending lifts, to the next right halves to walk
+        while lifts:
+            kind, x, y = lifts.pop()
+            if kind is _CONG:
+                d = b.cong(x, d, y)
+            elif kind is _THEN:
+                d = b.trans(x, d)
+                if y:
+                    d = b.symm(d)
+            elif kind is _SUM:
+                d = b.sum_cong(x, d)
+            else:
+                lifts.append((_SUM, d, None))
+                e, f, top = x, y, False
+                break
+        else:
+            return d

@@ -17,9 +17,9 @@ from .semantics import Lts, _reach, _tau_sccs, exposes
 from .semantics import step as sos_step
 from .equiv import Partition, bisimilarity, equivalent
 from .kernel import ProofError
-from .proof import Builder, _t1, prove_sum_eq
+from .proof import Builder, _t1, prove_sum_eq, walk
 from .standardize import (
-    NotGuarded, _absorb_along, _app, _d2, _d5, _hnf, _meet_loops, _rec_cong, _standardize,
+    NotGuarded, _absorb_along, _app, _d2, _d5, _hnf, _meet_loops, _standardize, _subst_lift,
     align, prove_loop_canonical, prove_subst_cong)
 
 
@@ -378,21 +378,14 @@ class _Quotient:
 def _pad_tau(b: Builder, template: Expr, sigma1: dict, sigma2: dict) -> int:
     """template{sigma1} = template{sigma2}, where sigma2 silently prefixes
     every value of sigma1; the substituted variables occur only under
-    prefixes in the template."""
-    if not (free_vars(template) & set(sigma1)):
-        return b.refl(substitute(template, sigma1))
-    if isinstance(template, Prefix):
-        if isinstance(template.body, Var) and template.body.name in sigma1:
-            return b.symm(_t1(b, template.act, sigma1[template.body.name]))
-        return b.cong(
-            "prefix", _pad_tau(b, template.body, sigma1, sigma2), template.act)
-    if isinstance(template, Sum):
-        return b.sum_cong(_pad_tau(b, template.left, sigma1, sigma2),
-                          _pad_tau(b, template.right, sigma1, sigma2))
-    if isinstance(template, Rec):
-        return _rec_cong(b, template, (sigma1, sigma2),
-                         lambda body, s1, s2: _pad_tau(b, body, s1, s2))
-    raise ProofError("template contains a formal variable in a bare position")
+    prefixes in the template, and T1 pads each of them."""
+    return _subst_lift(b, template, (sigma1, sigma2), _t1_leaf)
+
+
+def _t1_leaf(b: Builder, e: Expr, sigma: dict):
+    if isinstance(e, Prefix) and isinstance(e.body, Var) and e.body.name in sigma:
+        return b.symm(_t1(b, e.act, sigma[e.body.name]))
+    return None
 
 
 # --- uniqueness of solutions ---------------------------------------------------------
@@ -494,9 +487,9 @@ def _absorb_into(b: Builder, e: tuple, f: tuple, budget: int) -> int:
     (se, de), (sf, df) = e, f
     theirs = flatten_sum(sf)
 
-    def meet(leaf: Expr) -> int:
+    def meet(b: Builder, leaf: Expr, _: Expr):
         if isinstance(leaf, Sum):
-            return b.sum_cong(meet(leaf.left), meet(leaf.right))
+            return None
         if leaf in theirs or not isinstance(leaf, Prefix):
             return b.refl(leaf)
         a = leaf.act
@@ -508,7 +501,7 @@ def _absorb_into(b: Builder, e: tuple, f: tuple, budget: int) -> int:
                        b.cong("prefix", _promote(b, leaf.body, w), a),
                        _t1(b, a, w))
 
-    mine = b.trans(de, meet(se))
+    mine = b.trans(de, walk(b, se, se, meet))
     total = b.trans(b.sum_cong(mine, df),
                     prove_sum_eq(b, Sum(b.rhs_after(mine), sf), sf))
     return b.trans(total, b.symm(df))

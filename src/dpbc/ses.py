@@ -1,18 +1,18 @@
 """The congruence prover: `prove_congruent` walks down both sides of a
-pair to where they differ and closes each difference by a law (S1-S4,
-T1, D6) or, at a pair that needs rooted equivalence, by the root route
-(`_route`).  The root route past S1-S4 is in `route`, which is loaded
-the first time a pair needs it.
+pair to where they differ (`proof.walk`) and closes each difference by
+a law (S1-S4, T1, D6; `_close`) or, at a pair that needs rooted
+equivalence, by the root route (`_route`).  The root route past S1-S4
+is in `route`, which is loaded the first time a pair needs it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .syntax import Expr, Prefix, Rec, Sum, canon_leaves, flatten_sum, free_vars
+from .syntax import Expr, Prefix, Sum, canon_leaves, flatten_sum
 from .semantics import DEFAULT_BUDGET
 from .equiv import RootedCheck, rooted_check
-from .proof import Builder, _d6, _t1, is_loop_of_loop, prove_sum_eq
+from .proof import Builder, _d6, _t1, is_loop_of_loop, prove_sum_eq, walk
 
 # the routines of the root route that `ses` still answers to, for
 # callers that look them up here (the layer spans of
@@ -60,118 +60,53 @@ def _t1_shape(lhs: Expr, rhs: Expr) -> bool:
 
 
 def _close(b: Builder, e: Expr, f: Expr):
-    """(d, flip, rest) for the first law that applies to e = f, with
-    either side as its left-hand side (f when `flip`), or None.  T1
-    (a.tau.E = a.E) when it meets the other side exactly: d proves the
-    pair, read from the left-hand side, and `rest` is None.  Otherwise
-    D6 (loop(loop E) = loop E), or T1 against a side a.F whose F is no
-    silent prefix: d proves the law on the left-hand side, and the walk
-    goes on from what it leaves to `rest`, the other side."""
+    """The closer of `_walk` (see `proof.walk`): refl for equal sides;
+    T1 (a.tau.E = a.E), with either side as its left-hand side, when it
+    meets the other side exactly; D6 (loop(loop E) = loop E), or T1
+    against a side a.F whose F is no silent prefix, as a law to go on
+    from; S1-S4 alone for sums with the same summands; else None."""
+    if e == f:
+        return b.refl(e)
     sides = ((e, f, False), (f, e, True))
     for lhs, rhs, flip in sides:
         if _t1_shape(lhs, rhs) and lhs.body.body == rhs.body:
-            return _t1(b, lhs.act, rhs.body), flip, None
+            d = _t1(b, lhs.act, rhs.body)
+            return b.symm(d) if flip else d
     for lhs, rhs, flip in sides:
         if is_loop_of_loop(lhs) and not is_loop_of_loop(rhs):
             return _d6(b, lhs), flip, rhs
         if (_t1_shape(lhs, rhs)
                 and not (isinstance(rhs.body, Prefix) and rhs.body.act.is_tau)):
             return _t1(b, lhs.act, lhs.body.body), flip, rhs
+    # when two sums share a half, the other half holds what differs, and
+    # the sums are not compared, so a wide sum costs no more than its depth
+    shared = (isinstance(e, Sum) and isinstance(f, Sum)
+              and (e.left == f.left or e.right == f.right))
+    if (isinstance(e, Sum) or isinstance(f, Sum)) and not shared and _same_summands(e, f):
+        return prove_sum_eq(b, e, f)
     return None
 
 
-# what a pending lift does with the proof of its sub-pair
-_CONG, _THEN, _RIGHT, _SUM = range(4)
-
-
 def _walk(b: Builder, e: Expr, f: Expr, budget: int, rc: Optional[RootedCheck]) -> int:
-    """e = f, proved only where the two sides differ.  The walk goes down
-    both sides while they share a constructor: a prefix with the same
-    action, a sum by both halves, a recursion by its body after R0 when
-    only the binders differ.  A pair that one law closes (`_close`) or
-    S1-S4 alone proves stops it.  A free variable of the pair that a
-    recursion binds higher up counts as an exposure.
-
-    Any other pair needs rooted equivalence, so the walk checks the
-    root the first time it meets one, unless `rc` is that check already:
+    """e = f by `proof.walk`, closed by `_close`, where a free variable
+    that a recursion binds higher up counts as an exposure.  Any other
+    pair needs rooted equivalence, so the walk checks the root the first
+    time it meets one, unless `rc` is that check already:
     a pair that the laws alone close is never checked.  Pairs that laws
     and R0 alone lead to from the root are then known to hold, and any
     other is checked itself.  A pair that holds is proved by `_route`;
-    when the root's check or the pair's fails, `_Fallback(rc)` is raised.
+    when the root's check or the pair's fails, `_Fallback(rc)` is raised."""
+    root = (e, f)
 
-    The walk keeps its own stack of pending lifts, innermost last, so a
-    term of any depth costs no interpreter stack: a congruence step, a
-    law to chain in front (then a symmetry when the law was read from
-    f), or a sum whose right halves are still to walk or whose left
-    half is proved.  Steps are emitted in the order of a recursive walk
-    that proves the left half of a sum first."""
-    lifts = []
-    root, known = (e, f), True
-    while True:
-        # down from (e, f) to a pair proved outright
-        while True:
-            if e == f:
-                d = b.refl(e)
-                break
-            law = _close(b, e, f)
-            if law is not None:
-                d, flip, rest = law
-                if rest is None:
-                    d = b.symm(d) if flip else d
-                    break
-                lifts.append((_THEN, d, flip))
-                e, f = b.rhs_after(d), rest
-                continue
-            if isinstance(e, Sum) and isinstance(f, Sum):
-                # when the sides share a half, the other half holds what
-                # differs, and the sums are not compared, so a wide sum
-                # costs no more than its depth
-                if e.left != f.left and e.right != f.right and _same_summands(e, f):
-                    d = prove_sum_eq(b, e, f)
-                    break
-                lifts.append((_RIGHT, e.right, f.right))
-                e, f, known = e.left, f.left, False
-                continue
-            if (isinstance(e, Sum) or isinstance(f, Sum)) and _same_summands(e, f):
-                d = prove_sum_eq(b, e, f)
-                break
-            if isinstance(e, Prefix) and isinstance(f, Prefix) and e.act == f.act:
-                lifts.append((_CONG, "prefix", e.act))
-                e, f, known = e.body, f.body, False
-                continue
-            if isinstance(e, Rec) and isinstance(f, Rec):
-                if e.binder == f.binder:
-                    lifts.append((_CONG, "recbody", e.binder))
-                    e, f, known = e.body, f.body, False
-                    continue
-                if f.binder not in free_vars(e):
-                    d = b.axiom("R0", {"E": e.body}, {"X": e.binder, "Y": f.binder})
-                    lifts.append((_THEN, d, False))
-                    e = b.rhs_after(d)
-                    continue
-            if rc is None:
-                rc = rooted_check(*root, budget)
-            if not rc.equal or not (known or rooted_check(e, f, budget).equal):
-                raise _Fallback(rc)
-            d = _route(b, e, f, budget)
-            break
-        # up through the pending lifts, to the next right halves to walk
-        while lifts:
-            kind, x, y = lifts.pop()
-            if kind is _CONG:
-                d = b.cong(x, d, y)
-            elif kind is _THEN:
-                d = b.trans(x, d)
-                if y:
-                    d = b.symm(d)
-            elif kind is _SUM:
-                d = b.sum_cong(x, d)
-            else:
-                lifts.append((_SUM, d, None))
-                e, f, known = x, y, False
-                break
-        else:
-            return d
+    def stuck(e: Expr, f: Expr, top: bool) -> int:
+        nonlocal rc
+        if rc is None:
+            rc = rooted_check(*root, budget)
+        if not rc.equal or not (top or rooted_check(e, f, budget).equal):
+            raise _Fallback(rc)
+        return _route(b, e, f, budget)
+
+    return walk(b, e, f, _close, stuck)
 
 
 def prove_congruent(e: Expr, f: Expr, budget: int = DEFAULT_BUDGET,

@@ -4,8 +4,9 @@ The derived rules for the loop operator are replayed as explicit
 derivation chains; associativity and commutativity glue between the
 printed steps is supplied by the canonical-sum prover.  Besides
 `standardize`, the module holds the proof routines that it shares with
-the root route (`route`): alpha bridging, lifts into contexts, head
-normal forms and the derived rules D0-D5.
+the root route (`route`): alpha bridging and the substitution lifts,
+which run on `proof.walk`, head normal forms and the derived rules
+D0-D5.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .syntax import (
 )
 from .semantics import DEFAULT_BUDGET, _tau_reachable, exposes
 from .kernel import ProofError, SideCondition
-from .proof import Builder, _absorb_copy, _derived, _t1, prove_canon, prove_sum_eq
+from .proof import Builder, _absorb_copy, _derived, _t1, prove_canon, prove_sum_eq, walk
 
 
 class NotGuarded(ProofError):
@@ -49,25 +50,15 @@ class MoveNotPresent(ProofError):
 # --- alpha bridging -----------------------------------------------------------
 
 
+def _same(b: Builder, e: Expr, f: Expr):
+    return b.refl(e) if e == f else None
+
+
 def prove_alpha(b: Builder, lhs: Expr, rhs: Expr) -> int:
-    """Prove two alpha-equivalent expressions equal via explicit renaming
-    steps and congruence."""
-    if lhs == rhs:
-        return b.refl(lhs)
-    if isinstance(lhs, Prefix) and isinstance(rhs, Prefix) and lhs.act == rhs.act:
-        return b.cong("prefix", prove_alpha(b, lhs.body, rhs.body), lhs.act)
-    if isinstance(lhs, Sum) and isinstance(rhs, Sum):
-        return b.sum_cong(prove_alpha(b, lhs.left, rhs.left),
-                          prove_alpha(b, lhs.right, rhs.right))
-    if isinstance(lhs, Rec) and isinstance(rhs, Rec):
-        if lhs.binder == rhs.binder:
-            return b.cong("recbody", prove_alpha(b, lhs.body, rhs.body), lhs.binder)
-        ren = b.axiom("R0", {"E": lhs.body}, {"X": lhs.binder, "Y": rhs.binder})
-        renamed = b.rhs_after(ren)
-        inner = prove_alpha(b, renamed.body, rhs.body)
-        return b.trans(ren, b.cong("recbody", inner, rhs.binder))
-    raise ProofError(
-        f"not alpha-equivalent: {pretty(lhs)} vs {pretty(rhs)}")
+    """Prove two alpha-equivalent expressions equal by the walk down
+    both (`proof.walk`): R0 where their binders differ, congruence
+    elsewhere."""
+    return walk(b, lhs, rhs, _same)
 
 
 def align(b: Builder, i: int, want: Expr) -> int:
@@ -89,39 +80,46 @@ def _app(b: Builder, total: int, path, inner: int) -> int:
     return b.trans(total, b.rewrite_at(b.rhs_after(total), path, inner))
 
 
-def _rec_cong(b: Builder, context: Rec, sigmas: tuple, lift) -> int:
-    """context{sigmas[0]} = context{sigmas[1]} from `lift(body, s0, s1)`,
-    which proves body{s0} = body{s1} for the sigmas without the binder.
-    A binder that would capture a free name of a substituted value is
-    first renamed to a name fresh for the body, the sigmas and the values."""
-    y = context.binder
-    s0, s1 = ({k: v for k, v in s.items() if k != y} for s in sigmas)
-    free = frozenset().union(*map(free_vars, [*s0.values(), *s1.values()]))
-    if y not in free:
-        return b.cong("recbody", lift(context.body, s0, s1), y)
-    z = fresh_name(all_vars(context.body) | free | set(s0) | set(s1) | {y})
-    mid = b.cong("recbody", lift(substitute(context.body, {y: Var(z)}), s0, s1), z)
-    return _align_both(
-        b, mid, substitute(context, sigmas[0]), substitute(context, sigmas[1]))
+def _subst_lift(b: Builder, template: Expr, sigmas: tuple, leaf) -> int:
+    """template{sigmas[0]} = template{sigmas[1]}, by the walk of the
+    template against itself (`proof.walk`), which builds neither
+    instance.  A subterm where no substituted name is free is its own
+    instance; `leaf(b, e, sigma)` gives the step at a subterm e that it
+    closes, sigma the first substitution there.  A recursion whose
+    binder shadows a substituted name, or would capture a free name of
+    a value, is lifted through its body with the substitutions narrowed
+    to the other names, a capturing binder first renamed to a fresh
+    name and both ends then aligned."""
+    s0, s1 = sigmas
+
+    def close(b: Builder, e: Expr, f: Expr):
+        if free_vars(e).isdisjoint(s0):
+            return b.refl(e)
+        d = leaf(b, e, s0)
+        if d is not None or not isinstance(e, Rec):
+            return d
+        y = e.binder
+        n0, n1 = ({k: v for k, v in s.items() if k != y} for s in sigmas)
+        free = frozenset().union(*map(free_vars, [*n0.values(), *n1.values()]))
+        if y not in s0 and y not in free:
+            return None
+        if y not in free:
+            return b.cong("recbody", _subst_lift(b, e.body, (n0, n1), leaf), y)
+        z = fresh_name(all_vars(e.body) | free | set(n0) | set(n1) | {y})
+        body = substitute(e.body, {y: Var(z)})
+        mid = b.cong("recbody", _subst_lift(b, body, (n0, n1), leaf), z)
+        return _align_both(b, mid, substitute(e, s0), substitute(e, s1))
+
+    return walk(b, template, template, close)
 
 
 @_derived
 def prove_subst_cong(b: Builder, context: Expr, hole: str, inner: int) -> int:
     """Lift a proven equation into every free occurrence of `hole` in
     `context`: proves context{lhs/hole} = context{rhs/hole}."""
-    if hole not in free_vars(context):
-        return b.refl(context)
-    if isinstance(context, Var):
-        return inner
-    if isinstance(context, Prefix):
-        return b.cong(
-            "prefix", prove_subst_cong(b, context.body, hole, inner), context.act)
-    if isinstance(context, Sum):
-        return b.sum_cong(prove_subst_cong(b, context.left, hole, inner),
-                          prove_subst_cong(b, context.right, hole, inner))
     lhs, rhs = b.endpoints(inner)
-    return _rec_cong(b, context, ({hole: lhs}, {hole: rhs}),
-                    lambda body, *_: prove_subst_cong(b, body, hole, inner))
+    return _subst_lift(b, context, ({hole: lhs}, {hole: rhs}),
+                       lambda b, e, sigma: inner if isinstance(e, Var) else None)
 
 
 # --- head normal forms and D0-D2 ----------------------------------------------
@@ -464,15 +462,7 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
             total = b.trans(total, b.symm(_d0(b, er, f3, x)))
             e1r, d = _expose(b, x, er, f3)
             total = b.trans(total, d)
-        # merge the two exposed halves again
-        tr2 = Prefix(TAU, Sum(Var(x), e1r))
-        total = _app(b, total, ["rec"],
-                     prove_sum_eq(b, b.rhs_after(total).body, Sum(Sum(tl2, tr2), f)))
-        total = b.trans(total, _d4(b, x, e1l, e1r, f))
-        e1 = Sum(e1l, e1r)
-        total = _app(b, total, ["rec", "suml", "prefix"],
-                     prove_sum_eq(b, Sum(Sum(Var(x), e1l), e1r), Sum(Var(x), e1)))
-        return e1, total
+        return Sum(e1l, e1r), _merge_exposed(b, total, x, e1l, e1r, f)
     if isinstance(e, Rec):
         host = Rec(x, Sum(Prefix(TAU, e), f))
         if not is_loop(e):
@@ -496,6 +486,17 @@ def _expose(b: Builder, x: str, e: Expr, f: Expr):
     raise SideCondition("exposure", f"{x} is not reachable unguarded in {pretty(e)}")
 
 
+def _merge_exposed(b: Builder, total: int, x: str, e1: Expr, e2: Expr, rest: Expr) -> int:
+    """Extend `total`, which ends at a recursion over x whose body is a
+    sum of tau.(x + e1), tau.(x + e2) and rest, to
+    rec x.(tau.(x + (e1 + e2)) + rest): S1-S4, D4, S1-S4."""
+    silent = Sum(Prefix(TAU, Sum(Var(x), e1)), Prefix(TAU, Sum(Var(x), e2)))
+    total = _app(b, total, ["rec"], prove_sum_eq(b, b.rhs_after(total).body, Sum(silent, rest)))
+    total = b.trans(total, _d4(b, x, e1, e2, rest))
+    return _app(b, total, ["rec", "suml", "prefix"],
+                prove_sum_eq(b, Sum(Sum(Var(x), e1), e2), Sum(Var(x), Sum(e1, e2))))
+
+
 # --- standardization -----------------------------------------------------------
 
 
@@ -516,12 +517,10 @@ def _guard_binder(b: Builder, total: int, y: str, sf: Expr) -> int:
             group1.append(leaf.body)
         else:
             rest.append(leaf)
-    cur_body = sf
     if has_self:
         remainder = compose_sum([Prefix(TAU, h) for h in group1] + rest)
-        total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, Sum(Var(y), remainder)))
+        total = _app(b, total, ["rec"], prove_sum_eq(b, sf, Sum(Var(y), remainder)))
         total = b.trans(total, b.axiom("R3", {"E": remainder}, {"X": y}))
-        cur_body = remainder
     if not group1:
         return total
     g = compose_sum(rest)
@@ -531,26 +530,17 @@ def _guard_binder(b: Builder, total: int, y: str, sf: Expr) -> int:
         todo = [Prefix(TAU, hh) for hh in group1[i + 1 :]]
         done = [Prefix(TAU, Sum(Var(y), hh)) for hh in exposed]
         remainder = compose_sum(todo + done + rest)
-        total = _app(b, total, ["rec"],
-                     prove_sum_eq(b, cur_body, Sum(Prefix(TAU, h), remainder)))
+        total = _app(b, total, ["rec"], prove_sum_eq(
+            b, b.rhs_after(total).body, Sum(Prefix(TAU, h), remainder)))
         h1, d = _expose(b, y, h, remainder)
         total = b.trans(total, d)
         exposed.append(h1)
-        cur_body = Sum(Prefix(TAU, Sum(Var(y), h1)), remainder)
     # fold the exposed summands together
     while len(exposed) > 1:
-        a2, b2_ = exposed[0], exposed[1]
-        others = [Prefix(TAU, Sum(Var(y), hh)) for hh in exposed[2:]]
-        remainder = compose_sum(others + rest)
-        want = Sum(
-            Sum(Prefix(TAU, Sum(Var(y), a2)), Prefix(TAU, Sum(Var(y), b2_))), remainder)
-        total = _app(b, total, ["rec"], prove_sum_eq(b, cur_body, want))
-        total = b.trans(total, _d4(b, y, a2, b2_, remainder))
-        merged = Sum(a2, b2_)
-        total = _app(b, total, ["rec", "suml", "prefix"],
-                     prove_sum_eq(b, Sum(Sum(Var(y), a2), b2_), Sum(Var(y), merged)))
-        exposed = [merged] + exposed[2:]
-        cur_body = Sum(Prefix(TAU, Sum(Var(y), merged)), remainder)
+        e1, e2, *more = exposed
+        remainder = compose_sum([Prefix(TAU, Sum(Var(y), hh)) for hh in more] + rest)
+        total = _merge_exposed(b, total, y, e1, e2, remainder)
+        exposed = [Sum(e1, e2), *more]
     tot = exposed[0]  # the body is now tau.(y + tot) + g
     total = b.trans(total, _d3(b, y, tot, g))
     return _app(b, total, ["rec", "suml", "prefix", "rec", "sumr"],

@@ -2,6 +2,7 @@
 fresh-name namespaces and for shadowed binders."""
 
 import random
+import sys
 
 import pytest
 
@@ -92,17 +93,29 @@ def test_randomized_hostile_names():
             assert check(result) is None, (pretty(e), pretty(f))
 
 
+# how often padding renames the binder in each pair's proof: the walk
+# closes the first two pairs (S4, T1), the third takes the root route
+_PADDING_RENAMES = {"tau* (c._g0 + b.0)": 6}
+
+
 @pytest.mark.parametrize("left, right", [
     ("tau* c._g0", "tau* c._g0 + 0"),
     ("a.tau* c._g0", "a.tau.tau* c._g0"),
+    ("tau* (c._g0 + b.0)", "tau* (b.0 + c._g0) + tau.tau* (c._g0 + b.0)"),
 ])
-def test_silent_padding_renames_a_capturing_binder(left, right):
+def test_silent_padding_renames_a_capturing_binder(left, right, monkeypatch):
     # an equation's loop binder `_g0` would capture the free `_g0` of the
-    # solution padded in under it, so the padding renames the binder
+    # solution padded in under it, so the padding renames the binder and
+    # aligns both ends of what it lifted (`_align_both`)
+    standardize_module = sys.modules["dpbc.standardize"]  # `standardize` is the function
+    aligned, real = [], standardize_module._align_both
+    monkeypatch.setattr(standardize_module, "_align_both",
+                        lambda *args: aligned.append(args) or real(*args))
     e, f = parse(left), parse(right)
     d = parse_derivation(format_derivation(prove_congruent(e, f)))
     assert check(d) is None
     assert d.conclusion == (e, f)
+    assert len(aligned) == _PADDING_RENAMES.get(left, 0)
 
 
 @pytest.mark.parametrize("text", [

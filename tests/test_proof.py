@@ -50,6 +50,7 @@ from dpbc.proof import (
 )
 from dpbc.equiv import rooted_check
 from dpbc.ses import _route, prove_congruent
+from dpbc.route import _pad_tau
 from dpbc.standardize import (
     MoveNotPresent,
     prove_alpha,
@@ -528,6 +529,33 @@ def test_prove_alpha():
     assert d.conclusion == (lhs, rhs)
 
 
+def _prefixed(n: int, e):
+    for _ in range(n):
+        e = Prefix(Action("a"), e)
+    return e
+
+
+@pytest.mark.parametrize("lift", ["prove_alpha", "prove_subst_cong", "_pad_tau"])
+def test_lifts_walk_terms_of_any_depth(lift):
+    # each lift goes down its terms on the walk's own stack, so a term
+    # 10^4 prefixes deep costs no interpreter stack
+    n, b, value = 10_000, Builder(), parse("b.0")
+    if lift == "prove_alpha":
+        lhs, rhs = _prefixed(n, parse("rec X. b.X")), _prefixed(n, parse("rec Y. b.Y"))
+        idx = prove_alpha(b, lhs, rhs)
+    elif lift == "prove_subst_cong":
+        context, inner = _prefixed(n, Var("H")), b.axiom("S4", {"E": value})
+        lhs, rhs = (substitute(context, {"H": side}) for side in (Sum(value, NIL), value))
+        idx = prove_subst_cong(b, context, "H", inner)
+    else:
+        template, padded = _prefixed(n, parse("c.X")), Prefix(TAU, value)
+        lhs, rhs = (substitute(template, {"X": side}) for side in (value, padded))
+        idx = _pad_tau(b, template, {"X": value}, {"X": padded})
+    d = b.finalize(idx)
+    assert check(d) is None
+    assert d.conclusion == (lhs, rhs)
+
+
 def test_certificate_roundtrip():
     d = derive(_d0, parse("tau.X + b.0"), parse("a.0"), "X")
     text = format_derivation(d)
@@ -783,6 +811,71 @@ def test_benchmark_certificates_check_and_do_not_grow():
             assert check(derivation) is None, op
             assert derivation.conclusion == (parse(op["left"]), parse(op["right"]))
             assert len(derivation.steps) <= limit, op
+
+
+# the certificates of the root route (`route._absorb_both`): seeded pairs
+# of closed `all_terms(5, (0, X, Y))` terms, each against the first drawn
+# term of its rooted-congruence class, whose proofs reach it, then a tree
+# of `perfbench/gen.py` against its silently padded variant unfolded once
+# at the root (40 nodes), written under PYTHONHASHSEED=0
+_ROOT_ROUTE_CODE = """\
+import json, random
+from genexpr import all_terms, benchmark_gen
+import dpbc.route as route
+from dpbc import prove_congruent
+from dpbc.equiv import rooted_check
+from dpbc.kernel import format_derivation
+from dpbc.syntax import NIL, Var, free_vars, parse, pretty, substitute
+terms = [e for e in all_terms(5, (NIL, Var("X"), Var("Y"))) if not free_vars(e)]
+random.Random(40).shuffle(terms)
+firsts, pairs = [], []
+for e in terms[:300]:
+    g = next((g for g in firsts if rooted_check(e, g).equal), None)
+    if g is None:
+        firsts.append(e)
+    else:
+        pairs.append((e, g))
+gen = benchmark_gen()
+tree = gen.Tree(random.Random("decide-skeleton:0"), 40, random.Random("decide:1"))
+pad = parse(gen.show(tree.term(binder="Y", pad=random.Random(40).randrange(1, 40))))
+pairs.append((parse(gen.show(tree.term())), substitute(pad.body, {pad.binder: pad})))
+routed, real = [], route._absorb_both
+route._absorb_both = lambda *args: routed.append(args) or real(*args)
+out = []
+for e, f in pairs:
+    del routed[:]
+    text = format_derivation(prove_congruent(e, f))
+    if routed:
+        out.append((pretty(e), pretty(f), text))
+print(json.dumps(out))
+"""
+_ROOT_ROUTE_SHA256 = (
+    "dd0817e0fa1ae00b0e1d54be064ff530be54399145bf43aa44879844f3fa9d04")
+
+
+def test_root_route_certificates_are_pinned():
+    # the benchmark's certificates are all closed by the walk, so these
+    # pin the root route's: their texts, concatenated, byte for byte by
+    # their SHA-256 (276 certificates, 30,831 steps, 9,352 of them the
+    # tree's); each passes the checker after a text round trip and
+    # proves its pair
+    here = os.path.dirname(__file__)
+    src = os.path.dirname(os.path.dirname(dpbc.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    res = subprocess.run([sys.executable, "-c", _ROOT_ROUTE_CODE], env=env,
+                         capture_output=True, text=True, encoding="utf-8")
+    assert res.returncode == 0, res.stderr
+    routed = json.loads(res.stdout)
+    joined = "".join(text for _, _, text in routed).encode("utf-8")
+    assert hashlib.sha256(joined).hexdigest() == _ROOT_ROUTE_SHA256
+    steps = 0
+    for left, right, text in routed:
+        derivation = parse_derivation(text)
+        assert check(derivation) is None, (left, right)
+        assert derivation.conclusion == (parse(left), parse(right))
+        steps += len(derivation.steps)
+    assert (len(routed), steps) == (276, 30831)
 
 
 def test_checker_runs_no_transition_function(monkeypatch):
